@@ -341,9 +341,9 @@ let time_best ?(k = timing_k) f =
        major heap, and the GC pressure they leave behind can swing an
        allocation-sensitive sample by tens of percent. *)
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.monotonic () in
     let results = f () in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Clock.monotonic () -. t0 in
     let steps =
       List.fold_left (fun acc (r : Engine.result) -> acc + r.Engine.steps)
         0 results
@@ -736,9 +736,26 @@ type scaling_report = {
   sc_large_peak_tables : int;
   sc_large_peak_bytes : int;
   sc_large_within_budget : bool;
+  sc_large_peak_rss_mib : float option;
 }
 
 let scaling_report : scaling_report option ref = ref None
+
+(* Peak resident set size of this process so far (VmHWM), in MiB; [None]
+   where /proc is unavailable. *)
+let peak_rss_mib () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec find () =
+        match input_line ic with
+        | exception End_of_file -> None
+        | line when String.starts_with ~prefix:"VmHWM:" line ->
+            Scanf.sscanf line "VmHWM: %d kB" (fun kb ->
+                Some (float_of_int kb /. 1024.0))
+        | _ -> find ()
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) find
 
 let scaling_leg scale =
   section
@@ -776,9 +793,9 @@ let scaling_leg scale =
   let scaling_k = 6 in
   let sample ~sublinear () =
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.monotonic () in
     let r = run_bounded ~n ~max_steps ~sublinear ~cache_budget:None () in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Clock.monotonic () -. t0 in
     ({ wall_s = wall; steps = r.Engine.steps }, [ r ])
   in
   let keep_best best candidate =
@@ -821,14 +838,18 @@ let scaling_leg scale =
      leg — best-of-k would double it for nothing. *)
   let large, residency =
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.monotonic () in
     let r =
       run_bounded ~n:large_n ~max_steps:large_steps ~sublinear:true
         ~cache_budget:(Some large_budget) ()
     in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = Clock.monotonic () -. t0 in
     ({ wall_s = wall; steps = r.Engine.steps }, r.Engine.residency)
   in
+  (* Whole-process peak, read right after the largest run: the cache's
+     residency alone misses the graphs (the initial network and the
+     engine's working copy), where n² words per matrix would dominate. *)
+  let peak_rss = peak_rss_mib () in
   (* [install] admits the new table before evicting, and pinned tables
      (the mover's row, a probed target, the applied move's endpoints) are
      exempt while held — so the peak may transiently sit a few tables
@@ -840,6 +861,8 @@ let scaling_leg scale =
      MiB)\n"
     large_n large_budget large.steps large.wall_s residency.Distcache.peak
     (float_of_int residency.Distcache.peak_bytes /. (1024.0 *. 1024.0));
+  Option.iter (Printf.printf "  process peak RSS after it: %.1f MiB\n")
+    peak_rss;
   check "identical trajectories with and without the cost board" identical;
   check "sublinear selection at least 4x over the full scan" (speedup >= 4.0);
   check "n=10000 run stays within the cache budget (+pin slack)"
@@ -861,6 +884,7 @@ let scaling_leg scale =
         sc_large_peak_tables = residency.Distcache.peak;
         sc_large_peak_bytes = residency.Distcache.peak_bytes;
         sc_large_within_budget = within_budget;
+        sc_large_peak_rss_mib = peak_rss;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -933,18 +957,18 @@ let fleet_leg scale =
         | Some p -> p
         | None -> failwith "unknown fleet point"
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.monotonic () in
       let single =
         Runner.run ~domains:workers ~seed ~trials point.Fleet.spec
       in
-      let single_wall = Unix.gettimeofday () -. t0 in
+      let single_wall = Clock.monotonic () -. t0 in
       let dir = Filename.temp_file "ncg_bench_fleet" ".d" in
       Sys.remove dir;
       let out = Filename.temp_file "ncg_bench_fleet" ".out" in
       let out_fd =
         Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644
       in
-      let t1 = Unix.gettimeofday () in
+      let t1 = Clock.monotonic () in
       let pid =
         Unix.create_process sim
           [|
@@ -957,7 +981,7 @@ let fleet_leg scale =
       in
       Unix.close out_fd;
       let _, status = Unix.waitpid [] pid in
-      let fleet_wall = Unix.gettimeofday () -. t1 in
+      let fleet_wall = Clock.monotonic () -. t1 in
       let text = read_file out in
       let expected = Format.asprintf "%a" Stats.pp single in
       let identical = contains text ("summary: " ^ expected) in
@@ -1171,6 +1195,9 @@ let write_json path ~scale ~timings =
                   ("peak_bytes", string_of_int r.sc_large_peak_bytes);
                   ( "within_budget",
                     string_of_bool r.sc_large_within_budget );
+                  ( "peak_rss_mib",
+                    Option.fold ~none:"null" ~some:Json.num
+                      r.sc_large_peak_rss_mib );
                 ] );
           ]
   in
@@ -1228,18 +1255,11 @@ let write_json path ~scale ~timings =
         ("fleet", fleet_json);
       ]
   in
-  let write_to p =
-    let oc = open_out p in
-    output_string oc doc;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nwrote %s\n" p
-  in
-  write_to path;
-  (* keep the per-PR trajectory: [path] is the rolling latest, the
-     PR-stamped sibling is the archived snapshot of this change *)
-  let pr_snapshot = Filename.concat (Filename.dirname path) "BENCH_pr10.json" in
-  if Filename.basename path <> "BENCH_pr10.json" then write_to pr_snapshot
+  let oc = open_out path in
+  output_string oc doc;
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "\nwrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Registry and CLI                                                    *)
@@ -1353,9 +1373,9 @@ let () =
   List.iter
     (fun (id, title, run) ->
       section (Printf.sprintf "[%s] %s" id title);
-      let t0 = Unix.gettimeofday () in
+      let t0 = Clock.monotonic () in
       run scale;
-      timings := (id, title, Unix.gettimeofday () -. t0) :: !timings)
+      timings := (id, title, Clock.monotonic () -. t0) :: !timings)
     selected;
   match !json with
   | None -> ()

@@ -356,7 +356,7 @@ let stepper_start ?arena ?rng cfg initial =
     board;
     board_ready = false;
     seen;
-    deadline = Option.map (fun b -> Unix.gettimeofday () +. b) cfg.time_budget;
+    deadline = Option.map (fun b -> Clock.monotonic () +. b) cfg.time_budget;
     require_connected;
     (* Sentinel state.  The sentinel RNG and the shadow workspace are
        private to the verification layer: the trial's own draw stream and
@@ -608,7 +608,7 @@ let stepper_advance s =
       else if
         match s.deadline with
         | None -> false
-        | Some d -> Unix.gettimeofday () > d
+        | Some d -> Clock.monotonic () > d
       then s.stopped <- Some Time_limit
       else (
         match s.mode with

@@ -50,8 +50,9 @@ type config = {
           {!Reference.run} (see {!Sentinel} for the soundness argument).
           Healthy runs are unaffected at any level. *)
   time_budget : float option;
-      (** wall-clock budget in seconds for this run; exceeding it stops the
-          run with {!Time_limit}. *)
+      (** elapsed-time budget in seconds for this run, measured on
+          {!Clock.monotonic}; exceeding it stops the run with
+          {!Time_limit}. *)
   scan_domains : int;
       (** number of OCaml domains the max-cost policy fans its per-agent
           cost BFS out over each step; [1] keeps everything on the calling
@@ -217,10 +218,10 @@ val run_batch :
     [Runner.trial_rng]) and every trial is bit-identical to its solo run —
     the batch differential suite asserts this across the game × policy ×
     tie-break matrix.  The only schedule-dependent observable is
-    [time_budget]: every trial's wall-clock deadline starts at batch start
+    [time_budget]: every trial's deadline starts at batch start
     and ticks while siblings step, exactly as a trial's deadline ticks
     while other processes share the core — so budgeted runs are only as
-    reproducible as the wall clock, batched or not.
+    reproducible as elapsed time, batched or not.
 
     [arena] defaults to a fresh arena of size [Model.n cfg.model]; pass a
     resident one to amortize across successive batches. *)

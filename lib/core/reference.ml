@@ -46,12 +46,12 @@ let run ?rng (cfg : Engine.config) initial =
   if cfg.detect_cycles then Hashtbl.replace seen (state_key cfg.model g) 0;
   let history = ref [] in
   let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) cfg.time_budget
+    Option.map (fun b -> Clock.monotonic () +. b) cfg.time_budget
   in
   let out_of_time () =
     match deadline with
     | None -> false
-    | Some d -> Unix.gettimeofday () > d
+    | Some d -> Clock.monotonic () > d
   in
   (* A connected network can never disconnect under improving moves (the
      mover's own cost would become infinite), so connectivity is part of

@@ -51,10 +51,9 @@ let insert t u v =
   let len = Intvec.get t.offsets t.n in
   if len = Intvec.dim t.targets then grow t;
   let pos = lower_bound t u v in
-  (* Shift the tail up by one, back-to-front (self-overlapping move). *)
-  for i = len downto pos + 1 do
-    Intvec.unsafe_set t.targets i (Intvec.unsafe_get t.targets (i - 1))
-  done;
+  (* Shift the tail up by one: a single overlap-safe memmove. *)
+  Intvec.blit ~src:t.targets ~src_pos:pos ~dst:t.targets ~dst_pos:(pos + 1)
+    ~len:(len - pos);
   Intvec.set t.targets pos v;
   for i = u + 1 to t.n do
     Intvec.set t.offsets i (Intvec.get t.offsets i + 1)
@@ -66,9 +65,8 @@ let remove t u v =
     false
   else begin
     let len = Intvec.get t.offsets t.n in
-    for i = pos to len - 2 do
-      Intvec.unsafe_set t.targets i (Intvec.unsafe_get t.targets (i + 1))
-    done;
+    Intvec.blit ~src:t.targets ~src_pos:(pos + 1) ~dst:t.targets ~dst_pos:pos
+      ~len:(len - pos - 1);
     for i = u + 1 to t.n do
       Intvec.set t.offsets i (Intvec.get t.offsets i - 1)
     done;

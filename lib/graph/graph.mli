@@ -71,16 +71,20 @@ val csr : t -> Csr.t
     {!Csr.targets} after any graph mutation. *)
 
 val fold_edges : (int -> int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** [fold_edges f g acc] folds [f u v owner] over all edges with [u < v]. *)
+(** [fold_edges f g acc] folds [f u v owner] over all edges with [u < v],
+    in lexicographic order of [(u, v)] — O(n + m), off the adjacency
+    rows. *)
 
 val iter_edges : (int -> int -> int -> unit) -> t -> unit
-(** [iter_edges f g] calls [f u v owner] for every edge with [u < v]. *)
+(** [iter_edges f g] calls [f u v owner] for every edge with [u < v], in
+    the order of {!fold_edges}. *)
 
 val edges : t -> (int * int * int) list
 (** [(u, v, owner)] triples with [u < v], sorted lexicographically. *)
 
 val copy : t -> t
-(** Independent deep copy. *)
+(** Independent deep copy: O(n²/8) bytes for the edge matrices plus the
+    adjacency arrays. *)
 
 val equal : t -> t -> bool
 (** Exact equality: same vertex count, edge set and ownership.  (For

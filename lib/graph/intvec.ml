@@ -20,11 +20,12 @@ let make n x =
   Bigarray.Array1.fill v x;
   v
 
-let dim (v : t) = Bigarray.Array1.dim v
-let get (v : t) i = Bigarray.Array1.get v i
-let set (v : t) i x = Bigarray.Array1.set v i x
-let unsafe_get (v : t) i = Bigarray.Array1.unsafe_get v i
-let unsafe_set (v : t) i x = Bigarray.Array1.unsafe_set v i x
+(* Primitives, not [let] wrappers: see the interface for why. *)
+external dim : t -> int = "%caml_ba_dim_1"
+external get : t -> int -> int = "%caml_ba_ref_1"
+external set : t -> int -> int -> unit = "%caml_ba_set_1"
+external unsafe_get : t -> int -> int = "%caml_ba_unsafe_ref_1"
+external unsafe_set : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 let fill (v : t) x = Bigarray.Array1.fill v x
 
 let blit ~src ~src_pos ~dst ~dst_pos ~len =

@@ -72,6 +72,216 @@ let test_of_unowned () =
   check_int "owner is min endpoint" 0 (Graph.owner g 0 2)
 
 (* ------------------------------------------------------------------ *)
+(* Mutation sequences against a naive edge-set model                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The model maps each edge (u, v), u < v, to its owner.  Vertex operands
+   are drawn from [0, 69] and reduced mod n, so every n in [1, 70] sees
+   in-range pairs, self-loops and (for small n) repeats.  Any n that is not
+   a multiple of 8 starts bit-matrix rows mid-byte, and a few hundred
+   operations fill the CSR's initial capacity of max 8 n half-edges, so
+   [Csr.grow] runs mid-sequence. *)
+module Edges = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type op =
+  | Add of int * int * bool  (* owner is the first endpoint iff true *)
+  | Remove of int * int  (* usually absent: the error path *)
+  | Remove_nth of int  (* an existing edge, index mod m *)
+  | Copy  (* continue on a copy; the original must stay as it was *)
+
+let show_op = function
+  | Add (u, v, b) -> Printf.sprintf "add %d %d %b" u v b
+  | Remove (u, v) -> Printf.sprintf "remove %d %d" u v
+  | Remove_nth k -> Printf.sprintf "remove #%d" k
+  | Copy -> "copy"
+
+let gen_op =
+  QCheck.Gen.(
+    let vertex = int_bound 69 in
+    frequency
+      [
+        (6, map3 (fun u v b -> Add (u, v, b)) vertex vertex bool);
+        (1, map2 (fun u v -> Remove (u, v)) vertex vertex);
+        (3, map (fun k -> Remove_nth k) (int_bound 10_000));
+        (1, return Copy);
+      ])
+
+let arb_mutations =
+  QCheck.make
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "n=%d [%s]" n (String.concat "; " (List.map show_op ops)))
+    QCheck.Gen.(pair (int_range 1 70) (list_size (int_range 1 400) gen_op))
+
+let key u v = (min u v, max u v)
+
+(* The model as an owner matrix (-1: no edge), for O(1) lookups. *)
+let owner_matrix n model =
+  let own = Array.make_matrix n n (-1) in
+  Edges.iter
+    (fun (u, v) o ->
+      own.(u).(v) <- o;
+      own.(v).(u) <- o)
+    model;
+  own
+
+(* Every per-vertex read of [g] at [u] agrees with the model: neighbor
+   lists, degrees, and [has_edge]/[owns]/[owner] against every [v]. *)
+let vertex_disagreement n own g u =
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  let nbrs = List.filter (fun v -> own.(u).(v) >= 0) (List.init n Fun.id) in
+  let owned = List.filter (fun v -> own.(u).(v) = u) nbrs in
+  let rec pairs v =
+    if v >= n then None
+    else
+      let o = own.(u).(v) in
+      if Graph.has_edge g u v <> (o >= 0) then fail "has_edge %d %d" u v
+      else if Graph.owns g u v <> (o = u) then fail "owns %d %d" u v
+      else if o >= 0 && Graph.owner g u v <> o then fail "owner %d %d" u v
+      else pairs (v + 1)
+  in
+  if Graph.neighbors g u <> nbrs then fail "neighbors %d" u
+  else if Graph.owned_neighbors g u <> owned then fail "owned_neighbors %d" u
+  else if Graph.degree g u <> List.length nbrs then fail "degree %d" u
+  else if Graph.owned_degree g u <> List.length owned then
+    fail "owned_degree %d" u
+  else pairs 0
+
+(* Every read of [g] agrees with [model]: the per-vertex reads at every
+   vertex, [m], the order of [edges] and [fold_edges], and [equal] against
+   a graph rebuilt from the model in another insertion order. *)
+let disagreement n model g =
+  let fail fmt = Printf.ksprintf Option.some fmt in
+  let expected =
+    List.map (fun ((u, v), o) -> (u, v, o)) (Edges.bindings model)
+  in
+  let rebuilt = Graph.create n in
+  List.iter
+    (fun (u, v, o) -> Graph.add_edge rebuilt ~owner:o v u)
+    (List.rev expected);
+  let own = owner_matrix n model in
+  if Graph.n g <> n then fail "n"
+  else if Graph.m g <> Edges.cardinal model then fail "m"
+  else if Graph.edges g <> expected then fail "edges"
+  else if
+    List.rev (Graph.fold_edges (fun u v o acc -> (u, v, o) :: acc) g [])
+    <> expected
+  then fail "fold_edges order"
+  else if not (Graph.equal g rebuilt && Graph.equal rebuilt g) then
+    fail "equal to its rebuild"
+  else List.find_map (vertex_disagreement n own g) (List.init n Fun.id)
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* Runs [ops] from the empty graph on [n] vertices.  After each operation
+   the per-vertex reads at the touched endpoints are checked, and every
+   read every 16 operations, at every [Copy] and at the end; graphs left
+   behind by a [Copy] are checked against their snapshot of the model
+   once the sequence is done.  Returns the first disagreement and the
+   final graph. *)
+let run_mutations n ops =
+  let frozen = ref [] in
+  let rec go i g model = function
+    | [] -> (disagreement n model g, g)
+    | op :: rest -> (
+        let g, model, touched, err =
+          match op with
+          | Add (u, v, first) ->
+              let u = u mod n and v = v mod n in
+              let owner = if first then u else v in
+              if u = v || Edges.mem (key u v) model then
+                ( g,
+                  model,
+                  [ u; v ],
+                  if raises_invalid (fun () -> Graph.add_edge g ~owner u v)
+                  then None
+                  else Some "add of a self-loop or duplicate accepted" )
+              else begin
+                Graph.add_edge g ~owner u v;
+                (g, Edges.add (key u v) owner model, [ u; v ], None)
+              end
+          | Remove (u, v) ->
+              let u = u mod n and v = v mod n in
+              if Edges.mem (key u v) model then begin
+                Graph.remove_edge g u v;
+                (g, Edges.remove (key u v) model, [ u; v ], None)
+              end
+              else
+                ( g,
+                  model,
+                  [ u; v ],
+                  if raises_invalid (fun () -> Graph.remove_edge g u v) then
+                    None
+                  else Some "remove of an absent edge accepted" )
+          | Remove_nth k -> (
+              match
+                List.nth_opt (Edges.bindings model)
+                  (k mod max 1 (Edges.cardinal model))
+              with
+              | None -> (g, model, [], None)
+              | Some ((u, v), _) ->
+                  (* either orientation must address the same edge *)
+                  if k land 1 = 0 then Graph.remove_edge g u v
+                  else Graph.remove_edge g v u;
+                  (g, Edges.remove (u, v) model, [ u; v ], None))
+          | Copy ->
+              frozen := (g, model) :: !frozen;
+              (Graph.copy g, model, [], None)
+        in
+        let err =
+          match err with
+          | Some _ -> err
+          | None when op = Copy || i mod 16 = 15 -> disagreement n model g
+          | None ->
+              let own = owner_matrix n model in
+              List.find_map (vertex_disagreement n own g) touched
+        in
+        match err with
+        | Some e -> (Some (show_op op ^ ": " ^ e), g)
+        | None -> go (i + 1) g model rest)
+  in
+  let err, g = go 0 (Graph.create n) Edges.empty ops in
+  let err =
+    match err with
+    | Some _ -> err
+    | None ->
+        List.find_map
+          (fun (orig, model) ->
+            Option.map
+              (fun d -> "original changed after copy: " ^ d)
+              (disagreement n model orig))
+          !frozen
+  in
+  (err, g)
+
+let mutation_properties =
+  [
+    QCheck.Test.make ~count:60
+      ~name:"add/remove/copy sequences agree with an edge-set model"
+      arb_mutations (fun (n, ops) ->
+        match fst (run_mutations n ops) with
+        | None -> true
+        | Some e -> QCheck.Test.fail_report e);
+  ]
+
+(* The property above only reaches [Csr.grow] when a sequence outlasts the
+   initial capacity; pin one that provably does. *)
+let test_mutations_through_grow () =
+  let n = 70 in
+  let ops =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 13 |])
+      (QCheck.Gen.list_repeat 400 gen_op)
+  in
+  let err, g = run_mutations n ops in
+  Alcotest.(check (option string)) "model agrees" None err;
+  check "CSR grew past its initial capacity" true
+    (Intvec.dim (Csr.targets (Graph.csr g)) > max 8 n)
+
+(* ------------------------------------------------------------------ *)
 (* Paths                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -519,4 +729,10 @@ let suite =
       Alcotest.test_case "dot export" `Quick test_dot;
     ]
     @ List.map QCheck_alcotest.to_alcotest
-        (path_properties @ gen_properties @ iso_properties) )
+        (path_properties @ gen_properties @ iso_properties)
+    (* appended so the earlier cases keep their positions in the listing *)
+    @ [
+        Alcotest.test_case "mutation model through Csr.grow" `Quick
+          test_mutations_through_grow;
+      ]
+    @ List.map QCheck_alcotest.to_alcotest mutation_properties )

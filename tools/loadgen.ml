@@ -137,18 +137,20 @@ let fresh_tally () =
    connected hosts shared across clients — and each client submits its
    own relabeling of the pooled host, so repeats are isomorphic rather
    than textually identical and deduplication has to happen through the
-   daemon's canonicalization, not string equality. *)
+   daemon's canonicalization, not string equality.  Built here, once, from
+   the parsed options and before any client thread starts: the threads
+   only read it (a shared lazy forced from several threads raises
+   [CamlinternalLazy.Undefined] in all but the first). *)
 let host_pool =
-  lazy
-    (Array.init (max 1 !distinct_hosts) (fun k ->
-         let rng = Random.State.make [| !seed0; k; 31337 |] in
-         let g = Ncg_graph.Gen.random_connected rng !host_n 0.25 in
-         List.map (fun (u, v, _) -> (u, v)) (Ncg_graph.Graph.edges g)))
+  Array.init (max 0 !distinct_hosts) (fun k ->
+      let rng = Random.State.make [| !seed0; k; 31337 |] in
+      let g = Ncg_graph.Gen.random_connected rng !host_n 0.25 in
+      List.map (fun (u, v, _) -> (u, v)) (Ncg_graph.Graph.edges g))
 
 let host_json ~client k =
   if !distinct_hosts <= 0 then Json.Str "complete"
   else begin
-    let pairs = (Lazy.force host_pool).(k mod !distinct_hosts) in
+    let pairs = host_pool.(k mod !distinct_hosts) in
     let rot v = (v + client) mod !host_n in
     Json.List
       (List.map
@@ -283,7 +285,11 @@ let client_thread idx =
        then t.lost <- t.lost + 1
      done;
      try Unix.close fd with Unix.Unix_error _ -> ()
-   with Unix.Unix_error _ ->
+   with e ->
+     (* Whatever killed this client, every job it had not resolved is
+        lost — the report must not count a dead thread as a clean one. *)
+     Printf.eprintf "loadgen: client %d died: %s\n%!" idx
+       (Printexc.to_string e);
      t.lost <-
        t.lost
        + (!jobs_per_client
