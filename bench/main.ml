@@ -601,123 +601,6 @@ let incremental_leg scale =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Batched lockstep engine vs single-trial runs                        *)
-(* ------------------------------------------------------------------ *)
-
-type batch_report = {
-  bt_n : int;
-  bt_m : int;
-  bt_alpha : string;
-  bt_batch : int;
-  bt_ref_trials : int;
-  bt_reference : engine_sample;  (* naive engine, one trial at a time *)
-  bt_fast : engine_sample;  (* fast engine, fresh resources per trial *)
-  bt_batched : engine_sample;  (* resident arena, lockstep batch *)
-  bt_identical : bool;
-}
-
-let batch_report : batch_report option ref = ref None
-
-let batch_leg scale =
-  section "Batched lockstep engine: SUM-GBG sweep, n=100, B=32";
-  (* Pinned at n=100/B=32 like the fastpath leg.  Per-step work dominates
-     a trial at this size, so batching buys setup amortization, not
-     per-step speed; the honest claims are (a) batch throughput vs the
-     naive engine one trial at a time — the same historical anchor the
-     fastpath leg prices — and (b) no regression vs the fast engine run
-     solo: resident-arena streaming must cost neither trajectory
-     identity nor measurable throughput. *)
-  let n = 100 in
-  let m = 4 * n in
-  let alpha = Ncg_rational.Q.make n 4 in
-  let model = Model.make ~alpha Model.Gbg Model.Sum n in
-  let batch = 32 in
-  let spec =
-    Runner.spec ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion model
-      (fun rng -> Gen.random_m_edges rng n m)
-  in
-  let cfg = Runner.engine_config spec ~attempt:0 in
-  let seed = scale.seed in
-  let pair trial =
-    let rng = Runner.trial_rng spec ~seed ~trial ~attempt:0 in
-    (rng, spec.Runner.generate rng)
-  in
-  (* the naive baseline is priced on a small prefix of the same trial
-     stream — rates are steps/s, so the shorter sample stays comparable *)
-  let ref_trials = max 1 (min 3 scale.trials) in
-  let reference, ref_runs =
-    time_best (fun () ->
-        List.init ref_trials (fun i ->
-            let rng, g = pair i in
-            Reference.run ~rng cfg g))
-  in
-  let fast, fast_runs =
-    time_best (fun () ->
-        List.init batch (fun i -> Runner.run_trial spec ~seed ~trial:i))
-  in
-  let stream = Batch.create ~batch cfg in
-  let batched, batch_runs =
-    time_best (fun () ->
-        Batch.run stream (Array.init batch (fun i () -> pair i))
-        |> Array.to_list
-        |> List.map (function
-             | Ok r -> r
-             | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt))
-  in
-  let same (a : Engine.result) (b : Engine.result) =
-    a.Engine.steps = b.Engine.steps
-    && a.Engine.reason = b.Engine.reason
-    && Graph.equal a.Engine.final b.Engine.final
-  in
-  let identical =
-    List.for_all2 same batch_runs fast_runs
-    && List.for_all2 same ref_runs
-         (List.filteri (fun i _ -> i < ref_trials) fast_runs)
-  in
-  let per_s { wall_s; steps } =
-    if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-  in
-  let show label trials s =
-    Printf.printf "  %-26s %2d trials  %5d steps  %7.3f s  %8.0f steps/s\n"
-      label trials s.steps s.wall_s (per_s s)
-  in
-  show "reference (single-trial)" ref_trials reference;
-  show "fast (single-trial)" batch fast;
-  show (Printf.sprintf "batched (B=%d)" batch) batch batched;
-  let speedup_ref =
-    if per_s reference > 0.0 then per_s batched /. per_s reference else 0.0
-  in
-  let speedup_fast =
-    if per_s fast > 0.0 then per_s batched /. per_s fast else 0.0
-  in
-  Printf.printf "  speedup: %.2fx vs reference, %.2fx vs solo fast\n"
-    speedup_ref speedup_fast;
-  check "batched trajectories bit-identical to solo" identical;
-  check "batched engine at least 3x the single-trial reference"
-    (speedup_ref >= 3.0);
-  (* Floor 0.6, not 1.0: batching trades a small constant per-sweep
-     mask/retire overhead (and B live arenas' cache footprint) for
-     lockstep throughput.  The output-sensitive step loop (DESIGN.md
-     §17) cut per-step scan work ~4x at this size, so the fixed
-     overhead is now a much larger fraction of a much smaller
-     denominator — the batch leg's load-bearing guarantees are the
-     bit-identical trajectories and the >= 3x over the reference. *)
-  check "no worse than 0.6x the solo fast engine" (speedup_fast >= 0.6);
-  batch_report :=
-    Some
-      {
-        bt_n = n;
-        bt_m = m;
-        bt_alpha = Ncg_rational.Q.to_string alpha;
-        bt_batch = batch;
-        bt_ref_trials = ref_trials;
-        bt_reference = reference;
-        bt_fast = fast;
-        bt_batched = batched;
-        bt_identical = identical;
-      }
-
-(* ------------------------------------------------------------------ *)
 (* Output-sensitive selection at scale                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1130,39 +1013,6 @@ let write_json path ~scale ~timings =
             ("identical_trajectories", string_of_bool r.inc_identical);
           ]
   in
-  let batch_json =
-    match !batch_report with
-    | None -> "null"
-    | Some r ->
-        let rate s =
-          if s.wall_s > 0.0 then float_of_int s.steps /. s.wall_s else 0.0
-        in
-        Json.obj
-          [
-            ("game", Json.str "SUM-GBG");
-            ("policy", Json.str "max-cost");
-            ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.bt_n);
-            ("m", string_of_int r.bt_m);
-            ("alpha", Json.str r.bt_alpha);
-            ("batch", string_of_int r.bt_batch);
-            ("reference_trials", string_of_int r.bt_ref_trials);
-            ("single_trial_reference", sample_json r.bt_reference);
-            ("single_trial_fast", sample_json r.bt_fast);
-            ("batched", sample_json r.bt_batched);
-            ( "speedup_vs_reference",
-              Json.num
-                (if rate r.bt_reference > 0.0 then
-                   rate r.bt_batched /. rate r.bt_reference
-                 else 0.0) );
-            ( "speedup_vs_fast",
-              Json.num
-                (if rate r.bt_fast > 0.0 then
-                   rate r.bt_batched /. rate r.bt_fast
-                 else 0.0) );
-            ("identical_trajectories", string_of_bool r.bt_identical);
-          ]
-  in
   let scaling_json =
     match !scaling_report with
     | None -> "null"
@@ -1250,7 +1100,6 @@ let write_json path ~scale ~timings =
         ("experiments", experiments);
         ("fastpath", fastpath_json);
         ("incremental", incremental_json);
-        ("batch", batch_json);
         ("scaling", scaling_json);
         ("fleet", fleet_json);
       ]
@@ -1305,9 +1154,6 @@ let experiments : (string * string * (scale -> unit)) list =
     ( "incremental",
       "incremental cache vs per-step tables (SUM-GBG n=100/300)",
       incremental_leg );
-    ( "batch",
-      "batched lockstep engine vs single-trial (SUM-GBG n=100, B=32)",
-      batch_leg );
     ("fleet", "fleet vs single process (supervision overhead)", fleet_leg);
   ]
 
@@ -1318,9 +1164,20 @@ let () =
   let seed = ref 2013 in
   let paper = ref false in
   let json = ref None in
+  let ids = List.map (fun (id, _, _) -> id) experiments in
+  let usage_error what =
+    Printf.eprintf
+      "%s\n\
+       usage: main.exe [--only ID]* [--trials T] [--nmax N] [--seed S] \
+       [--paper] [--json PATH] [--sim NCG_SIM]\n\
+       ids: %s\n"
+      what (String.concat " " ids);
+    exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--only" :: id :: rest ->
+        if not (List.mem id ids) then usage_error ("unknown experiment id " ^ id);
         only := id :: !only;
         parse rest
     | "--json" :: path :: rest ->
@@ -1341,15 +1198,7 @@ let () =
     | "--paper" :: rest ->
         paper := true;
         parse rest
-    | arg :: _ ->
-        Printf.eprintf
-          "unknown argument %s\n\
-           usage: main.exe [--only ID]* [--trials T] [--nmax N] [--seed S] \
-           [--paper] [--json PATH] [--sim NCG_SIM]\n\
-           ids: %s\n"
-          arg
-          (String.concat " " (List.map (fun (id, _, _) -> id) experiments));
-        exit 2
+    | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
   if !paper then begin

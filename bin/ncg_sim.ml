@@ -204,8 +204,8 @@ let verbose_term =
     "Also report engine internals after the sweep: the cross-step distance \
      cache's kept/repaired/rebuilt/filled/evicted table counters and peak \
      residency (tables and bytes), aggregated over every run (and worker \
-     domain) of this process, and the batch-arena totals (arenas created, \
-     trials batched, their cache decisions)."
+     domain) of this process, and the trial-arena totals (arenas created, \
+     trials run on an arena, their cache decisions)."
   in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
@@ -232,12 +232,12 @@ let emit ?(verbose = false) out value curves =
       Printf.printf
         "  %.1f%% of patched tables kept without recomputation\n"
         (100.0 *. float_of_int s.Distcache.kept /. float_of_int touched);
-    (* Batched-trial share of the same work: arena totals count only
-       trials retired through a shared arena, so they are a subset of the
+    (* Arena share of the same work: arena totals count only trials
+       retired through a resident arena, so they are a subset of the
        per-trial totals above — reported separately, never re-added. *)
     let b = Ncg_core.Engine.Arena.totals () in
     Printf.printf
-      "batch arenas: %d arena(s), %d batched trial(s); cache over batched \
+      "trial arenas: %d arena(s), %d arena trial(s); cache over arena \
        trials: %d kept, %d repaired, %d rebuilt, %d filled\n"
       b.Ncg_core.Engine.Arena.arenas b.Ncg_core.Engine.Arena.batched_trials
       b.Ncg_core.Engine.Arena.cache.Distcache.kept

@@ -110,31 +110,31 @@ let choose_move cfg rng ctx witness g u =
 let state_key model g =
   if Model.uses_ownership model then Canonical.key g else Canonical.unowned_key g
 
-(* A shared arena of trial-scoped resources.  One arena serves any number
-   of trials of the same size, one at a time or lockstep-interleaved by
-   [run_batch]: the BFS workspaces are stamped scratch that every live
-   trial's steps share (steps are strictly sequential within a domain),
-   while Distcache/Witness/seen tables carry genuine per-trial state and so
-   are pooled — a retiring trial returns them, the next trial takes them
-   back reset.  Arenas are single-domain objects: give each domain its
-   own. *)
+(* A resident arena of trial-scoped resources.  One arena serves any number
+   of trials of the same size, strictly one at a time: the BFS workspaces
+   are stamped scratch that every trial's steps reuse as is, while the
+   Distcache/Costboard/Witness/seen tables carry genuine per-trial state
+   and so sit in one pooled slot each — a starting trial takes them out
+   reset, a retiring trial puts them back.  A trial that raises never
+   returns its set; the next trial simply allocates fresh.  Arenas are
+   single-domain objects: give each domain its own. *)
 module Arena = struct
   type t = {
     capacity : int;
     ws : Paths.Workspace.t;
     shadow_ws : Paths.Workspace.t Lazy.t;
-    mutable free_caches : Distcache.t list;
-    mutable free_witnesses : Witness.t list;
-    mutable free_seen : (string, int) Hashtbl.t list;
-    mutable free_boards : Costboard.t list;
+    mutable pooled_cache : Distcache.t option;
+    mutable pooled_witness : Witness.t option;
+    mutable pooled_seen : (string, int) Hashtbl.t option;
+    mutable pooled_board : Costboard.t option;
     mutable trials : int;
     mutable cache_stats : Distcache.stats;
   }
 
-  (* Process-wide batching totals, kept apart from [Distcache.totals] —
-     the engine still calls [Distcache.add_to_totals] exactly once per
-     trial whether or not the trial ran under an arena, so those totals
-     stay per-trial-accurate and these never double-count them. *)
+  (* Process-wide arena totals, kept apart from [Distcache.totals] — the
+     engine still calls [Distcache.add_to_totals] exactly once per trial
+     whether or not the trial ran under an arena, so those totals stay
+     per-trial-accurate and these never double-count them. *)
   let g_arenas = Atomic.make 0
   let g_trials = Atomic.make 0
   let g_kept = Atomic.make 0
@@ -150,10 +150,10 @@ module Arena = struct
       capacity = n;
       ws = Paths.Workspace.create n;
       shadow_ws = lazy (Paths.Workspace.create n);
-      free_caches = [];
-      free_witnesses = [];
-      free_seen = [];
-      free_boards = [];
+      pooled_cache = None;
+      pooled_witness = None;
+      pooled_seen = None;
+      pooled_board = None;
       trials = 0;
       cache_stats = Distcache.zero_stats;
     }
@@ -191,47 +191,42 @@ module Arena = struct
     Atomic.set g_fills 0;
     Atomic.set g_evicted 0
 
-  (* Pooled caches are reused only across trials with the same memory
+  (* The pooled cache is reused only by a trial with the same memory
      budget — a budget mismatch would silently change the eviction
      sequence a trial observes versus its solo run. *)
   let alloc_cache ?budget t =
-    let rec take acc = function
-      | [] ->
-          t.free_caches <- List.rev acc;
-          Distcache.create ?budget t.capacity
-      | c :: rest when Distcache.budget c = budget ->
-          t.free_caches <- List.rev_append acc rest;
-          Distcache.reset c;
-          c
-      | c :: rest -> take (c :: acc) rest
-    in
-    take [] t.free_caches
+    match t.pooled_cache with
+    | Some c when Distcache.budget c = budget ->
+        t.pooled_cache <- None;
+        Distcache.reset c;
+        c
+    | _ -> Distcache.create ?budget t.capacity
 
   let alloc_board t =
-    match t.free_boards with
-    | b :: rest ->
-        t.free_boards <- rest;
+    match t.pooled_board with
+    | Some b ->
+        t.pooled_board <- None;
         Costboard.reset b;
         b
-    | [] -> Costboard.create t.capacity
+    | None -> Costboard.create t.capacity
 
   let alloc_witness t =
-    match t.free_witnesses with
-    | w :: rest ->
-        t.free_witnesses <- rest;
+    match t.pooled_witness with
+    | Some w ->
+        t.pooled_witness <- None;
         Witness.reset w;
         w
-    | [] -> Witness.create t.capacity
+    | None -> Witness.create t.capacity
 
   let alloc_seen t =
-    match t.free_seen with
-    | h :: rest ->
-        t.free_seen <- rest;
+    match t.pooled_seen with
+    | Some h ->
+        t.pooled_seen <- None;
         Hashtbl.reset h;
         h
-    | [] -> Hashtbl.create 64
+    | None -> Hashtbl.create 64
 
-  let retire t ~cache_stats:(s : Distcache.stats) ?board witness cache seen =
+  let retire t ~cache_stats:(s : Distcache.stats) ?board ?cache witness seen =
     t.trials <- t.trials + 1;
     t.cache_stats <-
       {
@@ -247,23 +242,17 @@ module Arena = struct
     ignore (Atomic.fetch_and_add g_rebuilt s.Distcache.rebuilt);
     ignore (Atomic.fetch_and_add g_fills s.Distcache.fills);
     ignore (Atomic.fetch_and_add g_evicted s.Distcache.evicted);
-    t.free_witnesses <- witness :: t.free_witnesses;
-    (match cache with
-    | Some c -> t.free_caches <- c :: t.free_caches
-    | None -> ());
-    (match board with
-    | Some b -> t.free_boards <- b :: t.free_boards
-    | None -> ());
-    t.free_seen <- seen :: t.free_seen
+    t.pooled_witness <- Some witness;
+    t.pooled_seen <- Some seen;
+    Option.iter (fun c -> t.pooled_cache <- Some c) cache;
+    Option.iter (fun b -> t.pooled_board <- Some b) board
 end
 
-(* One trial as an explicit state machine.  [stepper_start] captures
-   everything the old recursive loop closed over; [stepper_advance] runs
-   exactly one step (or records the stop reason); [stepper_finish]
-   assembles the result and returns pooled resources to the arena.  The
-   step-by-step decomposition is what lets [run_batch] interleave B trials
-   in lockstep — and [run] is now just start/advance*/finish, so the solo
-   and batched paths share every line of step logic. *)
+(* One trial as an explicit state machine: [stepper_start] acquires the
+   trial's resources, [stepper_advance] runs exactly one step (or records
+   the stop reason), [stepper_run] advances until a stop reason is
+   recorded, and [stepper_finish] assembles the result and returns pooled
+   resources to the arena. *)
 
 type stepper_mode = Mode_fast | Mode_degraded
 
@@ -601,26 +590,25 @@ let degraded_step s =
   | Some u -> ref_move s u
 
 let stepper_advance s =
-  match s.stopped with
-  | Some _ -> ()
-  | None ->
-      if s.steps >= s.cfg.max_steps then s.stopped <- Some Step_limit
-      else if
-        match s.deadline with
-        | None -> false
-        | Some d -> Clock.monotonic () > d
-      then s.stopped <- Some Time_limit
-      else (
-        match s.mode with
-        | Mode_fast -> fast_step s
-        | Mode_degraded -> degraded_step s)
+  if s.steps >= s.cfg.max_steps then s.stopped <- Some Step_limit
+  else if
+    match s.deadline with
+    | None -> false
+    | Some d -> Clock.monotonic () > d
+  then s.stopped <- Some Time_limit
+  else
+    match s.mode with
+    | Mode_fast -> fast_step s
+    | Mode_degraded -> degraded_step s
 
-let stepper_finish s =
-  let reason =
-    match s.stopped with
-    | Some r -> r
-    | None -> invalid_arg "Engine: stepper_finish before the trial stopped"
-  in
+let rec stepper_run s =
+  match s.stopped with
+  | Some reason -> reason
+  | None ->
+      stepper_advance s;
+      stepper_run s
+
+let stepper_finish s reason =
   let reason =
     (* Whatever the sampling level, always audit the final state. *)
     match reason with
@@ -654,7 +642,8 @@ let stepper_finish s =
   in
   Distcache.add_residency_to_totals residency;
   (match s.arena with
-  | Some a -> Arena.retire a ~cache_stats ?board:s.board s.witness s.cache s.seen
+  | Some a ->
+      Arena.retire a ~cache_stats ?board:s.board ?cache:s.cache s.witness s.seen
   | None -> ());
   {
     reason;
@@ -668,67 +657,7 @@ let stepper_finish s =
 
 let run ?arena ?rng cfg initial =
   let s = stepper_start ?arena ?rng cfg initial in
-  while s.stopped = None do
-    stepper_advance s
-  done;
-  stepper_finish s
-
-type batch_outcome = (result, exn * Printexc.raw_backtrace) Stdlib.result
-
-let run_batch ?arena cfg thunks =
-  let arena =
-    match arena with Some a -> a | None -> Arena.create (Model.n cfg.model)
-  in
-  let b = Array.length thunks in
-  let running : stepper option array = Array.make b None in
-  let out : batch_outcome option array = Array.make b None in
-  let live = ref 0 in
-  (* Trial i's (rng, graph) thunk runs exactly once, in batch order, before
-     any trial steps — matching the solo schedule where trial i's graph is
-     generated from its own stream before its run.  A thunk that raises
-     retires only its own slot. *)
-  for i = 0 to b - 1 do
-    match
-      let rng, g = thunks.(i) () in
-      stepper_start ~arena ~rng cfg g
-    with
-    | s ->
-        running.(i) <- Some s;
-        incr live
-    | exception exn ->
-        out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()))
-  done;
-  (* Lockstep: one step of every live trial per sweep.  The completion
-     mask is [running]: a trial that stops (or raises) is finished and
-     cleared immediately, returning its pooled resources without touching
-     its siblings — their RNG streams, caches and witnesses are all
-     per-trial, and the shared workspaces are scratch that every step
-     leaves behind. *)
-  while !live > 0 do
-    for i = 0 to b - 1 do
-      match running.(i) with
-      | None -> ()
-      | Some s -> (
-          (match stepper_advance s with
-          | () -> ()
-          | exception exn ->
-              out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()));
-              running.(i) <- None;
-              decr live);
-          match running.(i) with
-          | Some s when s.stopped <> None ->
-              (match stepper_finish s with
-              | r -> out.(i) <- Some (Ok r)
-              | exception exn ->
-                  out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ())));
-              running.(i) <- None;
-              decr live
-          | Some _ | None -> ())
-    done
-  done;
-  Array.map
-    (function Some o -> o | None -> assert false (* every slot retired *))
-    out
+  stepper_finish s (stepper_run s)
 
 let converged r = match r.reason with
   | Converged -> true

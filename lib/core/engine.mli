@@ -138,19 +138,21 @@ type result = {
           {!Distcache.zero_residency} when [incremental] is off *)
 }
 
-(** A shared arena of trial-scoped resources for running many trials of
-    one network size without re-allocating per trial.  The BFS workspaces
-    (live + lazy sentinel shadow) are stamped scratch shared by every
-    trial the arena serves; Distcache tables, witness tables and
-    cycle-detection sets carry genuine per-trial state, so the arena pools
-    them — a retiring trial returns its set, the next trial receives it
-    {e reset} to the freshly-created state.  Trajectories and per-trial
-    stats are therefore bit-identical with or without an arena.
+(** A resident arena of trial-scoped resources, for running many trials
+    of one network size one after another without re-allocating per
+    trial.  The BFS workspaces (live + lazy sentinel shadow) are stamped
+    scratch reused as is; the Distcache, cost board, witness table and
+    cycle-detection set carry genuine per-trial state, so the arena pools
+    one of each — a starting trial takes the set out {e reset} to the
+    freshly-created state, and the trial hands it back when it stops (a
+    trial that raises keeps it, and the next trial allocates fresh).
+    Trajectories and per-trial stats are therefore bit-identical with or
+    without an arena.
 
-    Arenas are single-domain objects: they must never be shared across
-    concurrently running domains — give each domain its own (handing an
-    arena from one domain to another across a fork/join boundary is
-    fine). *)
+    An arena serves one trial at a time, and it is a single-domain
+    object: never share one across concurrently running domains — give
+    each domain its own (handing an arena from one domain to another
+    across a fork/join boundary is fine). *)
 module Arena : sig
   type t
 
@@ -168,15 +170,17 @@ module Arena : sig
 
   type totals = {
     arenas : int;  (** arenas created process-wide *)
-    batched_trials : int;  (** trials retired through any arena *)
+    batched_trials : int;
+        (** trials retired through any arena (the name is the service's
+            wire format) *)
     cache : Distcache.stats;
         (** their summed cache decisions — a {e subset} of
-            {!Distcache.totals}, which counts every trial batched or not;
+            {!Distcache.totals}, which counts every trial, arena or not;
             keep the two apart to avoid double-counting *)
   }
 
   val totals : unit -> totals
-  (** Process-wide batching totals (all arenas, all domains), surfaced by
+  (** Process-wide arena totals (all arenas, all domains), surfaced by
       [ncg_sim --verbose] and the service [stats] op. *)
 
   val reset_totals : unit -> unit
@@ -195,35 +199,5 @@ val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
     [arena] supplies pooled trial resources (and must have
     [capacity = Graph.n initial]); the result is bit-identical with or
     without one. *)
-
-type batch_outcome = (result, exn * Printexc.raw_backtrace) Stdlib.result
-
-val run_batch :
-  ?arena:Arena.t ->
-  config ->
-  (unit -> Random.State.t * Graph.t) array ->
-  batch_outcome array
-(** [run_batch cfg thunks] runs [Array.length thunks] trials of the one
-    configuration [cfg] through a single lockstep step loop: each sweep
-    advances every live trial by one step, and a trial that stops retires
-    behind its completion mask — returning its pooled resources — without
-    perturbing its siblings, whose RNG streams, caches and witnesses are
-    all per-trial.  Slot [i] of the returned array is the result of trial
-    [i], or the exception (with backtrace) that trial raised; one raising
-    trial never loses its siblings.
-
-    Thunk [i] produces trial [i]'s private RNG and initial network; thunks
-    run exactly once each, in batch order, before any trial steps.  Seed
-    the RNGs exactly as the solo path does (for {!Runner} this is
-    [Runner.trial_rng]) and every trial is bit-identical to its solo run —
-    the batch differential suite asserts this across the game × policy ×
-    tie-break matrix.  The only schedule-dependent observable is
-    [time_budget]: every trial's deadline starts at batch start
-    and ticks while siblings step, exactly as a trial's deadline ticks
-    while other processes share the core — so budgeted runs are only as
-    reproducible as elapsed time, batched or not.
-
-    [arena] defaults to a fresh arena of size [Model.n cfg.model]; pass a
-    resident one to amortize across successive batches. *)
 
 val converged : result -> bool

@@ -27,8 +27,8 @@ let spec ?(policy = Policy.Max_cost) ?(tie_break = Engine.Uniform) ?max_steps
    published numbers bit for bit); retries fold the attempt index in as a
    fresh sub-seed.  Each (seed, trial, attempt) triple seeds a private
    stream by state-splitting — never by drawing from a shared stream — so
-   trial i's draws are identical whether it runs solo, inside a lockstep
-   batch, on any shard of any fleet, or after a resume. *)
+   trial i's draws are identical whether it runs alone, after other trials
+   on a shared arena, on any shard of any fleet, or after a resume. *)
 let trial_rng t ~seed ~trial ~attempt =
   if attempt = 0 then Random.State.make [| seed; trial; Model.n t.model |]
   else Random.State.make [| seed; trial; Model.n t.model; attempt |]
@@ -62,33 +62,28 @@ let retryable = function
       true
   | Stats.Finished _ -> false
 
-let crashed_verdict exn backtrace =
-  ( Stats.Crashed
-      {
-        exn = Printexc.to_string exn;
-        backtrace = Printexc.raw_backtrace_to_string backtrace;
-      },
-    Sentinel.clean_report )
-
-let verdict_of_attempt t ~seed ~trial ~attempt =
-  match run_attempt t ~seed ~trial ~attempt with
+let verdict_of_attempt ?arena t ~seed ~trial ~attempt =
+  match run_attempt ?arena t ~seed ~trial ~attempt with
   | r ->
       ( Stats.Finished { reason = r.Engine.reason; steps = r.Engine.steps },
         r.Engine.sentinel )
-  | exception exn -> crashed_verdict exn (Printexc.get_raw_backtrace ())
+  | exception exn ->
+      let backtrace = Printexc.get_raw_backtrace () in
+      ( Stats.Crashed
+          {
+            exn = Printexc.to_string exn;
+            backtrace = Printexc.raw_backtrace_to_string backtrace;
+          },
+        Sentinel.clean_report )
 
-(* The retry loop, picking up from an already-computed attempt-0 verdict.
-   Batched attempt 0 is bit-identical to solo attempt 0, so feeding the
-   batch verdict here makes the whole outcome — attempts, degraded,
-   quarantined, divergences — identical to the historical per-trial
-   path. *)
-let trial_outcome_from t ~seed ~trial first =
-  let rec go attempt (verdict, sentinel) divergences =
+(* Every attempt of one trial, first and retry alike, on the caller's
+   arena: retry while the verdict is retryable and attempts remain. *)
+let trial_outcome ?arena t ~seed ~trial =
+  let rec go attempt divergences =
+    let verdict, sentinel = verdict_of_attempt ?arena t ~seed ~trial ~attempt in
     let divergences = divergences @ sentinel.Sentinel.incidents in
     if retryable verdict && attempt < t.max_retries then
-      go (attempt + 1)
-        (verdict_of_attempt t ~seed ~trial ~attempt:(attempt + 1))
-        divergences
+      go (attempt + 1) divergences
     else
       ( Stats.of_verdict ~attempts:(attempt + 1)
           ~degraded:(divergences <> [])
@@ -96,32 +91,7 @@ let trial_outcome_from t ~seed ~trial first =
           verdict,
         divergences )
   in
-  go 0 first []
-
-(* Attempt 0 of every trial in [chunk], in lockstep through the resident
-   [stream]; retries (rare) fall back to the solo path per trial. *)
-let chunk_outcomes t stream ~seed chunk =
-  let thunks =
-    Array.of_list
-      (List.map
-         (fun trial () ->
-           let rng = trial_rng t ~seed ~trial ~attempt:0 in
-           (rng, t.generate rng))
-         chunk)
-  in
-  let results = Batch.run stream thunks in
-  List.mapi
-    (fun i trial ->
-      let first =
-        match results.(i) with
-        | Ok r ->
-            ( Stats.Finished
-                { reason = r.Engine.reason; steps = r.Engine.steps },
-              r.Engine.sentinel )
-        | Error (exn, backtrace) -> crashed_verdict exn backtrace
-      in
-      trial_outcome_from t ~seed ~trial first)
-    chunk
+  go 0 []
 
 (* Cooperative interruption: a signal handler flips the flag; sweeps honor
    it at batch boundaries, after the completed batch has been recorded.
@@ -191,23 +161,22 @@ let run_outcomes ?(domains = 1) ?(seed = 2013) ?checkpoint ?(key = "")
         in
         split pending
   in
-  (* One resident batched stream per domain slot, reused across groups:
-     the arena behind each stream amortizes workspace/cache/witness
-     allocation over every trial that slot ever runs.  Slots of one group
-     run on distinct domains, and [Pool.map_result]'s join orders each
-     group's arena mutations before the next group reads them, so reuse is
-     race-free. *)
-  let streams = Array.make (max 1 domains) None in
-  let stream_for slot =
-    match streams.(slot) with
-    | Some s -> s
+  (* One resident arena per domain slot, reused across groups: it
+     amortizes workspace/cache/witness allocation over every trial that
+     slot ever runs.  Slots of one group run on distinct domains, and
+     [Pool.map_result]'s join orders each group's arena mutations before
+     the next group reads them, so reuse is race-free. *)
+  let arenas = Array.make (max 1 domains) None in
+  let arena_for slot =
+    match arenas.(slot) with
+    | Some a -> a
     | None ->
-        let s = Batch.create (engine_config t ~attempt:0) in
-        streams.(slot) <- Some s;
-        s
+        let a = Engine.Arena.create (Model.n t.model) in
+        arenas.(slot) <- Some a;
+        a
   in
   (* Contiguous split of a group into at most [domains] chunks, tagged
-     with their stream slot. *)
+     with their arena slot. *)
   let split_chunks group =
     let len = List.length group in
     let k = max 1 (min domains len) in
@@ -233,7 +202,9 @@ let run_outcomes ?(domains = 1) ?(seed = 2013) ?checkpoint ?(key = "")
       let chunks = split_chunks batch in
       let captured =
         Ncg_parallel.Pool.map_result ~domains
-          (fun (slot, chunk) -> chunk_outcomes t (stream_for slot) ~seed chunk)
+          (fun (slot, chunk) ->
+            let arena = arena_for slot in
+            List.map (fun trial -> trial_outcome ~arena t ~seed ~trial) chunk)
           chunks
       in
       let per_trial =
@@ -243,9 +214,8 @@ let run_outcomes ?(domains = 1) ?(seed = 2013) ?checkpoint ?(key = "")
                match capture with
                | Ok pairs -> pairs
                | Error (exn, backtrace) ->
-                   (* the batch engine and the retry loop capture trial
-                      exceptions themselves; this only fires if the
-                      harness around them fails *)
+                   (* [trial_outcome] captures trial exceptions itself;
+                      this only fires if the harness around it fails *)
                    List.map
                      (fun _ ->
                        ( Stats.of_verdict

@@ -56,17 +56,17 @@ val trial_rng : spec -> seed:int -> trial:int -> attempt:int -> Random.State.t
     derivation, so published numbers reproduce bit for bit; attempt
     [a > 0] appends [a] as a fourth seed component.  Streams are split by
     {e state seeding}, never by drawing from a shared sweep stream: trial
-    [i] therefore draws the exact same stream whether it runs solo, as
-    lane [i mod B] of a lockstep batch, on any fleet shard, or on a
-    resumed run — and retry sub-seeds stay stable because they derive
-    from the triple, not from how many draws any other trial made.  The
-    batch differential suite pins this contract. *)
+    [i] therefore draws the exact same stream whether it runs alone,
+    after other trials on a shared {!Engine.Arena}, on any fleet shard,
+    or on a resumed run — and retry sub-seeds stay stable because they
+    derive from the triple, not from how many draws any other trial
+    made.  The [batch] test suite pins this contract. *)
 
 val engine_config : spec -> attempt:int -> Engine.config
 (** The engine configuration a given attempt runs under — history off,
-    wall-clock budget backed off per [backoff_budget].  Exposed so batch
-    callers (and the differential suites) can run {!Engine.run_batch}
-    under exactly the solo path's configuration. *)
+    wall-clock budget backed off per [backoff_budget].  Exposed so callers
+    (and the differential suites) can run {!Engine.run} or
+    {!Reference.run} under exactly the runner's configuration. *)
 
 val run_trial :
   ?arena:Engine.Arena.t -> spec -> seed:int -> trial:int -> Engine.result
@@ -126,12 +126,13 @@ val run_outcomes :
     sentinel divergences, degraded trials and quarantined trials are
     appended to the incident log as they are observed.
 
-    Internally, attempt 0 of every pending trial streams through one
-    resident {!Batch} engine per domain slot (lockstep batching over a
-    shared arena); retries fall back to the per-trial path.  Outcomes,
-    checkpoint record layout and {!Stats} aggregates are bit-for-bit what
-    the historical one-engine-per-trial runner produced — the batch
-    differential suite asserts this.
+    Internally, every attempt of every pending trial, first and retry
+    alike, is one {!Engine.run} on its domain slot's resident
+    {!Engine.Arena}, one trial after another, so each attempt's
+    [time_budget] starts when that attempt starts.  Outcomes, checkpoint
+    record layout and {!Stats} aggregates are bit-for-bit those of
+    {!run_attempt} called per trial without an arena — the [batch] test
+    suite asserts this.
 
     [range = (lo, hi)] restricts the run to trials [lo <= t < hi] of the
     [trials]-trial batch and returns exactly those outcomes in order —

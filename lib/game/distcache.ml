@@ -58,7 +58,7 @@
 
    Memory bound: [budget] caps resident tables.  Installing a table past
    the cap evicts the least-recently-used unpinned one (logical clock, not
-   wall time, so batched and solo runs see identical eviction sequences).
+   wall time, so arena and fresh runs see identical eviction sequences).
    Eviction frees no information the graph does not still hold — a refill
    is a fresh BFS, counted in [fills], and bumps the table version so any
    witness certificate minted against the old residency revalidates. *)

@@ -18,7 +18,7 @@
 
     Tables are off-heap {!Intvec} bigarrays.  Residency is bounded by an
     optional [budget]: installing past the cap evicts the least-recently
-    used unpinned table (logical clock, so batched and solo runs evict
+    used unpinned table (logical clock, so arena and fresh runs evict
     identically).  Every noted primitive additionally classifies all [n]
     sources as dirty (cost profile possibly changed) or provably clean via
     the endpoint-row symmetry argument of DESIGN.md §17 — the selection

@@ -1,14 +1,18 @@
-(* Batch differential suite: the lockstep batch engine against solo runs.
+(* Arena differential suite: trials run one after another through one
+   resident [Engine.Arena] against fresh solo runs.
 
-   [Engine.run_batch] interleaves B trials of one configuration over a
-   shared arena; every trial must be bit-identical — steps, stop reason,
-   final network, sentinel report, even per-trial cache stats — to the
-   same trial run solo through [Runner.run_trial].  The matrix crosses
-   game x policy x tie-break; edge cases pin B=1, mid-batch retirement
-   (violation and time limit) without sibling perturbation, pooled-arena
-   reuse across successive batches, checkpoint interrupt/resume through
-   the batched runner, retry sub-seed stability, and the per-trial RNG
-   seeding contract itself. *)
+   Sweeps, fleet shards and service workers run every trial as
+   [Engine.run ~arena] on a resident arena whose pooled caches, cost
+   boards, witnesses and seen-tables are reset between trials; every
+   trial must be bit-identical — steps, stop reason, final network,
+   sentinel report, even per-trial cache stats — to the same trial run
+   solo on fresh resources through [Runner.run_trial].  The matrix crosses
+   game x policy x tie-break; edge cases pin a one-trial arena, a
+   violation or expired-budget trial mid-sequence leaving later trials
+   unperturbed, arena accounting, checkpoint interrupt/resume through the
+   runner, retry sub-seed stability, and the per-trial RNG seeding
+   contract itself.  (The suite keeps its historical name and case
+   names.) *)
 open Ncg_graph
 open Ncg_game
 open Ncg_core
@@ -45,35 +49,23 @@ let same_result (a : Engine.result) (b : Engine.result) =
   && a.Engine.sentinel = b.Engine.sentinel
   && a.Engine.cache = b.Engine.cache
 
-(* Trial [i]'s batch thunk: the exact solo derivation — [Runner.trial_rng]
-   seeds the lane's private stream, which then generates the lane's
-   initial network, just as [Runner.run_trial] would. *)
-let thunk spec ~seed trial () =
-  let rng = Runner.trial_rng spec ~seed ~trial ~attempt:0 in
-  (rng, spec.Runner.generate rng)
-
-let assert_batch_equals_solo label spec ~seed ~trials =
-  let results =
-    Engine.run_batch
-      (Runner.engine_config spec ~attempt:0)
-      (Array.init trials (thunk spec ~seed))
-  in
-  check_int (label ^ ": one slot per trial") trials (Array.length results);
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Error (exn, _) ->
-          Alcotest.failf "%s trial %d raised %s" label i
-            (Printexc.to_string exn)
-      | Ok r ->
-          let solo = Runner.run_trial spec ~seed ~trial:i in
-          if not (same_result r solo) then
-            Alcotest.failf "%s trial %d diverged: batch %d steps (%s), solo %d steps (%s)"
-              label i r.Engine.steps
-              (reason_label r.Engine.reason)
-              solo.Engine.steps
-              (reason_label solo.Engine.reason))
-    results
+(* Trials [0 .. trials-1] one after another through one shared arena,
+   each against its fresh solo run. *)
+let assert_arena_equals_solo label spec ~seed ~trials =
+  let arena = Engine.Arena.create (Model.n spec.Runner.model) in
+  for i = 0 to trials - 1 do
+    let r = Runner.run_trial ~arena spec ~seed ~trial:i in
+    let solo = Runner.run_trial spec ~seed ~trial:i in
+    if not (same_result r solo) then
+      Alcotest.failf
+        "%s trial %d diverged: arena %d steps (%s), solo %d steps (%s)" label i
+        r.Engine.steps
+        (reason_label r.Engine.reason)
+        solo.Engine.steps
+        (reason_label solo.Engine.reason)
+  done;
+  check_int (label ^ ": arena retired every trial") trials
+    (Engine.Arena.trials arena)
 
 (* ------------------------------------------------------------------ *)
 (* The matrix: 5 games x 3 policies x 3 tie-breaks                     *)
@@ -119,7 +111,7 @@ let matrix_case game () =
           let spec = game_spec ~policy ~tie_break game in
           List.iter
             (fun seed ->
-              assert_batch_equals_solo
+              assert_arena_equals_solo
                 (Printf.sprintf "%s/%s/%s"
                    (Model.game_name
                       (Model.make ~alpha:(Ncg_rational.Q.of_int 3) game
@@ -133,7 +125,7 @@ let matrix_case game () =
   check_int "configs per game in the matrix" 18 !configs
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: random (game, policy, seed, B <= 8) batch = B solo trials   *)
+(* QCheck: random (game, policy, seed, B <= 8): arena run = solo runs  *)
 (* ------------------------------------------------------------------ *)
 
 let games = [| Model.Sg; Model.Asg; Model.Gbg; Model.Bg; Model.Bilateral |]
@@ -147,25 +139,22 @@ let arb_batch_case =
     QCheck.Gen.(
       quad (int_bound 4) (int_bound 2) (int_bound 100_000) (int_range 1 8))
 
+(* The case name predates the arena-only engine and is kept so the suite
+   listing stays stable; the property is B trials through one shared
+   arena = B fresh [run_trial] calls. *)
 let prop_batch_equals_solo =
   QCheck.Test.make ~count:25
     ~name:"run_batch = B independent run_trial calls, field by field"
     arb_batch_case
     (fun (gi, pi, seed, b) ->
       let spec = game_spec ~policy:(snd policy_arr.(pi)) games.(gi) in
-      let results =
-        Engine.run_batch
-          (Runner.engine_config spec ~attempt:0)
-          (Array.init b (thunk spec ~seed))
-      in
-      Array.length results = b
-      && Array.for_all Result.is_ok results
-      && Array.for_all
-           (fun (i, r) ->
-             match r with
-             | Ok r -> same_result r (Runner.run_trial spec ~seed ~trial:i)
-             | Error _ -> false)
-           (Array.mapi (fun i r -> (i, r)) results))
+      let arena = Engine.Arena.create (Model.n spec.Runner.model) in
+      List.for_all
+        (fun i ->
+          same_result
+            (Runner.run_trial ~arena spec ~seed ~trial:i)
+            (Runner.run_trial spec ~seed ~trial:i))
+        (List.init b Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* The per-trial RNG seeding contract                                  *)
@@ -176,15 +165,15 @@ let test_rng_contract () =
   let n = game_size Model.Gbg in
   (* attempt 0 is the historical (seed, trial, n) triple — a state-split
      private stream, not draws off a shared sweep stream *)
-  let batch_lane = Runner.trial_rng spec ~seed:42 ~trial:3 ~attempt:0 in
+  let stream = Runner.trial_rng spec ~seed:42 ~trial:3 ~attempt:0 in
   let solo = Random.State.make [| 42; 3; n |] in
   for _ = 1 to 32 do
-    check_int "lane stream = solo (seed, trial, n) stream"
+    check_int "trial stream = solo (seed, trial, n) stream"
       (Random.State.int solo 1_000_000)
-      (Random.State.int batch_lane 1_000_000)
+      (Random.State.int stream 1_000_000)
   done;
   (* the retry sub-seed appends the attempt to the triple; it cannot
-     depend on how many draws attempt 0 (or any sibling lane) made *)
+     depend on how many draws attempt 0 (or any other trial) made *)
   let attempt0 = Runner.trial_rng spec ~seed:42 ~trial:3 ~attempt:0 in
   for _ = 1 to 17 do
     ignore (Random.State.int attempt0 99)
@@ -196,28 +185,38 @@ let test_rng_contract () =
       (Random.State.int expected 1_000_000)
       (Random.State.int retry 1_000_000)
   done;
-  (* lane independence end to end: a shard of the batched runner returns
-     exactly the corresponding slice of the full batched run *)
+  (* trial independence end to end: a shard of the runner returns exactly
+     the corresponding slice of the full run *)
   let full = Runner.run_outcomes ~seed:9 ~trials:10 spec in
   let shard = Runner.run_outcomes ~seed:9 ~trials:10 ~range:(4, 9) spec in
   check "shard outcomes = slice of the full run" true
     (shard = List.filteri (fun i _ -> i >= 4 && i < 9) full)
 
 (* ------------------------------------------------------------------ *)
-(* Edge cases: B=1, mid-batch retirement, arena reuse                  *)
+(* Edge cases: one trial, mid-sequence stops, arena accounting         *)
 (* ------------------------------------------------------------------ *)
+
+let sum_stats (a : Distcache.stats) (b : Distcache.stats) =
+  {
+    Distcache.kept = a.Distcache.kept + b.Distcache.kept;
+    repaired = a.Distcache.repaired + b.Distcache.repaired;
+    rebuilt = a.Distcache.rebuilt + b.Distcache.rebuilt;
+    fills = a.Distcache.fills + b.Distcache.fills;
+    evicted = a.Distcache.evicted + b.Distcache.evicted;
+  }
 
 let test_b1_equals_solo () =
   List.iter
     (fun game ->
       let spec = game_spec game in
-      assert_batch_equals_solo "B=1" spec ~seed:11 ~trials:1)
+      assert_arena_equals_solo "B=1" spec ~seed:11 ~trials:1)
     [ Model.Sg; Model.Asg; Model.Gbg ]
 
 let test_violation_retires_mid_batch () =
-  (* Lane 1 gets a corrupted instance (ownerless edge under ASG, audited
-     every step): it must retire with a typed violation while lanes 0 and
-     2 finish bit-identical to their solo runs. *)
+  (* Trial 1 gets a corrupted instance (ownerless edge under ASG, audited
+     every step): it must stop with a typed violation, and trials 2 and 3,
+     which reuse the arena it retired into, must finish bit-identical to
+     their solo runs. *)
   let n = 10 in
   let model =
     Model.make ~alpha:(Ncg_rational.Q.of_int 3) Model.Asg Model.Sum n
@@ -239,122 +238,105 @@ let test_violation_retires_mid_batch () =
     | [] -> ());
     (rng, g)
   in
-  let results =
-    Engine.run_batch cfg
-      (Array.init 3 (fun i ->
-           if i = corrupt then fun () -> corrupted_graph i
-           else thunk spec ~seed i))
-  in
-  (match results.(corrupt) with
-  | Ok r ->
-      check "corrupt lane retires with a typed violation" true
-        (match r.Engine.reason with
-        | Engine.Invariant_violation _ -> true
-        | _ -> false);
-      (* and is itself bit-identical to the same corrupted run solo *)
-      let rng, g = corrupted_graph corrupt in
-      check "corrupt lane = solo corrupted run" true
-        (same_result r (Engine.run ~rng cfg g))
-  | Error (exn, _) ->
-      Alcotest.failf "corrupt lane raised %s" (Printexc.to_string exn));
+  let arena = Engine.Arena.create n in
   List.iter
     (fun i ->
-      match results.(i) with
-      | Ok r ->
-          check
-            (Printf.sprintf "sibling lane %d unperturbed" i)
-            true
-            (same_result r (Runner.run_trial spec ~seed ~trial:i))
-      | Error (exn, _) ->
-          Alcotest.failf "sibling lane %d raised %s" i
-            (Printexc.to_string exn))
-    [ 0; 2 ]
+      if i = corrupt then begin
+        let rng, g = corrupted_graph i in
+        let r = Engine.run ~arena ~rng cfg g in
+        check "corrupt trial stops with a typed violation" true
+          (match r.Engine.reason with
+          | Engine.Invariant_violation _ -> true
+          | _ -> false);
+        (* and is itself bit-identical to the same corrupted run solo *)
+        let rng, g = corrupted_graph i in
+        check "corrupt trial = solo corrupted run" true
+          (same_result r (Engine.run ~rng cfg g))
+      end
+      else
+        check
+          (Printf.sprintf "trial %d unperturbed" i)
+          true
+          (same_result
+             (Runner.run_trial ~arena spec ~seed ~trial:i)
+             (Runner.run_trial spec ~seed ~trial:i)))
+    [ 0; 1; 2; 3 ];
+  check_int "arena retired the violation too" 4 (Engine.Arena.trials arena)
 
 let test_time_limit_retires_mid_batch () =
-  (* A budget strictly in the past stops every lane at step 0 with
-     [Time_limit] — deterministically, so batch and solo agree exactly.
+  (* A budget strictly in the past stops a trial at step 0 with
+     [Time_limit] — deterministically, so arena and solo agree exactly.
      (A 0.0 budget would be a coin flip: the deadline check is a strict
      comparison, so a first step landing in the same clock microsecond
-     as the start still executes.) *)
-  let spec0 = game_spec Model.Gbg in
-  let spec =
-    Runner.spec ~policy:spec0.Runner.policy ~max_steps:400
-      ~time_budget:(-1.0) spec0.Runner.model spec0.Runner.generate
+     as the start still executes.)  Expired and unbudgeted trials
+     alternate on one arena; neither kind perturbs the next. *)
+  let spec = game_spec Model.Gbg in
+  let expired =
+    Runner.spec ~policy:spec.Runner.policy ~max_steps:400
+      ~time_budget:(-1.0) spec.Runner.model spec.Runner.generate
   in
-  let results =
-    Engine.run_batch
-      (Runner.engine_config spec ~attempt:0)
-      (Array.init 4 (thunk spec ~seed:21))
-  in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok r ->
-          check "expired budget = Time_limit at step 0" true
-            (r.Engine.reason = Engine.Time_limit && r.Engine.steps = 0);
-          check "timed-out lane = solo timed-out run" true
-            (same_result r (Runner.run_trial spec ~seed:21 ~trial:i))
-      | Error (exn, _) ->
-          Alcotest.failf "lane %d raised %s" i (Printexc.to_string exn))
-    results
+  let arena = Engine.Arena.create (Model.n spec.Runner.model) in
+  for i = 0 to 5 do
+    if i mod 2 = 1 then begin
+      let r = Runner.run_trial ~arena expired ~seed:21 ~trial:i in
+      check "expired budget = Time_limit at step 0" true
+        (r.Engine.reason = Engine.Time_limit && r.Engine.steps = 0);
+      check "timed-out trial = solo timed-out run" true
+        (same_result r (Runner.run_trial expired ~seed:21 ~trial:i))
+    end
+    else
+      check
+        (Printf.sprintf "trial %d after a timed-out trial = solo" i)
+        true
+        (same_result
+           (Runner.run_trial ~arena spec ~seed:21 ~trial:i)
+           (Runner.run_trial spec ~seed:21 ~trial:i))
+  done
 
 let test_arena_reuse_and_accounting () =
-  (* Two successive batches through one resident stream: pooled caches,
-     witnesses and seen-tables are reset between trials, so the second
-     batch is still bit-identical to solo — and the arena's books balance
+  (* Twelve trials through one directly created arena: pooled caches,
+     witnesses and seen-tables are reset between trials, so every trial
+     is still bit-identical to solo — and the arena's books balance
      against the per-trial results, while [Distcache.totals] counts each
-     trial exactly once (no double-counting under batching). *)
+     trial exactly once (no double-counting under an arena). *)
   Engine.Arena.reset_totals ();
   Distcache.reset_totals ();
   let spec = game_spec Model.Gbg in
-  let stream = Batch.create ~batch:4 (Runner.engine_config spec ~attempt:0) in
-  check_int "stream batch width" 4 (Batch.batch_size stream);
-  let run lo count =
-    Batch.run stream (Array.init count (fun i -> thunk spec ~seed:3 (lo + i)))
+  let arena = Engine.Arena.create (Model.n spec.Runner.model) in
+  let runs =
+    List.init 12 (fun i -> Runner.run_trial ~arena spec ~seed:3 ~trial:i)
   in
-  let r1 = run 0 6 and r2 = run 6 6 in
   (* snapshot before the solo comparison runs below add their own trials *)
-  let batched_totals = Distcache.totals () in
-  let all = Array.append r1 r2 in
-  let cache_sum = ref Distcache.zero_stats in
-  Array.iteri
+  let arena_totals = Distcache.totals () in
+  let cache_sum =
+    List.fold_left
+      (fun acc r -> sum_stats acc r.Engine.cache)
+      Distcache.zero_stats runs
+  in
+  List.iteri
     (fun i r ->
-      match r with
-      | Ok r ->
-          check
-            (Printf.sprintf "streamed trial %d = solo" i)
-            true
-            (same_result r (Runner.run_trial spec ~seed:3 ~trial:i));
-          cache_sum :=
-            {
-              Distcache.kept = !cache_sum.Distcache.kept + r.Engine.cache.Distcache.kept;
-              repaired = !cache_sum.Distcache.repaired + r.Engine.cache.Distcache.repaired;
-              rebuilt = !cache_sum.Distcache.rebuilt + r.Engine.cache.Distcache.rebuilt;
-              fills = !cache_sum.Distcache.fills + r.Engine.cache.Distcache.fills;
-              evicted = !cache_sum.Distcache.evicted + r.Engine.cache.Distcache.evicted;
-            }
-      | Error (exn, _) ->
-          Alcotest.failf "streamed trial %d raised %s" i
-            (Printexc.to_string exn))
-    all;
-  let arena = Batch.arena stream in
+      check
+        (Printf.sprintf "arena trial %d = solo" i)
+        true
+        (same_result r (Runner.run_trial spec ~seed:3 ~trial:i)))
+    runs;
   check_int "arena retired every trial" 12 (Engine.Arena.trials arena);
   check "arena cache stats = sum of per-trial stats" true
-    (Engine.Arena.cache_stats arena = !cache_sum);
+    (Engine.Arena.cache_stats arena = cache_sum);
   let t = Engine.Arena.totals () in
   check_int "process totals: one arena" 1 t.Engine.Arena.arenas;
-  check_int "process totals: twelve batched trials" 12
+  check_int "process totals: twelve arena trials" 12
     t.Engine.Arena.batched_trials;
-  check "process totals: batched cache decisions" true
-    (t.Engine.Arena.cache = !cache_sum);
-  (* every trial here was batched, so the per-trial totals must equal the
-     arena totals exactly — if batching added its stats to
+  check "process totals: arena cache decisions" true
+    (t.Engine.Arena.cache = cache_sum);
+  (* every trial here ran on the arena, so the per-trial totals must equal
+     the arena totals exactly — if the arena added its stats to
      [Distcache.totals] too, this would read double *)
   check "Distcache totals count each trial once" true
-    (batched_totals = !cache_sum)
+    (arena_totals = cache_sum)
 
 (* ------------------------------------------------------------------ *)
-(* The batched runner: interrupt/resume and retry sub-seeds            *)
+(* The runner: interrupt/resume and retry sub-seeds                    *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp_checkpoint f =
@@ -398,8 +380,8 @@ let test_interrupt_resume_parity () =
 
 let test_retry_subseed_stability () =
   (* Trials whose generator raises are retried on the appended-attempt
-     sub-seed; the attempt that finally succeeds inside the batched sweep
-     must be byte-identical to the same attempt run solo. *)
+     sub-seed; the attempt that finally succeeds inside the sweep must be
+     byte-identical to the same attempt run solo. *)
   let model = Model.make ~alpha:(Ncg_rational.Q.of_int 3) Model.Gbg Model.Sum 8 in
   let generate rng =
     let g = Gen.random_m_edges rng 8 10 in
@@ -423,7 +405,7 @@ let test_retry_subseed_stability () =
       | Stats.Crashed _ ->
           check "exhausted trials are quarantined" true o.Stats.quarantined)
     outcomes;
-  check "batched retries are deterministic" true
+  check "retries are deterministic" true
     (Runner.run_outcomes ~seed ~trials:12 spec = outcomes)
 
 let suite =

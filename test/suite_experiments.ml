@@ -480,6 +480,41 @@ let test_series_rendering () =
   Sys.remove path;
   check "write_gnuplot creates file" true happy
 
+(* ------------------------------------------------------------------ *)
+(* Per-trial time budgets                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_time_budget_is_per_trial () =
+  (* [time_budget] is per trial: a sweep must start each trial's deadline
+     when that trial starts.  With a 50 ms generator, eight trials take
+     0.4 s to generate, longer than one 0.2 s budget, yet every trial
+     converges in a few steps alone — so every sweep outcome must read
+     exactly what the trial reads run on its own. *)
+  let model = Model.make Model.Gbg Model.Sum 10 in
+  let spec =
+    Runner.spec ~time_budget:0.2 model (fun rng ->
+        Unix.sleepf 0.05;
+        Ncg_graph.Gen.random_m_edges rng 10 14)
+  in
+  let show reason steps =
+    Printf.sprintf "%d steps%s" steps
+      (if reason = Engine.Time_limit then ", time limit" else "")
+  in
+  List.iteri
+    (fun trial o ->
+      let solo = Runner.run_trial spec ~seed:3 ~trial in
+      match o.Stats.verdict with
+      | Stats.Finished { reason; steps } ->
+          check
+            (Printf.sprintf "trial %d: sweep (%s) = solo (%s)" trial
+               (show reason steps)
+               (show solo.Engine.reason solo.Engine.steps))
+            true
+            (reason = solo.Engine.reason && steps = solo.Engine.steps)
+      | Stats.Crashed { exn; _ } ->
+          Alcotest.failf "trial %d crashed: %s" trial exn)
+    (Runner.run_outcomes ~seed:3 ~trials:8 spec)
+
 let suite =
   ( "experiments",
     [
@@ -522,4 +557,6 @@ let suite =
       Alcotest.test_case "topology sweep" `Quick test_topology_sweep_runs;
       Alcotest.test_case "series envelopes" `Quick test_series_envelope;
       Alcotest.test_case "series rendering" `Quick test_series_rendering;
+      Alcotest.test_case "time budget is per trial" `Quick
+        test_time_budget_is_per_trial;
     ] )
