@@ -1,18 +1,16 @@
 (** Process-level supervision for trial sweeps: a fleet of worker
     subprocesses under durable leases.
 
-    PR 1/3's self-healing runtime retries and checkpoints {e inside} one
-    OS process — a segfault, OOM kill, or machine stall still takes the
-    whole sweep down.  The fleet moves the blast radius one level up: a
-    supervisor shards the trial batch into contiguous ranges, persists
-    one {!Lease} per shard, and spawns worker subprocesses that each run
-    their range through {!Runner.run_outcomes} into their own checkpoint
-    shard while heartbeating their lease.  The supervisor detects dead
-    workers two ways — exit status ([waitpid]) and missed heartbeats
-    (lease expiry, after which the stale process is killed so the shard
-    cannot be double-run) — and puts the shard back in the pool, up to a
-    respawn budget, after which the shard is quarantined.  All
-    transitions are typed {!Incident_log} events.
+    The self-healing {!Runner} retries and checkpoints {e inside} one OS
+    process — a segfault, OOM kill, or machine stall still takes the
+    whole sweep down.  The fleet moves the blast radius one level up: it
+    shards the trial batch into contiguous ranges ({!plan}) and runs each
+    shard in a worker subprocess that streams its range through
+    {!Runner.run_outcomes} into its own checkpoint shard.  Leases,
+    heartbeats, death detection, reassignment and quarantine are the
+    shared {!Supervisor} protocol (DESIGN.md §11): {!supervise} is
+    {!Supervisor.run} over the shard plan followed by a merge, and
+    {!worker} is {!Supervisor.hold} around the shard's run.
 
     {b Determinism.}  A trial's RNG derives from the batch seed and its
     {e absolute} trial index alone ({!Runner}), each completed trial is a
@@ -45,10 +43,6 @@ val plan : trials:int -> shards:int -> (int * int) array
     [shards] is clamped to [1, trials].
     @raise Invalid_argument if [trials < 1]. *)
 
-exception Lease_lost of string
-(** Raised inside a worker's heartbeat when its lease was reassigned or
-    became unreadable; the worker stops immediately (fencing). *)
-
 val worker :
   dir:string ->
   fingerprint:string ->
@@ -60,12 +54,12 @@ val worker :
   ?incidents:Incident_log.t ->
   Runner.spec ->
   (unit, string) result
-(** Worker entry point: claim the (already [Running]) lease with our PID,
-    run the lease's trial range into the shard checkpoint — resuming a
-    dead predecessor's records rather than rerunning them — heartbeat at
-    batch boundaries, and mark the lease [Done].  [Error] means the shard
-    was not completed (lease lost, unreadable, or not in [Running]
-    state); the caller should exit nonzero so the supervisor reassigns. *)
+(** Worker entry point: under {!Supervisor.hold}, run the lease's trial
+    range into the shard checkpoint — resuming a dead predecessor's
+    records rather than rerunning them — heartbeating at batch
+    boundaries.  [Error] means the shard was not completed (lease lost,
+    unreadable, or not in [Running] state); the caller should exit
+    nonzero so the supervisor reassigns. *)
 
 type config = {
   dir : string;  (** fleet state directory (leases + checkpoint shards) *)
@@ -103,10 +97,12 @@ type report = {
 
 val supervise : config -> report
 (** Run the whole fleet to completion (every shard [Done] or
-    [Quarantined]), then merge the checkpoint shards.  Leases of a
-    previous fleet with the same fingerprint and plan are honored: [Done]
-    shards are merged without rerunning, everything else restarts — so a
-    killed supervisor resumes by rerunning the same command.
+    [Quarantined]) through {!Supervisor.run}, then merge the checkpoint
+    shards.  Leases of a previous fleet with the same fingerprint and
+    plan are honored: [Done] shards are merged without rerunning,
+    everything else restarts — so a killed supervisor resumes by
+    rerunning the same command.
     @raise Runner.Interrupted after {!Runner.request_stop}, once every
     running worker has been signalled and reaped; fleet state stays on
-    disk for resumption. *)
+    disk for resumption.  Any other exception (a failing [spawn]) is
+    raised after every running worker has been SIGKILLed and reaped. *)

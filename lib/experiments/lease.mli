@@ -1,10 +1,10 @@
-(** Durable shard leases for the supervised sweep fleet.
+(** Durable shard leases for supervised worker processes ({!Supervisor}).
 
-    A lease is one small file per trial shard recording who is working on
-    it and how recently they proved they were alive.  The supervisor
-    creates leases [Pending], marks them [Running] when it spawns a
-    worker, and the worker heartbeats by rewriting the file with a fresh
-    timestamp.  Because every write is temp-file + rename with the same
+    A lease is one small file per shard recording who is working on it
+    and how recently they proved they were alive.  The supervisor
+    creates leases [Pending], marks them [Running] just before it spawns
+    a worker, and the worker heartbeats by rewriting the file with a
+    fresh timestamp.  Because every write is temp-file + rename with the same
     CRC framing as checkpoint v2, a reader — the supervisor polling for
     expiry, or a chaos harness hunting for worker PIDs to kill — always
     sees either the previous complete lease or the next one, never a torn

@@ -478,6 +478,9 @@ let reap pid =
   with Unix.Unix_error (Unix.ECHILD, _, _) -> ()
 
 let kill pid signal =
+  (* kill(0, _) signals our own process group and kill(-n, _) a whole
+     group: never what a supervisor holding a child's pid means *)
+  if pid <= 0 then invalid_arg (Printf.sprintf "Sysx.kill: pid %d" pid);
   try Unix.kill pid signal
   with Unix.Unix_error (Unix.ESRCH, _, _) -> ()
 

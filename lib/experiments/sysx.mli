@@ -152,7 +152,10 @@ val reap : int -> unit
     already reaped it) — any other error propagates. *)
 
 val kill : int -> int -> unit
-(** [Unix.kill], ignoring only [ESRCH] (the process is already gone). *)
+(** [Unix.kill] of one process, ignoring only [ESRCH] (the process is
+    already gone).
+    @raise Invalid_argument if the pid is [<= 0], which would signal a
+    whole process group. *)
 
 val sleepf : float -> unit
 (** Sleep at least the given number of seconds even when interrupted by

@@ -1,8 +1,8 @@
 module Lease = Ncg_experiments.Lease
+module Supervisor = Ncg_experiments.Supervisor
 module Checkpoint = Ncg_experiments.Checkpoint
 module Incident_log = Ncg_experiments.Incident_log
 module Sysx = Ncg_experiments.Sysx
-module Clock = Ncg_experiments.Clock
 module Runner = Ncg_experiments.Runner
 module Catalog = Ncg_instances.Catalog
 module Instance = Ncg_instances.Instance
@@ -468,8 +468,6 @@ let load_chunk ~fingerprint:fp ~wave path =
 (* Worker                                                              *)
 (* ------------------------------------------------------------------ *)
 
-exception Lease_lost of string
-
 let lease_fingerprint spec wave =
   Printf.sprintf "%s wave=%d" (fingerprint spec) wave
 
@@ -499,76 +497,38 @@ let expand_state spec ~seen g =
 let worker ~dir ~wave ~chunk ~heartbeat_interval ?(throttle_ms = 0) spec =
   let fp = fingerprint spec in
   let wdir = wave_dir dir wave in
-  let lfp = lease_fingerprint spec wave in
-  let me = Unix.getpid () in
-  match Lease.load ~dir:wdir ~fingerprint:lfp ~shard:chunk with
-  | Error e -> Error (Printf.sprintf "lease load: %s" e)
-  | Ok lease when lease.Lease.status <> Lease.Running ->
-      Error
-        (Printf.sprintf "lease is %s, not running"
-           (Lease.status_label lease.Lease.status))
-  | Ok lease -> (
-      Lease.save ~dir:wdir ~fingerprint:lfp
-        { lease with Lease.owner = me; heartbeat = Clock.monotonic () };
-      let last_beat = ref (Clock.monotonic ()) in
-      let beat () =
-        let now = Clock.monotonic () in
-        if now -. !last_beat >= heartbeat_interval then
-          match Lease.load ~dir:wdir ~fingerprint:lfp ~shard:chunk with
-          | Ok l
-            when l.Lease.status = Lease.Running
-                 && (l.Lease.owner = me || l.Lease.owner = 0) ->
-              Lease.save ~dir:wdir ~fingerprint:lfp
-                { l with Lease.owner = me; heartbeat = now };
-              last_beat := now
-          | Ok _ -> raise (Lease_lost "lease reassigned under us")
-          | Error e -> raise (Lease_lost ("lease unreadable: " ^ e))
-      in
+  Supervisor.hold ~dir:wdir ~fingerprint:(lease_fingerprint spec wave)
+    ~shard:chunk ~heartbeat_interval (fun lease ~beat ->
       match load_frontier ~dir ~fingerprint:fp ~wave with
       | Error e -> Error (Printf.sprintf "frontier %d: %s" wave e)
       | Ok None -> Error (Printf.sprintf "frontier %d missing" wave)
       | Ok (Some (states, _)) -> (
           match Ledger.load_all ~dir ~fingerprint:fp with
           | Error e -> Error (Printf.sprintf "ledger: %s" e)
-          | Ok seen -> (
+          | Ok seen ->
               let states = Array.of_list states in
               let lo = max 0 lease.Lease.lo in
               let hi = min (Array.length states) lease.Lease.hi in
-              match
-                let expansions = ref [] in
-                for i = hi - 1 downto lo do
-                  let key, enc = states.(i) in
-                  let g = decode_state enc in
-                  let recomputed = state_key spec g in
-                  if recomputed <> key then
-                    failwith
-                      (Printf.sprintf
-                         "frontier %d state %d: key %S does not match its \
-                          encoding (%S)"
-                         wave i key recomputed);
-                  let nsucc, arcs = expand_state spec ~seen g in
-                  expansions := { src = key; nsucc; arcs } :: !expansions;
-                  if throttle_ms > 0 then
-                    Sysx.sleepf (float_of_int throttle_ms /. 1000.);
-                  beat ()
-                done;
-                write_chunk ~wdir ~fingerprint:fp ~wave ~chunk ~lo:lease.Lease.lo
-                  ~hi:lease.Lease.hi !expansions
-              with
-              | () -> (
-                  match Lease.load ~dir:wdir ~fingerprint:lfp ~shard:chunk with
-                  | Ok l when l.Lease.owner = me || l.Lease.owner = 0 ->
-                      Lease.save ~dir:wdir ~fingerprint:lfp
-                        {
-                          l with
-                          Lease.status = Lease.Done;
-                          owner = me;
-                          heartbeat = Clock.monotonic ();
-                        };
-                      Ok ()
-                  | Ok _ -> Error "lease reassigned before completion"
-                  | Error e -> Error ("lease unreadable at completion: " ^ e))
-              | exception Lease_lost why -> Error why)))
+              let expansions = ref [] in
+              for i = hi - 1 downto lo do
+                let key, enc = states.(i) in
+                let g = decode_state enc in
+                let recomputed = state_key spec g in
+                if recomputed <> key then
+                  failwith
+                    (Printf.sprintf
+                       "frontier %d state %d: key %S does not match its \
+                        encoding (%S)"
+                       wave i key recomputed);
+                let nsucc, arcs = expand_state spec ~seen g in
+                expansions := { src = key; nsucc; arcs } :: !expansions;
+                if throttle_ms > 0 then
+                  Sysx.sleepf (float_of_int throttle_ms /. 1000.);
+                beat ()
+              done;
+              write_chunk ~wdir ~fingerprint:fp ~wave ~chunk ~lo:lease.Lease.lo
+                ~hi:lease.Lease.hi !expansions;
+              Ok ()))
 
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                          *)
@@ -669,84 +629,27 @@ let merge_wave ~dir ~fingerprint:fp ~wave frontier =
     frontier;
   (xs, List.rev !arcs)
 
-(* OCaml signal numbers are internal (Sys.sigkill = -7); name the common
-   ones so incident logs read "killed by SIGKILL", not "signal -7". *)
-let signal_name s =
-  if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigint then "SIGINT"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigstop then "SIGSTOP"
-  else Printf.sprintf "signal %d" s
-
 (* Run one wave's expansion to completion: every chunk lease Done with a
-   committed chunk file.  In-process when [spawn] is None, else the fleet
-   protocol of Fleet.supervise — waitpid + heartbeat expiry, SIGKILL
-   stalled workers before reassigning, abort (rather than quarantine) a
-   chunk that exhausts its respawns, because an incomplete region is not
-   a smaller answer, it is a wrong one. *)
+   committed chunk file.  In-process when [spawn] is None (the reference
+   path), else under Supervisor.run — but a chunk that exhausts its
+   respawns aborts the run instead of being quarantined, because an
+   incomplete region is not a smaller answer, it is a wrong one. *)
 let run_wave cfg spec ~wave ~count =
   let fp = fingerprint spec in
   let wdir = wave_dir cfg.dir wave in
-  ensure_dir wdir;
-  ignore (Lease.sweep_stale ~dir:wdir ?incidents:cfg.incidents ());
   sweep_own_tmps ?incidents:cfg.incidents wdir;
   let lfp = lease_fingerprint spec wave in
   let ranges = chunk_plan ~count ~chunk_size:cfg.chunk_size in
-  let nchunks = Array.length ranges in
-  let incident e =
-    match cfg.incidents with None -> () | Some log -> Incident_log.record log e
-  in
-  let load s = Lease.load ~dir:wdir ~fingerprint:lfp ~shard:s in
-  let save l = Lease.save ~dir:wdir ~fingerprint:lfp l in
-  let fresh s =
-    let lo, hi = ranges.(s) in
-    { Lease.shard = s; lo; hi; status = Lease.Pending; owner = 0;
-      heartbeat = 0.0; attempts = 0 }
-  in
-  let chunk_committed s =
+  let committed s =
     load_chunk ~fingerprint:fp ~wave (chunk_path wdir s) <> None
-  in
-  let pending = Queue.create () in
-  let respawns = ref 0 in
-  for s = 0 to nchunks - 1 do
-    let lo, hi = ranges.(s) in
-    match load s with
-    | Ok l
-      when l.Lease.lo = lo && l.Lease.hi = hi && l.Lease.status = Lease.Done
-           && chunk_committed s ->
-        ()
-    | _ ->
-        save (fresh s);
-        Queue.add s pending
-  done;
-  let mark_running s =
-    (match load s with
-    | Ok l ->
-        save
-          {
-            l with
-            Lease.status = Lease.Running;
-            owner = 0;
-            heartbeat = Clock.monotonic ();
-            attempts = l.Lease.attempts + 1;
-          }
-    | Error _ ->
-        save
-          {
-            (fresh s) with
-            Lease.status = Lease.Running;
-            heartbeat = Clock.monotonic ();
-            attempts = 1;
-          })
   in
   match cfg.spawn with
   | None ->
-      Queue.iter
+      List.iter
         (fun s ->
           if Runner.stop_requested () then raise Runner.Interrupted;
-          mark_running s;
+          let lo, hi = ranges.(s) in
+          Supervisor.assign ~dir:wdir ~fingerprint:lfp ~shard:s ~lo ~hi;
           match
             worker ~dir:cfg.dir ~wave ~chunk:s
               ~heartbeat_interval:cfg.heartbeat_interval
@@ -755,95 +658,31 @@ let run_wave cfg spec ~wave ~count =
           | Ok () -> ()
           | Error e ->
               failwith (Printf.sprintf "cartography: chunk %d of wave %d: %s" s wave e))
-        pending;
-      !respawns
-  | Some spawn ->
-      let running : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let spawn_chunk s =
-        mark_running s;
-        let pid = spawn ~wave ~chunk:s in
-        Hashtbl.replace running s pid
+        (Supervisor.reconcile ~dir:wdir ~fingerprint:lfp
+           ?incidents:cfg.incidents ~committed ranges);
+      0
+  | Some spawn -> (
+      let r =
+        Supervisor.run ~committed
+          {
+            Supervisor.dir = wdir;
+            fingerprint = lfp;
+            ranges;
+            workers = max 1 cfg.workers;
+            heartbeat_timeout = cfg.heartbeat_timeout;
+            poll_interval = cfg.poll_interval;
+            max_respawns = cfg.max_respawns;
+            spawn = (fun chunk -> spawn ~wave ~chunk);
+            incidents = cfg.incidents;
+          }
       in
-      let fail_chunk s pid cause =
-        Hashtbl.remove running s;
-        let lo, hi = ranges.(s) in
-        incident (Incident_log.Worker_dead { shard = s; pid; cause; lo; hi });
-        let l = match load s with Ok l -> l | Error _ -> fresh s in
-        if l.Lease.attempts > cfg.max_respawns then begin
-          save { l with Lease.status = Lease.Quarantined; owner = 0 };
-          incident
-            (Incident_log.Shard_quarantined
-               { shard = s; lo; hi; attempts = l.Lease.attempts });
+      match r.Supervisor.quarantined with
+      | [] -> r.Supervisor.respawns
+      | (s, cause) :: _ ->
           failwith
             (Printf.sprintf
                "cartography: chunk %d of wave %d failed %d attempts (%s)" s
-               wave l.Lease.attempts cause)
-        end
-        else begin
-          save { l with Lease.status = Lease.Pending; owner = 0 };
-          incr respawns;
-          incident (Incident_log.Reassigned { shard = s; attempt = l.Lease.attempts });
-          Queue.add s pending
-        end
-      in
-      let reap_all signal =
-        Hashtbl.iter (fun _ pid -> Sysx.kill pid signal) running;
-        Hashtbl.iter (fun _ pid -> Sysx.reap pid) running
-      in
-      (try
-         while (not (Queue.is_empty pending)) || Hashtbl.length running > 0 do
-           if Runner.stop_requested () then begin
-             reap_all Sys.sigterm;
-             raise Runner.Interrupted
-           end;
-           while
-             (not (Queue.is_empty pending))
-             && Hashtbl.length running < max 1 cfg.workers
-           do
-             spawn_chunk (Queue.pop pending)
-           done;
-           Sysx.sleepf cfg.poll_interval;
-           let now = Clock.monotonic () in
-           let events =
-             Hashtbl.fold
-               (fun s pid acc ->
-                 match Sysx.waitpid [ Unix.WNOHANG ] pid with
-                 | 0, _ -> (
-                     match load s with
-                     | Ok l
-                       when Lease.expired ~now ~timeout:cfg.heartbeat_timeout l
-                       ->
-                         `Stalled (s, pid) :: acc
-                     | _ -> acc)
-                 | _, Unix.WEXITED 0 -> `Exited_ok (s, pid) :: acc
-                 | _, Unix.WEXITED c ->
-                     `Died (s, pid, Printf.sprintf "exited %d" c) :: acc
-                 | _, Unix.WSIGNALED sg ->
-                     `Died (s, pid, "killed by " ^ signal_name sg) :: acc
-                 | _, Unix.WSTOPPED _ -> acc
-                 | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                     `Died (s, pid, "waitpid: no such child") :: acc)
-               running []
-           in
-           List.iter
-             (function
-               | `Stalled (s, pid) ->
-                   Sysx.kill pid Sys.sigkill;
-                   Sysx.reap pid;
-                   fail_chunk s pid "heartbeat expired"
-               | `Exited_ok (s, pid) -> (
-                   match load s with
-                   | Ok l when l.Lease.status = Lease.Done && chunk_committed s
-                     ->
-                       Hashtbl.remove running s
-                   | _ -> fail_chunk s pid "exited 0 without completing its lease")
-               | `Died (s, pid, cause) -> fail_chunk s pid cause)
-             events
-         done
-       with e ->
-         reap_all Sys.sigkill;
-         raise e);
-      !respawns
+               wave (cfg.max_respawns + 1) cause))
 
 (* ------------------------------------------------------------------ *)
 (* SCC pass (iterative Tarjan)                                         *)

@@ -4,13 +4,13 @@
     questions — weak acyclicity, best-response cycles, the Fig. 2 gadget —
     by a single-process in-memory BFS that dies with the process.  This
     module is the same BFS as a fault-tolerant {e wave-synchronous}
-    distributed computation over durable artifacts, built from the fleet
-    machinery of [lib/experiments]: the supervisor shards each BFS
-    frontier into chunks, workers claim chunks through CRC-framed
-    {!Ncg_experiments.Lease} files (heartbeats, fencing, idempotent
-    reassignment), expand their states, and the supervisor merges the
-    resulting arc files, dedupes successors against a durable partitioned
-    {e seen ledger} and publishes the next frontier atomically.  SIGKILL
+    distributed computation over durable artifacts: the supervisor shards
+    each BFS frontier into chunks and runs them under the shared lease
+    protocol of {!Ncg_experiments.Supervisor} (DESIGN.md §11: assign,
+    claim, heartbeat, fencing, reassignment); workers expand their
+    chunk's states, and the supervisor merges the resulting arc files,
+    dedupes successors against a durable partitioned {e seen ledger} and
+    publishes the next frontier atomically.  SIGKILL
     anywhere — worker or supervisor, at any syscall — leaves a state a
     resumed run re-converges from to the {e bit-identical} explored
     region.
@@ -128,8 +128,6 @@ type expansion = {
           detection; only the encoding is redundant) *)
 }
 
-exception Lease_lost of string
-
 val worker :
   dir:string ->
   wave:int ->
@@ -138,12 +136,12 @@ val worker :
   ?throttle_ms:int ->
   spec ->
   (unit, string) result
-(** Claims the chunk's lease (recording this PID as owner), loads the
-    wave's frontier slice and the full ledger, expands every state and
-    atomically writes the chunk's arc file, then marks the lease [Done] —
-    unless the lease was reassigned underneath (fencing), which aborts
-    with [Error].  [throttle_ms] sleeps per expanded state — the chaos
-    soak uses it to hold the kill window open. *)
+(** Under {!Ncg_experiments.Supervisor.hold}: loads the wave's frontier
+    slice and the full ledger, expands every state and atomically writes
+    the chunk's arc file, then marks the lease [Done] — unless the lease
+    was reassigned underneath (fencing), which aborts with [Error].
+    [throttle_ms] sleeps per expanded state — the chaos soak uses it to
+    hold the kill window open. *)
 
 type config = {
   dir : string;
@@ -192,10 +190,12 @@ type report = {
 val run : config -> spec -> report
 (** Recover (sweep stale temp files, roll back uncommitted ledger
     records, reconcile chunk leases), then expand wave by wave until the
-    frontier is empty, then merge every chunk file into the region graph
-    and run the SCC pass.
+    frontier is empty — each wave's chunks in process or through
+    {!Ncg_experiments.Supervisor.run} — then merge every chunk file into
+    the region graph and run the SCC pass.
     @raise Failure when a chunk exhausts [max_respawns] (the region would
-    be incomplete), on fingerprint mismatch, or on non-crash artifact
+    be incomplete; the wave's other chunks finish first, and every worker
+    is reaped), on fingerprint mismatch, or on non-crash artifact
     corruption.
     @raise Ncg_experiments.Runner.Interrupted on cooperative stop. *)
 

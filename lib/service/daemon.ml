@@ -230,22 +230,20 @@ let arena_totals_json () =
     ]
 
 let worker_main ~slot ~lease_dir ~heartbeat_interval () =
-  let pid = Unix.getpid () in
   let stop = Atomic.make false in
   let _hb : Thread.t =
     Thread.create
       (fun () ->
+        (* The daemon assigned the slot before spawning us, so whatever
+           owner the lease names is a previous incarnation: claim it. *)
+        (match Supervisor.claim ~dir:lease_dir ~fingerprint ~shard:slot with
+        | Ok _ -> ()
+        | Error _ -> exit 0);
         while not (Atomic.get stop) do
-          (match Lease.load ~dir:lease_dir ~fingerprint ~shard:slot with
-          | Ok l when l.Lease.status = Lease.Running && l.Lease.owner = pid
-            ->
-              Lease.save ~dir:lease_dir ~fingerprint
-                { l with Lease.heartbeat = Clock.monotonic () }
-          | Ok l when l.Lease.status = Lease.Running ->
-              (* fenced: the daemon reassigned this slot *)
-              exit 0
-          | Ok _ | Error _ -> ());
-          Sysx.sleepf heartbeat_interval
+          Sysx.sleepf heartbeat_interval;
+          match Supervisor.beat ~dir:lease_dir ~fingerprint ~shard:slot with
+          | Ok () -> ()
+          | Error _ -> exit 0 (* fenced: the daemon reassigned this slot *)
         done)
       ()
   in
@@ -389,18 +387,6 @@ let finish_faulted t job ~cause =
 (* Worker supervision                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let save_lease t slot status =
-  Lease.save ~dir:t.cfg.lease_dir ~fingerprint
-    {
-      Lease.shard = slot.index;
-      lo = 0;
-      hi = 0;
-      status;
-      owner = slot.pid;
-      heartbeat = Clock.monotonic ();
-      attempts = 1;
-    }
-
 let log_incident t event =
   match t.cfg.incidents with
   | None -> ()
@@ -413,8 +399,7 @@ let worker_down_locked t slot pid cause =
   if slot.alive && slot.pid = pid then begin
     slot.alive <- false;
     (try Unix.close slot.to_worker with Unix.Unix_error _ -> ());
-    Sysx.kill pid Sys.sigkill;
-    Sysx.reap pid;
+    Supervisor.kill_and_reap pid;
     Metrics.incr t.metrics "worker_deaths";
     (match slot.job with
     | Some job when job.state = Busy ->
@@ -493,6 +478,10 @@ let rec worker_reader t slot pid rdr =
 
 (* Called with [t.mu] held. *)
 let spawn_worker_locked t slot =
+  (* Assign before spawning: the new worker must never read the lease
+     of the incarnation it replaces. *)
+  Supervisor.assign ~dir:t.cfg.lease_dir ~fingerprint ~shard:slot.index ~lo:0
+    ~hi:0;
   let jr, jw = Unix.pipe ~cloexec:true () in
   let rr, rw = Unix.pipe ~cloexec:true () in
   let argv =
@@ -514,7 +503,6 @@ let spawn_worker_locked t slot =
   slot.to_worker <- jw;
   slot.alive <- true;
   slot.job <- None;
-  save_lease t slot Lease.Running;
   let rdr = Line_reader.create rr in
   let _reader : Thread.t =
     Thread.create
@@ -921,16 +909,10 @@ let tick t =
             | _ -> ())
         | _ -> ());
         (* missed heartbeats: same monotonic timeline the worker writes *)
-        match
-          Lease.load ~dir:t.cfg.lease_dir ~fingerprint ~shard:s.index
-        with
-        | Ok l
-          when l.Lease.status = Lease.Running
-               && l.Lease.owner = s.pid
-               && Lease.expired ~now:(Clock.monotonic ())
-                    ~timeout:t.cfg.heartbeat_timeout l ->
-            worker_down_locked t s s.pid "heartbeat expired"
-        | _ -> ()
+        if
+          Supervisor.stale ~dir:t.cfg.lease_dir ~fingerprint
+            ~timeout:t.cfg.heartbeat_timeout s.index
+        then worker_down_locked t s s.pid "heartbeat expired"
       end
       else if not (t.draining || t.stopping) then
         try spawn_worker_locked t s with _ -> ())

@@ -3,10 +3,12 @@
     [serve] runs a long-lived daemon on a Unix-domain socket speaking the
     {!Proto} line protocol.  Jobs are executed by a pool of persistent
     worker subprocesses (one job in flight per worker, frames over the
-    worker's stdin/stdout); the daemon supervises them with the same
-    lease/heartbeat machinery as the sweep fleet — each worker heartbeats
-    a {!Lease} file on the monotonic clock, and the daemon treats a
-    missed-heartbeat worker exactly like one that died by signal.
+    worker's stdin/stdout); the daemon supervises them with the lease
+    protocol of {!Supervisor} (DESIGN.md §11), the one the sweep fleet
+    uses — it assigns a slot's {!Lease} before it spawns the slot's
+    worker, the worker claims it and heartbeats it on the monotonic
+    clock, and the daemon treats a missed-heartbeat worker exactly like
+    one that died (pipe EOF): SIGKILL, reap, respawn.
 
     Degradation ladder (every admitted submission ends in exactly one
     typed outcome, whatever happens):
@@ -103,8 +105,9 @@ val serve : config -> int
 val worker_main :
   slot:int -> lease_dir:string -> heartbeat_interval:float -> unit -> unit
 (** Body of one worker process: reads job frames from stdin, writes one
-    result line per job to stdout, heartbeats its lease file from a
-    background thread on the monotonic clock, and exits silently when
-    stdin closes or the lease names another owner (fencing).  Worker
+    result line per job to stdout, and from a background thread claims
+    its slot's lease ({!Supervisor.claim}) and heartbeats it
+    ({!Supervisor.beat}) on the monotonic clock.  Exits silently when
+    stdin closes or the lease stops naming it (fencing).  Worker
     executables call this after parsing the three argv words the daemon
     appended. *)

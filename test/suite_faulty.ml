@@ -308,6 +308,18 @@ let test_crash_before_rename () =
         (Sys.file_exists (path ^ ".tmp"));
       Checkpoint.close cp)
 
+(* ------------------------------------------------------------------ *)
+(* Signalling                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* kill(0, _) would signal our own process group: a supervisor reading
+   an unclaimed lease's owner 0 must get an error, not kill itself. *)
+let test_kill_refuses_non_positive_pid () =
+  check "pid 0 refused" true
+    (match Sysx.kill 0 0 with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 let suite =
   ( "faulty",
     [
@@ -329,4 +341,6 @@ let suite =
         test_lease_sweep_dead_only;
       Alcotest.test_case "crash before rename keeps the old file" `Quick
         test_crash_before_rename;
+      Alcotest.test_case "Sysx.kill refuses pid <= 0" `Quick
+        test_kill_refuses_non_positive_pid;
     ] )

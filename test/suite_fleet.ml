@@ -319,6 +319,10 @@ let maybe_run_child () =
       Unix.kill (Unix.getpid ()) Sys.sigkill;
       exit 9
   | Some ("incidents" :: args) -> incident_child args
+  | Some ("sleep" :: _) ->
+      (* a worker that never finishes on its own *)
+      Unix.sleepf 60.0;
+      exit 0
   | Some _ ->
       prerr_endline "unknown fleet child mode";
       exit 64
@@ -589,6 +593,44 @@ let test_incident_log_concurrent_writers () =
           done)
         (List.init writers (fun _ -> ())))
 
+(* ------------------------------------------------------------------ *)
+(* Supervise leaves no worker behind                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A supervisor that raises (here: spawning shard 1 fails) must not
+   leave the workers it already started running: they are killed and
+   reaped before the exception propagates. *)
+let test_supervise_reaps_workers_when_it_raises () =
+  with_temp_dir (fun dir ->
+      let sleeper = ref None in
+      let spawn ~shard =
+        if shard = 0 then begin
+          let pid = run_child [ "sleep" ] in
+          sleeper := Some pid;
+          pid
+        end
+        else failwith "spawn refused"
+      in
+      let cfg = { (fleet_config ~dir ~spawn ()) with Fleet.shards = 2 } in
+      check "supervise raises" true
+        (match Fleet.supervise cfg with
+        | exception Failure _ -> true
+        | _ -> false);
+      match !sleeper with
+      | None -> Alcotest.fail "shard 0 was never spawned"
+      | Some pid ->
+          let reaped =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+            | _ ->
+                (* still running or an unreaped zombie: clean up *)
+                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+                (try ignore (Unix.waitpid [] pid)
+                 with Unix.Unix_error _ -> ());
+                false
+          in
+          check "the shard-0 worker is dead and reaped" true reaped)
+
 let suite =
   ( "fleet",
     [
@@ -621,4 +663,6 @@ let suite =
         test_incident_log_rotation_drops_oldest;
       Alcotest.test_case "incident log concurrent writers" `Quick
         test_incident_log_concurrent_writers;
+      Alcotest.test_case "supervise reaps its workers when it raises" `Quick
+        test_supervise_reaps_workers_when_it_raises;
     ] )

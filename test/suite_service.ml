@@ -538,6 +538,53 @@ let test_job_validation () =
     | Error _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Slot leases across daemon generations                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A restarted daemon finds its slot leases as the previous generation
+   left them: Running, naming a pid that is not the new worker's.  The
+   worker must claim that lease and keep serving, not take it for a
+   fencing verdict and exit. *)
+let test_worker_claims_stale_slot_lease () =
+  with_temp_dir (fun dir ->
+      let lease_dir = Filename.concat dir "leases" in
+      Unix.mkdir lease_dir 0o755;
+      Lease.save ~dir:lease_dir ~fingerprint:"ncg-serve-1"
+        {
+          Lease.shard = 0;
+          lo = 0;
+          hi = 0;
+          status = Lease.Running;
+          owner = Unix.getpid ();
+          heartbeat = Clock.monotonic ();
+          attempts = 1;
+        };
+      (* the worker exits when its stdin closes, so hold the write end *)
+      let jr, jw = Unix.pipe ~cloexec:true () in
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process Sys.executable_name
+          [|
+            Sys.executable_name; child_flag; "worker"; "0"; lease_dir; "0.05";
+          |]
+          jr devnull Unix.stderr
+      in
+      Unix.close jr;
+      Unix.close devnull;
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close jw;
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        (fun () ->
+          Sysx.sleepf 0.5;
+          check "worker still running after 0.5 s" true
+            (fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0);
+          match Lease.load ~dir:lease_dir ~fingerprint:"ncg-serve-1" ~shard:0 with
+          | Ok l -> check_int "the lease names the worker" pid l.Lease.owner
+          | Error e -> Alcotest.failf "lease unreadable: %s" e))
+
 let suite =
   ( "service",
     [
@@ -555,4 +602,6 @@ let suite =
         test_frames_survive_arbitrary_split;
       Alcotest.test_case "slow-loris frame is cut off and counted" `Quick
         test_slow_loris_disconnected;
+      Alcotest.test_case "worker claims a stale slot lease" `Quick
+        test_worker_claims_stale_slot_lease;
     ] )

@@ -311,7 +311,8 @@ let storm_thread () =
         match
           Lease.load ~dir:!lease_dir ~fingerprint:"ncg-serve-1" ~shard
         with
-        | Ok l when l.Lease.status = Lease.Running ->
+        | Ok l when l.Lease.status = Lease.Running && l.Lease.owner > 0 ->
+            (* owner 0: assigned, but its worker has not claimed it yet *)
             victims := l.Lease.owner :: !victims
         | Ok _ | Error _ -> ()
       done;
