@@ -24,25 +24,6 @@ let path t = t.path
 let load_report t = t.report
 let loaded t = Hashtbl.length t.loaded
 
-(* IEEE CRC32 (reflected polynomial 0xedb88320), table-driven; plain OCaml
-   integer arithmetic — the value always fits in 32 bits. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xffffffff
-
 (* One field per tab; [String.escaped] keeps free text (violation details,
    exception messages) on one line and tab-free. *)
 let encode_verdict = function
@@ -156,43 +137,6 @@ let decode_payload payload =
 let encode_record ~key ~trial outcome =
   Printf.sprintf "%s\t%d\t%s" key trial (encode_outcome outcome)
 
-let frame payload =
-  Printf.sprintf "%08x\t%d\t%s" (crc32 payload) (String.length payload)
-    payload
-
-(* Unframe a v2 line: check the declared length first (truncation), then
-   the CRC (bit flips), and only then hand the payload on. *)
-let unframe line =
-  match String.index_opt line '\t' with
-  | None -> Error "missing CRC field"
-  | Some i -> (
-      match String.index_from_opt line (i + 1) '\t' with
-      | None -> Error "missing length field"
-      | Some j -> (
-          let crc_s = String.sub line 0 i in
-          let len_s = String.sub line (i + 1) (j - i - 1) in
-          let payload =
-            String.sub line (j + 1) (String.length line - j - 1)
-          in
-          match
-            ( (if String.length crc_s = 8 then
-                 int_of_string_opt ("0x" ^ crc_s)
-               else None),
-              int_of_string_opt len_s )
-          with
-          | Some crc, Some len ->
-              if String.length payload <> len then
-                Error
-                  (Printf.sprintf
-                     "length mismatch (declared %d bytes, found %d)" len
-                     (String.length payload))
-              else if crc32 payload <> crc then
-                Error
-                  (Printf.sprintf "CRC mismatch (declared %08x, computed %08x)"
-                     crc (crc32 payload))
-              else Ok payload
-          | _ -> Error "unparseable CRC/length header"))
-
 type version = V1 | V2
 
 let parse_header path fingerprint header =
@@ -209,60 +153,52 @@ let parse_header path fingerprint header =
   | _ -> failwith (Printf.sprintf "%s is not an ncg checkpoint file" path)
 
 let load_existing path fingerprint =
+  let header, lines =
+    match Durable.read path with
+    | Some contents -> contents
+    | None -> failwith (Printf.sprintf "%s is empty" path)
+  in
+  let version = parse_header path fingerprint header in
   let loaded = Hashtbl.create 256 in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let version =
-        match input_line ic with
-        | header -> parse_header path fingerprint header
-        | exception End_of_file ->
-            failwith (Printf.sprintf "%s is empty" path)
-      in
-      let records = ref 0 and duplicates = ref 0 in
-      let corrupted = ref [] in
-      (* line numbers are 1-based and the header is line 1 *)
-      let lineno = ref 1 in
-      let bad reason = corrupted := (!lineno, reason) :: !corrupted in
-      let store (key, trial, outcome) =
-        incr records;
-        if Hashtbl.mem loaded (key, trial) then incr duplicates;
-        Hashtbl.replace loaded (key, trial) outcome
-      in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           match version with
-           | V2 -> (
-               match unframe line with
-               | Error reason -> bad reason
-               | Ok payload -> (
-                   match decode_payload payload with
-                   | Some r -> store r
-                   | None -> bad "undecodable record payload"))
-           | V1 -> (
-               (* v1 had no framing; a malformed line used to be skipped
-                  silently — now it is counted and surfaced. *)
-               match decode_payload line with
-               | Some r -> store r
-               | None -> bad "undecodable v1 record")
-         done
-       with End_of_file -> ());
-      let last = !lineno in
-      let corrupted =
-        List.rev_map
-          (fun (line, reason) -> { line; reason; tail = line = last })
-          !corrupted
-      in
-      ( loaded,
-        {
-          records = !records;
-          duplicates = !duplicates;
-          corrupted;
-          migrated_from_v1 = version = V1;
-        } ))
+  let records = ref 0 and duplicates = ref 0 in
+  let corrupted = ref [] in
+  let store (key, trial, outcome) =
+    incr records;
+    if Hashtbl.mem loaded (key, trial) then incr duplicates;
+    Hashtbl.replace loaded (key, trial) outcome
+  in
+  List.iter
+    (fun (lineno, line) ->
+      let bad reason = corrupted := (lineno, reason) :: !corrupted in
+      match version with
+      | V2 -> (
+          match Durable.unframe line with
+          | Error reason -> bad reason
+          | Ok payload -> (
+              match decode_payload payload with
+              | Some r -> store r
+              | None -> bad "undecodable record payload"))
+      | V1 -> (
+          (* v1 had no framing; a malformed line used to be skipped
+             silently — now it is counted and surfaced. *)
+          match decode_payload line with
+          | Some r -> store r
+          | None -> bad "undecodable v1 record"))
+    lines;
+  (* the header is line 1 and the numbering has no gaps *)
+  let last = 1 + List.length lines in
+  let corrupted =
+    List.rev_map
+      (fun (line, reason) -> { line; reason; tail = line = last })
+      !corrupted
+  in
+  ( loaded,
+    {
+      records = !records;
+      duplicates = !duplicates;
+      corrupted;
+      migrated_from_v1 = version = V1;
+    } )
 
 (* Deterministic multi-shard merge: shards are loaded in the order given,
    later shards override earlier ones on a duplicate (key, trial), and the
@@ -300,56 +236,24 @@ let merge_shards ~fingerprint paths =
 let sanitize_key key =
   String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) key
 
-(* Write a complete v2 file (header + the given records) to a temp file and
-   rename it over [path]: whoever observes [path] sees either the old file
-   or the complete new one, never a torn header.  The temp file is fsynced
-   before the rename (otherwise a power failure can publish a name whose
-   bytes never reached the disk) and the parent directory after it (the
-   rename itself is a directory-entry update).  Error cleanup uses raw
-   [Unix] calls on purpose: under an armed fault plan, injected faults must
-   not cascade into the cleanup path. *)
+(* The complete v2 file (header + the given records), replaced
+   atomically: whoever observes [path] sees either the old file or the
+   complete new one, never a torn header. *)
 let write_atomically path fingerprint records =
-  let tmp = path ^ ".tmp" in
-  let fd = Sysx.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (try
-     let buf = Buffer.create 4096 in
-     Buffer.add_string buf
-       (Printf.sprintf "%s\t%s\n" magic_v2 (String.escaped fingerprint));
-     List.iter
-       (fun ((key, trial), outcome) ->
-         Buffer.add_string buf (frame (encode_record ~key ~trial outcome));
-         Buffer.add_char buf '\n')
-       records;
-     Sysx.write_all fd (Buffer.to_bytes buf);
-     Sysx.fsync fd;
-     Sysx.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  (try Sysx.rename tmp path
-   with e ->
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  Sysx.fsync_dir (Filename.dirname path)
-
-(* A [path.tmp] on open means a writer died between creating the temp file
-   and renaming it into place (the rename would have consumed it).  Its
-   contents are untrusted by construction; remove it rather than let dead
-   writers accumulate, and say so. *)
-let sweep_tmp ?incidents path =
-  let tmp = path ^ ".tmp" in
-  if Sys.file_exists tmp then begin
-    (try Sysx.unlink tmp with Unix.Unix_error _ -> ());
-    match incidents with
-    | Some log ->
-        Incident_log.record log
-          (Incident_log.Stale_tmp_swept { path = tmp; owner = None })
-    | None -> ()
-  end
+  Durable.replace path
+    (Durable.framed
+       ~header:
+         (Printf.sprintf "%s\t%s\n" magic_v2 (String.escaped fingerprint))
+       (List.map
+          (fun ((key, trial), outcome) -> encode_record ~key ~trial outcome)
+          records))
 
 let open_ ?(resume = false) ?incidents ~fingerprint path =
-  sweep_tmp ?incidents path;
+  (* a checkpoint may share its directory (the user's cwd) with anything,
+     so sweep only its own temps *)
+  ignore
+    (Durable.sweep_tmps ?incidents ~only:(Filename.basename path)
+       (Filename.dirname path));
   let existing = resume && Sys.file_exists path in
   let loaded, report =
     if existing then load_existing path fingerprint
@@ -376,13 +280,13 @@ let completed t ~key =
       if k = key then (trial, outcome) :: acc else acc)
     t.loaded []
 
-(* One O_APPEND write(2) per record, unbuffered: the record is in the
-   kernel when [record] returns, and a crash mid-call tears at most this
-   one line — which the CRC framing catches on the next load. *)
+(* One O_APPEND write(2) per record, unbuffered and not fsynced: the
+   record is in the kernel when [record] returns, and a crash mid-call
+   tears at most this one line — which the CRC framing catches on the
+   next load. *)
 let record t ~key ~trial outcome =
-  Sysx.write_all t.fd
-    (Bytes.of_string
-       (frame (encode_record ~key:(sanitize_key key) ~trial outcome) ^ "\n"))
+  Durable.append_framed t.fd
+    [ encode_record ~key:(sanitize_key key) ~trial outcome ]
 
 let pp_load_report fmt r =
   Format.fprintf fmt "%d record%s loaded" r.records

@@ -19,12 +19,14 @@
     v}
     with verdict tags [ok], [cycle], [limit], [time], [fault] and [error]
     — the {!Stats.verdict} taxonomy — plus the retry metadata of
-    {!Stats.outcome}.  The CRC32 (IEEE, over the payload bytes) and the
-    explicit payload length make every corruption detectable, not just a
-    torn final line: a bit flip fails the CRC, a truncation fails the
-    length, and either is {e reported} on load rather than silently
-    skipped.  The header is created via temp-file + rename, so a crash
-    during creation never leaves a half-written header behind.
+    {!Stats.outcome}.  The {!Durable.frame} (CRC32 over the payload
+    bytes, explicit payload length) makes every corruption detectable,
+    not just a torn final line: a bit flip fails the CRC, a truncation
+    fails the length, and either is {e reported} on load rather than
+    silently skipped.  The header is created by {!Durable.replace}, so a
+    crash during creation never leaves a half-written header behind;
+    records are appended by {!Durable.append_framed}, and loads read
+    through {!Durable.read}.
 
     Loading still recovers the maximal valid set: duplicate records are
     legal (the last one wins — the append-after-resume case), corrupt
@@ -55,14 +57,15 @@ type load_report = {
 val open_ :
   ?resume:bool -> ?incidents:Incident_log.t -> fingerprint:string -> string -> t
 (** [open_ ~fingerprint path] starts a fresh checkpoint, truncating any
-    existing file; the header reaches [path] atomically (temp-file +
-    fsync + rename + parent-directory fsync).  With [~resume:true] an
-    existing file's records are loaded first — see {!load_report} for
-    what was recovered — and subsequent records are appended; a v1 file
-    is migrated to v2 in place (atomically) before appending.  A stale
-    [path.tmp] left by a writer that died before its rename is swept
-    first, recorded as a {!Incident_log.event.Stale_tmp_swept} event
-    when [?incidents] is given.
+    existing file; the header reaches [path] atomically
+    ({!Durable.replace}).  With [~resume:true] an existing file's records
+    are loaded first — see {!load_report} for what was recovered — and
+    subsequent records are appended; a v1 file is migrated to v2 in place
+    (atomically) before appending.  Stale [path.<pid>.tmp] files left by
+    writers that died before their rename are swept first
+    ({!Durable.sweep_tmps}, restricted to this file's temps), each
+    recorded as a {!Incident_log.event.Stale_tmp_swept} event when
+    [?incidents] is given.
     @raise Failure on resume if the file belongs to a different sweep
     configuration (fingerprint mismatch) or is not a checkpoint file. *)
 
@@ -92,28 +95,14 @@ val path : t -> string
 val write_atomically :
   string -> string -> ((string * int) * Stats.outcome) list -> unit
 (** [write_atomically path fingerprint records] replaces [path] with a
-    complete v2 file holding [records]: temp file, fsync, rename, parent
-    directory fsync.  Readers see the old file or the new one, never a
-    mixture — the crash-consistency oracle drives every syscall of this
-    sequence under injected faults.  (Also the primitive behind
-    {!open_}'s fresh-start and v1-migration paths.) *)
+    complete v2 file holding [records] ({!Durable.replace}).  Readers see
+    the old file or the new one, never a mixture — the crash-consistency
+    oracle drives every syscall of this sequence under injected faults.
+    (Also the primitive behind {!open_}'s fresh-start and v1-migration
+    paths.) *)
 
 val pp_load_report : Format.formatter -> load_report -> unit
 (** One human-readable line per corruption, plus the totals. *)
-
-val crc32 : string -> int
-(** The IEEE CRC32 used for record checksums — exposed so corruption
-    tests can craft valid and near-valid records by hand. *)
-
-val frame : string -> string
-(** [frame payload] is the v2 line for [payload]:
-    [<crc32 hex> TAB <length> TAB <payload>] (no trailing newline) —
-    exposed so sibling durable formats ({!Lease}) share the exact same
-    corruption-evident framing. *)
-
-val unframe : string -> (string, string) result
-(** Inverse of {!frame}: checks the declared length, then the CRC, and
-    returns the payload or a human-readable reason. *)
 
 (** Result of merging several checkpoint {e shards} (the per-worker files
     a {!Fleet} sweep writes) into one record set. *)

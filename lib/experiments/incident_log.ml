@@ -25,7 +25,7 @@ type event =
       attempt : int;
       cause : string;
     }
-  | Stale_tmp_swept of { path : string; owner : int option }
+  | Stale_tmp_swept of { path : string; owner : int }
 
 let open_fd path =
   Sysx.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
@@ -161,12 +161,11 @@ let json_of_event = function
         ]
   | Stale_tmp_swept { path; owner } ->
       obj
-        (("event", json_string "stale_tmp_swept")
-        :: ("path", json_string path)
-        ::
-        (match owner with
-        | Some pid -> [ ("owner", string_of_int pid) ]
-        | None -> []))
+        [
+          ("event", json_string "stale_tmp_swept");
+          ("path", json_string path);
+          ("owner", string_of_int owner);
+        ]
 
 (* ------------------------------------------------------------------ *)
 (* Rotation                                                            *)

@@ -61,10 +61,10 @@ type event =
       (** the simulation service's analogue of [worker_dead]: a service
           worker died with this job in flight; the job goes back to the
           queue (or is marked faulted at the attempt cap) *)
-  | Stale_tmp_swept of { path : string; owner : int option }
+  | Stale_tmp_swept of { path : string; owner : int }
       (** a [*.tmp] file left behind by a crashed/SIGKILLed writer was
           removed on the next open or takeover; [owner] is the dead
-          writer's pid when the filename records one (lease tmps) *)
+          writer's pid, which the temp name records ({!Durable.replace}) *)
 
 val open_ : ?rotation:rotation -> string -> t
 (** Opens (appending, creating if needed) the log at [path].  With

@@ -49,114 +49,36 @@ let decode payload =
       | _ -> None)
   | _ -> None
 
-(* Atomic save: temp file + rename, with the temp name made unique per
-   process — the worker (heartbeating) and the supervisor (reassigning)
-   may both save concurrently, and two processes sharing one temp path
-   could interleave a write with the other's rename.  Rename itself is
-   atomic, so readers always see a complete lease; last writer wins.
-   The temp file is fsynced before the rename and the directory entry
-   after it: the lease is the fencing token, so a published lease whose
-   bytes could vanish in a power failure would let a fenced-out worker
-   resurrect.  Cleanup on error is raw [Unix] so injected faults don't
-   cascade. *)
+(* The lease is the fencing token: a published lease whose bytes could
+   vanish in a power failure would let a fenced-out worker resurrect, so
+   it is only ever replaced whole and durably.  The worker (heartbeating)
+   and the supervisor (reassigning) may save concurrently; the last
+   rename wins. *)
 let save ~dir ~fingerprint t =
-  let p = path ~dir ~shard:t.shard in
-  let tmp = Printf.sprintf "%s.%d.tmp" p (Unix.getpid ()) in
-  let fd = Sysx.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (try
-     Sysx.write_all fd
-       (Bytes.of_string
-          (Printf.sprintf "%s\t%s\n%s\n" magic (String.escaped fingerprint)
-             (Checkpoint.frame (encode t))));
-     Sysx.fsync fd;
-     Sysx.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  (try Sysx.rename tmp p
-   with e ->
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  Sysx.fsync_dir dir
+  Durable.replace (path ~dir ~shard:t.shard)
+    (Durable.framed
+       ~header:(Printf.sprintf "%s\t%s\n" magic (String.escaped fingerprint))
+       [ encode t ])
 
 let load ~dir ~fingerprint ~shard =
   let p = path ~dir ~shard in
-  match open_in p with
-  | exception Sys_error e -> Error e
-  | ic -> (
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match
-            let header = input_line ic in
-            let body = input_line ic in
-            (header, body)
-          with
-          | exception End_of_file -> Error "truncated lease file"
-          | header, body -> (
-              if header <> magic ^ "\t" ^ String.escaped fingerprint then
-                Error "not a lease of this fleet (header mismatch)"
-              else
-                match Checkpoint.unframe body with
-                | Error reason -> Error reason
-                | Ok payload -> (
-                    match decode payload with
-                    | None -> Error "undecodable lease payload"
-                    | Some t when t.shard <> shard ->
-                        Error
-                          (Printf.sprintf "lease names shard %d, not %d"
-                             t.shard shard)
-                    | Some t -> Ok t))))
+  match Durable.read p with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "%s: %s" p (Unix.error_message e))
+  | None | Some (_, []) -> Error "truncated lease file"
+  | Some (header, (_, body) :: _) -> (
+      if header <> magic ^ "\t" ^ String.escaped fingerprint then
+        Error "not a lease of this fleet (header mismatch)"
+      else
+        match Durable.unframe body with
+        | Error reason -> Error reason
+        | Ok payload -> (
+            match decode payload with
+            | None -> Error "undecodable lease payload"
+            | Some t when t.shard <> shard ->
+                Error
+                  (Printf.sprintf "lease names shard %d, not %d" t.shard shard)
+            | Some t -> Ok t))
 
 let expired ~now ~timeout t =
   t.status = Running && now -. t.heartbeat > timeout
-
-(* [name.lease.<pid>.tmp] -> pid, for names following [save]'s temp
-   naming scheme. *)
-let tmp_owner name =
-  match Filename.check_suffix name ".tmp" with
-  | false -> None
-  | true -> (
-      let base = Filename.chop_suffix name ".tmp" in
-      match String.rindex_opt base '.' with
-      | Some i
-        when i > 0
-             && Filename.check_suffix (String.sub base 0 i) ".lease" ->
-          int_of_string_opt
-            (String.sub base (i + 1) (String.length base - i - 1))
-      | _ -> None)
-
-let alive pid =
-  match Unix.kill pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-  (* EPERM: the pid exists but belongs to someone else — treat as alive,
-     never sweep a file we cannot prove orphaned *)
-  | exception Unix.Unix_error _ -> true
-
-(* A SIGKILLed worker dies between creating its pid-unique temp file and
-   renaming it over the lease; nothing ever consumes that temp, so a
-   long-lived fleet directory accumulates them silently.  Sweep the ones
-   whose recorded owner is verifiably dead. *)
-let sweep_stale ~dir ?incidents () =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | names ->
-      Array.fold_left
-        (fun swept name ->
-          match tmp_owner name with
-          | Some pid when not (alive pid) -> (
-              let p = Filename.concat dir name in
-              match Sysx.unlink p with
-              | () ->
-                  (match incidents with
-                  | Some log ->
-                      Incident_log.record log
-                        (Incident_log.Stale_tmp_swept
-                           { path = p; owner = Some pid })
-                  | None -> ());
-                  swept + 1
-              | exception Unix.Unix_error _ -> swept)
-          | _ -> swept)
-        0 names

@@ -4,11 +4,12 @@
     and how recently they proved they were alive.  The supervisor
     creates leases [Pending], marks them [Running] just before it spawns
     a worker, and the worker heartbeats by rewriting the file with a
-    fresh timestamp.  Because every write is temp-file + rename with the same
-    CRC framing as checkpoint v2, a reader — the supervisor polling for
-    expiry, or a chaos harness hunting for worker PIDs to kill — always
-    sees either the previous complete lease or the next one, never a torn
-    record.
+    fresh timestamp.  Every save is a {!Durable.replace} of a header and
+    one {!Durable.frame}d record, so a reader — the supervisor polling
+    for expiry, or a chaos harness hunting for worker PIDs to kill —
+    always sees either the previous complete lease or the next one, never
+    a torn record.  Stale temps of dead savers are removed by
+    {!Durable.sweep_tmps}.
 
     The lease is also the fencing token: a worker reloads its lease
     before each heartbeat and stops if it is no longer the owner, so a
@@ -35,15 +36,16 @@ val path : dir:string -> shard:int -> string
 (** [dir/shard-NNNN.lease]. *)
 
 val save : dir:string -> fingerprint:string -> t -> unit
-(** Atomically replaces the lease file (unique temp + fsync + rename +
-    directory fsync); safe to call concurrently from the worker and the
-    supervisor — last writer wins, readers never see a partial file, and
-    a published lease survives power failure (it is the fencing token,
-    so losing it could resurrect a fenced-out worker). *)
+(** Atomically and durably replaces the lease file ({!Durable.replace});
+    safe to call concurrently from the worker and the supervisor — last
+    writer wins, readers never see a partial file, and a published lease
+    survives power failure (it is the fencing token, so losing it could
+    resurrect a fenced-out worker). *)
 
 val load : dir:string -> fingerprint:string -> shard:int -> (t, string) result
-(** Reads and verifies the lease: header fingerprint, CRC frame, payload
-    shape, and that the file really names [shard]. *)
+(** Reads ({!Durable.read}) and verifies the lease: header fingerprint,
+    CRC frame, payload shape, and that the file really names [shard].  A
+    missing or unreadable file is an [Error]. *)
 
 val expired : now:float -> timeout:float -> t -> bool
 (** A [Running] lease whose heartbeat is older than [timeout] seconds —
@@ -51,13 +53,3 @@ val expired : now:float -> timeout:float -> t -> bool
     the other half). *)
 
 val status_label : status -> string
-
-val sweep_stale : dir:string -> ?incidents:Incident_log.t -> unit -> int
-(** Removes [shard-NNNN.lease.<pid>.tmp] files whose recorded writer pid
-    no longer exists — the droppings of a SIGKILLed worker that died
-    between creating its temp file and renaming it into place.  Temp
-    files of {e live} pids (a save in flight right now) are left alone,
-    as is anything whose owner cannot be proven dead ([EPERM]).  Each
-    sweep is recorded as a {!Incident_log.event.Stale_tmp_swept} event
-    when [?incidents] is given; returns the number removed.  A missing
-    or unreadable [dir] sweeps nothing. *)

@@ -51,9 +51,9 @@ let assign ~dir ~fingerprint ~shard ~lo ~hi =
 let reconcile ~dir ~fingerprint ?incidents ?(committed = fun _ -> true)
     ranges =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  (* takeover hygiene: SIGKILLed writers may have left pid-unique lease
-     temp files behind *)
-  ignore (Lease.sweep_stale ~dir ?incidents ());
+  (* takeover hygiene: SIGKILLed writers may have left temp files
+     behind *)
+  ignore (Durable.sweep_tmps ?incidents dir);
   List.filter
     (fun s ->
       let lo, hi = ranges.(s) in

@@ -35,9 +35,10 @@ val reconcile :
   int list
 (** [reconcile ~dir ~fingerprint ranges] takes over [dir] (created if
     missing) for the plan where shard [s] covers [ranges.(s)]: it sweeps
-    dead writers' lease temp files, keeps every shard whose lease is
-    [Done] over the same range and [committed] (default: always), resets
-    every other lease to [Pending], and returns those shards in order. *)
+    dead writers' temp files from [dir] ({!Durable.sweep_tmps}), keeps
+    every shard whose lease is [Done] over the same range and [committed]
+    (default: always), resets every other lease to [Pending], and returns
+    those shards in order. *)
 
 type config = {
   dir : string;

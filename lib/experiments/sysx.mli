@@ -10,10 +10,11 @@
     expect ([ECHILD] after a race to reap, [ESRCH] after a race to
     kill) and nothing else.
 
-    All durable artifacts (checkpoints, leases, the incident log) and
-    the service wire reach the kernel exclusively through these
-    wrappers, which makes them the single interposition point for the
-    {!Faulty} layer: a seeded, deterministic fault plan can shorten
+    All durable artifacts (checkpoints, leases and the cartography
+    files, through {!Durable}; the incident log) and the service wire
+    reach the kernel exclusively through these wrappers — their loads as
+    well as their writes — which makes them the single interposition
+    point for the {!Faulty} layer: a seeded, deterministic fault plan can shorten
     reads and writes, storm [EINTR], raise [EIO]/[ENOSPC]/[EMFILE] at
     the k-th syscall, tear a write mid-record, or kill the process
     immediately before or after a rename.  When disarmed (the default)

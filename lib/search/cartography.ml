@@ -1,6 +1,6 @@
 module Lease = Ncg_experiments.Lease
 module Supervisor = Ncg_experiments.Supervisor
-module Checkpoint = Ncg_experiments.Checkpoint
+module Durable = Ncg_experiments.Durable
 module Incident_log = Ncg_experiments.Incident_log
 module Sysx = Ncg_experiments.Sysx
 module Runner = Ncg_experiments.Runner
@@ -87,102 +87,16 @@ let magic_ledger = "# ncg-carto-ledger v1"
 let magic_frontier = "# ncg-carto-frontier v1"
 let magic_chunk = "# ncg-carto-chunk v1"
 
-(* Same discipline as Checkpoint.write_atomically, but with a pid-unique
-   temp name: chunk files are written by worker processes sharing the
-   directory, and a respawned worker must never collide with the temp
-   file of the corpse it replaces.  Cleanup uses raw Unix calls so
-   injected faults cannot cascade into the cleanup path. *)
-let write_file_atomically path content =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let fd =
-    Sysx.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  (try
-     Sysx.write_all fd (Bytes.of_string content);
-     Sysx.fsync fd;
-     Sysx.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  (try Sysx.rename tmp path
-   with e ->
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  Sysx.fsync_dir (Filename.dirname path)
-
-let read_file path =
-  let fd = Sysx.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> try Sysx.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 65536 in
-      let rec loop () =
-        let r = Sysx.read fd chunk 0 (Bytes.length chunk) in
-        if r > 0 then begin
-          Buffer.add_subbytes buf chunk 0 r;
-          loop ()
-        end
-      in
-      loop ();
-      Buffer.contents buf)
-
-(* [name.<pid>.tmp] droppings of SIGKILLed writers of OUR atomic files.
-   Lease temps follow the same convention but are swept by
-   Lease.sweep_stale (which also knows lease semantics), so skip them. *)
-let sweep_own_tmps ?incidents dir =
-  let pid_of name =
-    if not (Filename.check_suffix name ".tmp") then None
-    else
-      let base = Filename.chop_suffix name ".tmp" in
-      match String.rindex_opt base '.' with
-      | None -> None
-      | Some i -> (
-          (* shard-0000.lease.<pid>.tmp belongs to the Lease sweeper *)
-          if Filename.check_suffix (String.sub base 0 i) ".lease" then None
-          else
-            match
-              int_of_string_opt (String.sub base (i + 1) (String.length base - i - 1))
-            with
-            | Some pid when pid > 0 -> Some pid
-            | _ -> None)
-  in
-  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.iter
-    (fun name ->
-      match pid_of name with
-      | None -> ()
-      | Some pid -> (
-          let dead =
-            match Unix.kill pid 0 with
-            | () -> false
-            | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-            | exception Unix.Unix_error _ -> false
-          in
-          if dead then
-            let path = Filename.concat dir name in
-            match Sysx.unlink path with
-            | () -> (
-                match incidents with
-                | None -> ()
-                | Some log ->
-                    Incident_log.record log
-                      (Incident_log.Stale_tmp_swept { path; owner = Some pid }))
-            | exception Unix.Unix_error _ -> ()))
-    entries
+(* An empty file reads as an empty header, which each loader below
+   judges like any other damaged header. *)
+let read_file path = Option.value (Durable.read path) ~default:("", [])
 
 let meta_path dir = Filename.concat dir "carto.meta"
 
 let check_meta ~dir ~fingerprint:fp =
   let path = meta_path dir in
   if Sys.file_exists path then begin
-    let line =
-      match String.split_on_char '\n' (read_file path) with
-      | l :: _ -> l
-      | [] -> ""
-    in
-    match String.split_on_char '\t' line with
+    match String.split_on_char '\t' (fst (read_file path)) with
     | [ magic; fp' ] when magic = magic_meta ->
         if fp' <> fp then
           failwith
@@ -190,7 +104,7 @@ let check_meta ~dir ~fingerprint:fp =
                "cartography: directory belongs to %S, not %S" fp' fp)
     | _ -> failwith "cartography: not a cartography run directory"
   end
-  else write_file_atomically path (Printf.sprintf "%s\t%s\n" magic_meta fp)
+  else Durable.replace path (Printf.sprintf "%s\t%s\n" magic_meta fp)
 
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)
@@ -204,8 +118,7 @@ module Ledger = struct
 
   let header fp = Printf.sprintf "%s\t%s\n" magic_ledger fp
 
-  let encode_record (wave, key) =
-    Checkpoint.frame (Printf.sprintf "%d\t%s" wave key)
+  let encode_record (wave, key) = Printf.sprintf "%d\t%s" wave key
 
   let append ~dir ~fingerprint:fp ~part records =
     if records <> [] then begin
@@ -217,16 +130,12 @@ module Ledger = struct
       Fun.protect
         ~finally:(fun () -> try Sysx.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          let buf = Buffer.create 256 in
-          if fresh then Buffer.add_string buf (header fp);
-          List.iter
-            (fun r ->
-              Buffer.add_string buf (encode_record r);
-              Buffer.add_char buf '\n')
-            records;
           (* One write: a crash tears at most the batch's suffix, never an
              earlier record — the contiguous-prefix invariant. *)
-          Sysx.write_all fd (Buffer.to_bytes buf);
+          Durable.append_framed
+            ?header:(if fresh then Some (header fp) else None)
+            fd
+            (List.map encode_record records);
           Sysx.fsync fd)
     end
 
@@ -245,37 +154,34 @@ module Ledger = struct
     let p = path ~dir ~part in
     if not (Sys.file_exists p) then Ok { entries = []; torn_tail = false }
     else
-      match String.split_on_char '\n' (read_file p) with
-      | [] -> Ok { entries = []; torn_tail = false }
-      | hdr :: lines -> (
-          match String.split_on_char '\t' hdr with
-          | [ magic; fp' ] when magic = magic_ledger && fp' = fp ->
-              let rec scan acc = function
-                | [] | [ "" ] -> Ok { entries = List.rev acc; torn_tail = false }
-                | line :: rest -> (
-                    match Checkpoint.unframe line with
-                    | Ok payload -> (
-                        match parse_record payload with
-                        | Some r -> scan (r :: acc) rest
-                        | None ->
-                            if rest = [] || rest = [ "" ] then
-                              Ok { entries = List.rev acc; torn_tail = true }
-                            else Error "unparsable record mid-file")
-                    | Error why ->
-                        if rest = [] || rest = [ "" ] then
+      let hdr, lines = read_file p in
+      match String.split_on_char '\t' hdr with
+      | [ magic; fp' ] when magic = magic_ledger && fp' = fp ->
+          let rec scan acc = function
+            | [] -> Ok { entries = List.rev acc; torn_tail = false }
+            | (_, line) :: rest -> (
+                match Durable.unframe line with
+                | Ok payload -> (
+                    match parse_record payload with
+                    | Some r -> scan (r :: acc) rest
+                    | None ->
+                        if rest = [] then
                           Ok { entries = List.rev acc; torn_tail = true }
-                        else Error (Printf.sprintf "corrupt record mid-file: %s" why))
-              in
-              scan [] lines
-          | [ magic; _ ] when magic = magic_ledger ->
-              Error "foreign fingerprint"
-          | _ ->
-              (* A torn first write of a fresh partition can tear the
-                 header itself; with no complete record in the file this
-                 is the crash artifact, not damage. *)
-              if String.length hdr >= String.length magic_ledger then
-                Error "not a ledger file"
-              else Ok { entries = []; torn_tail = true })
+                        else Error "unparsable record mid-file")
+                | Error why ->
+                    if rest = [] then
+                      Ok { entries = List.rev acc; torn_tail = true }
+                    else Error (Printf.sprintf "corrupt record mid-file: %s" why))
+          in
+          scan [] lines
+      | [ magic; _ ] when magic = magic_ledger -> Error "foreign fingerprint"
+      | _ ->
+          (* A torn first write of a fresh partition can tear the header
+             itself; with no complete record in the file this is the
+             crash artifact, not damage. *)
+          if String.length hdr >= String.length magic_ledger then
+            Error "not a ledger file"
+          else Ok { entries = []; torn_tail = true }
 
   let load_all ~dir ~fingerprint:fp =
     let seen = Hashtbl.create 4096 in
@@ -301,16 +207,9 @@ module Ledger = struct
           let keep = List.filter (fun (wave, _) -> wave <= max_wave) entries in
           let nkeep = List.length keep and nall = List.length entries in
           dropped := !dropped + (nall - nkeep);
-          if nkeep < nall || torn_tail then begin
-            let buf = Buffer.create 4096 in
-            Buffer.add_string buf (header fp);
-            List.iter
-              (fun r ->
-                Buffer.add_string buf (encode_record r);
-                Buffer.add_char buf '\n')
-              keep;
-            write_file_atomically (path ~dir ~part) (Buffer.contents buf)
-          end
+          if nkeep < nall || torn_tail then
+            Durable.replace (path ~dir ~part)
+              (Durable.framed ~header:(header fp) (List.map encode_record keep))
     done;
     !dropped
 end
@@ -322,17 +221,13 @@ end
 let frontier_path dir wave = Filename.concat dir (Printf.sprintf "frontier-%04d.fr" wave)
 
 let write_frontier ~dir ~fingerprint:fp ~wave ~truncated states =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s\t%s\twave=%d\tcount=%d\ttrunc=%d\n" magic_frontier fp
-       wave (List.length states)
-       (if truncated then 1 else 0));
-  List.iter
-    (fun (key, enc) ->
-      Buffer.add_string buf (Checkpoint.frame (Printf.sprintf "%s\t%s" key enc));
-      Buffer.add_char buf '\n')
-    states;
-  write_file_atomically (frontier_path dir wave) (Buffer.contents buf)
+  Durable.replace (frontier_path dir wave)
+    (Durable.framed
+       ~header:
+         (Printf.sprintf "%s\t%s\twave=%d\tcount=%d\ttrunc=%d\n"
+            magic_frontier fp wave (List.length states)
+            (if truncated then 1 else 0))
+       (List.map (fun (key, enc) -> Printf.sprintf "%s\t%s" key enc) states))
 
 (* Frontier files are written atomically, so unlike the ledger nothing
    short of storage damage can leave one torn: every parse failure is an
@@ -341,50 +236,48 @@ let load_frontier ~dir ~fingerprint:fp ~wave =
   let p = frontier_path dir wave in
   if not (Sys.file_exists p) then Ok None
   else
-    match String.split_on_char '\n' (read_file p) with
-    | [] -> Error "empty frontier file"
-    | hdr :: lines -> (
-        match String.split_on_char '\t' hdr with
-        | [ magic; fp'; wave_f; count_f; trunc_f ]
-          when magic = magic_frontier && fp' = fp
-               && wave_f = Printf.sprintf "wave=%d" wave -> (
-            let count =
-              match String.split_on_char '=' count_f with
-              | [ "count"; n ] -> int_of_string_opt n
-              | _ -> None
+    let hdr, lines = read_file p in
+    match String.split_on_char '\t' hdr with
+    | [ magic; fp'; wave_f; count_f; trunc_f ]
+      when magic = magic_frontier && fp' = fp
+           && wave_f = Printf.sprintf "wave=%d" wave -> (
+        let count =
+          match String.split_on_char '=' count_f with
+          | [ "count"; n ] -> int_of_string_opt n
+          | _ -> None
+        in
+        let trunc =
+          match trunc_f with
+          | "trunc=0" -> Some false
+          | "trunc=1" -> Some true
+          | _ -> None
+        in
+        match (count, trunc) with
+        | Some count, Some trunc -> (
+            let rec scan acc = function
+              | [] -> Ok (List.rev acc)
+              | (_, line) :: rest -> (
+                  match Durable.unframe line with
+                  | Error why -> Error ("corrupt frontier record: " ^ why)
+                  | Ok payload -> (
+                      match String.index_opt payload '\t' with
+                      | None -> Error "frontier record without encoding"
+                      | Some i ->
+                          scan
+                            (( String.sub payload 0 i,
+                               String.sub payload (i + 1)
+                                 (String.length payload - i - 1) )
+                            :: acc)
+                            rest))
             in
-            let trunc =
-              match trunc_f with
-              | "trunc=0" -> Some false
-              | "trunc=1" -> Some true
-              | _ -> None
-            in
-            match (count, trunc) with
-            | Some count, Some trunc -> (
-                let rec scan acc = function
-                  | [] | [ "" ] -> Ok (List.rev acc)
-                  | line :: rest -> (
-                      match Checkpoint.unframe line with
-                      | Error why -> Error ("corrupt frontier record: " ^ why)
-                      | Ok payload -> (
-                          match String.index_opt payload '\t' with
-                          | None -> Error "frontier record without encoding"
-                          | Some i ->
-                              scan
-                                (( String.sub payload 0 i,
-                                   String.sub payload (i + 1)
-                                     (String.length payload - i - 1) )
-                                :: acc)
-                                rest))
-                in
-                match scan [] lines with
-                | Error _ as e -> e
-                | Ok states ->
-                    if List.length states <> count then
-                      Error "frontier count mismatch"
-                    else Ok (Some (states, trunc)))
-            | _ -> Error "bad frontier header fields")
-        | _ -> Error "foreign or damaged frontier header")
+            match scan [] lines with
+            | Error _ as e -> e
+            | Ok states ->
+                if List.length states <> count then
+                  Error "frontier count mismatch"
+                else Ok (Some (states, trunc)))
+        | _ -> Error "bad frontier header fields")
+    | _ -> Error "foreign or damaged frontier header"
 
 (* ------------------------------------------------------------------ *)
 (* Chunk (arc) files                                                   *)
@@ -401,28 +294,23 @@ let wave_dir dir wave = Filename.concat dir (Printf.sprintf "wave-%04d" wave)
 let chunk_path wdir chunk = Filename.concat wdir (Printf.sprintf "chunk-%04d.arcs" chunk)
 
 let write_chunk ~wdir ~fingerprint:fp ~wave ~chunk ~lo ~hi expansions =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s\t%s\twave=%d\tchunk=%d\tlo=%d\thi=%d\n" magic_chunk fp
-       wave chunk lo hi);
-  let nx = ref 0 and na = ref 0 in
-  List.iter
-    (fun e ->
-      incr nx;
-      Buffer.add_string buf
-        (Checkpoint.frame (Printf.sprintf "x\t%s\t%d" e.src e.nsucc));
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun (succ, enc) ->
-          incr na;
-          Buffer.add_string buf
-            (Checkpoint.frame (Printf.sprintf "a\t%s\t%s\t%s" e.src succ enc));
-          Buffer.add_char buf '\n')
-        e.arcs)
-    expansions;
-  Buffer.add_string buf (Checkpoint.frame (Printf.sprintf "end\t%d\t%d" !nx !na));
-  Buffer.add_char buf '\n';
-  write_file_atomically (chunk_path wdir chunk) (Buffer.contents buf)
+  let records =
+    List.concat_map
+      (fun e ->
+        Printf.sprintf "x\t%s\t%d" e.src e.nsucc
+        :: List.map
+             (fun (succ, enc) -> Printf.sprintf "a\t%s\t%s\t%s" e.src succ enc)
+             e.arcs)
+      expansions
+  in
+  let nx = List.length expansions in
+  Durable.replace (chunk_path wdir chunk)
+    (Durable.framed
+       ~header:
+         (Printf.sprintf "%s\t%s\twave=%d\tchunk=%d\tlo=%d\thi=%d\n"
+            magic_chunk fp wave chunk lo hi)
+       (records
+       @ [ Printf.sprintf "end\t%d\t%d" nx (List.length records - nx) ]))
 
 (* Chunk files are written atomically; any inconsistency means the file
    is not a committed chunk (stale plan, foreign run, storage damage) and
@@ -430,39 +318,36 @@ let write_chunk ~wdir ~fingerprint:fp ~wave ~chunk ~lo ~hi expansions =
 let load_chunk ~fingerprint:fp ~wave path =
   if not (Sys.file_exists path) then None
   else
-    match String.split_on_char '\n' (read_file path) with
-    | [] -> None
-    | hdr :: lines -> (
-        match String.split_on_char '\t' hdr with
-        | magic :: fp' :: wave_f :: _
-          when magic = magic_chunk && fp' = fp
-               && wave_f = Printf.sprintf "wave=%d" wave -> (
-            let rec scan xs arcs saw_end = function
-              | [] | [ "" ] ->
-                  if saw_end then Some (List.rev xs, List.rev arcs) else None
-              | _ when saw_end -> None (* records after the end marker *)
-              | line :: rest -> (
-                  match Checkpoint.unframe line with
-                  | Error _ -> None
-                  | Ok payload -> (
-                      match String.split_on_char '\t' payload with
-                      | [ "x"; src; nsucc ] -> (
-                          match int_of_string_opt nsucc with
-                          | Some n when n >= 0 ->
-                              scan ((src, n) :: xs) arcs false rest
-                          | _ -> None)
-                      | [ "a"; src; succ; enc ] ->
-                          scan xs ((src, succ, enc) :: arcs) false rest
-                      | [ "end"; nx; na ] ->
-                          if
-                            int_of_string_opt nx = Some (List.length xs)
-                            && int_of_string_opt na = Some (List.length arcs)
-                          then scan xs arcs true rest
-                          else None
-                      | _ -> None))
-            in
-            scan [] [] false lines)
-        | _ -> None)
+    let hdr, lines = read_file path in
+    match String.split_on_char '\t' hdr with
+    | magic :: fp' :: wave_f :: _
+      when magic = magic_chunk && fp' = fp
+           && wave_f = Printf.sprintf "wave=%d" wave -> (
+        let rec scan xs arcs saw_end = function
+          | [] -> if saw_end then Some (List.rev xs, List.rev arcs) else None
+          | _ when saw_end -> None (* records after the end marker *)
+          | (_, line) :: rest -> (
+              match Durable.unframe line with
+              | Error _ -> None
+              | Ok payload -> (
+                  match String.split_on_char '\t' payload with
+                  | [ "x"; src; nsucc ] -> (
+                      match int_of_string_opt nsucc with
+                      | Some n when n >= 0 ->
+                          scan ((src, n) :: xs) arcs false rest
+                      | _ -> None)
+                  | [ "a"; src; succ; enc ] ->
+                      scan xs ((src, succ, enc) :: arcs) false rest
+                  | [ "end"; nx; na ] ->
+                      if
+                        int_of_string_opt nx = Some (List.length xs)
+                        && int_of_string_opt na = Some (List.length arcs)
+                      then scan xs arcs true rest
+                      else None
+                  | _ -> None))
+        in
+        scan [] [] false lines)
+    | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Worker                                                              *)
@@ -637,7 +522,6 @@ let merge_wave ~dir ~fingerprint:fp ~wave frontier =
 let run_wave cfg spec ~wave ~count =
   let fp = fingerprint spec in
   let wdir = wave_dir cfg.dir wave in
-  sweep_own_tmps ?incidents:cfg.incidents wdir;
   let lfp = lease_fingerprint spec wave in
   let ranges = chunk_plan ~count ~chunk_size:cfg.chunk_size in
   let committed s =
@@ -743,14 +627,14 @@ let tarjan ~n adj =
 (* The full run                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let crc_chain acc s = Checkpoint.crc32 (Printf.sprintf "%08x|%s" acc s)
+let crc_chain acc s = Durable.crc32 (Printf.sprintf "%08x|%s" acc s)
 
 let run cfg spec =
   if cfg.chunk_size < 1 then invalid_arg "Cartography.run: chunk_size < 1";
   let fp = fingerprint spec in
   ensure_dir cfg.dir;
   check_meta ~dir:cfg.dir ~fingerprint:fp;
-  sweep_own_tmps ?incidents:cfg.incidents cfg.dir;
+  ignore (Durable.sweep_tmps ?incidents:cfg.incidents cfg.dir);
   (* --- recovery: find the committed prefix --------------------------- *)
   let max_frontier =
     let rec scan k =
@@ -946,7 +830,7 @@ let run cfg spec =
   in
   let has_cycle = largest_scc >= 2 || !self_loop in
   let stable = List.sort compare !stable in
-  let fpr = ref (Checkpoint.crc32 fp) in
+  let fpr = ref (Durable.crc32 fp) in
   Array.iter (fun key -> fpr := crc_chain !fpr key) keys_in_order;
   fpr := crc_chain !fpr "stable";
   List.iter (fun (key, _) -> fpr := crc_chain !fpr key) stable;

@@ -31,7 +31,15 @@
     successor enumeration of {!Statespace.successor_moves} on a decoded
     state), so a reassigned or replayed chunk rewrites byte-identical arc
     files and re-derives byte-identical ledger entries — replays are
-    harmless by construction, not by locking. *)
+    harmless by construction, not by locking.
+
+    Every artifact goes through {!Ncg_experiments.Durable} (DESIGN.md
+    §15): the meta, frontier and chunk files and ledger rollbacks are
+    {!Ncg_experiments.Durable.replace}d, ledger batches are
+    {!Ncg_experiments.Durable.append_framed}, every file is read by
+    {!Ncg_experiments.Durable.read}, and dead writers' temps are swept
+    from the run directory at start and from each wave directory when
+    its chunks are reconciled. *)
 
 (** How successor states are deduplicated. *)
 type key_mode =
@@ -87,9 +95,10 @@ module Ledger : sig
   val append :
     dir:string -> fingerprint:string -> part:int -> (int * string) list -> unit
   (** Appends [(wave, key)] records to one partition as a single
-      [write(2)] of CRC-framed lines followed by [fsync] — a crash tears
-      at most a suffix of the batch, never an earlier record.  Creates
-      the partition (with its header) on first use. *)
+      {!Ncg_experiments.Durable.append_framed} [write(2)] followed by
+      [fsync] — a crash tears at most a suffix of the batch, never an
+      earlier record.  Creates the partition (with its header, in the
+      same write) on first use. *)
 
   type load = {
     entries : (int * string) list;  (** valid records, file order *)

@@ -144,6 +144,14 @@ let run_job (job : Proto.job) ~budget =
   let model =
     Model.make ~alpha:job.Proto.alpha ~host job.Proto.game job.Proto.dist n
   in
+  (* Runner's seeding contract, so service trials match a local Runner
+     batch on the same parameters *)
+  let runner =
+    Runner.spec model (fun rng ->
+        match host_graph with
+        | None -> Gen.random_connected rng n job.Proto.edge_prob
+        | Some h -> Gen.random_host_network rng h job.Proto.edge_prob)
+  in
   let start = Clock.monotonic () in
   let remaining () =
     Option.map (fun b -> b -. (Clock.monotonic () -. start)) budget
@@ -163,14 +171,10 @@ let run_job (job : Proto.job) ~budget =
            deadline_hit := true;
            raise Exit
        | _ -> ());
-       (* the Runner derivation — (seed, trial, n) — so service trials
-          match a local Runner batch on the same parameters *)
-       let rng = Random.State.make [| job.Proto.seed; trial; n |] in
-       let g =
-         match host_graph with
-         | None -> Gen.random_connected rng n job.Proto.edge_prob
-         | Some h -> Gen.random_host_network rng h job.Proto.edge_prob
+       let rng =
+         Runner.trial_rng runner ~seed:job.Proto.seed ~trial ~attempt:0
        in
+       let g = runner.Runner.generate rng in
        let cfg =
          Engine.config ~policy:job.Proto.policy ~tie_break:job.Proto.tie_break
            ~detect_cycles:true ~record_history:false
@@ -959,8 +963,8 @@ let serve cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   mkdir_p cfg.lease_dir;
   (* previous daemon generations' SIGKILLed workers may have left
-     pid-unique lease temp files behind *)
-  ignore (Lease.sweep_stale ~dir:cfg.lease_dir ?incidents:cfg.incidents ());
+     lease temp files behind *)
+  ignore (Durable.sweep_tmps ?incidents:cfg.incidents cfg.lease_dir);
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   mkdir_p (Filename.dirname cfg.socket_path);
   let t =

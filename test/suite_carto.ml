@@ -497,6 +497,101 @@ let test_supervise_aborts_hopeless_chunk () =
         | exception Failure m -> Astring_like.contains m "attempts"
         | _ -> false))
 
+(* ------------------------------------------------------------------ *)
+(* Pinned artifacts and the temp sweep                                 *)
+(* ------------------------------------------------------------------ *)
+
+let rec files_under root rel =
+  let p = if rel = "" then root else Filename.concat root rel in
+  if Sys.is_directory p then
+    Sys.readdir p |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun name ->
+           files_under root (if rel = "" then name else Filename.concat rel name))
+  else [ rel ]
+
+(* Every artifact of the in-process Fig. 2 run, byte for byte, as the
+   format stood before it moved onto the shared durable-file layer.
+   Leases are left out: they record pids and monotonic heartbeats. *)
+let test_fig2_artifacts_pinned () =
+  with_temp_dir (fun dir ->
+      let r = C.run (in_process_config ~dir) (fig2_spec ()) in
+      check_str "region fingerprint" "f70aa211-6" r.C.region_fingerprint;
+      let digests =
+        files_under dir ""
+        |> List.filter (fun rel -> not (Filename.check_suffix rel ".lease"))
+        |> List.map (fun rel ->
+               (rel, Digest.to_hex (Digest.file (Filename.concat dir rel))))
+      in
+      Alcotest.(check (list (pair string string)))
+        "artifact digests"
+        [
+          ("carto.meta", "4fd960ff5b1ae4a126156cb57408c3fa");
+          ("frontier-0000.fr", "ea50b2423873f9d85977e4258c2977ed");
+          ("frontier-0001.fr", "4f9802612ce63e71c7422539d7581562");
+          ("frontier-0002.fr", "e5107e5c04742561aaf15c49633cf92d");
+          ("frontier-0003.fr", "73612dfb86c3cf963894000bfe459e6f");
+          ("frontier-0004.fr", "b900179c9103f04e2237b46073ec7a78");
+          ("ledger-01.led", "b7ab698aacd258584ec9b6e0a8c8cd73");
+          ("ledger-04.led", "38c869ff7084310cec8b514dee2e719a");
+          ("ledger-05.led", "c44d432abc7c12c726188b7faeffd560");
+          ("ledger-07.led", "e4e2a14f47fc9bc22daf049f41b0e118");
+          ("wave-0000/chunk-0000.arcs", "a3fc29e03e731e3959a9bef37e1ec3f5");
+          ("wave-0001/chunk-0000.arcs", "111a6d5ab3cc7ebce7735db5bb285412");
+          ("wave-0002/chunk-0000.arcs", "614fa8d0f6775a997a867a41d951444b");
+          ("wave-0003/chunk-0000.arcs", "eb5d43f63be625baa8d8cbc5d8998b76");
+        ]
+        digests)
+
+(* A run sweeps the temps of dead writers from the run directory and
+   from every wave directory it takes over, and leaves a live writer's
+   temp alone. *)
+let test_run_sweeps_dead_temps () =
+  with_temp_dir (fun dir ->
+      let dead =
+        let pid = run_child [ "crash" ] in
+        ignore (Unix.waitpid [] pid);
+        pid
+      in
+      let wdir = Filename.concat dir "wave-0000" in
+      Unix.mkdir wdir 0o755;
+      let tmp d name pid =
+        Filename.concat d (Printf.sprintf "%s.%d.tmp" name pid)
+      in
+      let dead_frontier = tmp dir "frontier-0001.fr" dead in
+      let dead_chunk = tmp wdir "chunk-0000.arcs" dead in
+      (* our parent outlives us, and no run writes this name *)
+      let live = tmp wdir "chunk-0000.arcs" (Unix.getppid ()) in
+      List.iter
+        (fun p -> Out_channel.with_open_bin p (fun oc -> output_string oc "junk"))
+        [ dead_frontier; dead_chunk; live ];
+      let ilog_path = Filename.concat dir "incidents.jsonl" in
+      let log = Incident_log.open_ ilog_path in
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Incident_log.close log)
+          (fun () ->
+            C.run { (in_process_config ~dir) with C.incidents = Some log }
+              (fig2_spec ()))
+      in
+      check "a fresh run, not a resume" false r.C.resumed;
+      check "dead frontier temp removed" false (Sys.file_exists dead_frontier);
+      check "dead chunk temp removed" false (Sys.file_exists dead_chunk);
+      check "live writer's temp kept" true (Sys.file_exists live);
+      let swept =
+        In_channel.with_open_bin ilog_path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> Astring_like.contains l "stale_tmp_swept")
+      in
+      Alcotest.(check (list string))
+        "one typed incident per dead temp"
+        (List.sort compare
+           (List.map
+              (fun path ->
+                Incident_log.json_of_event
+                  (Incident_log.Stale_tmp_swept { path; owner = dead }))
+              [ dead_frontier; dead_chunk ]))
+        (List.sort compare swept))
+
 let suite =
   ( "carto",
     [
@@ -527,4 +622,8 @@ let suite =
         test_supervise_subprocess_with_crash;
       Alcotest.test_case "supervise aborts hopeless chunk" `Quick
         test_supervise_aborts_hopeless_chunk;
+      Alcotest.test_case "fig2 artifacts match pinned digests" `Quick
+        test_fig2_artifacts_pinned;
+      Alcotest.test_case "run sweeps dead writers' temps" `Quick
+        test_run_sweeps_dead_temps;
     ] )

@@ -3,7 +3,8 @@
    through it: plan grammar roundtrips, short-write resume, injected
    EINTR storms exercising the retry loops, error propagation, the
    fsync-before-rename ordering of checkpoint and lease saves, stale
-   temp-file sweeps, and a real fork/crash at the rename boundary. *)
+   temp-file sweeps and their scope, a real fork/crash at the rename
+   boundary, and byte-for-byte pins of the framed formats. *)
 open Ncg_core
 open Ncg_experiments
 module Faulty = Sysx.Faulty
@@ -234,15 +235,25 @@ let write_junk path =
   output_string oc "junk from a dead writer";
   close_out oc
 
+let dead_pid () =
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; child_flag; "exit0" |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  ignore (Sysx.waitpid [] pid);
+  pid
+
 let test_checkpoint_tmp_sweep () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "state.ck" in
-      write_junk (path ^ ".tmp");
+      let tmp = Printf.sprintf "%s.%d.tmp" path (dead_pid ()) in
+      write_junk tmp;
       let ilog = Incident_log.open_ (Filename.concat dir "inc.jsonl") in
       let cp = Checkpoint.open_ ~incidents:ilog ~fingerprint path in
       Checkpoint.close cp;
       Incident_log.close ilog;
-      check "tmp swept on open" false (Sys.file_exists (path ^ ".tmp"));
+      check "tmp swept on open" false (Sys.file_exists tmp);
       let body = read_file (Filename.concat dir "inc.jsonl") in
       check "typed incident recorded" true
         (let has s sub =
@@ -253,15 +264,6 @@ let test_checkpoint_tmp_sweep () =
            go 0
          in
          has body "stale_tmp_swept"))
-
-let dead_pid () =
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; child_flag; "exit0" |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  ignore (Sysx.waitpid [] pid);
-  pid
 
 let test_lease_sweep_dead_only () =
   with_temp_dir (fun dir ->
@@ -275,7 +277,7 @@ let test_lease_sweep_dead_only () =
       let unrelated = Filename.concat dir "state.ck.tmp" in
       List.iter write_junk [ stale; live; unrelated ];
       let ilog = Incident_log.open_ (Filename.concat dir "inc.jsonl") in
-      let swept = Lease.sweep_stale ~dir ~incidents:ilog () in
+      let swept = Durable.sweep_tmps ~incidents:ilog dir in
       Incident_log.close ilog;
       check_int "exactly the dead writer's tmp" 1 swept;
       check "dead-pid tmp removed" false (Sys.file_exists stale);
@@ -291,22 +293,110 @@ let test_crash_before_rename () =
       let path = Filename.concat dir "state.ck" in
       let old_records = [ (("k", 0), outcome 7) ] in
       Checkpoint.write_atomically path fingerprint old_records;
-      (match spawn_child [ "crash-writer"; path ] with
-      | _, Unix.WEXITED 70 -> ()
-      | _, st ->
-          Alcotest.failf "child did not die at the faulted rename: %s"
-            (match st with
-            | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-            | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-            | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s));
-      check "unrenamed tmp left behind" true (Sys.file_exists (path ^ ".tmp"));
+      let tmp =
+        match spawn_child [ "crash-writer"; path ] with
+        | child, Unix.WEXITED 70 -> Printf.sprintf "%s.%d.tmp" path child
+        | _, st ->
+            Alcotest.failf "child did not die at the faulted rename: %s"
+              (match st with
+              | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+              | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+              | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s)
+      in
+      check "unrenamed tmp left behind" true (Sys.file_exists tmp);
       let cp = Checkpoint.open_ ~resume:true ~fingerprint path in
       check_int "old record set intact" 1 (Checkpoint.loaded cp);
       check "no corruption reported" true
         ((Checkpoint.load_report cp).Checkpoint.corrupted = []);
-      check "recovery open swept the tmp" false
-        (Sys.file_exists (path ^ ".tmp"));
+      check "recovery open swept the tmp" false (Sys.file_exists tmp);
       Checkpoint.close cp)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned formats and sweep scope                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Byte-for-byte pins of the three framed formats, captured before they
+   moved onto the shared durable-file layer: a checkpoint (atomic header
+   write plus an appended record), a lease, and a fresh ledger
+   partition's first batch. *)
+let test_golden_bytes () =
+  with_temp_dir (fun dir ->
+      let key = "k=2|n=9" in
+      let path = Filename.concat dir "state.ck" in
+      Checkpoint.write_atomically path fingerprint
+        [
+          ((key, 0), outcome 17);
+          ( (key, 1),
+            Stats.of_verdict ~attempts:2 ~degraded:true
+              (Stats.Finished
+                 {
+                   reason =
+                     Engine.Cycle_detected { first_visit = 3; period = 4 };
+                   steps = 12;
+                 }) );
+        ];
+      let cp = Checkpoint.open_ ~resume:true ~fingerprint path in
+      Checkpoint.record cp ~key ~trial:2
+        (Stats.of_verdict ~attempts:3 ~quarantined:true
+           (Stats.Crashed { exn = "Failure(\"boom\")"; backtrace = "a\tb\nc" }));
+      Checkpoint.close cp;
+      check_str "checkpoint bytes"
+        "# ncg-checkpoint v2\tfaulty-suite fp=1\n\
+         97944967\t21\tk=2|n=9\t0\tok\t17\t1\t0\t0\n\
+         8d805c38\t28\tk=2|n=9\t1\tcycle\t12\t3\t4\t2\t1\t0\n\
+         f152790c\t47\tk=2|n=9\t2\terror\tFailure(\\\"boom\\\")\ta\\tb\\nc\t3\t0\t1\n"
+        (read_file path);
+      Lease.save ~dir ~fingerprint
+        {
+          Lease.shard = 1;
+          lo = 0;
+          hi = 4;
+          status = Lease.Running;
+          owner = 4242;
+          heartbeat = 5.0;
+          attempts = 1;
+        };
+      check_str "lease bytes"
+        "# ncg-lease v1\tfaulty-suite fp=1\n\
+         7c835572\t29\t1\t0\t4\trunning\t4242\t5.000000\t1\n"
+        (read_file (Lease.path ~dir ~shard:1));
+      let module Ledger = Ncg_search.Cartography.Ledger in
+      Ledger.append ~dir ~fingerprint ~part:3 [ (0, "5;0,1"); (1, "5;1,2") ];
+      check_str "ledger bytes"
+        "# ncg-carto-ledger v1\tfaulty-suite fp=1\n\
+         106fedb6\t7\t0\t5;0,1\n\
+         2ed3dd8f\t7\t1\t5;1,2\n"
+        (read_file (Ledger.path ~dir ~part:3));
+      check "no temp left behind" true
+        (Array.for_all
+           (fun name -> not (Filename.check_suffix name ".tmp"))
+           (Sys.readdir dir)))
+
+(* A checkpoint may live in a shared directory (the user's cwd), so its
+   open sweeps its own dead writers' temps and nothing else. *)
+let test_checkpoint_sweep_scope () =
+  with_temp_dir (fun dir ->
+      let dead = dead_pid () in
+      let tmp name = Filename.concat dir (Printf.sprintf "%s.%d.tmp" name dead) in
+      let own = tmp "state.ck" and sibling = tmp "other.ck" in
+      let unrelated = tmp "notes" in
+      List.iter write_junk [ own; sibling; unrelated ];
+      let ilog_path = Filename.concat dir "inc.jsonl" in
+      let ilog = Incident_log.open_ ilog_path in
+      let cp =
+        Checkpoint.open_ ~incidents:ilog ~fingerprint
+          (Filename.concat dir "state.ck")
+      in
+      Checkpoint.close cp;
+      Incident_log.close ilog;
+      check "own dead temp removed" false (Sys.file_exists own);
+      check "another checkpoint's temp kept" true (Sys.file_exists sibling);
+      check "unrelated temp kept" true (Sys.file_exists unrelated);
+      check_str "one incident, naming the dead owner"
+        (Incident_log.json_of_event
+           (Incident_log.Stale_tmp_swept { path = own; owner = dead })
+        ^ "\n")
+        (read_file ilog_path))
 
 (* ------------------------------------------------------------------ *)
 (* Signalling                                                          *)
@@ -343,4 +433,8 @@ let suite =
         test_crash_before_rename;
       Alcotest.test_case "Sysx.kill refuses pid <= 0" `Quick
         test_kill_refuses_non_positive_pid;
+      Alcotest.test_case "durable formats match pinned bytes" `Quick
+        test_golden_bytes;
+      Alcotest.test_case "checkpoint sweeps only its own temps" `Quick
+        test_checkpoint_sweep_scope;
     ] )

@@ -90,7 +90,7 @@ let roundtrip () =
   let path = Filename.temp_file "ncg_corrupt" ".ckpt" in
   let _ = fresh_checkpoint path in
   check "no temp residue after atomic header write"
-    (not (Sys.file_exists (path ^ ".tmp")));
+    (not (Sys.file_exists (Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()))));
   let report, recovered = reopen path in
   check "all records load" (List.length recovered = 5);
   check "no corruption reported" (report.Checkpoint.corrupted = []);

@@ -1,7 +1,8 @@
 (* io_torture: the crash-consistency oracle for every durable artifact.
 
    For each artifact (checkpoint rewrite, checkpoint append, lease save,
-   incident log append) the harness first PROBES the artifact's write
+   incident log append, cartography ledger append + chunk-lease save, and
+   the Durable layer itself) the harness first PROBES the artifact's write
    sequence under Sysx.Faulty tracing to enumerate its faultable
    syscalls, then re-runs the sequence once per crash/fault point in a
    fresh subprocess: the child arms a one-rule plan (crash before the
@@ -17,7 +18,12 @@
      never regresses, and a dead writer's temp file is swept with a
      typed incident;
    - incident log: every newline-terminated line is valid JSON, complete
-     records form a prefix, only the final line may be torn.
+     records form a prefix, only the final line may be torn;
+   - cartography: ledger appends recover as a contiguous prefix and the
+     chunk lease's fencing token never regresses;
+   - durable: the shared layer beneath all of them, called directly — a
+     replaced file is old or new with no temp left after the sweep, and
+     appended records are a contiguous prefix with at most a torn tail.
 
    A live-daemon leg drives the wire protocol the same way: frames split
    at arbitrary read boundaries (daemon-side short-read plan, loadgen
@@ -87,8 +93,15 @@ let verify_ckpt_rewrite dir =
         err "recovered %d records: neither the old set nor the new one"
           (List.length got);
       Checkpoint.close cp;
-      if Sys.file_exists (path ^ ".tmp") then
-        err "stale %s.tmp survived recovery open" path);
+      (* the dead writer's [state.ck.<pid>.tmp] *)
+      let tmp_prefix = Filename.basename path ^ "." in
+      Array.iter
+        (fun name ->
+          if
+            String.starts_with ~prefix:tmp_prefix name
+            && Filename.check_suffix name ".tmp"
+          then err "stale %s survived recovery open" name)
+        (Sys.readdir dir));
   !errs
 
 let ckpt_rewrite =
@@ -183,7 +196,7 @@ let verify_lease dir =
           l.Lease.attempts l.Lease.owner;
       if l.Lease.attempts < 2 then err "fencing token regressed");
   let ilog = Incident_log.open_ (ilog_path dir) in
-  let swept = Lease.sweep_stale ~dir ~incidents:ilog () in
+  let swept = Durable.sweep_tmps ~incidents:ilog dir in
   Incident_log.close ilog;
   Array.iter
     (fun name ->
@@ -325,7 +338,7 @@ let verify_carto dir =
       match Carto.Ledger.load_all ~dir ~fingerprint:carto_fp with
       | Error e -> err "ledger still unreadable after rollback: %s" e
       | Ok _ -> ()));
-  ignore (Lease.sweep_stale ~dir:(carto_wdir dir) ());
+  ignore (Durable.sweep_tmps (carto_wdir dir));
   Array.iter
     (fun name ->
       if Filename.check_suffix name ".tmp" then
@@ -351,7 +364,84 @@ let carto_ledger =
     verify = verify_carto;
   }
 
-let scenarios = [ ckpt_rewrite; ckpt_append; lease_save; ilog_append; carto_ledger ]
+(* ---- durable: the shared layer itself ---------------------------- *)
+
+(* Durable.replace and Durable.append_framed driven directly, beneath
+   every artifact above: a replaced file is the old content or the new
+   one, a dead writer's temp is swept, and appended records recover as a
+   contiguous prefix with at most a torn tail. *)
+
+let blob_path dir = Filename.concat dir "blob"
+let log_path dir = Filename.concat dir "records.log"
+let blob_old = "old blob\n"
+let blob_new = "new blob, one line longer\nsecond line\n"
+let log_header = "# io-torture durable log"
+let log_old = [ "r0"; "r1" ]
+let log_new = [ "r2"; "r3"; "r4" ]
+
+let append_log ?header dir records =
+  let fd =
+    Sysx.openfile (log_path dir)
+      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
+      0o644
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sysx.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Durable.append_framed ?header fd records;
+      Sysx.fsync fd)
+
+let verify_durable dir =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
+  let body = read_file (blob_path dir) in
+  if body <> blob_old && body <> blob_new then
+    err "replaced file is neither the old content nor the new";
+  ignore (Durable.sweep_tmps dir);
+  Array.iter
+    (fun name ->
+      if Filename.check_suffix name ".tmp" then
+        err "temp %s survived the sweep" name)
+    (Sys.readdir dir);
+  (match Durable.read (log_path dir) with
+  | None -> err "appended file is empty"
+  | Some (header, lines) -> (
+      if header <> log_header then err "appended file's header damaged";
+      let rec recover acc = function
+        | [] -> Ok (List.rev acc)
+        | (k, line) :: rest -> (
+            match Durable.unframe line with
+            | Ok payload -> recover (payload :: acc) rest
+            | Error _ when rest = [] -> Ok (List.rev acc) (* the torn tail *)
+            | Error why -> Error (Printf.sprintf "line %d: %s" k why))
+      in
+      match recover [] lines with
+      | Error why -> err "corrupt record before the tail (%s)" why
+      | Ok got ->
+          let k = List.length got in
+          if k < List.length log_old then
+            err "durable setup records lost (%d survive)" k;
+          if got <> List.filteri (fun i _ -> i < k) (log_old @ log_new) then
+            err "recovered records are not a prefix of the appends"));
+  !errs
+
+let durable =
+  {
+    name = "durable";
+    setup =
+      (fun dir ->
+        mkdir_p dir;
+        Durable.replace (blob_path dir) blob_old;
+        append_log ~header:(log_header ^ "\n") dir log_old);
+    action =
+      (fun dir ->
+        Durable.replace (blob_path dir) blob_new;
+        append_log dir log_new);
+    verify = verify_durable;
+  }
+
+let scenarios =
+  [ ckpt_rewrite; ckpt_append; lease_save; ilog_append; carto_ledger; durable ]
 
 (* ------------------------------------------------------------------ *)
 (* Child dispatch                                                      *)
@@ -400,7 +490,7 @@ let spec =
   [
     ( "--artifact",
       Arg.Set_string artifact,
-      "A all|ckpt_rewrite|ckpt_append|lease|ilog|carto|daemon" );
+      "A all|ckpt_rewrite|ckpt_append|lease|ilog|carto|durable|daemon" );
     ("--dir", Arg.Set_string base_dir, "DIR scratch directory");
     ("--json", Arg.Set_string json_out, "FILE write the JSON report here");
     ( "--loadgen",
@@ -648,6 +738,7 @@ let () =
   if want "ilog" then run_short_write ilog_append;
   if want "ckpt_append" then run_short_write ckpt_append;
   if want "carto" then run_short_write carto_ledger;
+  if want "durable" then run_short_write durable;
   if want "daemon" then
     if !loadgen <> "" && Sys.file_exists !loadgen then run_daemon_leg ()
     else print_endline "daemon leg skipped (no --loadgen executable)";
