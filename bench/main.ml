@@ -132,7 +132,14 @@ let cor32 scale =
 (* Figures 7, 8, 11, 12, 13, 14                                        *)
 (* ------------------------------------------------------------------ *)
 
-let print_curves ~env_label ~env curves =
+(* One leg per figure of the table: the avg-steps table, the cycle count
+   and the envelope [bound * n + 10] on every run. *)
+let figure name title bound scale =
+  section title;
+  let curves =
+    Figure.sweep ~seed:scale.seed ~ns:scale.ns ~trials:scale.trials
+      (Figure.find name)
+  in
   print_string (Series.to_table ~value:`Avg curves);
   Printf.printf "  (table shows avg steps; max over all runs: %.2f n)\n"
     (Series.max_over curves);
@@ -146,66 +153,9 @@ let print_curves ~env_label ~env curves =
       0 curves
   in
   check "no best-response cycle in any trial" (cycles = 0);
+  let env_label = Printf.sprintf "every run within ~%.0fn steps" bound in
+  let env n = (bound *. float_of_int n) +. 10. in
   check env_label (List.for_all snd (Series.envelope env env_label curves))
-
-let fig78 dist scale =
-  let name =
-    match dist with
-    | Model.Sum -> "Fig. 7 (SUM)"
-    | Model.Max -> "Fig. 8 (MAX)"
-  in
-  section (name ^ ": bounded-budget ASG, steps until convergence");
-  let p =
-    { (Asg_budget.default dist) with
-      Asg_budget.trials = scale.trials;
-      ns = scale.ns;
-      seed = scale.seed
-    }
-  in
-  let curves = Asg_budget.sweep p in
-  let bound = match dist with Model.Sum -> 5.0 | Model.Max -> 8.0 in
-  print_curves curves
-    ~env:(fun n -> (bound *. float_of_int n) +. 10.)
-    ~env_label:(Printf.sprintf "every run within ~%.0fn steps" bound)
-
-let fig1113 dist scale =
-  let name =
-    match dist with
-    | Model.Sum -> "Fig. 11 (SUM)"
-    | Model.Max -> "Fig. 13 (MAX)"
-  in
-  section (name ^ ": GBG, steps until convergence");
-  let p =
-    { (Gbg_sweep.default dist) with
-      Gbg_sweep.trials = scale.trials;
-      ns = scale.ns;
-      seed = scale.seed
-    }
-  in
-  let curves = Gbg_sweep.sweep p in
-  let bound = match dist with Model.Sum -> 7.0 | Model.Max -> 8.0 in
-  print_curves curves
-    ~env:(fun n -> (bound *. float_of_int n) +. 10.)
-    ~env_label:(Printf.sprintf "every run within ~%.0fn steps" bound)
-
-let fig1214 dist scale =
-  let name =
-    match dist with
-    | Model.Sum -> "Fig. 12 (SUM)"
-    | Model.Max -> "Fig. 14 (MAX)"
-  in
-  section (name ^ ": GBG starting-topology comparison");
-  let p =
-    { (Topology.default dist) with
-      Topology.trials = scale.trials;
-      ns = scale.ns;
-      seed = scale.seed
-    }
-  in
-  let curves = Topology.sweep p in
-  print_curves curves
-    ~env:(fun n -> (8.0 *. float_of_int n) +. 10.)
-    ~env_label:"every run within ~8n steps"
 
 (* ------------------------------------------------------------------ *)
 (* Section 4.2.2 phases; Secs 3.4/4.2 cycle hunt                       *)
@@ -1135,16 +1085,24 @@ let experiments : (string * string * (scale -> unit)) list =
     gadget "fig5" "fig5-sum-asg-budget";
     gadget "fig6" "fig6-max-asg-budget";
     gadget "cor36" "cor36-sum-asg-host";
-    ("fig7", "SUM-ASG budget sweep (Fig. 7)", fig78 Model.Sum);
-    ("fig8", "MAX-ASG budget sweep (Fig. 8)", fig78 Model.Max);
+    ("fig7", "SUM-ASG budget sweep (Fig. 7)",
+     figure "fig7"
+       "Fig. 7 (SUM): bounded-budget ASG, steps until convergence" 5.0);
+    ("fig8", "MAX-ASG budget sweep (Fig. 8)",
+     figure "fig8"
+       "Fig. 8 (MAX): bounded-budget ASG, steps until convergence" 8.0);
     gadget "fig9" "fig9-sum-gbg";
     gadget "fig10" "fig10-max-gbg";
     gadget "cor42s" "cor42-sum-gbg-host";
     gadget "cor42m" "cor42-max-gbg-host";
-    ("fig11", "SUM-GBG sweep (Fig. 11)", fig1113 Model.Sum);
-    ("fig12", "SUM-GBG topologies (Fig. 12)", fig1214 Model.Sum);
-    ("fig13", "MAX-GBG sweep (Fig. 13)", fig1113 Model.Max);
-    ("fig14", "MAX-GBG topologies (Fig. 14)", fig1214 Model.Max);
+    ("fig11", "SUM-GBG sweep (Fig. 11)",
+     figure "fig11" "Fig. 11 (SUM): GBG, steps until convergence" 7.0);
+    ("fig12", "SUM-GBG topologies (Fig. 12)",
+     figure "fig12" "Fig. 12 (SUM): GBG starting-topology comparison" 8.0);
+    ("fig13", "MAX-GBG sweep (Fig. 13)",
+     figure "fig13" "Fig. 13 (MAX): GBG, steps until convergence" 8.0);
+    ("fig14", "MAX-GBG topologies (Fig. 14)",
+     figure "fig14" "Fig. 14 (MAX): GBG starting-topology comparison" 8.0);
     gadget "fig15" "fig15-sum-bilateral";
     gadget "fig16" "fig16-max-bilateral";
     ("phases", "GBG operation phases (Sec. 4.2.2)", phases);

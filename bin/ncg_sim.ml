@@ -40,13 +40,23 @@ let ns_conv =
   in
   Arg.conv ~docv:"NS" (parse, print)
 
+(* An integer with a floor, so an out-of-range count is a usage error
+   instead of a crash (or a table of nan) deep inside a run. *)
+let int_at_least lo =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun v ->
+        let msg = Printf.sprintf "%d is too small (need at least %d)" v lo in
+        if v >= lo then Ok v else Error (`Msg msg))
+  in
+  Arg.conv ~docv:(Arg.conv_docv Arg.int) (parse, Arg.conv_printer Arg.int)
+
 let ns_term =
   let doc = "Comma-separated agent counts, e.g. 10,20,30." in
   Arg.(value & opt ns_conv [ 10; 20; 30; 40; 50 ] & info [ "ns" ] ~doc)
 
 let trials_term =
   let doc = "Trials per configuration (paper: 10000 for ASG, 5000 for GBG)." in
-  Arg.(value & opt int 20 & info [ "trials" ] ~doc)
+  Arg.(value & opt (int_at_least 1) 20 & info [ "trials" ] ~doc)
 
 let seed_term =
   let doc = "Deterministic RNG seed." in
@@ -130,7 +140,7 @@ let retries_term =
      fresh sub-seed, doubling any per-trial time budget each attempt; a \
      trial failing every attempt is quarantined, not fatal."
   in
-  Arg.(value & opt int 0 & info [ "max-retries" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 0 & info [ "max-retries" ] ~docv:"N" ~doc)
 
 let incidents_term =
   let doc =
@@ -251,79 +261,27 @@ let emit ?(verbose = false) out value curves =
       Series.write_gnuplot path ~value curves;
       Printf.printf "wrote %s\n" path
 
-let dist_of = function `Sum -> Model.Sum | `Max -> Model.Max
-
-let sweep_term cmd_name run =
-  let cmd_term = Term.const cmd_name in
-  Term.(
-    const run $ ns_term $ trials_term $ seed_term $ domains_term $ out_term
-    $ value_term
-    $ checkpoint_term $ resume_term $ sentinel_term $ retries_term
-    $ incidents_term $ verbose_term $ cmd_term)
-
-let asg_cmd name dist_sel figure =
+(* One command per figure of the table; [what] completes its doc line. *)
+let figure_cmd name what =
+  let fig = Figure.find name in
   let run ns trials seed domains out value checkpoint resume sentinel
-      max_retries incidents verbose cmd =
+      max_retries incidents verbose =
     interruptible ~resume_hint:(checkpoint_hint checkpoint) (fun () ->
-        with_checkpoint ~cmd ~ns ~trials ~seed ~checkpoint ~resume (fun cp ->
+        with_checkpoint ~cmd:name ~ns ~trials ~seed ~checkpoint ~resume
+          (fun cp ->
             with_incidents incidents (fun log ->
-                let p =
-                  { (Asg_budget.default (dist_of dist_sel)) with
-                    Asg_budget.ns; trials; seed;
-                    domains = resolve_domains domains;
-                    checkpoint = cp;
-                    sentinel = sentinel_of sentinel;
-                    max_retries;
-                    incidents = log }
-                in
-                emit ~verbose out value (Asg_budget.sweep p))))
+                emit ~verbose out value
+                  (Figure.sweep ~domains:(resolve_domains domains) ~seed
+                     ?checkpoint:cp ?incidents:log
+                     ~sentinel:(sentinel_of sentinel) ~max_retries ~ns ~trials
+                     fig))))
   in
-  let doc =
-    Printf.sprintf "Reproduce %s: bounded-budget ASG convergence." figure
-  in
-  Cmd.v (Cmd.info name ~doc) (sweep_term name run)
-
-let gbg_cmd name dist_sel figure =
-  let run ns trials seed domains out value checkpoint resume sentinel
-      max_retries incidents verbose cmd =
-    interruptible ~resume_hint:(checkpoint_hint checkpoint) (fun () ->
-        with_checkpoint ~cmd ~ns ~trials ~seed ~checkpoint ~resume (fun cp ->
-            with_incidents incidents (fun log ->
-                let p =
-                  { (Gbg_sweep.default (dist_of dist_sel)) with
-                    Gbg_sweep.ns; trials; seed;
-                    domains = resolve_domains domains;
-                    checkpoint = cp;
-                    sentinel = sentinel_of sentinel;
-                    max_retries;
-                    incidents = log }
-                in
-                emit ~verbose out value (Gbg_sweep.sweep p))))
-  in
-  let doc = Printf.sprintf "Reproduce %s: GBG convergence sweep." figure in
-  Cmd.v (Cmd.info name ~doc) (sweep_term name run)
-
-let topo_cmd name dist_sel figure =
-  let run ns trials seed domains out value checkpoint resume sentinel
-      max_retries incidents verbose cmd =
-    interruptible ~resume_hint:(checkpoint_hint checkpoint) (fun () ->
-        with_checkpoint ~cmd ~ns ~trials ~seed ~checkpoint ~resume (fun cp ->
-            with_incidents incidents (fun log ->
-                let p =
-                  { (Topology.default (dist_of dist_sel)) with
-                    Topology.ns; trials; seed;
-                    domains = resolve_domains domains;
-                    checkpoint = cp;
-                    sentinel = sentinel_of sentinel;
-                    max_retries;
-                    incidents = log }
-                in
-                emit ~verbose out value (Topology.sweep p))))
-  in
-  let doc =
-    Printf.sprintf "Reproduce %s: GBG starting-topology comparison." figure
-  in
-  Cmd.v (Cmd.info name ~doc) (sweep_term name run)
+  Cmd.v
+    (Cmd.info name ~doc:(Printf.sprintf "Reproduce %s." what))
+    Term.(
+      const run $ ns_term $ trials_term $ seed_term $ domains_term $ out_term
+      $ value_term $ checkpoint_term $ resume_term $ sentinel_term
+      $ retries_term $ incidents_term $ verbose_term)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: multi-process supervised sweep                               *)
@@ -341,7 +299,7 @@ let fleet_cmd_term =
 
 let fleet_n_term =
   let doc = "Agent count of the sweep point." in
-  Arg.(value & opt int 24 & info [ "n" ] ~doc)
+  Arg.(value & opt (int_at_least 2) 24 & info [ "n" ] ~doc)
 
 let fleet_dir_term =
   let doc =
@@ -535,7 +493,7 @@ let carto_states_term =
 
 let carto_chunk_term =
   let doc = "Frontier states per chunk lease." in
-  Arg.(value & opt int 64 & info [ "chunk-size" ] ~doc)
+  Arg.(value & opt (int_at_least 1) 64 & info [ "chunk-size" ] ~doc)
 
 let carto_iso_term =
   let doc =
@@ -813,12 +771,14 @@ let () =
   let group =
     Cmd.group info
       [
-        asg_cmd "fig7" `Sum "Figure 7 (SUM-ASG)";
-        asg_cmd "fig8" `Max "Figure 8 (MAX-ASG)";
-        gbg_cmd "fig11" `Sum "Figure 11 (SUM-GBG)";
-        topo_cmd "fig12" `Sum "Figure 12 (SUM-GBG topologies)";
-        gbg_cmd "fig13" `Max "Figure 13 (MAX-GBG)";
-        topo_cmd "fig14" `Max "Figure 14 (MAX-GBG topologies)";
+        figure_cmd "fig7" "Figure 7 (SUM-ASG): bounded-budget ASG convergence";
+        figure_cmd "fig8" "Figure 8 (MAX-ASG): bounded-budget ASG convergence";
+        figure_cmd "fig11" "Figure 11 (SUM-GBG): GBG convergence sweep";
+        figure_cmd "fig12"
+          "Figure 12 (SUM-GBG topologies): GBG starting-topology comparison";
+        figure_cmd "fig13" "Figure 13 (MAX-GBG): GBG convergence sweep";
+        figure_cmd "fig14"
+          "Figure 14 (MAX-GBG topologies): GBG starting-topology comparison";
         fleet_cmd;
         fleet_worker_cmd;
         carto_cmd;

@@ -1,38 +1,30 @@
-module Q = Ncg_rational.Q
-
 type point = { key : string; spec : Runner.spec }
 
-let point_names = [ "fig7"; "fig8"; "fig11"; "fig13" ]
+(* One representative curve per figure family, pinned by its legend label
+   so the supervisor, its workers, and any out-of-process verifier (chaos
+   soak, bench) all look up the exact same spec from the command name and
+   n alone. *)
+let pinned =
+  [
+    ("fig7", "k=2 max cost");
+    ("fig8", "k=2 max cost");
+    ("fig11", "m=4n, a=n/4, max cost");
+    ("fig13", "m=4n, a=n/4, max cost");
+  ]
 
-(* One representative configuration per figure family, pinned so the
-   supervisor, its workers, and any out-of-process verifier (chaos soak,
-   bench) all reconstruct the exact same Runner.spec from the command
-   name and n alone. *)
+let point_names = List.map fst pinned
+
 let point_spec cmd ~n =
-  match cmd with
-  | "fig7" | "fig8" ->
-      let dist = if cmd = "fig7" then Model.Sum else Model.Max in
-      let model = Model.make Model.Asg dist n in
-      Some
-        {
-          key = Printf.sprintf "fleet-%s|n=%d" cmd n;
-          spec =
-            Runner.spec ~policy:Policy.Max_cost model (fun rng ->
-                Gen.random_budget_network rng n 2);
-        }
-  | "fig11" | "fig13" ->
-      let dist = if cmd = "fig11" then Model.Sum else Model.Max in
-      let m = min (4 * n) (n * (n - 1) / 2) in
-      let model = Model.make ~alpha:(Q.make n 4) Model.Gbg dist n in
-      Some
-        {
-          key = Printf.sprintf "fleet-%s|n=%d" cmd n;
-          spec =
-            Runner.spec ~policy:Policy.Max_cost
-              ~tie_break:Engine.Prefer_deletion model (fun rng ->
-                Gen.random_m_edges rng n m);
-        }
-  | _ -> None
+  Option.map
+    (fun label ->
+      let curve =
+        List.find
+          (fun c -> c.Figure.label = label)
+          (Figure.find cmd).Figure.curves
+      in
+      { key = Printf.sprintf "fleet-%s|n=%d" cmd n;
+        spec = curve.Figure.spec n })
+    (List.assoc_opt cmd pinned)
 
 let fingerprint ~cmd ~n ~trials ~seed =
   Printf.sprintf "fleet %s n=%d trials=%d seed=%d" cmd n trials seed

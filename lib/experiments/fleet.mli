@@ -22,14 +22,16 @@
 type point = { key : string; spec : Runner.spec }
 
 val point_names : string list
-(** The figure families a fleet can run: ["fig7"], ["fig8"] (budget ASG,
-    k = 2, max-cost) and ["fig11"], ["fig13"] (GBG, m = 4n, alpha = n/4,
-    max-cost, prefer-deletion). *)
+(** The figure families a fleet can run: ["fig7"], ["fig8"] and
+    ["fig11"], ["fig13"]. *)
 
 val point_spec : string -> n:int -> point option
-(** The pinned configuration for one {!point_names} entry at size [n].
-    Supervisor, workers and out-of-process verifiers all rebuild the spec
-    from [(cmd, n)] alone, so there is nothing to serialize. *)
+(** The pinned configuration for one {!point_names} entry at size [n]:
+    the curve of that {!Figure} pinned by its legend label — ["k=2 max
+    cost"] for fig7/fig8, ["m=4n, a=n/4, max cost"] for fig11/fig13 —
+    under the key ["fleet-<cmd>|n=<n>"].  Supervisor, workers and
+    out-of-process verifiers all look the spec up from [(cmd, n)] alone,
+    so there is nothing to serialize. *)
 
 val fingerprint : cmd:string -> n:int -> trials:int -> seed:int -> string
 (** The sweep fingerprint stamped into every lease and checkpoint shard

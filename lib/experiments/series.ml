@@ -38,7 +38,10 @@ let all_ns curves =
 
 let to_table ?(value = `Max) curves =
   let buf = Buffer.create 1024 in
-  let width = 14 in
+  (* wide enough that every label keeps at least one space before it *)
+  let width =
+    List.fold_left (fun w c -> max w (String.length c.label + 1)) 14 curves
+  in
   let pad s = Printf.sprintf "%*s" width s in
   Buffer.add_string buf (pad "n");
   List.iter (fun c -> Buffer.add_string buf (pad c.label)) curves;

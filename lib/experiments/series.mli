@@ -26,7 +26,9 @@ val max_over : curve list -> float
     took longer than 5n" summary statistic. *)
 
 val to_table : ?value:[ `Avg | `Max ] -> curve list -> string
-(** Aligned text table: first column [n], one column per curve. *)
+(** Aligned text table: first column [n], one column per curve.  Every
+    column is right-aligned to the same width: 14 characters, or one more
+    than the longest label. *)
 
 val to_gnuplot : ?value:[ `Avg | `Max ] -> curve list -> string
 (** Whitespace-separated data with a comment header, one block per curve,

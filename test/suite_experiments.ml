@@ -344,27 +344,29 @@ let test_quarantine_reaches_incident_log () =
             (Astring_like.contains line "\"attempts\":2"))
         !lines)
 
+(* A figure of the table cut down to the curves whose label passes
+   [keep]: the tests run small slices of the paper's grids. *)
+let figure_slice name keep =
+  let fig = Figure.find name in
+  { fig with
+    Figure.curves =
+      List.filter (fun c -> keep c.Figure.label) fig.Figure.curves }
+
+let labelled prefix label = String.starts_with ~prefix label
+
 let test_sweep_checkpoint_resume () =
   with_temp_checkpoint (fun path ->
-      let params checkpoint =
-        { (Asg_budget.default Model.Sum) with
-          Asg_budget.budgets = [ 2 ];
-          policies = [ List.hd Asg_budget.paper_policies ];
-          ns = [ 8; 10 ];
-          trials = 5;
-          checkpoint }
-      in
-      let reference = Asg_budget.sweep (params None) in
+      let fig = figure_slice "fig7" (( = ) "k=2 max cost") in
+      let sweep ?checkpoint ns = Figure.sweep ?checkpoint ~ns ~trials:5 fig in
+      let reference = sweep [ 8; 10 ] in
       let fingerprint = "sweep-test" in
       (* interrupted attempt: only the n=8 point runs *)
       let cp = Checkpoint.open_ ~fingerprint path in
-      ignore
-        (Asg_budget.sweep
-           { (params (Some cp)) with Asg_budget.ns = [ 8 ] });
+      ignore (sweep ~checkpoint:cp [ 8 ]);
       Checkpoint.close cp;
       (* resumed full sweep *)
       let cp = Checkpoint.open_ ~resume:true ~fingerprint path in
-      let resumed = Asg_budget.sweep (params (Some cp)) in
+      let resumed = sweep ~checkpoint:cp [ 8; 10 ] in
       Checkpoint.close cp;
       check "resumed sweep matches the uninterrupted reference" true
         (resumed = reference))
@@ -374,13 +376,10 @@ let test_sweep_checkpoint_resume () =
 (* ------------------------------------------------------------------ *)
 
 let test_asg_sweep_structure () =
-  let p =
-    { (Asg_budget.default Model.Sum) with
-      Asg_budget.budgets = [ 1; 2 ];
-      ns = [ 8; 12 ];
-      trials = 3 }
+  let fig =
+    figure_slice "fig7" (fun l -> labelled "k=1 " l || labelled "k=2 " l)
   in
-  let curves = Asg_budget.sweep p in
+  let curves = Figure.sweep ~ns:[ 8; 12 ] ~trials:3 fig in
   check_int "budgets x policies curves" 4 (List.length curves);
   List.iter
     (fun (c : Series.curve) ->
@@ -390,44 +389,45 @@ let test_asg_sweep_structure () =
     (List.exists (fun c -> c.Series.label = "k=2 max cost") curves)
 
 let test_gbg_sweep_structure () =
-  let p =
-    { (Gbg_sweep.default Model.Max) with
-      Gbg_sweep.m_factors = [ 1 ];
-      alphas = [ Gbg_sweep.Alpha_n_over 4 ];
-      ns = [ 10 ];
-      trials = 3 }
-  in
-  let curves = Gbg_sweep.sweep p in
+  let fig = figure_slice "fig13" (labelled "m=1n, a=n/4, ") in
+  let curves = Figure.sweep ~ns:[ 10 ] ~trials:3 fig in
   check_int "two curves (policies)" 2 (List.length curves);
+  let labels =
+    List.map (fun c -> c.Figure.label) (Figure.find "fig13").Figure.curves
+  in
   check "alpha labels" true
-    (Gbg_sweep.alpha_label (Gbg_sweep.Alpha_n_over 4) = "a=n/4"
-    && Gbg_sweep.alpha_label (Gbg_sweep.Alpha_n_over 1) = "a=n");
+    (List.exists (fun l -> Astring_like.contains l ", a=n/4, ") labels
+    && List.exists (fun l -> Astring_like.contains l ", a=n, ") labels);
+  let spec = (List.hd fig.Figure.curves).Figure.spec 10 in
   check "alpha value exact" true
-    (Ncg_rational.Q.equal
-       (Gbg_sweep.alpha_of (Gbg_sweep.Alpha_n_over 4) 10)
+    (Ncg_rational.Q.equal spec.Runner.model.Model.alpha
        (Ncg_rational.Q.make 5 2))
 
 let test_topology_settings () =
+  let fig12 = Figure.find "fig12" in
+  let generate setting n =
+    let c =
+      List.find
+        (fun c -> labelled (setting ^ ", ") c.Figure.label)
+        fig12.Figure.curves
+    in
+    (c.Figure.spec n).Runner.generate
+  in
   let rng = Random.State.make [| 1 |] in
-  let rl = Topology.generate Topology.Random_line rng 9 in
+  let rl = generate "rl" 9 rng in
   check "rl is a tree" true (Ncg_graph.Tree.is_tree rl);
-  let dl = Topology.generate Topology.Directed_line rng 9 in
+  let dl = generate "dl" 9 rng in
   check "dl ownership directed" true
     (List.for_all (fun i -> Ncg_graph.Graph.owns dl i (i + 1))
        (List.init 8 (fun i -> i)));
-  let rnd = Topology.generate Topology.Random_net rng 9 in
+  let rnd = generate "random" 9 rng in
   check_int "random has n edges" 9 (Ncg_graph.Graph.m rnd);
-  Alcotest.(check string) "labels" "rl" (Topology.setting_label Topology.Random_line)
+  check "labels" true
+    (List.exists (fun c -> labelled "rl, " c.Figure.label) fig12.Figure.curves)
 
 let test_topology_sweep_runs () =
-  let p =
-    { (Topology.default Model.Sum) with
-      Topology.settings = [ Topology.Directed_line ];
-      alphas = [ Gbg_sweep.Alpha_n_over 4 ];
-      ns = [ 10 ];
-      trials = 2 }
-  in
-  let curves = Topology.sweep p in
+  let fig = figure_slice "fig12" (labelled "dl, a=n/4, ") in
+  let curves = Figure.sweep ~ns:[ 10 ] ~trials:2 fig in
   check_int "curves" 2 (List.length curves);
   List.iter
     (fun (c : Series.curve) ->
@@ -471,6 +471,18 @@ let test_series_rendering () =
   check "table mentions labels" true
     (Astring_like.contains table "a" && Astring_like.contains table "b");
   check "missing points dashed" true (Astring_like.contains table "-");
+  (* labels longer than the 14-character minimum widen every column *)
+  let long = [ "m=4n, a=n/10, max cost"; "rl, a=n/2, random" ] in
+  let wide =
+    Series.to_table
+      (List.map2 (fun label c -> { c with Series.label }) long curves)
+  in
+  let header = List.hd (String.split_on_char '\n' wide) in
+  List.iter
+    (fun label ->
+      check (label ^ " set off by a space") true
+        (Astring_like.contains header (" " ^ label)))
+    long;
   let dat = Series.to_gnuplot ~value:`Max curves in
   check "gnuplot has comment headers" true (Astring_like.contains dat "# a");
   check "gnuplot data line" true (Astring_like.contains dat "20 90.000");
@@ -514,6 +526,44 @@ let test_time_budget_is_per_trial () =
       | Stats.Crashed { exn; _ } ->
           Alcotest.failf "trial %d crashed: %s" trial exn)
     (Runner.run_outcomes ~seed:3 ~trials:8 spec)
+
+(* The table must run exactly what the three per-family sweeps it
+   replaced ran: each figure's checkpoint, written through the library at
+   [ns = 8], 2 trials, seed 2013 and the CLI's fingerprint, is pinned to
+   the digest of the file `ncg_sim <fig> --ns 8 --trials 2 --domains 1
+   --checkpoint F` wrote before the table existed. *)
+let test_figure_checkpoints_pinned () =
+  Alcotest.(check (list string)) "figures in paper order"
+    [ "fig7"; "fig8"; "fig11"; "fig12"; "fig13"; "fig14" ]
+    (List.map (fun f -> f.Figure.name) Figure.all);
+  List.iter
+    (fun (name, digest, count) ->
+      let fig = Figure.find name in
+      let labels = List.map (fun c -> c.Figure.label) fig.Figure.curves in
+      check_int (name ^ " curves") count (List.length labels);
+      check_int (name ^ " labels unique") count
+        (List.length (List.sort_uniq compare labels));
+      with_temp_checkpoint (fun path ->
+          let fingerprint = name ^ " ns=8 trials=2 seed=2013" in
+          let cp = Checkpoint.open_ ~fingerprint path in
+          ignore (Figure.sweep ~checkpoint:cp ~ns:[ 8 ] ~trials:2 fig);
+          Checkpoint.close cp;
+          Alcotest.(check string) (name ^ " checkpoint digest") digest
+            (Digest.to_hex (Digest.file path))))
+    [
+      ("fig7", "b93f7fb51de1de032a9150a3c2f85794", 14);
+      ("fig8", "36fc88b7190e325c6e722e5cc7b12951", 14);
+      ("fig11", "c07f96f290c733448915ba3390d613c6", 12);
+      ("fig12", "419cc5d878fd4564aff4afb64858df96", 24);
+      ("fig13", "b48886125955f92c03f4b6ae81ecb031", 12);
+      ("fig14", "d341bccfc3916fc53581fff59b3c42f7", 24);
+    ];
+  (* run settings are checked as Runner.spec checks them *)
+  Alcotest.check_raises "negative max_retries"
+    (Invalid_argument "Runner.spec: max_retries < 0") (fun () ->
+      ignore
+        (Figure.sweep ~max_retries:(-1) ~ns:[ 8 ] ~trials:1
+           (Figure.find "fig7")))
 
 let suite =
   ( "experiments",
@@ -559,4 +609,6 @@ let suite =
       Alcotest.test_case "series rendering" `Quick test_series_rendering;
       Alcotest.test_case "time budget is per trial" `Quick
         test_time_budget_is_per_trial;
+      Alcotest.test_case "figure sweeps match the parent's checkpoints" `Quick
+        test_figure_checkpoints_pinned;
     ] )

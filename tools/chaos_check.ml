@@ -10,9 +10,12 @@
 
    With `--sim path/to/ncg_sim.exe` it additionally chaos-tests the
    binary itself as a subprocess: a SIGINT mid-sweep must flush the
-   checkpoint and print a resume hint before exiting 130, and a sweep
+   checkpoint and print a resume hint before exiting 130, a sweep
    killed hard with SIGKILL must complete under `--resume` without
-   rerunning the trials that survived on disk. *)
+   rerunning the trials that survived on disk, and out-of-range counts
+   must be usage errors.  `--fleet-soak` and `--carto-soak` add the soak
+   (worker SIGKILL storm, SIGSTOP stall, supervisor SIGKILL + rerun)
+   against the fleet and the cartography explorer. *)
 
 open Ncg_graph
 open Ncg_game
@@ -239,165 +242,33 @@ let sigterm_exits_143 sim =
     (contains (read_file err) "Resume with:");
   List.iter remove_quietly [ ck; out; err ]
 
-(* ------------------------------------------------------------------ *)
-(* Fleet soak: kill storms against the supervised worker fleet         *)
-(* ------------------------------------------------------------------ *)
-
-let remove_dir_quietly dir =
-  (match Sys.readdir dir with
-  | names ->
-      Array.iter (fun n -> remove_quietly (Filename.concat dir n)) names
-  | exception Sys_error _ -> ());
-  try Unix.rmdir dir with Unix.Unix_error _ -> ()
-
-(* What `summary: ...` line a correct fleet must print — computed in
-   process from the same pinned point, seed and trial count.  Bit-level
-   agreement of the formatted statistics is the acceptance bar. *)
-let reference_summary_line ~cmd ~n ~trials ~seed =
-  match Ncg_experiments.Fleet.point_spec cmd ~n with
-  | None -> failwith "unknown fleet point"
-  | Some point ->
-      Format.asprintf "%a" Stats.pp
-        (Ncg_experiments.Runner.run
-           ~domains:(Ncg_parallel.Pool.recommended_domains ())
-           ~seed ~trials point.Ncg_experiments.Fleet.spec)
-
-let running_worker_pids ~dir ~fingerprint ~shards =
-  List.filter_map
-    (fun s ->
-      match Ncg_experiments.Lease.load ~dir ~fingerprint ~shard:s with
-      | Ok l
-        when l.Ncg_experiments.Lease.status = Ncg_experiments.Lease.Running
-             && l.Ncg_experiments.Lease.owner > 0 ->
-          Some l.Ncg_experiments.Lease.owner
-      | _ -> None)
-    (List.init shards Fun.id)
-
-let kill_quietly ?(signal = Sys.sigkill) pid =
-  try Unix.kill pid signal with Unix.Unix_error _ -> ()
-
-(* The tentpole soak: a fleet under a storm of worker SIGKILLs must still
-   complete, reassign every murdered shard, log each death, and print the
-   exact statistics of an undisturbed single-process run. *)
-let fleet_kill_storm sim =
-  print_endline "fleet kill storm (SIGKILL random workers):";
-  let cmd = "fig11" and n = 40 and trials = 120 and seed = 17 in
-  let shards = 8 in
-  let prefix = temp_prefix "fleet_storm" in
-  let dir = prefix ^ ".d" in
-  let inc = prefix ^ ".jsonl" in
+(* Out-of-range counts must be cmdliner usage errors (exit 124), not a
+   crash or a table of nan deep inside a run. *)
+let out_of_range_counts_rejected sim =
+  print_endline "subprocess usage errors (out-of-range counts):";
+  let prefix = temp_prefix "usage" in
   let out = prefix ^ ".out" and err = prefix ^ ".err" in
-  remove_dir_quietly dir;
-  remove_quietly inc;
-  let pid =
-    spawn sim
-      [ "fleet"; "--cmd"; cmd; "-n"; string_of_int n; "--trials";
-        string_of_int trials; "--seed"; string_of_int seed; "--workers"; "3";
-        "--shards"; string_of_int shards; "--dir"; dir; "--incidents"; inc;
-        "--max-respawns"; "12"; "--heartbeat-timeout"; "30" ]
-      ~out ~err
-  in
-  let fingerprint =
-    Ncg_experiments.Fleet.fingerprint ~cmd ~n ~trials ~seed
-  in
-  (* storm: kill up to 4 distinct workers while the fleet runs *)
-  let killed = Hashtbl.create 8 in
-  let status = ref None in
-  let supervisor_status () =
-    match !status with
-    | Some _ as s -> s
-    | None -> (
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> None
-        | _, s ->
-            status := Some s;
-            !status
-        | exception Unix.Unix_error _ -> None)
-  in
-  while supervisor_status () = None && Hashtbl.length killed < 4 do
-    List.iter
-      (fun wpid ->
-        if Hashtbl.length killed < 4 && not (Hashtbl.mem killed wpid) then begin
-          Hashtbl.replace killed wpid ();
-          kill_quietly wpid
-        end)
-      (running_worker_pids ~dir ~fingerprint ~shards);
-    Unix.sleepf 0.05
-  done;
-  check "the storm killed at least one worker" (Hashtbl.length killed >= 1);
-  (match supervisor_status () with
-  | Some _ -> ()
-  | None ->
-      let _, s = Unix.waitpid [] pid in
-      status := Some s);
-  (* the fleet must have completed successfully despite the murders *)
-  let stdout_text = read_file out in
-  check "fleet under storm exits 0" (!status = Some (Unix.WEXITED 0));
-  check "fleet reports every trial present" (contains stdout_text "missing=0");
-  check "fleet reassigned the murdered shards"
-    (not (contains stdout_text "respawns=0 ")
-    && contains stdout_text "respawns=");
-  check "merged statistics are bit-identical to a single-process run"
-    (contains stdout_text
-       ("summary: " ^ reference_summary_line ~cmd ~n ~trials ~seed));
-  let incidents = read_file inc in
-  check "worker deaths were logged" (contains incidents "\"worker_dead\"");
-  check "reassignments were logged" (contains incidents "\"reassigned\"");
-  check "no shard was quarantined" (not (contains incidents "quarantined"));
-  remove_dir_quietly dir;
-  List.iter remove_quietly [ inc; out; err ]
-
-(* Heartbeat expiry: a worker that is alive but making no progress
-   (SIGSTOP — the kernel still reports it running) must be detected by
-   its missed heartbeats, killed, and its shard reassigned. *)
-let fleet_stall_detection sim =
-  print_endline "fleet stall detection (SIGSTOP a worker):";
-  let cmd = "fig11" and n = 40 and trials = 60 and seed = 23 in
-  let shards = 6 in
-  let prefix = temp_prefix "fleet_stall" in
-  let dir = prefix ^ ".d" in
-  let inc = prefix ^ ".jsonl" in
-  let out = prefix ^ ".out" and err = prefix ^ ".err" in
-  remove_dir_quietly dir;
-  remove_quietly inc;
-  let pid =
-    spawn sim
-      [ "fleet"; "--cmd"; cmd; "-n"; string_of_int n; "--trials";
-        string_of_int trials; "--seed"; string_of_int seed; "--workers"; "2";
-        "--shards"; string_of_int shards; "--dir"; dir; "--incidents"; inc;
-        "--max-respawns"; "6"; "--heartbeat-timeout"; "1.5";
-        "--heartbeat-interval"; "0.05" ]
-      ~out ~err
-  in
-  let fingerprint =
-    Ncg_experiments.Fleet.fingerprint ~cmd ~n ~trials ~seed
-  in
-  let stopped = ref None in
-  check "found a live worker to stall"
-    (wait_for ~timeout:30.0 (fun () ->
-         match running_worker_pids ~dir ~fingerprint ~shards with
-         | wpid :: _ ->
-             stopped := Some wpid;
-             kill_quietly ~signal:Sys.sigstop wpid;
-             true
-         | [] -> false));
-  let _, status = Unix.waitpid [] pid in
-  check "stalled fleet still exits 0" (status = Unix.WEXITED 0);
-  let stdout_text = read_file out in
-  check "every trial still present" (contains stdout_text "missing=0");
-  check "statistics survive the stall bit for bit"
-    (contains stdout_text
-       ("summary: " ^ reference_summary_line ~cmd ~n ~trials ~seed));
-  check "the missed heartbeat was logged"
-    (contains (read_file inc) "heartbeat");
-  (match !stopped with Some p -> kill_quietly p | None -> ());
-  remove_dir_quietly dir;
-  List.iter remove_quietly [ inc; out; err ]
+  List.iter
+    (fun args ->
+      let _, status = Unix.waitpid [] (spawn sim args ~out ~err) in
+      check
+        (Printf.sprintf "%-40s exits 124" (String.concat " " args))
+        (status = Unix.WEXITED 124 && contains (read_file err) "too small"))
+    [
+      [ "fig7"; "--trials=-3" ];
+      [ "fig7"; "--max-retries=-1" ];
+      [ "fleet"; "--cmd"; "fig7"; "--trials=0" ];
+      [ "carto"; "--point"; "fig2-br"; "--chunk-size=0" ];
+      [ "fig7"; "--trials=0" ];
+      [ "fleet"; "--cmd"; "fig7"; "-n"; "1"; "--trials"; "2" ];
+    ];
+  List.iter remove_quietly [ out; err ]
 
 (* ------------------------------------------------------------------ *)
-(* Cartography soak: kill storms against the distributed explorer      *)
+(* Soak: kill storms against the supervised callers (fleet, carto)     *)
 (* ------------------------------------------------------------------ *)
 
+module E = Ncg_experiments
 module Carto = Ncg_search.Cartography
 
 let rec rm_rf_quietly path =
@@ -410,180 +281,287 @@ let rec rm_rf_quietly path =
   | _ -> remove_quietly path
   | exception Unix.Unix_error _ -> ()
 
-let carto_spec point =
-  match Carto.point_spec point with
-  | Some s -> s
-  | None -> failwith ("unknown carto point " ^ point)
+let kill_quietly ?(signal = Sys.sigkill) pid =
+  try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
-(* The acceptance bar: the region fingerprint of an undisturbed
-   in-process exploration of the same point.  Bit-equality of the
-   fingerprint means the same states in the same wave order and the same
-   stable set — no state lost, duplicated or fabricated by the chaos. *)
-let carto_reference_region point =
-  let dir = temp_prefix ("carto_ref_" ^ point) ^ ".d" in
-  rm_rf_quietly dir;
-  Fun.protect
-    ~finally:(fun () -> rm_rf_quietly dir)
-    (fun () ->
-      let r = Carto.run (Carto.default_config ~dir) (carto_spec point) in
-      r.Carto.region_fingerprint)
+(* The readable leases under [(dir, fingerprint)] pairs — the same files
+   the supervisor fences with. *)
+let scan_leases pairs =
+  List.concat_map
+    (fun (dir, fingerprint) ->
+      List.filter_map
+        (fun shard -> Result.to_option (E.Lease.load ~dir ~fingerprint ~shard))
+        (List.init 64 Fun.id))
+    pairs
 
-(* Live worker PIDs, read off the chunk leases of every wave directory —
-   the same files the supervisor fences with. *)
-let carto_worker_pids ~dir spec =
-  let fp = Carto.fingerprint spec in
-  let pids = ref [] in
-  for wave = 0 to 30 do
-    let wdir = Filename.concat dir (Printf.sprintf "wave-%04d" wave) in
-    if Sys.file_exists wdir then
-      let lfp = Printf.sprintf "%s wave=%d" fp wave in
-      for shard = 0 to 63 do
-        match Ncg_experiments.Lease.load ~dir:wdir ~fingerprint:lfp ~shard with
-        | Ok l
-          when l.Ncg_experiments.Lease.status = Ncg_experiments.Lease.Running
-               && l.Ncg_experiments.Lease.owner > 0 ->
-            pids := l.Ncg_experiments.Lease.owner :: !pids
-        | _ -> ()
-      done
-  done;
-  !pids
+let worker_pids pairs =
+  List.filter_map
+    (fun l ->
+      if l.E.Lease.status = E.Lease.Running && l.E.Lease.owner > 0 then
+        Some l.E.Lease.owner
+      else None)
+    (scan_leases pairs)
 
-let spawn_carto sim ~point ~dir ~inc ~out ~err extra =
-  spawn sim
-    ([ "carto"; "--point"; point; "--dir"; dir; "--incidents"; inc ] @ extra)
-    ~out ~err
+type leg = Storm | Stall | Resume
 
-(* SIGKILL storm: murder workers mid-expansion; the run must reassign
-   every victim and the final region must be fingerprint-identical to
-   the undisturbed run — zero lost, double-counted or phantom states. *)
-let carto_kill_storm sim =
-  print_endline "carto kill storm (SIGKILL random workers):";
-  let point = "path7-max-sg" in
-  let prefix = temp_prefix "carto_storm" in
+(* One supervised run: its ncg_sim arguments (the soak adds --dir and
+   --incidents), the (lease dir, fingerprint) pairs under its state dir,
+   the line an undisturbed in-process run prints, and when enough is
+   durable to kill its supervisor (the resume leg). *)
+type run = {
+  args : string list;
+  leases : string -> (string * string) list;
+  identity : unit -> string;
+  committed : string -> bool;
+}
+
+(* A caller of the soak, with the check names it has always printed. *)
+type caller = {
+  name : string;
+  noun : string;
+  run : leg -> run;
+  reassigned : string;
+  identical : leg -> string;
+  committed_before_kill : string;
+  extra : leg -> out:string -> incidents:string -> (string * bool) list;
+}
+
+(* The fleet's acceptance bar is the `summary: ...` line of a
+   single-process run of the same pinned point, seed and trial count:
+   bit-level agreement of the formatted statistics. *)
+let fleet =
+  let cmd = "fig11" and n = 40 in
+  let run ~trials ~seed ~shards tuning =
+    let fingerprint = E.Fleet.fingerprint ~cmd ~n ~trials ~seed in
+    let leases dir = [ (dir, fingerprint) ] in
+    {
+      args =
+        [ "fleet"; "--cmd"; cmd; "-n"; string_of_int n; "--trials";
+          string_of_int trials; "--seed"; string_of_int seed; "--shards";
+          string_of_int shards ]
+        @ tuning;
+      leases;
+      identity =
+        (fun () ->
+          let point = Option.get (E.Fleet.point_spec cmd ~n) in
+          "summary: "
+          ^ Format.asprintf "%a" Stats.pp
+              (E.Runner.run
+                 ~domains:(Ncg_parallel.Pool.recommended_domains ())
+                 ~seed ~trials point.E.Fleet.spec));
+      committed =
+        (fun dir ->
+          List.length
+            (List.filter
+               (fun l -> l.E.Lease.status = E.Lease.Done)
+               (scan_leases (leases dir)))
+          >= 2);
+    }
+  in
+  {
+    name = "fleet";
+    noun = "fleet";
+    run =
+      (function
+      | Storm ->
+          run ~trials:120 ~seed:17 ~shards:8
+            [ "--workers"; "3"; "--max-respawns"; "12";
+              "--heartbeat-timeout"; "30" ]
+      | Stall ->
+          run ~trials:60 ~seed:23 ~shards:6
+            [ "--workers"; "2"; "--max-respawns"; "6";
+              "--heartbeat-timeout"; "1.5"; "--heartbeat-interval"; "0.05" ]
+      | Resume -> run ~trials:120 ~seed:17 ~shards:8 [ "--workers"; "2" ]);
+    reassigned = "fleet reassigned the murdered shards";
+    identical =
+      (function
+      | Storm -> "merged statistics are bit-identical to a single-process run"
+      | Stall -> "statistics survive the stall bit for bit"
+      | Resume -> "rerun statistics are bit-identical to a single-process run");
+    committed_before_kill = "two shards were done before the kill";
+    extra =
+      (fun leg ~out ~incidents ->
+        let present = contains out "missing=0" in
+        match leg with
+        | Storm ->
+            [ ("fleet reports every trial present", present);
+              ("no shard was quarantined",
+               not (contains incidents "quarantined")) ]
+        | Stall -> [ ("every trial still present", present) ]
+        | Resume -> [ ("rerun reports every trial present", present) ]);
+  }
+
+(* Cartography's acceptance bar is the region fingerprint of an
+   undisturbed in-process exploration of the same point: the same states
+   in the same wave order and the same stable set — no state lost,
+   duplicated or fabricated by the chaos.  Its chunk leases live in one
+   directory per wave. *)
+let carto =
+  let run point tuning =
+    let spec = Option.get (Carto.point_spec point) in
+    let fp = Carto.fingerprint spec in
+    {
+      args = [ "carto"; "--point"; point ] @ tuning;
+      leases =
+        (fun dir ->
+          List.filter_map
+            (fun wave ->
+              let wdir =
+                Filename.concat dir (Printf.sprintf "wave-%04d" wave)
+              in
+              if Sys.file_exists wdir then
+                Some (wdir, Printf.sprintf "%s wave=%d" fp wave)
+              else None)
+            (List.init 31 Fun.id));
+      identity =
+        (fun () ->
+          let dir = temp_prefix ("carto_ref_" ^ point) ^ ".d" in
+          rm_rf_quietly dir;
+          Fun.protect
+            ~finally:(fun () -> rm_rf_quietly dir)
+            (fun () ->
+              "region: "
+              ^ (Carto.run (Carto.default_config ~dir) spec)
+                  .Carto.region_fingerprint));
+      committed =
+        (fun dir -> Sys.file_exists (Filename.concat dir "frontier-0002.fr"));
+    }
+  in
+  {
+    name = "carto";
+    noun = "carto run";
+    run =
+      (function
+      | Storm ->
+          run "path7-max-sg"
+            [ "--workers"; "3"; "--chunk-size"; "16"; "--throttle-ms"; "10";
+              "--heartbeat-timeout"; "30"; "--max-respawns"; "12" ]
+      | Stall ->
+          run "path6-max-sg"
+            [ "--workers"; "2"; "--chunk-size"; "8"; "--throttle-ms"; "20";
+              "--heartbeat-timeout"; "1.5"; "--heartbeat-interval"; "0.05";
+              "--max-respawns"; "6" ]
+      | Resume ->
+          run "path7-max-sg"
+            [ "--workers"; "2"; "--chunk-size"; "16"; "--throttle-ms"; "5";
+              "--heartbeat-timeout"; "30"; "--max-respawns"; "12" ]);
+    reassigned = "murdered chunks were reassigned";
+    identical =
+      (function
+      | Storm ->
+          "explored region is fingerprint-identical to the undisturbed run"
+      | Stall -> "region survives the stall bit for bit"
+      | Resume -> "recovered region is fingerprint-identical");
+    committed_before_kill = "a wave committed before the kill";
+    extra =
+      (fun leg ~out ~incidents:_ ->
+        match leg with
+        | Resume -> [ ("resume was detected", contains out "resumed=true") ]
+        | Storm | Stall -> []);
+  }
+
+(* Start [c]'s [leg] run on fresh state, let [disturb] do its worst to
+   it, then check that the run printed the undisturbed identity line,
+   plus the caller's own checks. *)
+let soak sim c leg ~title ~tag disturb =
+  Printf.printf "%s %s:\n" c.name title;
+  let r = c.run leg in
+  let prefix = temp_prefix (c.name ^ "_" ^ tag) in
   let dir = prefix ^ ".d" and inc = prefix ^ ".jsonl" in
   let out = prefix ^ ".out" and err = prefix ^ ".err" in
   rm_rf_quietly dir;
   remove_quietly inc;
-  let spec = carto_spec point in
-  let pid =
-    spawn_carto sim ~point ~dir ~inc ~out ~err
-      [ "--workers"; "3"; "--chunk-size"; "16"; "--throttle-ms"; "10";
-        "--heartbeat-timeout"; "30"; "--max-respawns"; "12" ]
+  let start () =
+    spawn sim (r.args @ [ "--dir"; dir; "--incidents"; inc ]) ~out ~err
   in
-  let killed = Hashtbl.create 8 in
-  let status = ref None in
-  let supervisor_status () =
-    match !status with
-    | Some _ as s -> s
-    | None -> (
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> None
-        | _, s ->
-            status := Some s;
-            !status
-        | exception Unix.Unix_error _ -> None)
-  in
-  while supervisor_status () = None && Hashtbl.length killed < 4 do
-    List.iter
-      (fun wpid ->
-        if Hashtbl.length killed < 4 && not (Hashtbl.mem killed wpid) then begin
-          Hashtbl.replace killed wpid ();
-          kill_quietly wpid
-        end)
-      (carto_worker_pids ~dir spec);
-    Unix.sleepf 0.05
-  done;
-  check "the storm killed at least one worker" (Hashtbl.length killed >= 1);
-  (match supervisor_status () with
-  | Some _ -> ()
-  | None ->
-      let _, s = Unix.waitpid [] pid in
-      status := Some s);
-  let stdout_text = read_file out in
-  check "carto under storm exits 0" (!status = Some (Unix.WEXITED 0));
-  check "murdered chunks were reassigned"
-    (not (contains stdout_text "respawns=0 ")
-    && contains stdout_text "respawns=");
-  check "explored region is fingerprint-identical to the undisturbed run"
-    (contains stdout_text ("region: " ^ carto_reference_region point));
-  let incidents = read_file inc in
-  check "worker deaths were logged" (contains incidents "\"worker_dead\"");
-  check "reassignments were logged" (contains incidents "\"reassigned\"");
+  disturb r ~dir ~out ~inc ~start;
+  check (c.identical leg) (contains (read_file out) (r.identity ()));
+  List.iter
+    (fun (name, ok) -> check name ok)
+    (c.extra leg ~out:(read_file out) ~incidents:(read_file inc));
   rm_rf_quietly dir;
   List.iter remove_quietly [ inc; out; err ]
 
-(* SIGSTOP stall: a live-but-frozen worker must be detected by heartbeat
-   expiry, killed, and its chunk reassigned — with the region unchanged. *)
-let carto_stall_detection sim =
-  print_endline "carto stall detection (SIGSTOP a worker):";
-  let point = "path6-max-sg" in
-  let prefix = temp_prefix "carto_stall" in
-  let dir = prefix ^ ".d" and inc = prefix ^ ".jsonl" in
-  let out = prefix ^ ".out" and err = prefix ^ ".err" in
-  rm_rf_quietly dir;
-  remove_quietly inc;
-  let spec = carto_spec point in
-  let pid =
-    spawn_carto sim ~point ~dir ~inc ~out ~err
-      [ "--workers"; "2"; "--chunk-size"; "8"; "--throttle-ms"; "20";
-        "--heartbeat-timeout"; "1.5"; "--heartbeat-interval"; "0.05";
-        "--max-respawns"; "6" ]
-  in
-  let stopped = ref None in
-  check "found a live worker to stall"
-    (wait_for ~timeout:30.0 (fun () ->
-         match carto_worker_pids ~dir spec with
-         | wpid :: _ ->
-             stopped := Some wpid;
-             kill_quietly ~signal:Sys.sigstop wpid;
-             true
-         | [] -> false));
-  let _, status = Unix.waitpid [] pid in
-  check "stalled carto run still exits 0" (status = Unix.WEXITED 0);
-  let stdout_text = read_file out in
-  check "region survives the stall bit for bit"
-    (contains stdout_text ("region: " ^ carto_reference_region point));
-  check "the missed heartbeat was logged"
-    (contains (read_file inc) "heartbeat");
-  (match !stopped with Some p -> kill_quietly p | None -> ());
-  rm_rf_quietly dir;
-  List.iter remove_quietly [ inc; out; err ]
+(* SIGKILL storm: murder up to 4 distinct workers while the run is in
+   progress; it must still complete, reassign every victim's work and
+   log each death. *)
+let kill_storm sim c =
+  soak sim c Storm ~title:"kill storm (SIGKILL random workers)" ~tag:"storm"
+    (fun r ~dir ~out ~inc ~start ->
+      let pid = start () in
+      let killed = Hashtbl.create 8 in
+      let status = ref None in
+      let running () =
+        (match !status with
+        | Some _ -> ()
+        | None -> (
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ -> ()
+            | _, s -> status := Some s
+            | exception Unix.Unix_error _ -> ()));
+        !status = None
+      in
+      while running () && Hashtbl.length killed < 4 do
+        List.iter
+          (fun wpid ->
+            if Hashtbl.length killed < 4 && not (Hashtbl.mem killed wpid)
+            then begin
+              Hashtbl.replace killed wpid ();
+              kill_quietly wpid
+            end)
+          (worker_pids (r.leases dir));
+        Unix.sleepf 0.05
+      done;
+      check "the storm killed at least one worker" (Hashtbl.length killed >= 1);
+      if !status = None then status := Some (snd (Unix.waitpid [] pid));
+      let text = read_file out and incidents = read_file inc in
+      check (c.name ^ " under storm exits 0") (!status = Some (Unix.WEXITED 0));
+      check c.reassigned
+        (not (contains text "respawns=0 ") && contains text "respawns=");
+      check "worker deaths were logged" (contains incidents "\"worker_dead\"");
+      check "reassignments were logged" (contains incidents "\"reassigned\""))
 
-(* SIGKILL the supervisor itself mid-exploration (workers are orphaned
-   wherever they happen to be); a rerun over the same directory must
-   recover and converge to the identical region. *)
-let carto_supervisor_kill_resume sim =
-  print_endline "carto supervisor hard kill + resume (SIGKILL):";
-  let point = "path7-max-sg" in
-  let prefix = temp_prefix "carto_resume" in
-  let dir = prefix ^ ".d" and inc = prefix ^ ".jsonl" in
-  let out = prefix ^ ".out" and err = prefix ^ ".err" in
-  rm_rf_quietly dir;
-  remove_quietly inc;
-  let args =
-    [ "--workers"; "2"; "--chunk-size"; "16"; "--throttle-ms"; "5";
-      "--heartbeat-timeout"; "30"; "--max-respawns"; "12" ]
-  in
-  let pid = spawn_carto sim ~point ~dir ~inc ~out ~err args in
-  check "a wave committed before the kill"
-    (wait_for ~timeout:60.0 (fun () ->
-         Sys.file_exists (Filename.concat dir "frontier-0002.fr")));
-  Unix.kill pid Sys.sigkill;
-  (match Unix.waitpid [] pid with
-  | _, Unix.WSIGNALED s ->
-      check "supervisor died from the kill" (s = Sys.sigkill)
-  | _, Unix.WEXITED 0 ->
-      check "supervisor died from the kill (finished first)" true
-  | _ -> check "supervisor died from the kill" false);
-  let pid2 = spawn_carto sim ~point ~dir ~inc ~out ~err args in
-  let _, status = Unix.waitpid [] pid2 in
-  check "resumed run completes cleanly" (status = Unix.WEXITED 0);
-  let stdout_text = read_file out in
-  check "resume was detected" (contains stdout_text "resumed=true");
-  check "recovered region is fingerprint-identical"
-    (contains stdout_text ("region: " ^ carto_reference_region point));
-  rm_rf_quietly dir;
-  List.iter remove_quietly [ inc; out; err ]
+(* SIGSTOP stall: a worker that is alive but making no progress (the
+   kernel still reports it running) must be detected by its missed
+   heartbeats, killed, and its work reassigned. *)
+let stall_detection sim c =
+  soak sim c Stall ~title:"stall detection (SIGSTOP a worker)" ~tag:"stall"
+    (fun r ~dir ~out:_ ~inc ~start ->
+      let pid = start () in
+      let stopped = ref None in
+      check "found a live worker to stall"
+        (wait_for ~timeout:30.0 (fun () ->
+             match worker_pids (r.leases dir) with
+             | wpid :: _ ->
+                 stopped := Some wpid;
+                 kill_quietly ~signal:Sys.sigstop wpid;
+                 true
+             | [] -> false));
+      let _, status = Unix.waitpid [] pid in
+      check ("stalled " ^ c.noun ^ " still exits 0") (status = Unix.WEXITED 0);
+      check "the missed heartbeat was logged"
+        (contains (read_file inc) "heartbeat");
+      Option.iter kill_quietly !stopped)
+
+(* SIGKILL the supervisor itself once some work is durable (its workers
+   are orphaned wherever they happen to be); rerunning the same command
+   over the same directory must recover and converge to the identical
+   result. *)
+let supervisor_kill_resume sim c =
+  soak sim c Resume ~title:"supervisor hard kill + resume (SIGKILL)"
+    ~tag:"resume" (fun r ~dir ~out:_ ~inc:_ ~start ->
+      let pid = start () in
+      check c.committed_before_kill
+        (wait_for ~timeout:60.0 (fun () -> r.committed dir));
+      Unix.kill pid Sys.sigkill;
+      (match Unix.waitpid [] pid with
+      | _, Unix.WSIGNALED s ->
+          check "supervisor died from the kill" (s = Sys.sigkill)
+      | _, Unix.WEXITED 0 ->
+          check "supervisor died from the kill (finished first)" true
+      | _ -> check "supervisor died from the kill" false);
+      let _, status = Unix.waitpid [] (start ()) in
+      check "resumed run completes cleanly" (status = Unix.WEXITED 0))
 
 let sim_path () =
   let rec find = function
@@ -605,18 +583,17 @@ let () =
       sigint_flushes_checkpoint sim;
       sigterm_exits_143 sim;
       sigkill_then_resume sim;
-      if fleet_soak_requested () then begin
-        fleet_kill_storm sim;
-        fleet_stall_detection sim
-      end
+      out_of_range_counts_rejected sim;
+      let soak_legs c =
+        kill_storm sim c;
+        stall_detection sim c;
+        supervisor_kill_resume sim c
+      in
+      if fleet_soak_requested () then soak_legs fleet
       else
         print_endline
           "fleet soak skipped (pass --fleet-soak to run the kill storm)";
-      if carto_soak_requested () then begin
-        carto_kill_storm sim;
-        carto_stall_detection sim;
-        carto_supervisor_kill_resume sim
-      end
+      if carto_soak_requested () then soak_legs carto
       else
         print_endline
           "carto soak skipped (pass --carto-soak to run the cartography \
