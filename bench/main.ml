@@ -684,9 +684,9 @@ let scaling_leg scale =
      engine's working copy), where n² words per matrix would dominate. *)
   let peak_rss = peak_rss_mib () in
   (* [install] admits the new table before evicting, and pinned tables
-     (the mover's row, a probed target, the applied move's endpoints) are
-     exempt while held — so the peak may transiently sit a few tables
-     above the budget, never more than the pin width. *)
+     (the applied move's endpoints) are exempt while held — so the peak
+     may transiently sit a few tables above the budget, never more than
+     the pin width. *)
   let pin_slack = 8 in
   let within_budget = residency.Distcache.peak <= large_budget + pin_slack in
   Printf.printf

@@ -427,9 +427,7 @@ let finish_step s u (e : Response.evaluated) ~next_mode =
           in
           (* Patch the cache primitive by primitive: each note_* sees the
              graph exactly after its primitive, against the tables from
-             before it — the state the keep/repair rules assume.  The
-             patch also bumps the version counters that expire witness
-             skip certificates depending on what changed. *)
+             before it — the state the keep/repair rules assume. *)
           ignore
             (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
                  match p with

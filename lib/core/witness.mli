@@ -21,10 +21,10 @@ val create : int -> t
 (** One empty slot per agent. *)
 
 val reset : t -> unit
-(** Forget every witness, certificate and counter — the freshly-created
-    state.  Called by {!Engine.Arena} when a pooled table is handed to the
-    next trial, so no stale move or skip certificate can leak between
-    trials and per-trial hit/scan/skip stats match a solo run's. *)
+(** Forget every witness and counter — the freshly-created state.  Called
+    by {!Engine.Arena} when a pooled table is handed to the next trial, so
+    no stale move can leak between trials and per-trial hit/scan stats
+    match a solo run's. *)
 
 val probe : t -> Response.Fast.ctx -> int -> bool
 (** Same boolean as [Response.Fast.is_unhappy ctx u], usually at the price
@@ -33,25 +33,17 @@ val probe : t -> Response.Fast.ctx -> int -> bool
 val get : t -> int -> Move.t option
 (** The cached witness, if any — used to seed best-response pruning. *)
 
-val note : t -> int -> Move.t -> unit
-
 val clear : t -> int -> unit
 (** Forget an agent's witness — called after that agent moves, since the
     applied move consumed it. *)
 
 val hits : t -> int
-(** Probes answered through the cached witness alone (including
-    certificate skips). *)
+(** Probes answered by re-verifying the cached witness alone. *)
 
 val scans : t -> int
 (** Probes that needed a full candidate scan. *)
 
 val skips : t -> int
-(** Probes answered with zero evaluations by a still-valid skip
-    certificate — a subset of {!hits}.  A certificate pins the identity of
-    the {!Distcache} that served a verified Buy verdict together with the
-    version counters of everything the verdict read (both distance tables
-    and the mover's incidence); it self-expires as soon as any of them
-    changes, or when the probing context is backed by a different cache.
-    Only the engine's persistent cross-step cache can keep certificates
-    alive across moves — and it bumps the versions as it patches. *)
+(** Always 0: every probe re-verifies its remembered move, so none is
+    answered without an evaluation.  Kept for the benchmark's witness
+    metrics. *)

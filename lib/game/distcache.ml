@@ -60,8 +60,7 @@
    the cap evicts the least-recently-used unpinned one (logical clock, not
    wall time, so arena and fresh runs see identical eviction sequences).
    Eviction frees no information the graph does not still hold — a refill
-   is a fresh BFS, counted in [fills], and bumps the table version so any
-   witness certificate minted against the old residency revalidates. *)
+   is a fresh BFS, counted in [fills]. *)
 
 type stats = {
   kept : int;
@@ -96,12 +95,6 @@ type t = {
   psum : int array;  (* incremental (reached, sum) of tables.(v), valid *)
   preach : int array;  (* iff pvalid.(v): repairs read every overwritten *)
   pvalid : bool array;  (* entry, so the aggregates track in O(changed) *)
-  table_ver : int array;
-      (* bumped whenever source v's table is installed, repaired or
-         rebuilt; never on a keep.  Witness certificates pin these. *)
-  touch_ver : int array;
-      (* bumped for both endpoints of every noted primitive — the
-         incidence of a vertex can only change through such a primitive *)
   (* residency bookkeeping *)
   res_list : int array; (* dense list of sources with resident tables *)
   res_pos : int array; (* position in res_list, or -1 *)
@@ -155,8 +148,6 @@ let create ?threshold ?budget n =
     psum = mk 0;
     preach = mk 0;
     pvalid = Array.make (max 1 n) false;
-    table_ver = mk 0;
-    touch_ver = mk 0;
     res_list = mk 0;
     res_pos = mk (-1);
     res_count = 0;
@@ -274,9 +265,7 @@ let alloc_table t =
   | [] -> Intvec.create (max 1 t.n)
 
 (* Drop the LRU unpinned table.  Values are unchanged by eviction — the
-   graph still determines them — so the table version is NOT bumped here;
-   a later refill bumps it (via [install]), conservatively expiring any
-   witness certificate that pinned the evicted residency. *)
+   graph still determines them — and a later refill recomputes them. *)
 let evict_one t =
   let best = ref (-1) and best_use = ref max_int in
   for k = 0 to t.res_count - 1 do
@@ -317,7 +306,6 @@ let install t v buf =
   t.tables.(v) <- Some buf;
   t.profiles.(v) <- None;
   t.pvalid.(v) <- false;
-  t.table_ver.(v) <- t.table_ver.(v) + 1;
   t.fills <- t.fills + 1;
   res_add t v;
   touch t v;
@@ -347,10 +335,7 @@ let ensure t ~ws g v =
 (* Return the cache to its freshly-created state so an arena can hand it to
    the next trial: tables and profiles are dropped (buffers recycled) and
    the stat counters zeroed, making per-trial [stats] identical to a solo
-   run's.  The version counters and repair stamps stay monotone on purpose
-   — a skip certificate from a previous trial that pinned this cache can
-   then never validate again, even if its witness escaped the matching
-   [Witness.reset]. *)
+   run's.  The repair stamps stay monotone, so no stale mark survives. *)
 let reset t =
   for k = 0 to t.res_count - 1 do
     let v = t.res_list.(k) in
@@ -373,9 +358,6 @@ let reset t =
   t.rebuilt <- 0;
   t.fills <- 0;
   t.evicted <- 0
-
-let table_version t v = t.table_ver.(v)
-let touch_version t v = t.touch_ver.(v)
 
 let stats t =
   {
@@ -419,9 +401,7 @@ let sum_profile t v =
     let p = profile t v in
     (p.Paths.reached, p.Paths.sum)
 
-let mark_changed t v =
-  t.profiles.(v) <- None;
-  t.table_ver.(v) <- t.table_ver.(v) + 1
+let mark_changed t v = t.profiles.(v) <- None
 
 (* Fresh BFS from [v] into the existing table [d] — the fallback path. *)
 let rebuild t csr v (d : Intvec.t) =
@@ -652,8 +632,6 @@ let classify_delete t a b =
 
 let note_added t g a b =
   if Graph.n g <> t.n then invalid_arg "Distcache.note_added: size mismatch";
-  t.touch_ver.(a) <- t.touch_ver.(a) + 1;
-  t.touch_ver.(b) <- t.touch_ver.(b) + 1;
   mark_dirty t a;
   mark_dirty t b;
   classify_insert t a b;
@@ -681,8 +659,6 @@ let note_added t g a b =
 
 let note_removed t g a b =
   if Graph.n g <> t.n then invalid_arg "Distcache.note_removed: size mismatch";
-  t.touch_ver.(a) <- t.touch_ver.(a) + 1;
-  t.touch_ver.(b) <- t.touch_ver.(b) + 1;
   mark_dirty t a;
   mark_dirty t b;
   classify_delete t a b;

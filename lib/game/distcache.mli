@@ -80,8 +80,7 @@ val ensure : t -> ws:Paths.Workspace.t -> Graph.t -> int -> Intvec.t
 val pin : t -> int -> unit
 (** Exempt [v]'s table from eviction until the matching {!unpin}.  Pins
     nest.  The engine pins a move's endpoint tables across the apply so
-    the dirty-set classifier always has both pre-primitive rows; response
-    scans pin the mover's table while they hold it. *)
+    the dirty-set classifier always has both pre-primitive rows. *)
 
 val unpin : t -> int -> unit
 (** @raise Invalid_argument if [v] is not pinned. *)
@@ -99,18 +98,6 @@ val sum_profile : t -> int -> int * int
     eccentricity in O(changed)).  The sum-distance cost paths and the cost
     board read this instead of rescanning O(n) per repaired row.
     @raise Invalid_argument if [v] has no table. *)
-
-val table_version : t -> int -> int
-(** Monotone counter, bumped whenever source [v]'s table is installed,
-    repaired or rebuilt — never on a keep, and never on an eviction (the
-    values a table would hold are unchanged by eviction; the refill bumps).
-    A consumer that recorded the version can later prove the table it read
-    is still byte-identical. *)
-
-val touch_version : t -> int -> int
-(** Monotone counter, bumped for both endpoints of every noted primitive.
-    An unchanged value proves vertex [v]'s incident edges (and hence its
-    degrees) are untouched since the recording. *)
 
 val note_added : t -> Graph.t -> int -> int -> unit
 (** [note_added t g a b]: the edge [{a, b}] was just inserted into [g];
@@ -147,9 +134,7 @@ val reset : t -> unit
 (** Return the cache to its freshly-created state — tables and profiles
     dropped (buffers recycled), residency and stat counters zeroed — so an
     {!Engine.Arena} can hand it to the next trial with per-trial [stats]
-    identical to a solo run's.  The version counters stay monotone: a
-    {!Witness} skip certificate minted against this cache in an earlier
-    trial can never validate again. *)
+    identical to a solo run's. *)
 
 (** {2 Process-wide totals}
 

@@ -286,25 +286,21 @@ let admissible model g move =
    functions above (the differential suite pins this), but avoids most of
    their BFS work:
 
-   - a step-scoped cache of single-source distance tables [d_G(v, .)],
-     filled lazily (or in parallel by the max-cost policy);
-   - buys evaluated exactly in O(n) from two cached tables, no BFS:
-     d_{G+uy}(u, v) = min(d_G(u, v), 1 + d_G(y, v));
-   - deletions evaluated exactly from one BFS per removable edge, shared
-     by every swap removing that same edge;
-   - swaps filtered by the sound lower bound
-     d_{G-ux+uy}(u, v) >= min(d_{G-ux}(u, v), 1 + d_G(y, v))
-     (the right side only shrinks when [d_G] replaces [d_{G-ux}]), with a
-     cutoff-bounded exact BFS only for survivors;
-   - every exact evaluation bounded by the best admissible cost found so
-     far, so hopeless candidates abort their BFS early. *)
+   - a cache of single-source distance tables [d_G(v, .)], filled lazily
+     (or in parallel by the max-cost policy) and, in the engine, kept
+     across steps;
+   - one BFS per removable edge {u, x} for its row [d_{G-ux}(u, .)],
+     which scores the deletion and is shared by every swap removing that
+     same edge;
+   - buys and swaps scored exactly from [u]'s base row b alone (d_G for a
+     buy, d_{G-ux} for a swap): d'(v) = min (b v, 1 + d_{G-u}(y, v)), and
+     {!Paths.Workspace.profile_with_edge} runs the second term's BFS from
+     [y] only through the vertices the new edge brings closer — no
+     target row is read or filled, and the graph is not edited;
+   - O(1) triangle-inequality caps, and the memoized buy profile (a lower
+     bound on every swap adding the same edge), reject hopeless
+     candidates before a swap's kernel or its minus row's BFS runs. *)
 module Fast = struct
-  (* Memoized per-target buy-profile knowledge: either the exact profile,
-     or a proved lower bound on the active mode's aggregate (the partial
-     sum where a budget-bounded merge bailed out) — sound to reject any
-     budget below it, recomputed if a larger budget ever asks. *)
-  type buy_entry = Full of Paths.profile | Lb of int
-
   type ctx = {
     model : Model.t;
     g : Graph.t;
@@ -313,7 +309,7 @@ module Fast = struct
     cache : Distcache.t;  (* d_G(v, .), -1 = unreachable *)
     mutable table_fills : int;
     mutable prefilter : bool;
-    mutable profile_memo : int * buy_entry option array;
+    mutable profile_memo : int * Paths.profile option array;
         (* the last scan's agent and its per-target buy-profile memo.
            Tables never change while a ctx is alive (transient evaluations
            restore the graph), so consecutive scans of the same agent —
@@ -336,7 +332,6 @@ module Fast = struct
     }
 
   let create ws model g = of_cache ws model g (Distcache.create (Graph.n g))
-  let cache ctx = ctx.cache
   let set_prefilter ctx on = ctx.prefilter <- on
   let has_table ctx v = Distcache.get ctx.cache v <> None
   let set_table ctx v d = Distcache.set ctx.cache v d
@@ -348,18 +343,6 @@ module Fast = struct
     | None ->
         ctx.table_fills <- ctx.table_fills + 1;
         Distcache.ensure ctx.cache ~ws:ctx.ws ctx.g v
-
-  let profile_of_dists dist =
-    let reached = ref 0 and sum = ref 0 and ecc = ref 0 in
-    Array.iter
-      (fun d ->
-        if d >= 0 then begin
-          incr reached;
-          sum := !sum + d;
-          if d > !ecc then ecc := d
-        end)
-      dist;
-    { Paths.reached = !reached; sum = !sum; ecc = !ecc }
 
   let cost ctx u =
     ignore (table ctx u);
@@ -419,7 +402,8 @@ module Fast = struct
     | Model.Max -> Paths.Workspace.Ecc_at_most budget
 
   (* Exact evaluation by transient application, with the BFS aborted as
-     soon as the candidate provably misses the threshold. *)
+     soon as the candidate provably misses the threshold.  Only the
+     exponential games' multi-edge strategies come through here. *)
   let evaluate_bounded ctx move ~before ~threshold =
     Move.with_applied ctx.g move (fun g ->
         let u = Move.agent move in
@@ -452,91 +436,11 @@ module Fast = struct
                         Agents.of_profile ctx.model g u p ~with_edges:true;
                     }))
 
-  (* Exact distance profile after [u] buys the edge {u, y}: a shortest
-     path in G + uy either avoids the new edge or starts with it.  [u]'s
-     table is pinned while [y]'s is ensured — the fill may evict under a
-     memory budget, and an unpinned [du] buffer could be recycled. *)
-  (* The fast path only ever reads the active distance mode's aggregate
-     out of a buy profile (plus [reached]) — [admit] and the swap lower
-     bound both switch on [dist_mode] — so the other aggregate is left 0
-     rather than computed.  When both endpoint tables reach every vertex
-     (the overwhelmingly common connected case, read off their cached
-     profiles in O(1)) the merge loop drops the per-element sign checks. *)
-  let buy_dist_profile_uncached ctx u y =
-    let du = table ctx u in
-    Distcache.pin ctx.cache u;
-    let dy = table ctx y in
-    let n = Intvec.dim du in
-    let ru, _ = Distcache.sum_profile ctx.cache u
-    and ry, _ = Distcache.sum_profile ctx.cache y in
-    let result =
-      if ru = n && ry = n then
-        match ctx.model.Model.dist_mode with
-        | Model.Sum ->
-            let sum = ref 0 in
-            for v = 0 to n - 1 do
-              let a = Intvec.unsafe_get du v and b = Intvec.unsafe_get dy v in
-              sum := !sum + (if a <= b + 1 then a else b + 1)
-            done;
-            { Paths.reached = n; sum = !sum; ecc = 0 }
-        | Model.Max ->
-            let ecc = ref 0 in
-            for v = 0 to n - 1 do
-              let a = Intvec.unsafe_get du v and b = Intvec.unsafe_get dy v in
-              let d = if a <= b + 1 then a else b + 1 in
-              if d > !ecc then ecc := d
-            done;
-            { Paths.reached = n; sum = 0; ecc = !ecc }
-      else begin
-        let reached = ref 0 and sum = ref 0 and ecc = ref 0 in
-        for v = 0 to n - 1 do
-          let a = Intvec.unsafe_get du v and b = Intvec.unsafe_get dy v in
-          let d =
-            if a < 0 then (if b < 0 then -1 else b + 1)
-            else if b < 0 then a
-            else if a <= b + 1 then a
-            else b + 1
-          in
-          if d >= 0 then begin
-            incr reached;
-            sum := !sum + d;
-            if d > !ecc then ecc := d
-          end
-        done;
-        { Paths.reached = !reached; sum = !sum; ecc = !ecc }
-      end
-    in
-    Distcache.unpin ctx.cache u;
-    result
+  (* {2 Base rows and their triangle-inequality admission caps}
 
-  (* Lower bound on the distance profile after the swap removing {u, x}
-     (exact table [du_minus]) and adding {u, y}: [d_G(y, v)] only
-     underestimates [d_{G-ux}(y, v)].  [None] means some vertex is
-     unreachable both ways — then it provably stays unreachable after the
-     swap and the candidate can be discarded outright. *)
-  let swap_dist_lb du_minus (dy : Intvec.t) =
-    let n = Array.length du_minus in
-    let sum = ref 0 and ecc = ref 0 in
-    let disconnected = ref false in
-    let v = ref 0 in
-    while (not !disconnected) && !v < n do
-      let a = du_minus.(!v) and b = Intvec.unsafe_get dy !v in
-      let d =
-        if a < 0 then (if b < 0 then -1 else b + 1)
-        else if b < 0 then a
-        else if a <= b + 1 then a
-        else b + 1
-      in
-      if d < 0 then disconnected := true
-      else begin
-        sum := !sum + d;
-        if d > !ecc then ecc := d
-      end;
-      incr v
-    done;
-    if !disconnected then None else Some (!sum, !ecc)
-
-  (* {2 Triangle-inequality admission caps}
+     A base row is the mover's own table, or one of its minus rows.  Its
+     reached count, distance sum and level histogram feed the
+     {!Paths.Workspace.profile_with_edge} kernel.
 
      Adding an edge from the scan source to a target [y] at level
      [k = d(y)] can shrink vertex [v]'s distance to at most
@@ -547,75 +451,91 @@ module Fast = struct
        cap(k) = Σ_{v : 2 d(v) > k + 1} min (k - 1) (2 d(v) - k - 1)
 
      and the eccentricity gain at [k - 1].  The caps depend only on the
-     level histogram of the base table, so one O(n + ecc²) pass per base
-     table buys an O(1) reject test per candidate: when even the capped
-     profile misses the admission budget, the exact profile provably does
-     too, so the admitted set — and hence every trajectory — is unchanged.
-     Gated by [ctx.prefilter] (the engine's output-sensitive step loop);
-     the historical full-scan baseline keeps the uncapped enumeration. *)
-  type gain_caps = {
-    gc_sum : int;  (* Σ d(v) over the (single) component *)
-    gc_ecc : int;
-    gc_cap : int array;  (* indexed by target level k, valid 1..ecc *)
+     level histogram, so one O(ecc²) pass per base row buys an O(1) reject
+     test per candidate: when even the capped profile misses the admission
+     budget, the exact profile provably does too, so the admitted set —
+     and hence every trajectory — is unchanged.  Gated by [ctx.prefilter]
+     (the engine's output-sensitive step loop); the historical full-scan
+     baseline keeps the uncapped enumeration. *)
+  type row_stats = {
+    rs_reached : int;
+    rs_sum : int;  (* Σ d(v) over the reached vertices *)
+    rs_hist : int array;  (* rs_hist.(l) = #{v : d(v) = l}, l in 0..ecc *)
+    mutable rs_cap : int array option;
+        (* by target level k, valid 1..ecc; computed on first use, and
+           only for a row that reaches every vertex — the cap argument
+           reasons within one component *)
   }
 
-  (* [None] when some vertex is unreachable from the base source — the cap
-     argument only reasons within one component. *)
-  let gain_caps ~n get =
-    let ecc = ref 0 and unreachable = ref 0 and sum = ref 0 in
+  let row_stats ~n (row : Intvec.t) =
+    let reached = ref 0 and sum = ref 0 and ecc = ref 0 in
     for v = 0 to n - 1 do
-      let d = get v in
-      if d < 0 then incr unreachable
-      else begin
+      let d = Intvec.unsafe_get row v in
+      if d >= 0 then begin
+        incr reached;
         sum := !sum + d;
         if d > !ecc then ecc := d
       end
     done;
-    if !unreachable > 0 then None
-    else begin
-      let ecc = !ecc in
-      let hist = Array.make (ecc + 1) 0 in
-      for v = 0 to n - 1 do
-        hist.(get v) <- hist.(get v) + 1
-      done;
-      let cap = Array.make (ecc + 1) 0 in
-      for k = 1 to ecc do
-        let acc = ref 0 in
-        for l = (k / 2) + 1 to ecc do
-          acc := !acc + (hist.(l) * min (k - 1) ((2 * l) - k - 1))
+    let hist = Array.make (!ecc + 1) 0 in
+    for v = 0 to n - 1 do
+      let d = Intvec.unsafe_get row v in
+      if d >= 0 then hist.(d) <- hist.(d) + 1
+    done;
+    { rs_reached = !reached; rs_sum = !sum; rs_hist = hist; rs_cap = None }
+
+  let ecc_of st = Array.length st.rs_hist - 1
+
+  let profile_of_stats st =
+    { Paths.reached = st.rs_reached; sum = st.rs_sum; ecc = ecc_of st }
+
+  let caps st =
+    match st.rs_cap with
+    | Some cap -> cap
+    | None ->
+        let ecc = ecc_of st and hist = st.rs_hist in
+        let cap = Array.make (ecc + 1) 0 in
+        for k = 1 to ecc do
+          let acc = ref 0 in
+          for l = (k / 2) + 1 to ecc do
+            acc := !acc + (hist.(l) * min (k - 1) ((2 * l) - k - 1))
+          done;
+          cap.(k) <- !acc
         done;
-        cap.(k) <- !acc
-      done;
-      Some { gc_sum = !sum; gc_ecc = ecc; gc_cap = cap }
-    end
+        st.rs_cap <- Some cap;
+        cap
 
   (* [true] when no candidate at level [k] can meet [budget] even with the
-     maximal capped gain.  Levels outside [1..ecc] never reject. *)
-  let caps_reject ctx caps ~k ~budget =
+     maximal capped gain.  Rows with an unreachable vertex and levels
+     outside [1..ecc] never reject. *)
+  let caps_reject ctx st ~k ~budget =
     k >= 1
-    && k <= caps.gc_ecc
+    && k <= ecc_of st
+    && st.rs_reached = Graph.n ctx.g
     &&
     match ctx.model.Model.dist_mode with
-    | Model.Sum -> caps.gc_sum - caps.gc_cap.(k) > budget
-    | Model.Max -> caps.gc_ecc - (k - 1) > budget
+    | Model.Sum -> st.rs_sum - (caps st).(k) > budget
+    | Model.Max -> ecc_of st - (k - 1) > budget
 
-  (* Per-agent scan state: the agent's current cost and edge units, plus
-     the lazily filled [d_{G-ux}(u, .)] tables, one per removable edge,
-     shared by the deletion and all swaps removing that edge, and the
-     lazily computed admission caps for the base and minus tables. *)
+  (* Per-agent scan state: the agent's current cost and edge units, the
+     lazily computed stats of its base row, and the lazily filled
+     [d_{G-ux}(u, .)] rows, one per removable edge, shared by the deletion
+     and all swaps removing that edge. *)
   type scan = {
     ctx : ctx;
     u : int;
     before : Cost.t;
     base_units : int;
-    mutable minus : (int * int array) list;
-    mutable base_caps : gain_caps option option;
-    mutable minus_caps : (int * gain_caps option) list;
-    mutable buy_profiles : buy_entry option array;
+    mutable base_stats : row_stats option;
+    mutable minus : (int * (Intvec.t * row_stats)) list;
+        (* per removable edge: its row (workspace scratch row number
+           [List.length] at fill time, so the scan allocates no row) and
+           the row's stats *)
+    mutable buy_profiles : Paths.profile option array;
         (* per target, memoized for the scan: the graph is unchanged while
-           a scan runs (minus-table evaluations restore it), so the buy
-           profile of a target is scan-constant.  Lazily sized; [[||]]
-           until the first lookup. *)
+           a scan runs (minus-row fills restore it), so the buy profile
+           of a target is scan-constant.  Lazily sized; [[||]] until the
+           first lookup. *)
     mutable budget_memo :
       (int option * int * [ `Any | `At_most of int | `Reject ]) option;
         (* [dist_budget] of the last (threshold, edge_units) pair seen:
@@ -624,14 +544,6 @@ module Fast = struct
            memo answers almost every candidate without re-deriving (or
            re-boxing) the budget.  Keyed on the threshold's physical
            identity — a fresh admit always builds a fresh option block. *)
-    mutable suffix_lb : (int * int array) list;
-        (* per target level [k]: suffix sums of the per-vertex buy-profile
-           lower bound [min (d v) (|k - d v| + 1)] over the base table —
-           lets the budget-bounded merge bail as soon as the running sum
-           plus the remaining vertices' proved minimum crosses the budget.
-           One O(n) pass per distinct level (at most the base
-           eccentricity, small in the low-diameter graphs the caps are
-           weak on). *)
   }
 
   let make_scan ctx u =
@@ -643,12 +555,10 @@ module Fast = struct
       u;
       before = cost ctx u;
       base_units = Model.edge_units ctx.model ctx.g u;
+      base_stats = None;
       minus = [];
-      base_caps = None;
-      minus_caps = [];
       buy_profiles;
       budget_memo = None;
-      suffix_lb = [];
     }
 
   let ensure_profiles s =
@@ -657,167 +567,68 @@ module Fast = struct
       s.ctx.profile_memo <- (s.u, s.buy_profiles)
     end
 
-  let buy_dist_profile s y =
+  let base_stats s =
+    match s.base_stats with
+    | Some st -> st
+    | None ->
+        let st = row_stats ~n:(Graph.n s.ctx.g) (table s.ctx s.u) in
+        s.base_stats <- Some st;
+        st
+
+  let minus s x =
+    match List.assoc_opt x s.minus with
+    | Some m -> m
+    | None ->
+        let ctx = s.ctx in
+        let g = ctx.g in
+        let row = Paths.Workspace.row ctx.ws (List.length s.minus) in
+        let o = Graph.owner g s.u x in
+        Graph.remove_edge g s.u x;
+        Fun.protect
+          ~finally:(fun () -> Graph.add_edge g ~owner:o s.u x)
+          (fun () -> Paths.Workspace.distances_into ctx.ws g s.u row);
+        let m = (row, row_stats ~n:(Graph.n g) row) in
+        s.minus <- (x, m) :: s.minus;
+        m
+
+  (* The exact profile after adding {u, y} to the graph [row] was measured
+     in — no target row read, nothing filled. *)
+  let with_edge s row st y =
+    Paths.Workspace.profile_with_edge s.ctx.ws s.ctx.g row
+      ~reached:st.rs_reached ~sum:st.rs_sum ~hist:st.rs_hist y
+
+  (* The exact profile of buying {u, y}, memoized per target for the
+     scan. *)
+  let buy_profile s y =
     ensure_profiles s;
     match s.buy_profiles.(y) with
-    | Some (Full p) -> p
-    | Some (Lb _) | None ->
-        let p = buy_dist_profile_uncached s.ctx s.u y in
-        s.buy_profiles.(y) <- Some (Full p);
+    | Some p -> p
+    | None ->
+        let p = with_edge s (table s.ctx s.u) (base_stats s) y in
+        s.buy_profiles.(y) <- Some p;
         p
 
-  let aggregate ctx (p : Paths.profile) =
+  let dist_of ctx (p : Paths.profile) =
     match ctx.model.Model.dist_mode with
     | Model.Sum -> p.Paths.sum
     | Model.Max -> p.Paths.ecc
 
-  let suffix_lb s du k =
-    match List.assoc_opt k s.suffix_lb with
-    | Some a -> a
-    | None ->
-        let n = Intvec.dim du in
-        let a = Array.make (n + 1) 0 in
-        for v = n - 1 downto 0 do
-          let d = Intvec.unsafe_get du v in
-          let diff = abs (k - d) + 1 in
-          a.(v) <- a.(v + 1) + (if d <= diff then d else diff)
-        done;
-        s.suffix_lb <- (k, a) :: s.suffix_lb;
-        a
-
-  (* [Some p] with the exact buy profile iff buying {u, y} reaches every
-     vertex and keeps the active mode's aggregate within [budget];
-     [None] is a proved rejection.  Unlike {!buy_dist_profile} the merge
-     loop bails out as soon as the running aggregate crosses the budget
-     — most candidates die long before the end of the row — and the
-     partial aggregate is memoized as a {!Lb} lower bound, which rejects
-     later queries in O(1) (thresholds only tighten over a scan, so
-     budgets only shrink; the rare larger-budget query recomputes). *)
-  let buy_admissible s y ~budget =
-    ensure_profiles s;
-    let ctx = s.ctx in
-    let n = Graph.n ctx.g in
-    match s.buy_profiles.(y) with
-    | Some (Full p) ->
-        if p.Paths.reached < n || aggregate ctx p > budget then None
-        else Some p
-    | Some (Lb l) when l > budget -> None
-    | Some (Lb _) | None ->
-        let du = table ctx s.u in
-        Distcache.pin ctx.cache s.u;
-        let dy = table ctx y in
-        let ru, _ = Distcache.sum_profile ctx.cache s.u
-        and ry, _ = Distcache.sum_profile ctx.cache y in
-        let result =
-          if ru = n && ry = n then
-            match ctx.model.Model.dist_mode with
-            | Model.Sum ->
-                (* Bail as soon as the running sum plus the remaining
-                   vertices' proved minimum (d_G(y, v) >= |d(y) - d(v)|,
-                   so the merged distance is >= min (d v) (|k - d v| + 1))
-                   crosses the budget: hopeless candidates die after a
-                   short prefix instead of at the end of the row. *)
-                let sfx = suffix_lb s du (Intvec.unsafe_get du y) in
-                let sum = ref 0 and v = ref 0 and over = ref false in
-                while (not !over) && !v < n do
-                  if !sum + Array.unsafe_get sfx !v > budget then
-                    over := true
-                  else begin
-                    let a = Intvec.unsafe_get du !v
-                    and b = Intvec.unsafe_get dy !v in
-                    sum := !sum + (if a <= b + 1 then a else b + 1);
-                    incr v
-                  end
-                done;
-                if !over then begin
-                  s.buy_profiles.(y) <- Some (Lb (!sum + sfx.(!v)));
-                  None
-                end
-                else if !sum > budget then begin
-                  s.buy_profiles.(y) <- Some (Lb !sum);
-                  None
-                end
-                else begin
-                  let p = { Paths.reached = n; sum = !sum; ecc = 0 } in
-                  s.buy_profiles.(y) <- Some (Full p);
-                  Some p
-                end
-            | Model.Max ->
-                let ecc = ref 0 and v = ref 0 in
-                while !ecc <= budget && !v < n do
-                  let a = Intvec.unsafe_get du !v
-                  and b = Intvec.unsafe_get dy !v in
-                  let d = if a <= b + 1 then a else b + 1 in
-                  if d > !ecc then ecc := d;
-                  incr v
-                done;
-                if !ecc > budget then begin
-                  s.buy_profiles.(y) <- Some (Lb !ecc);
-                  None
-                end
-                else begin
-                  let p = { Paths.reached = n; sum = 0; ecc = !ecc } in
-                  s.buy_profiles.(y) <- Some (Full p);
-                  Some p
-                end
-          else begin
-            (* some endpoint row has unreachable vertices: rare, keep the
-               exact sign-checked merge and test the result *)
-            let p = buy_dist_profile_uncached ctx s.u y in
-            s.buy_profiles.(y) <- Some (Full p);
-            if p.Paths.reached < n || aggregate ctx p > budget then None
-            else Some p
-          end
-        in
-        Distcache.unpin ctx.cache s.u;
-        result
-
-  let base_caps s =
-    match s.base_caps with
-    | Some c -> c
-    | None ->
-        let du = table s.ctx s.u in
-        let c = gain_caps ~n:(Intvec.dim du) (Intvec.get du) in
-        s.base_caps <- Some c;
-        c
-
-  let minus_caps s x d =
-    match List.assoc_opt x s.minus_caps with
-    | Some c -> c
-    | None ->
-        let c = gain_caps ~n:(Array.length d) (Array.get d) in
-        s.minus_caps <- (x, c) :: s.minus_caps;
-        c
-
-  let minus_table s x =
-    match List.assoc_opt x s.minus with
-    | Some d -> d
-    | None ->
-        let g = s.ctx.g in
-        let o = Graph.owner g s.u x in
-        Graph.remove_edge g s.u x;
-        let d =
-          Fun.protect
-            ~finally:(fun () -> Graph.add_edge g ~owner:o s.u x)
-            (fun () -> Paths.Workspace.distances s.ctx.ws g s.u)
-        in
-        s.minus <- (x, d) :: s.minus;
-        d
+  (* [true] when the profile leaves a vertex unreachable or its active
+     distance aggregate exceeds [budget]. *)
+  let misses ctx p ~budget =
+    p.Paths.reached < Graph.n ctx.g || dist_of ctx p > budget
 
   (* Admit an exactly known profile against the budget. *)
   let admit s move ~edge_units p ~budget =
-    if p.Paths.reached < Graph.n s.ctx.g then None
+    let budget = match budget with `Any -> max_int | `At_most b -> b in
+    if misses s.ctx p ~budget then None
     else
-      let dist =
-        match s.ctx.model.Model.dist_mode with
-        | Model.Sum -> p.Paths.sum
-        | Model.Max -> p.Paths.ecc
-      in
-      let ok = match budget with `Any -> true | `At_most b -> dist <= b in
-      if ok then
-        Some
-          { move; before = s.before; after = Cost.connected ~edge_units ~dist }
-      else None
+      Some
+        {
+          move;
+          before = s.before;
+          after = Cost.connected ~edge_units ~dist:(dist_of s.ctx p);
+        }
 
   (* [Some e] iff the candidate's exact cost meets [threshold]; every
      admitted evaluation is exact, every rejection is proved. *)
@@ -840,32 +651,20 @@ module Fast = struct
     let edge_units = s.base_units + 1 in
     match dist_budget_memo s ~edge_units threshold with
     | `Reject -> None
-    | `Any ->
-        admit s
-          (Move.Buy { agent = s.u; target = y })
-          ~edge_units (buy_dist_profile s y) ~budget:`Any
-    | `At_most b as budget ->
-        if not ctx.prefilter then
+    | (`Any | `At_most _) as budget ->
+        let capped =
+          match budget with
+          | `At_most b when ctx.prefilter ->
+              caps_reject ctx (base_stats s)
+                ~k:(Intvec.get (table ctx s.u) y)
+                ~budget:b
+          | `At_most _ | `Any -> false
+        in
+        if capped then None
+        else
           admit s
             (Move.Buy { agent = s.u; target = y })
-            ~edge_units (buy_dist_profile s y) ~budget
-        else
-          let capped =
-            match base_caps s with
-            | None -> false
-            | Some caps ->
-                caps_reject ctx caps
-                  ~k:(Intvec.get (table ctx s.u) y)
-                  ~budget:b
-          in
-          if capped then None
-          else (
-            match buy_admissible s y ~budget:b with
-            | None -> None
-            | Some p ->
-                admit s
-                  (Move.Buy { agent = s.u; target = y })
-                  ~edge_units p ~budget)
+            ~edge_units (buy_profile s y) ~budget
 
   let try_delete s ~x ~threshold =
     let edge_units = s.base_units - 1 in
@@ -875,68 +674,52 @@ module Fast = struct
         admit s
           (Move.Delete { agent = s.u; target = x })
           ~edge_units
-          (profile_of_dists (minus_table s x))
+          (profile_of_stats (snd (minus s x)))
           ~budget
+
+  (* A swap keeps [u]'s edge units, and its profile is exactly the minus
+     row of {u, x} with the edge {u, y} added. *)
+  let score_swap s ~x ~y (row, st) ~budget =
+    admit s
+      (Move.Swap { agent = s.u; remove = x; add = y })
+      ~edge_units:s.base_units (with_edge s row st y) ~budget
 
   let try_swap s ~x ~y ~threshold =
     let ctx = s.ctx in
     match dist_budget_memo s ~edge_units:s.base_units threshold with
     | `Reject -> None
-    | `Any ->
-        evaluate_bounded ctx
-          (Move.Swap { agent = s.u; remove = x; add = y })
-          ~before:s.before ~threshold
-    | `At_most budget -> (
+    | `Any -> score_swap s ~x ~y (minus s x) ~budget:`Any
+    | `At_most budget as b ->
         (* The swap's distance profile is pointwise >= the pure buy
            profile of the same target — the removal only lengthens
            paths — so a target whose buy distance already misses the
-           budget is out.  O(n) once per target (memoized), amortized
-           O(1) over the removable edges; checked before the minus
-           table so an edge whose every target dies here never pays
-           its O(m) removal BFS. *)
+           budget is out.  Memoized per target, amortized O(1) over the
+           removable edges; checked before the minus row so an edge whose
+           every target dies here never pays its O(m) removal BFS.  The
+           O(1) caps test that guards the buy branch is sound here too,
+           before the buy profile. *)
         let buy_lb_rejected =
           ctx.prefilter
-          && ((match base_caps s with
-              | Some caps ->
-                  (* swap profile >= buy profile >= caps lower bound:
-                     the O(1) test that guards the buy branch is sound
-                     here too, before the O(n) merge *)
-                  caps_reject ctx caps
-                    ~k:(Intvec.get (table ctx s.u) y)
-                    ~budget
-              | None -> false)
-             || buy_admissible s y ~budget = None)
+          && (caps_reject ctx (base_stats s)
+                ~k:(Intvec.get (table ctx s.u) y)
+                ~budget
+             || misses ctx (buy_profile s y) ~budget)
         in
         if buy_lb_rejected then None
         else
-          let d = minus_table s x in
+          let (row, st) as m = minus s x in
           let rejected =
             ctx.prefilter
             &&
-            match minus_caps s x d with
-            | Some caps -> caps_reject ctx caps ~k:d.(y) ~budget
-            | None ->
-                (* removing {u, x} disconnects: a target still
-                   reachable from [u] in G - ux leaves the far side
-                   unreachable after the swap, so the candidate
-                   cannot be admitted *)
-                d.(y) >= 0
+            if st.rs_reached = Graph.n ctx.g then
+              caps_reject ctx st ~k:(Intvec.get row y) ~budget
+            else
+              (* removing {u, x} disconnects: a target still reachable
+                 from [u] in G - ux leaves the far side unreachable after
+                 the swap, so the candidate cannot be admitted *)
+              Intvec.get row y >= 0
           in
-          if rejected then None
-          else
-            match swap_dist_lb d (table ctx y) with
-            | None -> None
-            | Some (sum_lb, ecc_lb) ->
-                let lb =
-                  match ctx.model.Model.dist_mode with
-                  | Model.Sum -> sum_lb
-                  | Model.Max -> ecc_lb
-                in
-                if lb > budget then None
-                else
-                  evaluate_bounded ctx
-                    (Move.Swap { agent = s.u; remove = x; add = y })
-                    ~before:s.before ~threshold)
+          if rejected then None else score_swap s ~x ~y m ~budget:b
 
   let try_candidate s move ~threshold =
     let ctx = s.ctx in

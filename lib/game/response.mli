@@ -76,13 +76,17 @@ val admissible : Model.t -> Graph.t -> Move.t -> bool
     [is_unhappy] return exactly the same lists and booleans, at a fraction
     of the BFS work.  A context caches single-source distance tables of the
     {e current} network and is only valid until the next applied move: the
-    engine creates one per step.  See DESIGN.md §9 for the soundness
-    argument. *)
+    engine creates one per step.  Buys and swaps are scored from the
+    mover's own rows alone, by a BFS from the new edge's far end through
+    the vertices it brings closer ({!Paths.Workspace.profile_with_edge}),
+    so no scan reads or fills a target's row.  See DESIGN.md §9 for the
+    soundness argument. *)
 module Fast : sig
   type ctx
 
   val create : Paths.Workspace.t -> Model.t -> Graph.t -> ctx
-  (** The context borrows the workspace for its BFS scratch space; the
+  (** The context borrows the workspace for its BFS scratch space and its
+      scratch rows (one per removable edge of the scanned agent); the
       graph must not change (other than transiently through this module)
       while the context is in use.  Tables live in a private, step-scoped
       {!Distcache}. *)
@@ -94,18 +98,14 @@ module Fast : sig
       cache after every committed move.
       @raise Invalid_argument on a cache/graph size mismatch. *)
 
-  val cache : ctx -> Distcache.t
-  (** The cache backing this context — lets consumers pin the identity and
-      versions of the tables an evaluation read (see {!Ncg_core.Witness}). *)
-
   val set_prefilter : ctx -> bool -> unit
   (** Enable or disable the O(1) triangle-inequality admission caps that
       reject buy/swap candidates whose exact profile provably misses the
       admission budget (on by default).  Either setting evaluates the same
       admitted set — the caps only skip provably over-budget scans — so
-      results are identical; [false] restores the historical full-scan
-      enumeration cost profile, which the engine uses as the
-      [sublinear:false] baseline. *)
+      results are identical; [false] scores every candidate with the
+      exact kernel, which the engine uses as the [sublinear:false]
+      baseline. *)
 
   val cost : ctx -> int -> Cost.t
   (** Same value as [Agents.cost], served from the cached table. *)

@@ -8,6 +8,8 @@ module Workspace = struct
     stamps : Intvec.t;
         (* stamps.(v) = stamp marks v visited in the current BFS; bumping the
            stamp resets the whole workspace in O(1). *)
+    mutable rows : Intvec.t array;
+        (* scratch distance rows handed out by [row], grown on demand *)
   }
 
   let create max_n =
@@ -17,7 +19,18 @@ module Workspace = struct
       queue = Intvec.make (max 1 max_n) 0;
       stamp = 0;
       stamps = Intvec.make (max 1 max_n) 0;
+      rows = [||];
     }
+
+  let row ws i =
+    if i < 0 then invalid_arg "Paths.Workspace.row";
+    let have = Array.length ws.rows in
+    if i >= have then
+      ws.rows <-
+        Array.append ws.rows
+          (Array.init (i + 1 - have) (fun _ ->
+               Intvec.create (Intvec.dim ws.dist)));
+    ws.rows.(i)
 
   (* Every BFS below iterates the graph's CSR directly: row [u] is the
      slice [off.(u) .. off.(u+1) - 1] of [tg].  No list cells, no closure,
@@ -141,6 +154,94 @@ module Workspace = struct
         end
       done
     done
+
+  (* Adding {s, y} to the graph whose distances from [s] are [base] gives
+     d'(v) = min (base v, 1 + d_{G-s}(y, v)): a shortest path from [s]
+     either avoids the new edge or starts with it.  The region R where the
+     second term wins (1 + d(y, v) < base v, with -1 read as infinity) is
+     closed under shortest-path prefixes from [y]: if w precedes v on one,
+     base w >= base v - d(w, v) > 1 + d(y, w).  So a BFS from [y] that
+     enqueues only members of R discovers each of them at its true
+     distance, and a vertex rejected at its first discovery fails at every
+     later (no shorter) one, so only members of R are stamped.  [s] itself
+     never qualifies (base s = 0), so the BFS runs in G - s without
+     editing the graph.  The profile follows from the base aggregates and
+     R alone:
+       reached' = reached + |R ∩ {base < 0}|
+       sum'     = sum - Σ_{R, base >= 0} (base - 1 - d) + Σ_{R, base < 0} (1 + d)
+       ecc'     = max (1 + max_R d) (highest level L with
+                                      hist.(L) > |R ∩ {base = L}|) *)
+  let profile_with_edge ws g (base : Intvec.t) ~reached ~sum ~hist y =
+    let n = Graph.n g in
+    if n > Intvec.dim ws.dist then
+      invalid_arg "Paths.Workspace: graph larger than workspace";
+    if n > Intvec.dim base then
+      invalid_arg "Paths.Workspace.profile_with_edge: base row too small";
+    if y < 0 || y >= n then
+      invalid_arg "Paths.Workspace.profile_with_edge: target";
+    let top_level = Array.length hist - 1 in
+    if top_level < 0 || top_level >= Intvec.dim ws.dist then
+      invalid_arg "Paths.Workspace.profile_with_edge: histogram";
+    let by = Intvec.get base y in
+    if by >= 0 && by <= 1 then { reached; sum; ecc = top_level }
+    else begin
+      let csr = Graph.csr g in
+      let off = Csr.offsets csr and tg = Csr.targets csr in
+      ws.stamp <- ws.stamp + 1;
+      let stamp = ws.stamp in
+      Intvec.set ws.stamps y stamp;
+      Intvec.set ws.dist y 0;
+      Intvec.set ws.queue 0 y;
+      let reached = ref (if by < 0 then reached + 1 else reached) in
+      let sum = ref (if by < 0 then sum + 1 else sum - (by - 1)) in
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = Intvec.unsafe_get ws.queue !head in
+        incr head;
+        let dv = Intvec.unsafe_get ws.dist u + 1 in
+        for i = Intvec.unsafe_get off u to Intvec.unsafe_get off (u + 1) - 1 do
+          let v = Intvec.unsafe_get tg i in
+          let bv = Intvec.unsafe_get base v in
+          if (bv < 0 || dv + 1 < bv) && Intvec.unsafe_get ws.stamps v <> stamp
+          then begin
+            Intvec.unsafe_set ws.stamps v stamp;
+            if bv < 0 then begin
+              incr reached;
+              sum := !sum + dv + 1
+            end
+            else sum := !sum - (bv - dv - 1);
+            Intvec.unsafe_set ws.dist v dv;
+            Intvec.unsafe_set ws.queue !tail v;
+            incr tail
+          end
+        done
+      done;
+      (* BFS order: the last vertex enqueued is the deepest *)
+      let reach =
+        1 + Intvec.unsafe_get ws.dist (Intvec.unsafe_get ws.queue (!tail - 1))
+      in
+      let ecc =
+        if reach >= top_level then reach
+        else begin
+          (* [ws.dist] is free again: count R's members per base level *)
+          let levels = ws.dist in
+          for l = reach + 1 to top_level do
+            Intvec.unsafe_set levels l 0
+          done;
+          for k = 0 to !tail - 1 do
+            let l = Intvec.unsafe_get base (Intvec.unsafe_get ws.queue k) in
+            if l > reach && l <= top_level then
+              Intvec.unsafe_set levels l (Intvec.unsafe_get levels l + 1)
+          done;
+          let l = ref top_level in
+          while !l > reach && hist.(!l) <= Intvec.unsafe_get levels !l do
+            decr l
+          done;
+          !l
+        end
+      in
+      { reached = !reached; sum = !sum; ecc }
+    end
 
   let distances ws g source =
     let n = Graph.n g in

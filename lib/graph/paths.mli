@@ -90,4 +90,24 @@ module Workspace : sig
   val distance : t -> Graph.t -> int -> int -> int
   (** Same result as {!val:Paths.distance} without allocating: stamped BFS
       with early exit once the target is reached. *)
+
+  val profile_with_edge :
+    t -> Graph.t -> Intvec.t -> reached:int -> sum:int -> hist:int array ->
+    int -> profile
+  (** [profile_with_edge ws g base ~reached ~sum ~hist y] is the profile of
+      [s] once the edge [{s, y}] is added, where [base.(v)] holds [s]'s
+      distances ([-1] = unreachable) in [g] or in [g] minus one edge at
+      [s], and [reached], [sum] and [hist] (indexed by level, length
+      eccentricity + 1) are [base]'s aggregates.  Exact: equal to
+      {!val:profile} of [s] in the edited graph.  A BFS from [y] in
+      [g - s] visits only the vertices the new edge brings strictly
+      closer, so the cost is proportional to that region; [g] is not
+      modified and nothing is allocated.  [y] adjacent to [s] in [base]'s
+      graph, or [y = s], returns [base]'s own profile. *)
+
+  val row : t -> int -> Intvec.t
+  (** [row ws i] is the [i]-th scratch row (length [max_n]), allocated on
+      first use and handed to every later caller of the same index:
+      reusable storage for callers that hold several distance rows at
+      once, such as a best-response scan's per-edge removal rows. *)
 end

@@ -15,7 +15,7 @@
    Each swap strictly improves its mover (machine-checked), so the
    bounded-budget SUM-ASG admits cyclic improving-move dynamics even at
    budget one — the negative answer to Ehsani et al.'s open problem that
-   Theorem 3.7 states.  Unlike the paper we could not certify a cycle in
+   Theorem 3.7 states.  Unlike the paper we could not exhibit a cycle in
    which every move is also a BEST response (the paper's Fig. 5 gadget
    presumably achieves this); see EXPERIMENTS.md.  Complementing the
    witness, an exhaustive sweep over all unit-budget states (scripted in

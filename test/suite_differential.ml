@@ -331,6 +331,123 @@ let test_witness_hits () =
   probe ();
   check_int "cleared witness forces a rescan" 2 (Witness.scans witness)
 
+(* The adversary probes every unhappy agent each step, so remembered
+   witness moves are re-verified against a cache that the scan no longer
+   fills with target rows, and under a budget of 2 or 3 tables rows are
+   evicted and refilled between probes.  On these seeds, Buy verdicts
+   trusted on the strength of table version counters diverged from the
+   reference. *)
+let test_adversarial_budget () =
+  let middle _ unhappy = Some (List.nth unhappy (List.length unhappy / 2)) in
+  List.iter
+    (fun seed ->
+      let rng0 = Random.State.make [| seed |] in
+      let n = 8 + Random.State.int rng0 10 in
+      let m = n + Random.State.int rng0 n in
+      let g = Gen.random_m_edges (Random.State.make [| seed; 1 |]) n m in
+      let alpha = Ncg_rational.Q.make (1 + Random.State.int rng0 4) 2 in
+      let model = Model.make ~alpha Model.Gbg Model.Sum n in
+      List.iter
+        (fun cache_budget ->
+          let cfg =
+            Engine.config ~policy:(Policy.Adversarial middle) ~max_steps:60
+              ?cache_budget model
+          in
+          let rng () = Random.State.make [| seed; 2 |] in
+          let fast = Engine.run ~rng:(rng ()) cfg g
+          and naive = Reference.run ~rng:(rng ()) cfg g in
+          let moves r = List.map (fun s -> s.Engine.move) r.Engine.history in
+          if
+            not
+              (fast.Engine.steps = naive.Engine.steps
+              && fast.Engine.reason = naive.Engine.reason
+              && moves fast = moves naive)
+          then
+            Alcotest.failf
+              "seed=%d budget=%s diverged: fast %d steps (%s), naive %d \
+               steps (%s)"
+              seed
+              (match cache_budget with
+              | None -> "none"
+              | Some b -> string_of_int b)
+              fast.Engine.steps
+              (reason_label fast.Engine.reason)
+              naive.Engine.steps
+              (reason_label naive.Engine.reason))
+        [ None; Some 2; Some 3 ])
+    [ 244; 438; 842; 990; 1074; 1150; 1154; 1534; 1666 ]
+
+(* Larger-n trajectories than the matrix reaches, pinned to digests of
+   their move lists: the fast path's buy, swap and delete scores are
+   exact, so any change to them that alters a single move shows here —
+   with and without a memory-bounded cache. *)
+let test_n300_digests () =
+  let n = 300 in
+  let g = Gen.random_m_edges (Random.State.make [| 2013; 300 |]) n 1200 in
+  let t = Gen.random_budget_network (Random.State.make [| 2013; 300; 2 |]) n 2 in
+  let q = Ncg_rational.Q.make in
+  let rows =
+    [
+      ( "SUM-GBG alpha=n/4",
+        Model.make ~alpha:(q n 4) Model.Gbg Model.Sum n,
+        g,
+        (56, 4, 0),
+        "e5e47bcf8c87fe9f0d945313bc76326c" );
+      ( "SUM-GBG alpha=2",
+        Model.make ~alpha:(q 2 1) Model.Gbg Model.Sum n,
+        g,
+        (0, 2, 58),
+        "0b9e19cf267fdc26333c36dd73a3b7aa" );
+      ( "MAX-GBG alpha=2",
+        Model.make ~alpha:(q 2 1) Model.Gbg Model.Max n,
+        g,
+        (60, 0, 0),
+        "3c0b7e4cd6fa094716f202ae4388b4d8" );
+      ( "SUM-ASG",
+        Model.make Model.Asg Model.Sum n,
+        t,
+        (0, 60, 0),
+        "9874e5c3d1524966e9b84f7903e5af31" );
+      ( "MAX-ASG",
+        Model.make Model.Asg Model.Max n,
+        t,
+        (0, 60, 0),
+        "25e5cd737b4c2c1ba90be592e94306c2" );
+    ]
+  in
+  List.iter
+    (fun (label, model, start, (dels, swaps, buys), digest) ->
+      List.iter
+        (fun cache_budget ->
+          let cfg =
+            Engine.config ~policy:Policy.Max_cost
+              ~tie_break:Engine.Prefer_deletion ~max_steps:60 ?cache_budget
+              model
+          in
+          let r = Engine.run ~rng:(Random.State.make [| 2013; 0xfa57 |]) cfg start in
+          let moves = List.map (fun s -> s.Engine.move) r.Engine.history in
+          let count p = List.length (List.filter p moves) in
+          let label =
+            Printf.sprintf "%s, budget %s" label
+              (match cache_budget with
+              | None -> "none"
+              | Some b -> string_of_int b)
+          in
+          Alcotest.(check (triple int int int))
+            (label ^ ": deletions/swaps/buys")
+            (dels, swaps, buys)
+            ( count (function Move.Delete _ -> true | _ -> false),
+              count (function Move.Swap _ -> true | _ -> false),
+              count (function Move.Buy _ -> true | _ -> false) );
+          Alcotest.(check string)
+            (label ^ ": move-list digest")
+            digest
+            (Digest.to_hex
+               (Digest.string
+                  (String.concat ";" (List.map Move.to_string moves)))))
+        [ None; Some 8 ])
+    rows
+
 let suite =
   ( "differential",
     [
@@ -349,6 +466,10 @@ let suite =
       Alcotest.test_case "incremental-cache parity" `Quick
         test_incremental_column;
       Alcotest.test_case "witness hit accounting" `Quick test_witness_hits;
+      Alcotest.test_case "adversarial scheduler under a cache budget" `Quick
+        test_adversarial_budget;
+      Alcotest.test_case "n = 300 trajectories match the parent's digests"
+        `Quick test_n300_digests;
     ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_fast_response_parity; prop_witness_probe_parity ] )

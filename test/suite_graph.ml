@@ -699,6 +699,83 @@ let test_dot () =
     (Astring_like.contains dot "0 -> 1");
   check "mentions arrow 2->1" true (Astring_like.contains dot "2 -> 1")
 
+(* ------------------------------------------------------------------ *)
+(* The added-edge kernel behind the fast buy and swap scores            *)
+(* ------------------------------------------------------------------ *)
+
+(* Sparse G(n, p) graphs: many are disconnected, some have isolated
+   vertices, so the kernel's unreachable branches all run. *)
+let arb_sparse =
+  QCheck.make
+    ~print:(fun (seed, n, p) -> Printf.sprintf "seed=%d n=%d p=%.2f" seed n p)
+    QCheck.Gen.(
+      triple (int_bound 100_000) (int_range 1 30)
+        (map (fun x -> float_of_int x /. 100.0) (int_bound 25)))
+
+let sparse_graph (seed, n, p) =
+  let rng = Random.State.make [| seed |] in
+  let g = Graph.create n in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float rng 1.0 < p then Graph.add_edge g ~owner:u u v
+    done
+  done;
+  g
+
+(* [profile_with_edge] over [base] (the source's distances in [g], or in
+   [g] minus one of its edges), fed the aggregates it expects. *)
+let kernel ws g base y =
+  let reached = ref 0 and sum = ref 0 and ecc = ref 0 in
+  Array.iter
+    (fun d ->
+      if d >= 0 then begin
+        incr reached;
+        sum := !sum + d;
+        ecc := max !ecc d
+      end)
+    base;
+  let hist = Array.make (!ecc + 1) 0 in
+  Array.iter (fun d -> if d >= 0 then hist.(d) <- hist.(d) + 1) base;
+  Paths.Workspace.profile_with_edge ws g (Intvec.of_array base)
+    ~reached:!reached ~sum:!sum ~hist y
+
+let profile_plus g s y =
+  let g' = Graph.copy g in
+  Graph.add_edge g' ~owner:s s y;
+  Paths.profile g' s
+
+let kernel_properties =
+  [
+    QCheck.Test.make ~count:100
+      ~name:"added-edge kernel = profile of the edited graph" arb_sparse
+      (fun params ->
+        let g = sparse_graph params in
+        let ws = Paths.Workspace.create (Graph.n g) in
+        let open_targets h s =
+          List.filter
+            (fun y -> y <> s && not (Graph.has_edge h s y))
+            (Graph.vertices h)
+        in
+        List.for_all
+          (fun s ->
+            let base = Paths.distances g s in
+            List.for_all
+              (fun y -> kernel ws g base y = profile_plus g s y)
+              (open_targets g s)
+            && List.for_all
+                 (fun x ->
+                   let gx = Graph.copy g in
+                   Graph.remove_edge gx s x;
+                   let base = Paths.distances gx s in
+                   (* scored on [g] itself: the kernel never enters [s],
+                      so the edge {s, x} is invisible to it *)
+                   List.for_all
+                     (fun y -> kernel ws g base y = profile_plus gx s y)
+                     (open_targets gx s))
+                 (Graph.neighbors g s))
+          (Graph.vertices g));
+  ]
+
 let suite =
   ( "graph",
     [
@@ -735,4 +812,5 @@ let suite =
         Alcotest.test_case "mutation model through Csr.grow" `Quick
           test_mutations_through_grow;
       ]
-    @ List.map QCheck_alcotest.to_alcotest mutation_properties )
+    @ List.map QCheck_alcotest.to_alcotest mutation_properties
+    @ List.map QCheck_alcotest.to_alcotest kernel_properties )

@@ -186,25 +186,6 @@ let test_lazy_tables_stay_lazy () =
     | None -> false);
   check "unfilled tables untouched" true (Distcache.get cache 3 = None)
 
-let test_versions_move_with_patches () =
-  (* The witness skip certificates lean on these counters: table versions
-     bump exactly when a table changes, touch versions bump for the
-     endpoints of every primitive — kept or not. *)
-  let g = Gen.cycle 4 in
-  let cache = Distcache.create 4 in
-  fill_all cache g;
-  let tv1 = Distcache.table_version cache 1 in
-  let tu0 = Distcache.touch_version cache 0 in
-  let tu3 = Distcache.touch_version cache 3 in
-  add cache g 0 2;
-  (* source 1 is equidistant from both endpoints: kept, version frozen *)
-  check_int "kept table version unchanged" tv1
-    (Distcache.table_version cache 1);
-  check "endpoint touch version bumped" true
-    (Distcache.touch_version cache 0 > tu0);
-  check_int "bystander touch version unchanged" tu3
-    (Distcache.touch_version cache 3)
-
 (* ------------------------------------------------------------------ *)
 (* QCheck: random move sequences, tables re-checked after every patch  *)
 (* ------------------------------------------------------------------ *)
@@ -276,8 +257,6 @@ let suite =
         test_delete_rebuild_fallback;
       Alcotest.test_case "lazy tables stay lazy" `Quick
         test_lazy_tables_stay_lazy;
-      Alcotest.test_case "version counters" `Quick
-        test_versions_move_with_patches;
     ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_incremental_matches_fresh_bfs; prop_tiny_threshold_matches ] )
