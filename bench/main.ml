@@ -849,210 +849,163 @@ let fleet_leg scale =
 (* BENCH.json                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-rolled JSON: the container ships no JSON library and the schema
-   is flat enough that a printer beats a dependency. *)
-module Json = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let str s = Printf.sprintf "\"%s\"" (escape s)
-  let num f = Printf.sprintf "%.6f" f
-  let obj fields =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (str k) v) fields)
-    ^ "}"
-  let arr items = "[" ^ String.concat ", " items ^ "]"
-end
+let ratio num den = Json.Float (if den > 0.0 then num /. den else 0.0)
 
 let sample_json s =
-  Json.obj
+  Json.Obj
     [
-      ("wall_s", Json.num s.wall_s);
-      ("steps", string_of_int s.steps);
-      ( "steps_per_s",
-        Json.num
-          (if s.wall_s > 0.0 then float_of_int s.steps /. s.wall_s else 0.0) );
+      ("wall_s", Json.Float s.wall_s);
+      ("steps", Json.Int s.steps);
+      ("steps_per_s", ratio (float_of_int s.steps) s.wall_s);
     ]
 
 let write_json path ~scale ~timings =
+  let opt f = function None -> Json.Null | Some r -> f r in
   let fastpath_json =
-    match !fastpath_report with
-    | None -> "null"
-    | Some r ->
-        Json.obj
+    opt
+      (fun r ->
+        Json.Obj
           [
-            ("game", Json.str "SUM-GBG");
-            ("policy", Json.str "max-cost");
-            ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.fp_n);
-            ("m", string_of_int r.fp_m);
-            ("alpha", Json.str r.fp_alpha);
-            ("trials", string_of_int r.fp_trials);
+            ("game", Json.Str "SUM-GBG");
+            ("policy", Json.Str "max-cost");
+            ("tie_break", Json.Str "prefer-deletion");
+            ("n", Json.Int r.fp_n);
+            ("m", Json.Int r.fp_m);
+            ("alpha", Json.Str r.fp_alpha);
+            ("trials", Json.Int r.fp_trials);
             ("reference", sample_json r.reference);
             ("fast", sample_json r.fast);
             ("fast_sentinel", sample_json r.fast_sentinel);
-            ("sentinel_rate", Json.num 0.01);
+            ("sentinel_rate", Json.Float 0.01);
             ("fast_parallel", sample_json r.fast_parallel);
-            ("scan_domains", string_of_int r.fp_scan_domains);
-            ( "speedup",
-              Json.num
-                (if r.fast.wall_s > 0.0 then
-                   r.reference.wall_s /. r.fast.wall_s
-                 else 0.0) );
+            ("scan_domains", Json.Int r.fp_scan_domains);
+            ("speedup", ratio r.reference.wall_s r.fast.wall_s);
             ( "sentinel_speedup",
-              Json.num
-                (if r.fast_sentinel.wall_s > 0.0 then
-                   r.reference.wall_s /. r.fast_sentinel.wall_s
-                 else 0.0) );
-            ("identical_trajectories", string_of_bool r.identical);
-          ]
+              ratio r.reference.wall_s r.fast_sentinel.wall_s );
+            ("identical_trajectories", Json.Bool r.identical);
+          ])
+      !fastpath_report
   in
   let incremental_json =
-    match !incremental_report with
-    | None -> "null"
-    | Some r ->
-        Json.obj
+    opt
+      (fun r ->
+        Json.Obj
           [
-            ("game", Json.str "SUM-GBG");
-            ("policy", Json.str "max-cost");
-            ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.inc_n);
-            ("m", string_of_int r.inc_m);
-            ("alpha", Json.str r.inc_alpha);
-            ("trials", string_of_int r.inc_trials);
+            ("game", Json.Str "SUM-GBG");
+            ("policy", Json.Str "max-cost");
+            ("tie_break", Json.Str "prefer-deletion");
+            ("n", Json.Int r.inc_n);
+            ("m", Json.Int r.inc_m);
+            ("alpha", Json.Str r.inc_alpha);
+            ("trials", Json.Int r.inc_trials);
             ("per_step_tables", sample_json r.inc_plain);
             ("incremental", sample_json r.inc_cached);
-            ( "speedup",
-              Json.num
-                (if r.inc_cached.wall_s > 0.0 then
-                   r.inc_plain.wall_s /. r.inc_cached.wall_s
-                 else 0.0) );
+            ("speedup", ratio r.inc_plain.wall_s r.inc_cached.wall_s);
             ( "cache",
-              Json.obj
+              Json.Obj
                 [
-                  ("kept", string_of_int r.inc_stats.Distcache.kept);
-                  ("repaired", string_of_int r.inc_stats.Distcache.repaired);
-                  ("rebuilt", string_of_int r.inc_stats.Distcache.rebuilt);
-                  ("fills", string_of_int r.inc_stats.Distcache.fills);
-                  ("evicted", string_of_int r.inc_stats.Distcache.evicted);
+                  ("kept", Json.Int r.inc_stats.Distcache.kept);
+                  ("repaired", Json.Int r.inc_stats.Distcache.repaired);
+                  ("rebuilt", Json.Int r.inc_stats.Distcache.rebuilt);
+                  ("fills", Json.Int r.inc_stats.Distcache.fills);
+                  ("evicted", Json.Int r.inc_stats.Distcache.evicted);
                 ] );
             ( "scaling",
-              Json.arr
+              Json.List
                 (List.map
                    (fun (n, plain_s, cached_s) ->
-                     Json.obj
+                     Json.Obj
                        [
-                         ("n", string_of_int n);
-                         ("per_step_steps_per_s", Json.num plain_s);
-                         ("incremental_steps_per_s", Json.num cached_s);
+                         ("n", Json.Int n);
+                         ("per_step_steps_per_s", Json.Float plain_s);
+                         ("incremental_steps_per_s", Json.Float cached_s);
                        ])
                    r.inc_scaling) );
-            ("identical_trajectories", string_of_bool r.inc_identical);
-          ]
+            ("identical_trajectories", Json.Bool r.inc_identical);
+          ])
+      !incremental_report
   in
   let scaling_json =
-    match !scaling_report with
-    | None -> "null"
-    | Some r ->
-        Json.obj
+    opt
+      (fun r ->
+        Json.Obj
           [
-            ("game", Json.str "SUM-GBG");
-            ("policy", Json.str "max-cost");
-            ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.sc_n);
-            ("m", string_of_int r.sc_m);
-            ("alpha", Json.str r.sc_alpha);
-            ("max_steps", string_of_int r.sc_max_steps);
+            ("game", Json.Str "SUM-GBG");
+            ("policy", Json.Str "max-cost");
+            ("tie_break", Json.Str "prefer-deletion");
+            ("n", Json.Int r.sc_n);
+            ("m", Json.Int r.sc_m);
+            ("alpha", Json.Str r.sc_alpha);
+            ("max_steps", Json.Int r.sc_max_steps);
             ("full_scan", sample_json r.sc_fullscan);
             ("sublinear", sample_json r.sc_sublinear);
-            ( "speedup",
-              Json.num
-                (if r.sc_sublinear.wall_s > 0.0 then
-                   r.sc_fullscan.wall_s /. r.sc_sublinear.wall_s
-                 else 0.0) );
-            ("identical_trajectories", string_of_bool r.sc_identical);
+            ("speedup", ratio r.sc_fullscan.wall_s r.sc_sublinear.wall_s);
+            ("identical_trajectories", Json.Bool r.sc_identical);
             ( "large",
-              Json.obj
+              Json.Obj
                 [
-                  ("n", string_of_int r.sc_large_n);
-                  ("cache_budget_tables", string_of_int r.sc_large_budget);
-                  ("max_steps", string_of_int r.sc_large_max_steps);
+                  ("n", Json.Int r.sc_large_n);
+                  ("cache_budget_tables", Json.Int r.sc_large_budget);
+                  ("max_steps", Json.Int r.sc_large_max_steps);
                   ("run", sample_json r.sc_large);
-                  ("peak_tables", string_of_int r.sc_large_peak_tables);
-                  ("peak_bytes", string_of_int r.sc_large_peak_bytes);
-                  ( "within_budget",
-                    string_of_bool r.sc_large_within_budget );
+                  ("peak_tables", Json.Int r.sc_large_peak_tables);
+                  ("peak_bytes", Json.Int r.sc_large_peak_bytes);
+                  ("within_budget", Json.Bool r.sc_large_within_budget);
                   ( "peak_rss_mib",
-                    Option.fold ~none:"null" ~some:Json.num
-                      r.sc_large_peak_rss_mib );
+                    opt (fun f -> Json.Float f) r.sc_large_peak_rss_mib );
                 ] );
-          ]
+          ])
+      !scaling_report
   in
   let fleet_json =
-    match !fleet_report with
-    | None -> "null"
-    | Some r ->
-        Json.obj
+    opt
+      (fun r ->
+        Json.Obj
           [
-            ("cmd", Json.str r.fl_cmd);
-            ("n", string_of_int r.fl_n);
-            ("trials", string_of_int r.fl_trials);
-            ("seed", string_of_int r.fl_seed);
-            ("workers", string_of_int r.fl_workers);
-            ("shards", string_of_int r.fl_shards);
-            ("single_wall_s", Json.num r.single_wall);
-            ("fleet_wall_s", Json.num r.fleet_wall);
-            ( "overhead_ratio",
-              Json.num
-                (if r.single_wall > 0.0 then r.fleet_wall /. r.single_wall
-                 else 0.0) );
-            ("identical_statistics", string_of_bool r.fl_identical);
-          ]
+            ("cmd", Json.Str r.fl_cmd);
+            ("n", Json.Int r.fl_n);
+            ("trials", Json.Int r.fl_trials);
+            ("seed", Json.Int r.fl_seed);
+            ("workers", Json.Int r.fl_workers);
+            ("shards", Json.Int r.fl_shards);
+            ("single_wall_s", Json.Float r.single_wall);
+            ("fleet_wall_s", Json.Float r.fleet_wall);
+            ("overhead_ratio", ratio r.fleet_wall r.single_wall);
+            ("identical_statistics", Json.Bool r.fl_identical);
+          ])
+      !fleet_report
   in
   let experiments =
-    Json.arr
+    Json.List
       (List.rev_map
          (fun (id, title, wall) ->
-           Json.obj
+           Json.Obj
              [
-               ("id", Json.str id);
-               ("title", Json.str title);
-               ("wall_s", Json.num wall);
+               ("id", Json.Str id);
+               ("title", Json.Str title);
+               ("wall_s", Json.Float wall);
              ])
          timings)
   in
   let doc =
-    Json.obj
-      [
-        ("schema", Json.str "ncg-bench/1");
-        ( "config",
-          Json.obj
-            [
-              ("trials", string_of_int scale.trials);
-              ("seed", string_of_int scale.seed);
-              ("timing_best_of", string_of_int timing_k);
-              ( "ns",
-                Json.arr (List.map string_of_int scale.ns) );
-            ] );
-        ("experiments", experiments);
-        ("fastpath", fastpath_json);
-        ("incremental", incremental_json);
-        ("scaling", scaling_json);
-        ("fleet", fleet_json);
-      ]
+    Json.to_string
+      (Json.Obj
+         [
+           ("schema", Json.Str "ncg-bench/1");
+           ( "config",
+             Json.Obj
+               [
+                 ("trials", Json.Int scale.trials);
+                 ("seed", Json.Int scale.seed);
+                 ("timing_best_of", Json.Int timing_k);
+                 ("ns", Json.List (List.map (fun n -> Json.Int n) scale.ns));
+               ] );
+           ("experiments", experiments);
+           ("fastpath", fastpath_json);
+           ("incremental", incremental_json);
+           ("scaling", scaling_json);
+           ("fleet", fleet_json);
+         ])
   in
   let oc = open_out path in
   output_string oc doc;

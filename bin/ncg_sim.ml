@@ -211,11 +211,11 @@ let value_term =
 
 let verbose_term =
   let doc =
-    "Also report engine internals after the sweep: the cross-step distance \
-     cache's kept/repaired/rebuilt/filled/evicted table counters and peak \
-     residency (tables and bytes), aggregated over every run (and worker \
-     domain) of this process, and the trial-arena totals (arenas created, \
-     trials run on an arena, their cache decisions)."
+    "Also report the engine's process totals after the sweep, over every \
+     trial (and worker domain) of this process: trials run, trial arenas \
+     created, the cross-step distance cache's summed \
+     kept/repaired/rebuilt/filled/evicted table counters, and its largest \
+     per-trial peak residency (tables and bytes)."
   in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
@@ -223,7 +223,10 @@ let emit ?(verbose = false) out value curves =
   print_string (Series.to_table ~value curves);
   Printf.printf "max steps / n over all runs: %.2f\n" (Series.max_over curves);
   if verbose then begin
-    let s = Distcache.totals () in
+    let { Ncg_core.Engine.trials; arenas; cache = s; peak_tables; peak_bytes }
+        =
+      Ncg_core.Engine.totals ()
+    in
     let touched = s.Distcache.kept + s.Distcache.repaired
       + s.Distcache.rebuilt
     in
@@ -232,28 +235,16 @@ let emit ?(verbose = false) out value curves =
        evicted\n"
       s.Distcache.kept s.Distcache.repaired s.Distcache.rebuilt
       s.Distcache.fills s.Distcache.evicted;
-    (let peak_tables, peak_bytes = Distcache.residency_totals () in
-     if peak_tables > 0 then
-       Printf.printf
-         "  peak residency: %d tables, %.2f MiB (largest single run)\n"
-         peak_tables
-         (float_of_int peak_bytes /. (1024.0 *. 1024.0)));
+    if peak_tables > 0 then
+      Printf.printf
+        "  peak residency: %d tables, %.2f MiB (largest single run)\n"
+        peak_tables
+        (float_of_int peak_bytes /. (1024.0 *. 1024.0));
     if touched > 0 then
       Printf.printf
         "  %.1f%% of patched tables kept without recomputation\n"
         (100.0 *. float_of_int s.Distcache.kept /. float_of_int touched);
-    (* Arena share of the same work: arena totals count only trials
-       retired through a resident arena, so they are a subset of the
-       per-trial totals above — reported separately, never re-added. *)
-    let b = Ncg_core.Engine.Arena.totals () in
-    Printf.printf
-      "trial arenas: %d arena(s), %d arena trial(s); cache over arena \
-       trials: %d kept, %d repaired, %d rebuilt, %d filled\n"
-      b.Ncg_core.Engine.Arena.arenas b.Ncg_core.Engine.Arena.batched_trials
-      b.Ncg_core.Engine.Arena.cache.Distcache.kept
-      b.Ncg_core.Engine.Arena.cache.Distcache.repaired
-      b.Ncg_core.Engine.Arena.cache.Distcache.rebuilt
-      b.Ncg_core.Engine.Arena.cache.Distcache.fills
+    Printf.printf "trials: %d run, %d trial arena(s) created\n" trials arenas
   end;
   match out with
   | None -> ()

@@ -48,6 +48,14 @@ type stop_reason =
   | Time_limit
   | Invariant_violation of Audit.violation
 
+type totals = {
+  trials : int;
+  arenas : int;
+  cache : Distcache.stats;
+  peak_tables : int;
+  peak_bytes : int;
+}
+
 type result = {
   reason : stop_reason;
   steps : int;
@@ -110,6 +118,26 @@ let choose_move cfg rng ctx witness g u =
 let state_key model g =
   if Model.uses_ownership model then Canonical.key g else Canonical.unowned_key g
 
+(* The process totals: one immutable record behind one atomic, replaced
+   by compare-and-set, so concurrent domains never lose an update. *)
+let zero_totals =
+  {
+    trials = 0;
+    arenas = 0;
+    cache = Distcache.zero_stats;
+    peak_tables = 0;
+    peak_bytes = 0;
+  }
+
+let g_totals = Atomic.make zero_totals
+
+let rec update_totals f =
+  let cur = Atomic.get g_totals in
+  if not (Atomic.compare_and_set g_totals cur (f cur)) then update_totals f
+
+let totals () = Atomic.get g_totals
+let reset_totals () = Atomic.set g_totals zero_totals
+
 (* A resident arena of trial-scoped resources.  One arena serves any number
    of trials of the same size, strictly one at a time: the BFS workspaces
    are stamped scratch that every trial's steps reuse as is, while the
@@ -131,21 +159,9 @@ module Arena = struct
     mutable cache_stats : Distcache.stats;
   }
 
-  (* Process-wide arena totals, kept apart from [Distcache.totals] — the
-     engine still calls [Distcache.add_to_totals] exactly once per trial
-     whether or not the trial ran under an arena, so those totals stay
-     per-trial-accurate and these never double-count them. *)
-  let g_arenas = Atomic.make 0
-  let g_trials = Atomic.make 0
-  let g_kept = Atomic.make 0
-  let g_repaired = Atomic.make 0
-  let g_rebuilt = Atomic.make 0
-  let g_fills = Atomic.make 0
-  let g_evicted = Atomic.make 0
-
   let create n =
     if n < 0 then invalid_arg "Engine.Arena.create: negative size";
-    Atomic.incr g_arenas;
+    update_totals (fun t -> { t with arenas = t.arenas + 1 });
     {
       capacity = n;
       ws = Paths.Workspace.create n;
@@ -161,35 +177,6 @@ module Arena = struct
   let capacity t = t.capacity
   let trials t = t.trials
   let cache_stats t = t.cache_stats
-
-  type totals = {
-    arenas : int;
-    batched_trials : int;
-    cache : Distcache.stats;
-  }
-
-  let totals () =
-    {
-      arenas = Atomic.get g_arenas;
-      batched_trials = Atomic.get g_trials;
-      cache =
-        {
-          Distcache.kept = Atomic.get g_kept;
-          repaired = Atomic.get g_repaired;
-          rebuilt = Atomic.get g_rebuilt;
-          fills = Atomic.get g_fills;
-          evicted = Atomic.get g_evicted;
-        };
-    }
-
-  let reset_totals () =
-    Atomic.set g_arenas 0;
-    Atomic.set g_trials 0;
-    Atomic.set g_kept 0;
-    Atomic.set g_repaired 0;
-    Atomic.set g_rebuilt 0;
-    Atomic.set g_fills 0;
-    Atomic.set g_evicted 0
 
   (* The pooled cache is reused only by a trial with the same memory
      budget — a budget mismatch would silently change the eviction
@@ -228,20 +215,7 @@ module Arena = struct
 
   let retire t ~cache_stats:(s : Distcache.stats) ?board ?cache witness seen =
     t.trials <- t.trials + 1;
-    t.cache_stats <-
-      {
-        Distcache.kept = t.cache_stats.Distcache.kept + s.Distcache.kept;
-        repaired = t.cache_stats.Distcache.repaired + s.Distcache.repaired;
-        rebuilt = t.cache_stats.Distcache.rebuilt + s.Distcache.rebuilt;
-        fills = t.cache_stats.Distcache.fills + s.Distcache.fills;
-        evicted = t.cache_stats.Distcache.evicted + s.Distcache.evicted;
-      };
-    Atomic.incr g_trials;
-    ignore (Atomic.fetch_and_add g_kept s.Distcache.kept);
-    ignore (Atomic.fetch_and_add g_repaired s.Distcache.repaired);
-    ignore (Atomic.fetch_and_add g_rebuilt s.Distcache.rebuilt);
-    ignore (Atomic.fetch_and_add g_fills s.Distcache.fills);
-    ignore (Atomic.fetch_and_add g_evicted s.Distcache.evicted);
+    t.cache_stats <- Distcache.add_stats t.cache_stats s;
     t.pooled_witness <- Some witness;
     t.pooled_seen <- Some seen;
     Option.iter (fun c -> t.pooled_cache <- Some c) cache;
@@ -625,20 +599,19 @@ let stepper_finish s reason =
       degraded_at = s.degraded_at;
     }
   in
-  let cache_stats =
+  let cache_stats, residency =
     match s.cache with
-    | Some c ->
-        let st = Distcache.stats c in
-        Distcache.add_to_totals st;
-        st
-    | None -> Distcache.zero_stats
+    | Some c -> (Distcache.stats c, Distcache.residency c)
+    | None -> (Distcache.zero_stats, Distcache.zero_residency)
   in
-  let residency =
-    match s.cache with
-    | Some c -> Distcache.residency c
-    | None -> Distcache.zero_residency
-  in
-  Distcache.add_residency_to_totals residency;
+  update_totals (fun t ->
+      {
+        t with
+        trials = t.trials + 1;
+        cache = Distcache.add_stats t.cache cache_stats;
+        peak_tables = max t.peak_tables residency.Distcache.peak;
+        peak_bytes = max t.peak_bytes residency.Distcache.peak_bytes;
+      });
   (match s.arena with
   | Some a ->
       Arena.retire a ~cache_stats ?board:s.board ?cache:s.cache s.witness s.seen

@@ -120,6 +120,16 @@ type stop_reason =
       (** the auditor found a broken invariant, or the policy selected a
           happy agent (the pre-robustness engine crashed on the latter) *)
 
+type totals = {
+  trials : int;  (** trials finished, with or without an arena *)
+  arenas : int;  (** {!Arena}s created *)
+  cache : Distcache.stats;  (** the trials' summed {!result.cache} *)
+  peak_tables : int;  (** the largest per-trial peak residency, in tables *)
+  peak_bytes : int;  (** the same, in bytes *)
+}
+(** Process totals, read with {!totals}: one set for every trial of the
+    process, across all domains. *)
+
 type result = {
   reason : stop_reason;
   steps : int;  (** number of moves performed *)
@@ -167,23 +177,6 @@ module Arena : sig
 
   val cache_stats : t -> Distcache.stats
   (** Sum of the per-trial {!Distcache} stats over all retired trials. *)
-
-  type totals = {
-    arenas : int;  (** arenas created process-wide *)
-    batched_trials : int;
-        (** trials retired through any arena (the name is the service's
-            wire format) *)
-    cache : Distcache.stats;
-        (** their summed cache decisions — a {e subset} of
-            {!Distcache.totals}, which counts every trial, arena or not;
-            keep the two apart to avoid double-counting *)
-  }
-
-  val totals : unit -> totals
-  (** Process-wide arena totals (all arenas, all domains), surfaced by
-      [ncg_sim --verbose] and the service [stats] op. *)
-
-  val reset_totals : unit -> unit
 end
 
 val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
@@ -199,5 +192,13 @@ val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
     [arena] supplies pooled trial resources (and must have
     [capacity = Graph.n initial]); the result is bit-identical with or
     without one. *)
+
+val totals : unit -> totals
+(** The process totals.  Every finished trial adds to them exactly once,
+    and every {!Arena.create} counts an arena; [ncg_sim --verbose] prints
+    them, and each service worker reports its own through the [stats]
+    op. *)
+
+val reset_totals : unit -> unit
 
 val converged : result -> bool

@@ -3,7 +3,7 @@
     The self-healing runtime never aborts a sweep for one bad trial; what
     it cannot silently absorb it records here, one JSON object per line,
     append-only and flushed per record so the log survives the very crash
-    it is describing.  Three event kinds:
+    it is describing.  The event kinds:
 
     - [quarantined] — a trial failed every retry; its last verdict and
       attempt count are preserved for post-mortem (the sweep's statistics
@@ -25,19 +25,6 @@
     a record. *)
 
 type t
-
-type rotation = {
-  max_bytes : int;
-      (** rotate once the live file reaches this size, in bytes *)
-  keep : int;  (** rotated segments retained ([path.1] .. [path.keep]) *)
-}
-(** Size-based rotation policy.  Without one, the log grows without
-    bound — a week-long soak or a long-lived daemon needs a cap.  On
-    rotation the live file shifts to [path.1], [path.1] to [path.2],
-    and so on; [path.keep] falls off.  Rotation is rename-only, so a
-    concurrent writer's in-flight record lands complete in whichever
-    segment its fd points at — rotation can misplace a record into an
-    older segment, never tear one. *)
 
 type event =
   | Quarantined of { key : string; trial : int; outcome : Stats.outcome }
@@ -66,13 +53,9 @@ type event =
           removed on the next open or takeover; [owner] is the dead
           writer's pid, which the temp name records ({!Durable.replace}) *)
 
-val open_ : ?rotation:rotation -> string -> t
-(** Opens (appending, creating if needed) the log at [path].  With
-    [?rotation] the log is capped: before each record, if the live file
-    reached [max_bytes] it is rotated, and if another process of a
-    shared log rotated first (the fd no longer names [path]) the live
-    path is reopened.
-    @raise Invalid_argument if the rotation fields are not positive. *)
+val open_ : string -> t
+(** Opens (appending, creating if needed) the log at [path].  The log is
+    never rotated: it grows with the incidents it records. *)
 
 val close : t -> unit
 

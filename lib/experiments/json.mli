@@ -1,8 +1,9 @@
-(** Minimal JSON for the service protocol.
+(** Minimal JSON: the one codec for everything the repo emits as JSON.
 
-    The daemon speaks line-framed JSON over a Unix socket and to its
-    worker subprocesses; this is the self-contained codec behind both —
-    the library deliberately takes no dependency beyond the stdlib.
+    The incident log, the cartography report, the bench's [BENCH.json],
+    and the service protocol (line-framed over a Unix socket and to its
+    worker subprocesses) all render through it — the library
+    deliberately takes no dependency beyond the stdlib.
     Values round-trip: [parse (to_string v)] is [v] for every [v] this
     module can produce (integers stay integers; floats always carry a
     decimal point or exponent). *)

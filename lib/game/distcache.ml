@@ -72,6 +72,15 @@ type stats = {
 
 let zero_stats = { kept = 0; repaired = 0; rebuilt = 0; fills = 0; evicted = 0 }
 
+let add_stats a b =
+  {
+    kept = a.kept + b.kept;
+    repaired = a.repaired + b.repaired;
+    rebuilt = a.rebuilt + b.rebuilt;
+    fills = a.fills + b.fills;
+    evicted = a.evicted + b.evicted;
+  }
+
 type residency = {
   resident : int;
   peak : int;
@@ -692,49 +701,3 @@ let note_removed t g a b =
           else repair_delete t csr v d far
         end
   done
-
-(* Process-wide totals, aggregated across engine runs (and, in sweeps,
-   across the domains of one process) for [ncg_sim --verbose]. *)
-
-let g_kept = Atomic.make 0
-let g_repaired = Atomic.make 0
-let g_rebuilt = Atomic.make 0
-let g_fills = Atomic.make 0
-let g_evicted = Atomic.make 0
-let g_peak_tables = Atomic.make 0
-let g_peak_bytes = Atomic.make 0
-
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-let add_residency_to_totals (r : residency) =
-  atomic_max g_peak_tables r.peak;
-  atomic_max g_peak_bytes r.peak_bytes
-
-let residency_totals () = (Atomic.get g_peak_tables, Atomic.get g_peak_bytes)
-
-let add_to_totals (s : stats) =
-  ignore (Atomic.fetch_and_add g_kept s.kept);
-  ignore (Atomic.fetch_and_add g_repaired s.repaired);
-  ignore (Atomic.fetch_and_add g_rebuilt s.rebuilt);
-  ignore (Atomic.fetch_and_add g_fills s.fills);
-  ignore (Atomic.fetch_and_add g_evicted s.evicted)
-
-let totals () =
-  {
-    kept = Atomic.get g_kept;
-    repaired = Atomic.get g_repaired;
-    rebuilt = Atomic.get g_rebuilt;
-    fills = Atomic.get g_fills;
-    evicted = Atomic.get g_evicted;
-  }
-
-let reset_totals () =
-  Atomic.set g_kept 0;
-  Atomic.set g_repaired 0;
-  Atomic.set g_rebuilt 0;
-  Atomic.set g_fills 0;
-  Atomic.set g_evicted 0;
-  Atomic.set g_peak_tables 0;
-  Atomic.set g_peak_bytes 0

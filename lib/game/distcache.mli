@@ -40,6 +40,9 @@ type stats = {
 
 val zero_stats : stats
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum. *)
+
 type residency = {
   resident : int;  (** tables currently resident *)
   peak : int;  (** high-water resident count since create/reset *)
@@ -135,21 +138,3 @@ val reset : t -> unit
     dropped (buffers recycled), residency and stat counters zeroed — so an
     {!Engine.Arena} can hand it to the next trial with per-trial [stats]
     identical to a solo run's. *)
-
-(** {2 Process-wide totals}
-
-    Aggregated across runs (and worker domains) so [ncg_sim --verbose] can
-    report cache behavior for a whole sweep. *)
-
-val add_to_totals : stats -> unit
-val totals : unit -> stats
-
-val add_residency_to_totals : residency -> unit
-(** Fold one run's final {!residency} into the process-wide high-water
-    marks (a max, not a sum — peaks of concurrent runs don't add). *)
-
-val residency_totals : unit -> int * int
-(** [(peak_tables, peak_bytes)]: the largest per-run residency any run of
-    this process reached. *)
-
-val reset_totals : unit -> unit

@@ -2,6 +2,7 @@ module Lease = Ncg_experiments.Lease
 module Supervisor = Ncg_experiments.Supervisor
 module Durable = Ncg_experiments.Durable
 module Incident_log = Ncg_experiments.Incident_log
+module Json = Ncg_experiments.Json
 module Sysx = Ncg_experiments.Sysx
 module Runner = Ncg_experiments.Runner
 module Catalog = Ncg_instances.Catalog
@@ -854,34 +855,23 @@ let run cfg spec =
 (* Reporting and pinned points                                         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_json r =
-  let stable_json =
-    r.stable
-    |> List.map (fun (key, _) -> Printf.sprintf "\"%s\"" (json_escape key))
-    |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"explored\":%d,\"waves\":%d,\"arcs\":%d,\"stable\":[%s],\"has_cycle\":%b,\
-     \"largest_scc\":%d,\"nontrivial_sccs\":%d,\"truncated\":%b,\"respawns\":%d,\
-     \"resumed\":%b,\"rolled_back\":%d,\"region_fingerprint\":\"%s\"}"
-    r.explored r.waves r.arcs stable_json r.has_cycle r.largest_scc
-    r.nontrivial_sccs r.truncated r.respawns r.resumed r.rolled_back
-    (json_escape r.region_fingerprint)
+  Json.to_string
+    (Json.Obj
+       [
+         ("explored", Json.Int r.explored);
+         ("waves", Json.Int r.waves);
+         ("arcs", Json.Int r.arcs);
+         ("stable", Json.List (List.map (fun (key, _) -> Json.Str key) r.stable));
+         ("has_cycle", Json.Bool r.has_cycle);
+         ("largest_scc", Json.Int r.largest_scc);
+         ("nontrivial_sccs", Json.Int r.nontrivial_sccs);
+         ("truncated", Json.Bool r.truncated);
+         ("respawns", Json.Int r.respawns);
+         ("resumed", Json.Bool r.resumed);
+         ("rolled_back", Json.Int r.rolled_back);
+         ("region_fingerprint", Json.Str r.region_fingerprint);
+       ])
 
 let point_names =
   [ "fig2-br"; "fig2-imp"; "path5-max-sg"; "path6-max-sg"; "path7-max-sg";

@@ -53,65 +53,6 @@ let config ?(workers = 2) ?(max_queue = 64) ?(max_wait = 30.0)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Line-framed reads                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Line_reader = struct
-  exception Stalled
-
-  type t = {
-    fd : Unix.file_descr;
-    buf : Buffer.t;
-    chunk : Bytes.t;
-    mutable frame_started : float;  (* monotonic; 0.0 = not mid-frame *)
-  }
-
-  let create fd =
-    { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096;
-      frame_started = 0.0 }
-
-  (* [None] on EOF; a final unterminated line is dropped (a torn frame
-     from a killed peer is not a message).  With [frame_timeout] > 0 a
-     peer that starts a frame and then stalls raises {!Stalled} once the
-     frame is [frame_timeout] seconds old — the slow-loris defence.  An
-     {e idle} peer (no bytes buffered) may stay silent forever; only a
-     partial frame starts the clock. *)
-  let rec line ?(frame_timeout = 0.0) t =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-        Buffer.clear t.buf;
-        Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
-        t.frame_started <- 0.0;
-        Some (String.sub s 0 i)
-    | None ->
-        if frame_timeout > 0.0 && Buffer.length t.buf > 0 then begin
-          if t.frame_started = 0.0 then t.frame_started <- Clock.monotonic ();
-          let remaining =
-            t.frame_started +. frame_timeout -. Clock.monotonic ()
-          in
-          if remaining <= 0.0 then raise Stalled;
-          match Unix.select [ t.fd ] [] [] remaining with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-              line ~frame_timeout t
-          | [], _, _ -> raise Stalled
-          | _ -> read_chunk frame_timeout t
-        end
-        else read_chunk frame_timeout t
-
-  and read_chunk frame_timeout t =
-    let k = Sysx.read t.fd t.chunk 0 (Bytes.length t.chunk) in
-    if k = 0 then None
-    else begin
-      Buffer.add_subbytes t.buf t.chunk 0 k;
-      line ~frame_timeout t
-    end
-end
-
-let send_line fd json =
-  Sysx.write_all fd (Bytes.of_string (Json.to_string json ^ "\n"))
-
-(* ------------------------------------------------------------------ *)
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -215,22 +156,23 @@ let run_job_line line =
           | r -> (id, r)
           | exception exn -> (id, Proto.Failed (Printexc.to_string exn))))
 
-(* The worker's cumulative arena totals, attached to every result frame
-   (as its ["batch"] field, the wire name) so the daemon can surface
-   per-worker arena cache behavior through the [stats] op.  Cumulative
-   since the worker process started — a respawned worker starts over, and
-   the daemon always keeps the latest frame. *)
-let arena_totals_json () =
-  let t = Engine.Arena.totals () in
+(* The worker's process totals, attached to every result frame (as its
+   ["batch"] field, the wire name) so the daemon can surface per-worker
+   cache behavior through the [stats] op.  Cumulative since the worker
+   process started — a respawned worker starts over, and the daemon
+   always keeps the latest frame.  A worker runs every trial on its
+   arena, so [batched_trials] is its trial count. *)
+let totals_json () =
+  let t = Engine.totals () in
   Json.Obj
     [
-      ("arenas", Json.Int t.Engine.Arena.arenas);
-      ("batched_trials", Json.Int t.Engine.Arena.batched_trials);
-      ("kept", Json.Int t.Engine.Arena.cache.Distcache.kept);
-      ("repaired", Json.Int t.Engine.Arena.cache.Distcache.repaired);
-      ("rebuilt", Json.Int t.Engine.Arena.cache.Distcache.rebuilt);
-      ("fills", Json.Int t.Engine.Arena.cache.Distcache.fills);
-      ("evicted", Json.Int t.Engine.Arena.cache.Distcache.evicted);
+      ("arenas", Json.Int t.Engine.arenas);
+      ("batched_trials", Json.Int t.Engine.trials);
+      ("kept", Json.Int t.Engine.cache.Distcache.kept);
+      ("repaired", Json.Int t.Engine.cache.Distcache.repaired);
+      ("rebuilt", Json.Int t.Engine.cache.Distcache.rebuilt);
+      ("fills", Json.Int t.Engine.cache.Distcache.fills);
+      ("evicted", Json.Int t.Engine.cache.Distcache.evicted);
     ]
 
 let worker_main ~slot ~lease_dir ~heartbeat_interval () =
@@ -251,14 +193,14 @@ let worker_main ~slot ~lease_dir ~heartbeat_interval () =
         done)
       ()
   in
-  let rdr = Line_reader.create Unix.stdin in
+  let rdr = Proto.Line_reader.create Unix.stdin in
   let rec loop () =
-    match Line_reader.line rdr with
+    match Proto.Line_reader.line rdr with
     | None -> ()
     | Some line ->
         let id, result = run_job_line line in
-        send_line Unix.stdout
-          (Proto.worker_result_to_json ~batch:(arena_totals_json ()) ~id
+        Proto.send_line Unix.stdout
+          (Proto.worker_result_to_json ~batch:(totals_json ()) ~id
              result);
         loop ()
   in
@@ -300,7 +242,7 @@ type slot = {
   mutable alive : bool;
   mutable job : job option;
   mutable batch_stats : Json.t option;
-      (* latest cumulative arena totals reported by this slot's worker *)
+      (* latest process totals reported by this slot's worker *)
 }
 
 type t = {
@@ -323,7 +265,7 @@ type t = {
 let conn_send conn json =
   Mutex.lock conn.wmu;
   (if not conn.wclosed then
-     try send_line conn.fd json
+     try Proto.send_line conn.fd json
      with Unix.Unix_error _ | Sys_error _ -> conn.wclosed <- true);
   Mutex.unlock conn.wmu
 
@@ -449,7 +391,7 @@ let worker_down t slot pid cause =
   Mutex.unlock t.mu
 
 let rec worker_reader t slot pid rdr =
-  match Line_reader.line rdr with
+  match Proto.Line_reader.line rdr with
   | exception _ -> worker_down t slot pid "worker pipe error"
   | None -> worker_down t slot pid "worker exited"
   | Some line ->
@@ -507,7 +449,7 @@ let spawn_worker_locked t slot =
   slot.to_worker <- jw;
   slot.alive <- true;
   slot.job <- None;
-  let rdr = Line_reader.create rr in
+  let rdr = Proto.Line_reader.create rr in
   let _reader : Thread.t =
     Thread.create
       (fun () ->
@@ -544,7 +486,7 @@ let dispatch_locked t job slot =
   let frame =
     Proto.worker_job ~id:job.id ~host:job.canon_host ~budget job.payload
   in
-  match send_line slot.to_worker frame with
+  match Proto.send_line slot.to_worker frame with
   | () -> ()
   | exception (Unix.Unix_error _ | Sys_error _) ->
       worker_down_locked t slot slot.pid "dispatch write failed"
@@ -591,38 +533,18 @@ let scheduler t =
 (* Admission                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let connected n pairs =
-  if n = 0 then true
-  else begin
-    let adj = Array.make n [] in
-    List.iter
-      (fun (u, v) ->
-        adj.(u) <- v :: adj.(u);
-        adj.(v) <- u :: adj.(v))
-      pairs;
-    let seen = Array.make n false in
-    let rec dfs v =
-      if not seen.(v) then begin
-        seen.(v) <- true;
-        List.iter dfs adj.(v)
-      end
-    in
-    dfs 0;
-    Array.for_all (fun b -> b) seen
-  end
-
 (* Canonicalize the host before admission (outside the lock — this is
    the CPU-heavy part of intake).  Running every job on the canonical
    form is what makes cached replies bit-identical to fresh runs: both
    compute on the same representative.  A host too symmetric to
    canonicalize within the budget is admitted as submitted and bypasses
-   the cache. *)
-let canonicalize cfg (payload : Proto.job) =
-  match payload.Proto.host with
-  | Proto.Complete _ ->
-      (payload.Proto.host, Some ("K|" ^ Proto.params_fingerprint payload))
-  | Proto.Edges (n, pairs) -> (
-      let g = Graph.of_unowned_edges n pairs in
+   the cache.  [host_graph] is the edge-list host as admission built it,
+   [None] for a complete host. *)
+let canonicalize cfg (payload : Proto.job) host_graph =
+  match host_graph with
+  | None -> (payload.Proto.host, Some ("K|" ^ Proto.params_fingerprint payload))
+  | Some g -> (
+      let n = Graph.n g in
       match
         Canonical.normal_form ~respect_ownership:false
           ~budget:cfg.canon_budget g
@@ -647,19 +569,22 @@ let handle_submit t conn tag body =
   | Error m -> conn_send conn (Proto.error ~message:m ~tag)
   | Ok payload -> (
       let n = Proto.host_n payload.Proto.host in
-      let invalid =
+      let admitted =
         if n > t.cfg.max_n then
-          Some (Printf.sprintf "host too large: n = %d > max %d" n t.cfg.max_n)
+          Error (Printf.sprintf "host too large: n = %d > max %d" n t.cfg.max_n)
         else
           match payload.Proto.host with
-          | Proto.Edges (n, pairs) when not (connected n pairs) ->
-              Some "host graph must be connected"
-          | _ -> None
+          | Proto.Complete _ -> Ok None
+          | Proto.Edges (n, pairs) ->
+              (* built once, for this check and for canonicalization *)
+              let g = Graph.of_unowned_edges n pairs in
+              if Paths.is_connected g then Ok (Some g)
+              else Error "host graph must be connected"
       in
-      match invalid with
-      | Some m -> conn_send conn (Proto.error ~message:m ~tag)
-      | None ->
-          let canon_host, cache_key = canonicalize t.cfg payload in
+      match admitted with
+      | Error m -> conn_send conn (Proto.error ~message:m ~tag)
+      | Ok host_graph ->
+          let canon_host, cache_key = canonicalize t.cfg payload host_graph in
           Mutex.lock t.mu;
           let id = t.next_id in
           t.next_id <- id + 1;
@@ -747,7 +672,7 @@ let health_json t =
              | None -> []))
          t.slots)
   in
-  (* Sum of the latest per-worker arena totals — each worker's numbers are
+  (* Sum of the latest per-worker process totals — each worker's numbers are
      cumulative for its own process, so latest-per-slot sums without
      double-counting (a respawned worker restarts its own count). *)
   let batch_total =
@@ -823,10 +748,10 @@ let handle_request t conn line =
 
 let client_loop t fd =
   let conn = { fd; wmu = Mutex.create (); wclosed = false; eof = false; pending = 0 } in
-  let rdr = Line_reader.create fd in
+  let rdr = Proto.Line_reader.create fd in
   let rec loop () =
-    match Line_reader.line ~frame_timeout:t.cfg.frame_timeout rdr with
-    | exception Line_reader.Stalled ->
+    match Proto.Line_reader.line ~frame_timeout:t.cfg.frame_timeout rdr with
+    | exception Proto.Line_reader.Stalled ->
         (* slow-loris: a frame begun and never finished — count it and
            tear the connection down (owed outcomes still flush first) *)
         Mutex.lock t.mu;

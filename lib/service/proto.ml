@@ -417,3 +417,57 @@ let summary_to_json (s : Stats.summary) =
       ("max_steps", Json.Int s.max_steps);
       ("min_steps", Json.Int s.min_steps);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Line framing                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Line_reader = struct
+  exception Stalled
+
+  type t = {
+    fd : Unix.file_descr;
+    buf : Buffer.t;
+    chunk : Bytes.t;
+    mutable frame_started : float;  (* monotonic; 0.0 = not mid-frame *)
+  }
+
+  let create fd =
+    { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096;
+      frame_started = 0.0 }
+
+  (* Only a partial frame starts the clock (see the interface). *)
+  let rec line ?(frame_timeout = 0.0) t =
+    let s = Buffer.contents t.buf in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear t.buf;
+        Buffer.add_substring t.buf s (i + 1) (String.length s - i - 1);
+        t.frame_started <- 0.0;
+        Some (String.sub s 0 i)
+    | None ->
+        if frame_timeout > 0.0 && Buffer.length t.buf > 0 then begin
+          if t.frame_started = 0.0 then t.frame_started <- Clock.monotonic ();
+          let remaining =
+            t.frame_started +. frame_timeout -. Clock.monotonic ()
+          in
+          if remaining <= 0.0 then raise Stalled;
+          match Unix.select [ t.fd ] [] [] remaining with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+              line ~frame_timeout t
+          | [], _, _ -> raise Stalled
+          | _ -> read_chunk frame_timeout t
+        end
+        else read_chunk frame_timeout t
+
+  and read_chunk frame_timeout t =
+    let k = Sysx.read t.fd t.chunk 0 (Bytes.length t.chunk) in
+    if k = 0 then None
+    else begin
+      Buffer.add_subbytes t.buf t.chunk 0 k;
+      line ~frame_timeout t
+    end
+end
+
+let send_line fd json =
+  Sysx.write_all fd (Bytes.of_string (Json.to_string json ^ "\n"))

@@ -109,8 +109,8 @@ type worker_result =
 
 val worker_result_to_json : ?batch:Json.t -> id:int -> worker_result -> Json.t
 (** [batch], when given, rides along as a ["batch"] field — the worker's
-    cumulative arena totals ({!Engine.Arena.totals} since the worker
-    process started), which the daemon surfaces through the [stats] op.
+    process totals ({!Engine.totals} since the worker process
+    started), which the daemon surfaces through the [stats] op.
     Absent on historical frames; parsers must tolerate both. *)
 
 val worker_result_of_json :
@@ -122,3 +122,31 @@ val worker_result_of_json :
 val summary_to_json : Stats.summary -> Json.t
 (** [avg_steps] is [null] when no trial converged ([nan] has no JSON
     rendering); all other fields are integers. *)
+
+(** {2 Line framing} — the one reader and writer of line-framed JSON:
+    the daemon's client connections and worker pipes, the worker's
+    stdin/stdout, and the clients ([loadgen], [io_torture], the tests)
+    all go through these two. *)
+
+module Line_reader : sig
+  exception Stalled
+  (** A peer began a frame and did not finish it within the frame
+      timeout. *)
+
+  type t
+
+  val create : Unix.file_descr -> t
+
+  val line : ?frame_timeout:float -> t -> string option
+  (** The next line, without its ['\n'], however the bytes arrived —
+      one frame split over many reads, or many frames in one read.
+      [None] on EOF; a final unterminated line is dropped (a torn frame
+      from a killed peer is not a message).  With [frame_timeout] > 0 a
+      peer that starts a frame and then stalls raises {!Stalled} once
+      the frame is [frame_timeout] seconds old — the slow-loris defence.
+      An {e idle} peer (no bytes buffered) may stay silent forever; only
+      a partial frame starts the clock.  Default [0.0]: no timeout. *)
+end
+
+val send_line : Unix.file_descr -> Json.t -> unit
+(** Writes [Json.to_string v] and a ['\n'] in one {!Ncg_experiments.Sysx.write_all}. *)

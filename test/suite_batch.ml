@@ -297,17 +297,16 @@ let test_arena_reuse_and_accounting () =
   (* Twelve trials through one directly created arena: pooled caches,
      witnesses and seen-tables are reset between trials, so every trial
      is still bit-identical to solo — and the arena's books balance
-     against the per-trial results, while [Distcache.totals] counts each
-     trial exactly once (no double-counting under an arena). *)
-  Engine.Arena.reset_totals ();
-  Distcache.reset_totals ();
+     against the per-trial results, while [Engine.totals] counts each
+     trial exactly once. *)
+  Engine.reset_totals ();
   let spec = game_spec Model.Gbg in
   let arena = Engine.Arena.create (Model.n spec.Runner.model) in
   let runs =
     List.init 12 (fun i -> Runner.run_trial ~arena spec ~seed:3 ~trial:i)
   in
   (* snapshot before the solo comparison runs below add their own trials *)
-  let arena_totals = Distcache.totals () in
+  let t = Engine.totals () in
   let cache_sum =
     List.fold_left
       (fun acc r -> sum_stats acc r.Engine.cache)
@@ -323,17 +322,18 @@ let test_arena_reuse_and_accounting () =
   check_int "arena retired every trial" 12 (Engine.Arena.trials arena);
   check "arena cache stats = sum of per-trial stats" true
     (Engine.Arena.cache_stats arena = cache_sum);
-  let t = Engine.Arena.totals () in
-  check_int "process totals: one arena" 1 t.Engine.Arena.arenas;
-  check_int "process totals: twelve arena trials" 12
-    t.Engine.Arena.batched_trials;
-  check "process totals: arena cache decisions" true
-    (t.Engine.Arena.cache = cache_sum);
-  (* every trial here ran on the arena, so the per-trial totals must equal
-     the arena totals exactly — if the arena added its stats to
-     [Distcache.totals] too, this would read double *)
-  check "Distcache totals count each trial once" true
-    (arena_totals = cache_sum)
+  check_int "process totals: one arena" 1 t.Engine.arenas;
+  check_int "process totals: twelve trials" 12 t.Engine.trials;
+  (* the arena feeds nothing into the totals itself: were a trial's stats
+     added on retirement as well as when it finishes, this would read
+     double *)
+  check "process totals count each trial once" true
+    (t.Engine.cache = cache_sum);
+  check "process totals: peak residency of the largest trial" true
+    (t.Engine.peak_tables
+     = List.fold_left
+         (fun m r -> max m r.Engine.residency.Distcache.peak)
+         0 runs)
 
 (* ------------------------------------------------------------------ *)
 (* The runner: interrupt/resume and retry sub-seeds                    *)

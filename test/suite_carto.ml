@@ -592,6 +592,35 @@ let test_run_sweeps_dead_temps () =
               [ dead_frontier; dead_chunk ]))
         (List.sort compare swept))
 
+(* The run report is CI's artifact: pin its exact bytes for a fixed
+   report, sinks with characters the codec must escape included. *)
+let test_report_json_pinned () =
+  let report =
+    {
+      C.explored = 42;
+      stable =
+        [ ("3;0,1<;1,2>", "enc0"); ("q\"b\\s\nn\tt\001\031 café", "enc1") ];
+      waves = 5;
+      arcs = 77;
+      has_cycle = true;
+      largest_scc = 3;
+      nontrivial_sccs = 1;
+      truncated = false;
+      respawns = 2;
+      resumed = false;
+      rolled_back = 0;
+      region_fingerprint = "0badc0de-42";
+    }
+  in
+  check_str "full report"
+    {|{"explored":42,"waves":5,"arcs":77,"stable":["3;0,1<;1,2>","q\"b\\s\nn\tt\u0001\u001f café"],"has_cycle":true,"largest_scc":3,"nontrivial_sccs":1,"truncated":false,"respawns":2,"resumed":false,"rolled_back":0,"region_fingerprint":"0badc0de-42"}|}
+    (C.report_json report);
+  check_str "no sinks, flags flipped"
+    {|{"explored":42,"waves":5,"arcs":77,"stable":[],"has_cycle":false,"largest_scc":3,"nontrivial_sccs":1,"truncated":true,"respawns":0,"resumed":true,"rolled_back":7,"region_fingerprint":"0badc0de-42"}|}
+    (C.report_json
+       { report with stable = []; has_cycle = false; truncated = true;
+         resumed = true; rolled_back = 7; respawns = 0 })
+
 let suite =
   ( "carto",
     [
@@ -626,4 +655,5 @@ let suite =
         test_fig2_artifacts_pinned;
       Alcotest.test_case "run sweeps dead writers' temps" `Quick
         test_run_sweeps_dead_temps;
+      Alcotest.test_case "report json pinned" `Quick test_report_json_pinned;
     ] )

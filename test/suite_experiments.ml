@@ -565,6 +565,97 @@ let test_figure_checkpoints_pinned () =
         (Figure.sweep ~max_retries:(-1) ~ns:[ 8 ] ~trials:1
            (Figure.find "fig7")))
 
+(* ------------------------------------------------------------------ *)
+(* Incident-log wire format                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A payload with every character the line format must escape: a quote,
+   a backslash, newline, tab, CR and two raw control bytes (plus UTF-8,
+   which passes through). *)
+let nasty = "q\"b\\s\nn\tt\rr\001\031 café"
+
+(* The exact line of every event kind (and every verdict), pinned byte
+   for byte, so no change of codec can change the log's format. *)
+let test_incident_lines_pinned () =
+  let outcome ?attempts ?degraded reason steps =
+    Stats.of_verdict ?attempts ?degraded (Stats.Finished { reason; steps })
+  in
+  let violation =
+    { Audit.kind = Audit.Disconnected; step = 7; subject = Some 4;
+      detail = nasty }
+  in
+  let cases =
+    [
+      ( Incident_log.Quarantined
+          { key = nasty; trial = 3;
+            outcome = outcome ~attempts:4 (Engine.Invariant_violation violation) 9 },
+        {|{"event":"quarantined","key":"q\"b\\s\nn\tt\rr\u0001\u001f café","trial":3,"attempts":4,"verdict":"invariant_violation","steps":9,"detail":"disconnected at step 7 (vertex 4): q\"b\\s\nn\tt\rr\u0001\u001f café"}|}
+      );
+      ( Incident_log.Quarantined
+          { key = "fig7|n=10"; trial = 0;
+            outcome =
+              outcome ~attempts:2
+                (Engine.Cycle_detected { first_visit = 1; period = 4 }) 12 },
+        {|{"event":"quarantined","key":"fig7|n=10","trial":0,"attempts":2,"verdict":"cycle","steps":12}|}
+      );
+      ( Incident_log.Degraded
+          { key = "fig8|n=12"; trial = 5;
+            outcome = outcome ~degraded:true Engine.Converged 30 },
+        {|{"event":"degraded","key":"fig8|n=12","trial":5,"attempts":1,"verdict":"converged","steps":30}|}
+      );
+      ( Incident_log.Degraded
+          { key = "k"; trial = 1;
+            outcome =
+              Stats.of_verdict ~attempts:3
+                (Stats.Crashed
+                   { exn = nasty; backtrace = "Raised at f\nCalled from g\r\n" }) },
+        {|{"event":"degraded","key":"k","trial":1,"attempts":3,"verdict":"crashed","exn":"q\"b\\s\nn\tt\rr\u0001\u001f café","backtrace":"Raised at f\nCalled from g\r\n"}|}
+      );
+      ( Incident_log.Quarantined
+          { key = "k"; trial = 2; outcome = outcome Engine.Step_limit 600 },
+        {|{"event":"quarantined","key":"k","trial":2,"attempts":1,"verdict":"step_limit","steps":600}|}
+      );
+      ( Incident_log.Quarantined
+          { key = "k"; trial = 2; outcome = outcome Engine.Time_limit 41 },
+        {|{"event":"quarantined","key":"k","trial":2,"attempts":1,"verdict":"time_limit","steps":41}|}
+      );
+      ( Incident_log.Divergence
+          { key = nasty; trial = 6;
+            incident =
+              { Sentinel.step = 11; fingerprint = nasty;
+                phase = Sentinel.Selection { fast = Some 3; reference = None } } },
+        {|{"event":"divergence","key":"q\"b\\s\nn\tt\rr\u0001\u001f café","trial":6,"step":11,"phase":"selection","fingerprint":"q\"b\\s\nn\tt\rr\u0001\u001f café","detail":"step 11: selection diverged (fast picked 3, reference picked converged) at state q\\\"b\\\\s\\nn\\tt\\rr\\001\\031 caf\\195\\169"}|}
+      );
+      ( Incident_log.Divergence
+          { key = "k"; trial = 0;
+            incident =
+              { Sentinel.step = 2; fingerprint = "4;0,1<";
+                phase = Sentinel.Move_set { agent = 2; fast = []; reference = [] } } },
+        {|{"event":"divergence","key":"k","trial":0,"step":2,"phase":"move_set","fingerprint":"4;0,1<","detail":"step 2: move set of agent 2 diverged (fast [], reference []) at state 4;0,1<"}|}
+      );
+      ( Incident_log.Worker_dead
+          { shard = 1; pid = 4242; cause = nasty; lo = 10; hi = 20 },
+        {|{"event":"worker_dead","shard":1,"pid":4242,"cause":"q\"b\\s\nn\tt\rr\u0001\u001f café","lo":10,"hi":20}|}
+      );
+      ( Incident_log.Reassigned { shard = 2; attempt = 3 },
+        {|{"event":"reassigned","shard":2,"attempt":3}|} );
+      ( Incident_log.Shard_quarantined { shard = 4; lo = 0; hi = 5; attempts = 6 },
+        {|{"event":"shard_quarantined","shard":4,"lo":0,"hi":5,"attempts":6}|} );
+      ( Incident_log.Job_interrupted
+          { job = 17; pid = 99; attempt = 2; cause = nasty },
+        {|{"event":"job_interrupted","job":17,"pid":99,"attempt":2,"cause":"q\"b\\s\nn\tt\rr\u0001\u001f café"}|}
+      );
+      ( Incident_log.Stale_tmp_swept { path = "/tmp/d/x.led.123.tmp"; owner = 123 },
+        {|{"event":"stale_tmp_swept","path":"/tmp/d/x.led.123.tmp","owner":123}|}
+      );
+    ]
+  in
+  List.iter
+    (fun (event, line) ->
+      Alcotest.(check string) "pinned line" line
+        (Incident_log.json_of_event event))
+    cases
+
 let suite =
   ( "experiments",
     [
@@ -611,4 +702,6 @@ let suite =
         test_time_budget_is_per_trial;
       Alcotest.test_case "figure sweeps match the parent's checkpoints" `Quick
         test_figure_checkpoints_pinned;
+      Alcotest.test_case "incident log lines pinned" `Quick
+        test_incident_lines_pinned;
     ] )

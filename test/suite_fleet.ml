@@ -470,81 +470,6 @@ let test_clock_monotonic () =
     (Lease.expired ~now:(l.Lease.heartbeat +. 10.01) ~timeout:10.0 l)
 
 (* ------------------------------------------------------------------ *)
-(* Incident log: rotation                                              *)
-(* ------------------------------------------------------------------ *)
-
-let event_line w i =
-  Printf.sprintf "{\"event\":\"reassigned\",\"shard\":%d,\"attempt\":%d}" w i
-
-let test_incident_log_rotation () =
-  let log_path = Filename.temp_file "ncg_inc_rot" ".jsonl" in
-  let segment k = Printf.sprintf "%s.%d" log_path k in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (log_path :: List.init 16 (fun k -> segment (k + 1))))
-    (fun () ->
-      (* ~44-byte records, 128-byte segments: rotation every 3 records *)
-      let log =
-        Incident_log.open_
-          ~rotation:{ Incident_log.max_bytes = 128; keep = 12 }
-          log_path
-      in
-      let total = 30 in
-      for i = 0 to total - 1 do
-        Incident_log.record log (Incident_log.Reassigned { shard = 0; attempt = i })
-      done;
-      Incident_log.close log;
-      (* collect every surviving line across live file and segments *)
-      let lines =
-        List.concat_map
-          (fun p -> if Sys.file_exists p then read_lines p else [])
-          (log_path :: List.init 12 (fun k -> segment (k + 1)))
-      in
-      check "rotation happened" true (Sys.file_exists (segment 1));
-      (* rotation is rename-only: no record lost, none torn *)
-      check_int "every record survives across segments" total
-        (List.length lines);
-      for i = 0 to total - 1 do
-        check "record intact" true
-          (List.exists (fun l -> l = event_line 0 i) lines)
-      done)
-
-let test_incident_log_rotation_drops_oldest () =
-  let log_path = Filename.temp_file "ncg_inc_rot" ".jsonl" in
-  let segment k = Printf.sprintf "%s.%d" log_path k in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (log_path :: List.init 16 (fun k -> segment (k + 1))))
-    (fun () ->
-      let log =
-        Incident_log.open_
-          ~rotation:{ Incident_log.max_bytes = 128; keep = 2 }
-          log_path
-      in
-      for i = 0 to 59 do
-        Incident_log.record log (Incident_log.Reassigned { shard = 0; attempt = i })
-      done;
-      Incident_log.close log;
-      check "keep bound respected" false (Sys.file_exists (segment 3));
-      (* the newest records are the ones retained, and whole lines only *)
-      let lines = read_lines log_path @ read_lines (segment 1) @ read_lines (segment 2) in
-      check "bounded but non-empty" true (List.length lines > 0);
-      List.iter
-        (fun line ->
-          check "line is one whole record" true
-            (String.length line > 2
-            && line.[0] = '{'
-            && line.[String.length line - 1] = '}'
-            && not (Astring_like.contains line "}{")))
-        lines;
-      check "latest record retained" true
-        (List.exists (fun l -> l = event_line 0 59) lines))
-
-(* ------------------------------------------------------------------ *)
 (* Incident log: concurrent writers                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -657,10 +582,6 @@ let suite =
       Alcotest.test_case "supervise quarantines hopeless shard" `Quick
         test_supervise_quarantines_hopeless_shard;
       Alcotest.test_case "monotonic clock" `Quick test_clock_monotonic;
-      Alcotest.test_case "incident log rotation keeps whole records" `Quick
-        test_incident_log_rotation;
-      Alcotest.test_case "incident log rotation drops oldest" `Quick
-        test_incident_log_rotation_drops_oldest;
       Alcotest.test_case "incident log concurrent writers" `Quick
         test_incident_log_concurrent_writers;
       Alcotest.test_case "supervise reaps its workers when it raises" `Quick

@@ -8,8 +8,8 @@
    from main.ml before alcotest) routes to [Daemon.worker_main].  The
    exit-code test runs the whole daemon as a subprocess the same way and
    SIGTERMs it. *)
-open Ncg_experiments
 open Ncg_service
+open Ncg_experiments
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -118,34 +118,24 @@ let with_daemon cfg f =
   in
   (r, !code)
 
-type client = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
+type client = { fd : Unix.file_descr; rdr : Proto.Line_reader.t }
 
 let connect cfg =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX cfg.Daemon.socket_path);
-  { fd; buf = Buffer.create 1024; chunk = Bytes.create 4096 }
+  { fd; rdr = Proto.Line_reader.create fd }
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 let send c line = Sysx.write_all c.fd (Bytes.of_string (line ^ "\n"))
 
-let rec recv c =
-  let s = Buffer.contents c.buf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear c.buf;
-      Buffer.add_substring c.buf s (i + 1) (String.length s - i - 1);
-      let line = String.sub s 0 i in
-      (match Json.parse line with
+let recv c =
+  match Proto.Line_reader.line c.rdr with
+  | None -> Alcotest.fail "connection closed mid-conversation"
+  | Some line -> (
+      match Json.parse line with
       | j -> j
       | exception Json.Parse_error m ->
           Alcotest.failf "unparseable reply %S: %s" line m)
-  | None ->
-      let k = Sysx.read c.fd c.chunk 0 (Bytes.length c.chunk) in
-      if k = 0 then Alcotest.fail "connection closed mid-conversation"
-      else begin
-        Buffer.add_subbytes c.buf c.chunk 0 k;
-        recv c
-      end
 
 let jstr j key = Option.bind (Json.member key j) Json.to_str
 let jint j key = Option.bind (Json.member key j) Json.to_int
@@ -463,9 +453,7 @@ let test_slow_loris_disconnected () =
                 (* half a frame, then silence *)
                 Sysx.write_all loris.fd (Bytes.of_string "{\"op\":\"hea");
                 let t0 = Clock.monotonic () in
-                let k =
-                  Sysx.read loris.fd loris.chunk 0 (Bytes.length loris.chunk)
-                in
+                let k = Sysx.read loris.fd (Bytes.create 64) 0 64 in
                 let dt = Clock.monotonic () -. t0 in
                 check_int "daemon hung up on the stalled frame" 0 k;
                 check "at the frame deadline, not the drain" true (dt < 5.0);
@@ -585,6 +573,114 @@ let test_worker_claims_stale_slot_lease () =
           | Ok l -> check_int "the lease names the worker" pid l.Lease.owner
           | Error e -> Alcotest.failf "lease unreadable: %s" e))
 
+(* ------------------------------------------------------------------ *)
+(* Proto.Line_reader: framing over arbitrary read boundaries            *)
+(* ------------------------------------------------------------------ *)
+
+(* [f r w close_w] over a fresh pipe; [close_w] gives the reader its EOF
+   and is safe to call twice. *)
+let with_pipe f =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let w_open = ref true in
+  let close_w () =
+    if !w_open then begin
+      w_open := false;
+      Unix.close w
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_w ();
+      Unix.close r)
+    (fun () -> f r w close_w)
+
+let write_str fd s = Sysx.write_all fd (Bytes.of_string s)
+
+(* a writer thread that runs [f] while the reader blocks *)
+let in_thread f =
+  let th = Thread.create f () in
+  Fun.protect ~finally:(fun () -> Thread.join th)
+
+let test_line_reader_byte_writes () =
+  with_pipe (fun r w _ ->
+      let frame = {|{"op":"submit","n":6}|} in
+      let rdr = Proto.Line_reader.create r in
+      (* each byte is its own write, spaced so every read(2) returns one
+         byte; both the timed (client) and untimed (worker) paths *)
+      let dribble () =
+        String.iter
+          (fun c ->
+            write_str w (String.make 1 c);
+            Thread.delay 0.001)
+          (frame ^ "\n" ^ frame ^ "\n")
+      in
+      in_thread dribble (fun () ->
+          Alcotest.(check (option string)) "timed read reassembles"
+            (Some frame)
+            (Proto.Line_reader.line ~frame_timeout:5.0 rdr);
+          Alcotest.(check (option string)) "untimed read reassembles"
+            (Some frame) (Proto.Line_reader.line rdr)))
+
+let test_line_reader_two_frames_one_read () =
+  with_pipe (fun r w close_w ->
+      write_str w "first\nsecond\n";
+      close_w ();
+      let rdr = Proto.Line_reader.create r in
+      Alcotest.(check (option string)) "first frame" (Some "first")
+        (Proto.Line_reader.line rdr);
+      Alcotest.(check (option string)) "second frame, from the buffer"
+        (Some "second") (Proto.Line_reader.line rdr);
+      Alcotest.(check (option string)) "then EOF" None
+        (Proto.Line_reader.line rdr))
+
+let test_line_reader_eof_drops_tail () =
+  with_pipe (fun r w close_w ->
+      write_str w "whole\n{\"op\":\"hea";
+      close_w ();
+      let rdr = Proto.Line_reader.create r in
+      Alcotest.(check (option string)) "the whole frame" (Some "whole")
+        (Proto.Line_reader.line ~frame_timeout:5.0 rdr);
+      Alcotest.(check (option string)) "the torn tail is no message" None
+        (Proto.Line_reader.line ~frame_timeout:5.0 rdr))
+
+let test_line_reader_stalled_frame () =
+  (* a partial frame that completes before the timeout is not stalled *)
+  with_pipe (fun r w _ ->
+      let rdr = Proto.Line_reader.create r in
+      in_thread
+        (fun () ->
+          write_str w "{\"op\"";
+          Thread.delay 0.05;
+          write_str w ":\"health\"}\n")
+        (fun () ->
+          Alcotest.(check (option string)) "slow frame within the timeout"
+            (Some {|{"op":"health"}|})
+            (Proto.Line_reader.line ~frame_timeout:2.0 rdr)));
+  (* one that outlives it is, and only once it is that old *)
+  with_pipe (fun r w _ ->
+      let rdr = Proto.Line_reader.create r in
+      write_str w "{\"op\":\"hea";
+      let t0 = Clock.monotonic () in
+      (match Proto.Line_reader.line ~frame_timeout:0.2 rdr with
+      | exception Proto.Line_reader.Stalled -> ()
+      | _ -> Alcotest.fail "a frame that never ends was not stalled");
+      let dt = Clock.monotonic () -. t0 in
+      check "stalled at the frame timeout, not before" true (dt >= 0.15);
+      check "stalled promptly" true (dt < 5.0))
+
+let test_line_reader_idle_not_stalled () =
+  with_pipe (fun r w _ ->
+      let rdr = Proto.Line_reader.create r in
+      (* silent for twice the frame timeout, then a whole frame *)
+      in_thread
+        (fun () ->
+          Thread.delay 0.4;
+          write_str w "late\n")
+        (fun () ->
+          Alcotest.(check (option string)) "idle peer read, not stalled"
+            (Some "late")
+            (Proto.Line_reader.line ~frame_timeout:0.2 rdr)))
+
 let suite =
   ( "service",
     [
@@ -604,4 +700,14 @@ let suite =
         test_slow_loris_disconnected;
       Alcotest.test_case "worker claims a stale slot lease" `Quick
         test_worker_claims_stale_slot_lease;
+      Alcotest.test_case "line reader: 1-byte writes" `Quick
+        test_line_reader_byte_writes;
+      Alcotest.test_case "line reader: two frames in one read" `Quick
+        test_line_reader_two_frames_one_read;
+      Alcotest.test_case "line reader: EOF drops a torn tail" `Quick
+        test_line_reader_eof_drops_tail;
+      Alcotest.test_case "line reader: stalled only past the timeout" `Quick
+        test_line_reader_stalled_frame;
+      Alcotest.test_case "line reader: idle peer never stalled" `Quick
+        test_line_reader_idle_not_stalled;
     ] )

@@ -38,7 +38,7 @@
 open Ncg_core
 open Ncg_experiments
 module Daemon = Ncg_service.Daemon
-module Json = Ncg_service.Json
+module Proto = Ncg_service.Proto
 module Faulty = Sysx.Faulty
 module Carto = Ncg_search.Cartography
 
@@ -585,37 +585,18 @@ let run_short_write sc =
 (* Daemon leg                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type reader = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
-
-let reader fd = { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096 }
-
-let rec read_line r =
-  let s = Buffer.contents r.buf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear r.buf;
-      Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
-  | None ->
-      let k = Sysx.read r.fd r.chunk 0 (Bytes.length r.chunk) in
-      if k = 0 then None
-      else begin
-        Buffer.add_subbytes r.buf r.chunk 0 k;
-        read_line r
-      end
-
 let dial socket_path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Sysx.connect fd (Unix.ADDR_UNIX socket_path);
   fd
 
-let request socket_path line =
+let request socket_path op =
   let fd = dial socket_path in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Sysx.write_all fd (Bytes.of_string (line ^ "\n"));
-      read_line (reader fd))
+      Proto.send_line fd (Json.Obj [ ("op", Json.Str op) ]);
+      Proto.Line_reader.line (Proto.Line_reader.create fd))
 
 let run_loadgen ~socket_path ~lease_dir ~out args =
   let argv =
@@ -688,7 +669,7 @@ let run_daemon_leg () =
   (let fd = dial socket_path in
    Sysx.write_all fd (Bytes.of_string {|{"op":"hea|});
    (try Unix.close fd with Unix.Unix_error _ -> ());
-   match request socket_path {|{"op":"health"}|} with
+   match request socket_path "health" with
    | Some line
      when (match Json.parse line with
           | j -> Option.bind (Json.member "type" j) Json.to_str = Some "health"
@@ -708,7 +689,7 @@ let run_daemon_leg () =
    in
    (try Unix.close fd with Unix.Unix_error _ -> ());
    if not eof then fail "daemon[slow-loris]: stalled conn not torn down";
-   match request socket_path {|{"op":"health"}|} with
+   match request socket_path "health" with
    | Some line -> (
        match Json.parse line with
        | exception _ -> fail "daemon[slow-loris]: unreadable health"
@@ -722,7 +703,7 @@ let run_daemon_leg () =
            | _ -> fail "daemon[slow-loris]: stalled_conns not counted"))
    | None -> fail "daemon[slow-loris]: no health reply");
   (* drain and shut down *)
-  ignore (request socket_path {|{"op":"drain"}|});
+  ignore (request socket_path "drain");
   Thread.join th;
   if !code <> 0 then fail "daemon: drain exit code %d, expected 0" !code;
   Incident_log.close incidents

@@ -12,7 +12,8 @@
    SIGKILLs a random live worker (found through the daemon's lease
    files) every SECS while the clients run. *)
 
-module Json = Ncg_service.Json
+module Json = Ncg_experiments.Json
+module Proto = Ncg_service.Proto
 module Lease = Ncg_experiments.Lease
 module Sysx = Ncg_experiments.Sysx
 module Clock = Ncg_experiments.Clock
@@ -71,10 +72,10 @@ let connect () =
 (* With --stutter N the frame goes out in <= N-byte writes, so the
    daemon sees it split at arbitrary read boundaries — wire-framing must
    reassemble, not assume one read per line. *)
-let send_line fd s =
-  let b = Bytes.of_string (s ^ "\n") in
-  if !stutter <= 0 then Sysx.write_all fd b
+let send_line fd frame =
+  if !stutter <= 0 then Proto.send_line fd frame
   else begin
+    let b = Bytes.of_string (Json.to_string frame ^ "\n") in
     let len = Bytes.length b in
     let off = ref 0 in
     while !off < len do
@@ -83,25 +84,6 @@ let send_line fd s =
       off := !off + k
     done
   end
-
-type reader = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
-
-let reader fd = { fd; buf = Buffer.create 4096; chunk = Bytes.create 4096 }
-
-let rec read_line r =
-  let s = Buffer.contents r.buf in
-  match String.index_opt s '\n' with
-  | Some i ->
-      Buffer.clear r.buf;
-      Buffer.add_substring r.buf s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
-  | None ->
-      let k = Sysx.read r.fd r.chunk 0 (Bytes.length r.chunk) in
-      if k = 0 then None
-      else begin
-        Buffer.add_subbytes r.buf r.chunk 0 k;
-        read_line r
-      end
 
 (* ------------------------------------------------------------------ *)
 
@@ -159,21 +141,19 @@ let host_json ~client k =
   end
 
 let job_frame ~client ~tag ~seed ~hostk =
-  Json.to_string
-    (Json.Obj
-       [
-         ("op", Json.Str "submit");
-         ("tag", Json.Int tag);
-         ("game", Json.Str !game);
-         ("alpha", Json.Str !alpha);
-         ("n", Json.Int !host_n);
-         ("host", host_json ~client hostk);
-         ("seed", Json.Int seed);
-         ("trials", Json.Int !trials);
-         ("edge_prob", Json.Float !edge_prob);
-         ( "deadline",
-           if !deadline > 0.0 then Json.Float !deadline else Json.Null );
-       ])
+  Json.Obj
+    [
+      ("op", Json.Str "submit");
+      ("tag", Json.Int tag);
+      ("game", Json.Str !game);
+      ("alpha", Json.Str !alpha);
+      ("n", Json.Int !host_n);
+      ("host", host_json ~client hostk);
+      ("seed", Json.Int seed);
+      ("trials", Json.Int !trials);
+      ("edge_prob", Json.Float !edge_prob);
+      ("deadline", if !deadline > 0.0 then Json.Float !deadline else Json.Null);
+    ]
 
 let jget j k = Json.member k j
 let jstr j k = Option.bind (jget j k) Json.to_str
@@ -195,7 +175,7 @@ let run_job rng t r fd ~resolved ~client ~tag ~seed ~hostk =
     send_line fd (job_frame ~client ~tag ~seed ~hostk);
     let admitted_at = Clock.monotonic () in
     let rec wait () =
-      match read_line r with
+      match Proto.Line_reader.line r with
       | None -> false
       | Some line -> (
           match Json.parse line with
@@ -271,7 +251,7 @@ let client_thread idx =
   let resolved = Hashtbl.create 64 in
   (try
      let fd = connect () in
-     let r = reader fd in
+     let r = Proto.Line_reader.create fd in
      for k = 0 to !jobs_per_client - 1 do
        let tag = (idx * 1_000_000) + k in
        let hostk = (idx * !jobs_per_client) + k in
