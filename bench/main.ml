@@ -570,6 +570,7 @@ type scaling_report = {
   sc_large_peak_bytes : int;
   sc_large_within_budget : bool;
   sc_large_peak_rss_mib : float option;
+  sc_large_fills : int;
 }
 
 let scaling_report : scaling_report option ref = ref None
@@ -669,7 +670,7 @@ let scaling_leg scale =
   (* Single pass: the assertion is completion within the memory envelope,
      not a rate, and an n=10000 pass is the most expensive part of this
      leg — best-of-k would double it for nothing. *)
-  let large, residency =
+  let large, residency, large_cache =
     Gc.compact ();
     let t0 = Clock.monotonic () in
     let r =
@@ -677,7 +678,9 @@ let scaling_leg scale =
         ~cache_budget:(Some large_budget) ()
     in
     let wall = Clock.monotonic () -. t0 in
-    ({ wall_s = wall; steps = r.Engine.steps }, r.Engine.residency)
+    ( { wall_s = wall; steps = r.Engine.steps },
+      r.Engine.residency,
+      r.Engine.cache )
   in
   (* Whole-process peak, read right after the largest run: the cache's
      residency alone misses the graphs (the initial network and the
@@ -694,6 +697,12 @@ let scaling_leg scale =
      MiB)\n"
     large_n large_budget large.steps large.wall_s residency.Distcache.peak
     (float_of_int residency.Distcache.peak_bytes /. (1024.0 *. 1024.0));
+  (* One full BFS per fill: the first step fills a table per agent for its
+     board key, and each later step refills only the non-resident rows
+     the dirty set names. *)
+  Printf.printf "  table fills: %d (%.2f per agent)\n"
+    large_cache.Distcache.fills
+    (float_of_int large_cache.Distcache.fills /. float_of_int large_n);
   Option.iter (Printf.printf "  process peak RSS after it: %.1f MiB\n")
     peak_rss;
   check "identical trajectories with and without the cost board" identical;
@@ -718,6 +727,7 @@ let scaling_leg scale =
         sc_large_peak_bytes = residency.Distcache.peak_bytes;
         sc_large_within_budget = within_budget;
         sc_large_peak_rss_mib = peak_rss;
+        sc_large_fills = large_cache.Distcache.fills;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -953,6 +963,7 @@ let write_json path ~scale ~timings =
                   ("within_budget", Json.Bool r.sc_large_within_budget);
                   ( "peak_rss_mib",
                     opt (fun f -> Json.Float f) r.sc_large_peak_rss_mib );
+                  ("fills", Json.Int r.sc_large_fills);
                 ] );
           ])
       !scaling_report

@@ -9,6 +9,7 @@ type kind =
   | Disconnected
   | Non_improving_move
   | Happy_agent_selected
+  | Stale_cost_key
 
 type violation = {
   kind : kind;
@@ -26,11 +27,12 @@ let kind_label = function
   | Disconnected -> "disconnected"
   | Non_improving_move -> "non-improving"
   | Happy_agent_selected -> "happy-mover"
+  | Stale_cost_key -> "stale-key"
 
 let all_kinds =
   [ Asymmetric_adjacency; Self_loop; Bad_edge_count; Ownerless_edge;
     Doubly_owned_edge; Disconnected; Non_improving_move;
-    Happy_agent_selected ]
+    Happy_agent_selected; Stale_cost_key ]
 
 let kind_of_label s =
   List.find_opt (fun k -> kind_label k = s) all_kinds
@@ -111,6 +113,35 @@ let check_move ~step model ~mover ~before ~after =
           Printf.sprintf "agent %d moved from cost %s to %s" mover
             (Cost.to_string before) (Cost.to_string after);
       }
+
+(* The key is re-derived here from a fresh BFS rather than through
+   [Response.Fast.cost_key], which reads the distance cache under audit. *)
+let check_board ~step ~ws model g board =
+  let { Ncg_rational.Q.num; den } = Model.unit_price model in
+  let fresh u =
+    match Agents.cost_ws ws model g u with
+    | Cost.Disconnected -> max_int
+    | Cost.Connected { edge_units; dist } -> (edge_units * num) + (dist * den)
+  in
+  let rec scan u =
+    if u >= Graph.n g then None
+    else
+      let want = fresh u in
+      match Costboard.key board u with
+      | Some k when k = want -> scan (u + 1)
+      | k ->
+          Some
+            {
+              kind = Stale_cost_key;
+              step;
+              subject = Some u;
+              detail =
+                Printf.sprintf "agent %d board key %s, fresh key %d" u
+                  (match k with Some k -> string_of_int k | None -> "missing")
+                  want;
+            }
+  in
+  scan 0
 
 let should_check level step =
   match level with

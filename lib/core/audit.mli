@@ -31,6 +31,9 @@ type kind =
       (** an applied move did not strictly lower the mover's cost *)
   | Happy_agent_selected
       (** the policy selected an agent with no improving move *)
+  | Stale_cost_key
+      (** the cost board holds a key that a fresh BFS cost disagrees
+          with — a dirty-set or board-refresh bug *)
 
 type violation = {
   kind : kind;
@@ -62,6 +65,14 @@ val check_move :
   violation option
 (** Step-level contract: the applied move must have strictly lowered the
     mover's cost under the model's unit price. *)
+
+val check_board :
+  step:int -> ws:Paths.Workspace.t -> Model.t -> Graph.t -> Costboard.t ->
+  violation option
+(** Board audit: every agent's {!Costboard.key} must equal its fresh
+    {!Agents.cost_ws} cost, cross-multiplied as the board keys it
+    ([e*p + d*q] for unit price [p/q], [max_int] for Disconnected).
+    Returns the lowest agent whose key is stale or missing. *)
 
 val should_check : level -> int -> bool
 (** [should_check level step] — whether a mid-run graph audit is due after

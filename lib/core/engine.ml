@@ -452,23 +452,40 @@ let ref_move s u =
   | None -> happy_violation s u
   | Some e -> finish_step s u e ~next_mode:Mode_degraded
 
-let fast_step s =
+(* Bring the cost board up to date: a full refresh on the first step
+   (every agent's key), then only the agents the cache's last patch marked
+   dirty.  Key evaluations consume no RNG, so the stream stays in lockstep
+   with [select]/[select_fast]. *)
+let refresh_board s ctx =
+  match (s.board, s.cache) with
+  | Some board, Some c ->
+      if not s.board_ready then begin
+        for v = 0 to Graph.n s.g - 1 do
+          Costboard.update board v (Response.Fast.cost_key ctx v)
+        done;
+        s.board_ready <- true
+      end
+      else
+        Distcache.iter_dirty
+          (fun v -> Costboard.update board v (Response.Fast.cost_key ctx v))
+          c;
+      Distcache.clear_dirty c
+  | _ -> ()
+
+(* At an audited step, every refreshed key against a fresh BFS cost — so
+   a stale board names its agent instead of surfacing as a different
+   mover.  The shadow workspace keeps the live BFS scratch untouched. *)
+let board_violation s =
+  match s.board with
+  | Some board when Audit.should_check s.cfg.audit s.steps ->
+      Audit.check_board ~step:s.steps ~ws:(Lazy.force s.shadow_ws) s.cfg.model
+        s.g board
+  | _ -> None
+
+(* Selection, over the refreshed board when there is one, and the selected
+   agent's move. *)
+let fast_move s ctx =
   let cfg = s.cfg in
-  (* One context per step.  With the incremental cache it inherits all
-     tables that survived (were kept or repaired by) the previous step's
-     patch; without, tables describe the current network only for this
-     step and are discarded wholesale.  The witness cache survives across
-     steps either way — probes revalidate. *)
-  let ctx =
-    match s.cache with
-    | Some c -> Response.Fast.of_cache s.ws cfg.model s.g c
-    | None -> Response.Fast.create s.ws cfg.model s.g
-  in
-  (* The admission caps ride with the output-sensitive step loop: the
-     [sublinear:false] baseline keeps the historical uncapped enumeration
-     (identical moves either way — the caps only skip provably
-     over-budget candidate scans). *)
-  Response.Fast.set_prefilter ctx cfg.sublinear;
   let checking = Sentinel.due cfg.sentinel s.srng in
   let snap =
     if checking && Sentinel.shadows_selection cfg.policy then
@@ -476,27 +493,12 @@ let fast_step s =
     else None
   in
   let picked =
-    match (s.board, s.cache) with
-    | Some board, Some c ->
-        (* Output-sensitive selection.  Bring the board up to date first:
-           a full refresh on the first step (every agent's key), then only
-           the agents the cache's last patch marked dirty.  Probes and key
-           evaluations consume no RNG, so the stream stays in lockstep
-           with [select]/[select_fast]. *)
-        if not s.board_ready then begin
-          for v = 0 to Graph.n s.g - 1 do
-            Costboard.update board v (Response.Fast.cost_key ctx v)
-          done;
-          s.board_ready <- true
-        end
-        else
-          Distcache.iter_dirty
-            (fun v -> Costboard.update board v (Response.Fast.cost_key ctx v))
-            c;
-        Distcache.clear_dirty c;
+    match s.board with
+    | Some board ->
+        (* Output-sensitive selection.  Probes consume no RNG either. *)
         Policy.select_sublinear cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
           ~board cfg.model s.g ~last:s.last
-    | _ ->
+    | None ->
         Policy.select_fast cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
           ~domains:cfg.scan_domains cfg.model s.g ~last:s.last
   in
@@ -550,6 +552,28 @@ let fast_step s =
             match choose_move cfg s.rng ctx s.witness s.g u with
             | None -> happy_violation s u
             | Some e -> finish_step s u e ~next_mode:Mode_fast)
+
+let fast_step s =
+  let cfg = s.cfg in
+  (* One context per step.  With the incremental cache it inherits all
+     tables that survived (were kept or repaired by) the previous step's
+     patch; without, tables describe the current network only for this
+     step and are discarded wholesale.  The witness cache survives across
+     steps either way — probes revalidate. *)
+  let ctx =
+    match s.cache with
+    | Some c -> Response.Fast.of_cache s.ws cfg.model s.g c
+    | None -> Response.Fast.create s.ws cfg.model s.g
+  in
+  (* The admission caps ride with the output-sensitive step loop: the
+     [sublinear:false] baseline keeps the historical uncapped enumeration
+     (identical moves either way — the caps only skip provably
+     over-budget candidate scans). *)
+  Response.Fast.set_prefilter ctx cfg.sublinear;
+  refresh_board s ctx;
+  match board_violation s with
+  | Some v -> s.stopped <- Some (Invariant_violation v)
+  | None -> fast_move s ctx
 
 (* The degraded remainder: the naive machinery verbatim (cf.
    [Reference.run]) on the live RNG — graceful degradation, not a

@@ -41,7 +41,10 @@ type config = {
       (** invariant auditing; whenever not [Off], the final state is always
           audited and every applied move's cost contract is checked.  If the
           initial network is connected, connectivity is part of the audit
-          (improving moves cannot disconnect a connected network). *)
+          (improving moves cannot disconnect a connected network).  At each
+          mid-run audited step the cost board, when there is one, is
+          checked key by key against fresh BFS costs
+          ({!Audit.check_board}). *)
   sentinel : Sentinel.level;
       (** shadow verification: at sampled steps the engine replays the
           step through the naive machinery and compares.  On divergence

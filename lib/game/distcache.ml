@@ -44,17 +44,24 @@
      level structure is degenerating and a fresh BFS is cheaper.
 
    Dirty sets (the selection layer's feed): every noted primitive also
-   classifies ALL n sources — resident or not — as possibly-changed
-   ("dirty") or provably-unchanged, using distance symmetry: the distance
-   from source v to endpoint a equals the distance from a to v, i.e. row v
-   of the matrix can be classified from entry v of the endpoints' own rows.
-   The engine pins the two endpoint tables resident before applying a move
-   (see [pin]); their pre-primitive rows are snapshotted and the keep rules
-   above are evaluated per source in one flat O(n) scan — two word reads
-   per agent, no BFS.  If either endpoint row is unavailable the cache
-   marks every source dirty, which is always sound.  A source that is not
-   dirty kept its entire table, hence its cost profile; the selection layer
-   re-evaluates only dirty agents.
+   classifies ALL n sources — resident or not — as changed ("dirty") or
+   unchanged, using distance symmetry: the distance from source v to
+   endpoint a equals the distance from a to v, i.e. row v of the matrix
+   can be classified from entry v of the endpoints' own rows.  The engine
+   pins the two endpoint tables resident before applying a move (see
+   [pin]).  Both endpoints are always dirty.  An insertion reads the
+   pre-primitive rows: v's row changes iff the insert keep rule above fails
+   at v.  A deletion snapshots them, lets the resident-table loop repair
+   both in place, and marks v dirty iff d(v,a) <> d(v,b) and either row
+   moved at v.  Say d(v,a) < d(v,b): if d(v,b) survives, every shortest
+   path from v through the edge reroutes along b's own unchanged shortest
+   paths, so v's row changes iff d(v,b) grows.  Either way one flat O(n)
+   scan — a few word reads per agent, no BFS — and with both rows resident
+   the dirty set is exactly the set of sources whose row changed.  If
+   either endpoint row is unavailable the cache marks every source dirty,
+   which is always sound.  A source that is not dirty kept its entire
+   table, hence its cost profile; the selection layer re-evaluates only
+   dirty agents.
 
    Memory bound: [budget] caps resident tables.  Installing a table past
    the cap evicts the least-recently-used unpinned one (logical clock, not
@@ -118,7 +125,7 @@ type t = {
   mutable dirty_stamp : int;
   mutable dirty_count : int;
   mutable dirty_every : bool;
-  snap_a : Intvec.t; (* pre-primitive endpoint rows for classification *)
+  snap_a : Intvec.t; (* pre-deletion endpoint rows for [classify_delete] *)
   snap_b : Intvec.t;
   mutable kept : int;
   mutable repaired : int;
@@ -232,7 +239,6 @@ let mark_dirty t v =
   end
 
 let mark_all_dirty t = t.dirty_every <- true
-let dirty_all t = t.dirty_every
 
 let dirty_count t = if t.dirty_every then t.n else t.dirty_count
 
@@ -606,18 +612,16 @@ let repair_delete t csr v (d : Intvec.t) far =
         filled after the wave completes), so nothing to clean here. *)
      rebuild t csr v d)
 
-(* Classify ALL n sources as dirty/clean from the pre-primitive endpoint
-   rows (see the header comment).  Falls back to marking everything dirty
-   when either endpoint row is not resident. *)
+(* Classify ALL n sources as dirty/clean from the endpoint rows (see the
+   header comment).  Either classifier marks everything dirty when an
+   endpoint row is not resident.  An insertion reads the pre-primitive rows
+   before the resident-table loop patches them. *)
 let classify_insert t a b =
   if not t.dirty_every then begin
     match (t.tables.(a), t.tables.(b)) with
     | Some ra, Some rb ->
-        Intvec.blit ~src:ra ~src_pos:0 ~dst:t.snap_a ~dst_pos:0 ~len:t.n;
-        Intvec.blit ~src:rb ~src_pos:0 ~dst:t.snap_b ~dst_pos:0 ~len:t.n;
         for v = 0 to t.n - 1 do
-          let da = Intvec.unsafe_get t.snap_a v
-          and db = Intvec.unsafe_get t.snap_b v in
+          let da = Intvec.unsafe_get ra v and db = Intvec.unsafe_get rb v in
           let keep =
             (da < 0 && db < 0) || (da >= 0 && db >= 0 && abs (da - db) <= 1)
           in
@@ -626,18 +630,33 @@ let classify_insert t a b =
     | _ -> mark_all_dirty t
   end
 
-let classify_delete t a b =
-  if not t.dirty_every then begin
+(* A deletion classifies in two halves around the resident-table loop.
+   [snapshot_delete] copies the pre-primitive endpoint rows and returns the
+   live ones ([None] when classification is moot or impossible); after the
+   loop has repaired those pinned rows in place, [classify_delete] marks a
+   source dirty iff the endpoints were at different distances from it and
+   one of the two rows moved there (DESIGN.md §17 gives the proof). *)
+let snapshot_delete t a b =
+  if t.dirty_every then None
+  else
     match (t.tables.(a), t.tables.(b)) with
     | Some ra, Some rb ->
         Intvec.blit ~src:ra ~src_pos:0 ~dst:t.snap_a ~dst_pos:0 ~len:t.n;
         Intvec.blit ~src:rb ~src_pos:0 ~dst:t.snap_b ~dst_pos:0 ~len:t.n;
-        for v = 0 to t.n - 1 do
-          if Intvec.unsafe_get t.snap_a v <> Intvec.unsafe_get t.snap_b v then
-            mark_dirty t v
-        done
-    | _ -> mark_all_dirty t
-  end
+        Some (ra, rb)
+    | _ ->
+        mark_all_dirty t;
+        None
+
+let classify_delete t (ra, rb) =
+  for v = 0 to t.n - 1 do
+    let da = Intvec.unsafe_get t.snap_a v
+    and db = Intvec.unsafe_get t.snap_b v in
+    if
+      da <> db
+      && (Intvec.unsafe_get ra v <> da || Intvec.unsafe_get rb v <> db)
+    then mark_dirty t v
+  done
 
 let note_added t g a b =
   if Graph.n g <> t.n then invalid_arg "Distcache.note_added: size mismatch";
@@ -670,7 +689,7 @@ let note_removed t g a b =
   if Graph.n g <> t.n then invalid_arg "Distcache.note_removed: size mismatch";
   mark_dirty t a;
   mark_dirty t b;
-  classify_delete t a b;
+  let rows = snapshot_delete t a b in
   let csr = Graph.csr g in
   let off = Csr.offsets csr and tg = Csr.targets csr in
   for k = 0 to t.res_count - 1 do
@@ -700,4 +719,5 @@ let note_removed t g a b =
           if !has_parent then t.kept <- t.kept + 1
           else repair_delete t csr v d far
         end
-  done
+  done;
+  Option.iter (classify_delete t) rows

@@ -20,9 +20,9 @@
     optional [budget]: installing past the cap evicts the least-recently
     used unpinned table (logical clock, so arena and fresh runs evict
     identically).  Every noted primitive additionally classifies all [n]
-    sources as dirty (cost profile possibly changed) or provably clean via
-    the endpoint-row symmetry argument of DESIGN.md §17 — the selection
-    layer re-evaluates only dirty agents. *)
+    sources as dirty (distance row changed) or clean from the two endpoint
+    rows, by the symmetry argument of DESIGN.md §17 — the selection layer
+    re-evaluates only dirty agents. *)
 
 type t
 
@@ -104,32 +104,33 @@ val sum_profile : t -> int -> int * int
 
 val note_added : t -> Graph.t -> int -> int -> unit
 (** [note_added t g a b]: the edge [{a, b}] was just inserted into [g];
-    patch every resident table and fold the possibly-changed sources into
+    patch every resident table and fold the sources whose row changed into
     the dirty set. *)
 
 val note_removed : t -> Graph.t -> int -> int -> unit
-(** [note_removed t g a b]: the edge [{a, b}] was just removed from [g]. *)
+(** [note_removed t g a b]: the edge [{a, b}] was just removed from [g];
+    the same patch and fold.  The endpoint rows are classified after the
+    patch has repaired them, so a source whose row did not move stays
+    clean even when the edge lay on one of its shortest paths. *)
 
 (** {2 Dirty set}
 
     Accumulated across the primitives of one applied move; the engine
-    clears it before the apply and drains it after, re-evaluating exactly
-    the agents whose cost profile could have changed.  When an endpoint row
+    clears it after each board refresh and drains it at the next, so it
+    re-evaluates exactly the agents whose distance row changed.  After one
+    primitive with both endpoint rows resident the set is exact: it holds
+    a source iff that source's BFS row changed.  When an endpoint row
     needed for classification is not resident the whole population is
     marked dirty — always sound, never silent. *)
 
 val clear_dirty : t -> unit
-val mark_dirty : t -> int -> unit
-val mark_all_dirty : t -> unit
-
-val dirty_all : t -> bool
-(** [true] when the conservative all-dirty fallback fired. *)
 
 val dirty_count : t -> int
-(** Number of dirty agents ([n] when {!dirty_all}). *)
+(** Number of dirty agents ([n] after the all-dirty fallback). *)
 
 val iter_dirty : (int -> unit) -> t -> unit
-(** Iterate the dirty agents (all of [0 .. n-1] when {!dirty_all}). *)
+(** Iterate the dirty agents (all of [0 .. n-1] after the all-dirty
+    fallback). *)
 
 val stats : t -> stats
 

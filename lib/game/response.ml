@@ -307,7 +307,6 @@ module Fast = struct
     ws : Paths.Workspace.t;
     unit_price : Q.t;
     cache : Distcache.t;  (* d_G(v, .), -1 = unreachable *)
-    mutable table_fills : int;
     mutable prefilter : bool;
     mutable profile_memo : int * Paths.profile option array;
         (* the last scan's agent and its per-target buy-profile memo.
@@ -326,7 +325,6 @@ module Fast = struct
       ws;
       unit_price = Model.unit_price model;
       cache;
-      table_fills = 0;
       prefilter = true;
       profile_memo = (-1, [||]);
     }
@@ -335,14 +333,7 @@ module Fast = struct
   let set_prefilter ctx on = ctx.prefilter <- on
   let has_table ctx v = Distcache.get ctx.cache v <> None
   let set_table ctx v d = Distcache.set ctx.cache v d
-  let table_fills ctx = ctx.table_fills
-
-  let table ctx v =
-    match Distcache.get ctx.cache v with
-    | Some d -> d
-    | None ->
-        ctx.table_fills <- ctx.table_fills + 1;
-        Distcache.ensure ctx.cache ~ws:ctx.ws ctx.g v
+  let table ctx v = Distcache.ensure ctx.cache ~ws:ctx.ws ctx.g v
 
   let cost ctx u =
     ignore (table ctx u);

@@ -122,9 +122,6 @@ module Fast : sig
   (** Install a distance table computed elsewhere — the max-cost policy
       fans the n source BFS out over domains and installs the results. *)
 
-  val table_fills : ctx -> int
-  (** Number of lazily filled tables so far (observability/tests). *)
-
   val is_unhappy : ctx -> int -> bool
   (** Same boolean as {!val:Response.is_unhappy}. *)
 

@@ -4,7 +4,10 @@
    themselves are pinned by unit tests (stats deltas on hand-built graphs,
    both delta directions), and a QCheck property drives long random
    add/remove sequences — the primitive decomposition of every buy, delete
-   and swap — re-checking all n tables after each patch. *)
+   and swap — re-checking all n tables after each patch.  Two more pin the
+   dirty set the cost board is refreshed from: after one primitive it is
+   exactly the set of sources whose BFS row changed, and after a swap it
+   covers them. *)
 open Ncg_graph
 open Ncg_game
 
@@ -186,6 +189,38 @@ let test_lazy_tables_stay_lazy () =
     | None -> false);
   check "unfilled tables untouched" true (Distcache.get cache 3 = None)
 
+(* The dirty set as a sorted list, and the sources whose row differs from
+   the [before] snapshot. *)
+let dirty_sources cache =
+  let acc = ref [] in
+  Distcache.iter_dirty (fun v -> acc := v :: !acc) cache;
+  List.sort_uniq compare !acc
+
+let rows g = Array.init (Graph.n g) (Paths.distances g)
+
+let changed_sources before g =
+  List.filter
+    (fun v -> Paths.distances g v <> before.(v))
+    (List.init (Graph.n g) Fun.id)
+
+let test_delete_dirty_exact () =
+  (* The diamond of the alternate-parent test: removing {1,3} stretches
+     only the rows of 1, 3 and 4.  Sources 0 and 2 sit at different
+     distances from the endpoints, yet neither endpoint row moves at them,
+     so they stay clean. *)
+  let g = Graph.create 5 in
+  Graph.add_edge g ~owner:0 0 1;
+  Graph.add_edge g ~owner:0 0 2;
+  Graph.add_edge g ~owner:1 1 3;
+  Graph.add_edge g ~owner:2 2 3;
+  Graph.add_edge g ~owner:3 3 4;
+  let cache = Distcache.create 5 in
+  fill_all cache g;
+  Distcache.clear_dirty cache;
+  remove cache g 1 3;
+  Alcotest.(check (list int)) "dirty = stretched rows" [ 1; 3; 4 ]
+    (dirty_sources cache)
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: random move sequences, tables re-checked after every patch  *)
 (* ------------------------------------------------------------------ *)
@@ -238,6 +273,86 @@ let prop_tiny_threshold_matches =
       done;
       !ok)
 
+(* Sparse random networks, where toggles often disconnect the graph; half
+   the cases run with the rebuild fallback forced ([threshold] 1). *)
+let arb_dirty =
+  QCheck.make
+    ~print:(fun (seed, n, tiny) ->
+      Printf.sprintf "seed=%d n=%d threshold=%s" seed n
+        (if tiny then "1" else "default"))
+    QCheck.Gen.(triple (int_bound 100_000) (int_range 4 24) bool)
+
+let dirty_setup (seed, n, tiny) salt =
+  let rng = Random.State.make [| seed; salt |] in
+  let m = min (n * (n - 1) / 2) (n - 1 + Random.State.int rng (n + 2)) in
+  let g = Graph.copy (Gen.random_m_edges rng n m) in
+  let cache =
+    if tiny then Distcache.create ~threshold:1 n else Distcache.create n
+  in
+  fill_all cache g;
+  (rng, g, cache)
+
+(* Half the toggles delete an existing edge, so deletions are exercised as
+   often as insertions even in sparse graphs. *)
+let random_toggle rng cache g =
+  match Graph.edges g with
+  | edges when edges <> [] && Random.State.bool rng ->
+      let a, b, _ = List.nth edges (Random.State.int rng (List.length edges)) in
+      remove cache g a b
+  | _ -> random_patch rng cache g
+
+let prop_dirty_set_exact =
+  QCheck.Test.make ~count:200
+    ~name:"dirty set = changed rows after every single-edge patch" arb_dirty
+    (fun case ->
+      let rng, g, cache = dirty_setup case 0xd17 in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        let before = rows g in
+        Distcache.clear_dirty cache;
+        random_toggle rng cache g;
+        if dirty_sources cache <> changed_sources before g then ok := false
+      done;
+      !ok && tables_exact cache g)
+
+(* A random legal swap: agent [u] trades one of its edges for one to a
+   non-neighbor [y]; [None] when the draw admits none. *)
+let random_swap rng g =
+  let n = Graph.n g in
+  let u = Random.State.int rng n and y = Random.State.int rng n in
+  match Graph.neighbors g u with
+  | nbrs when nbrs <> [] && y <> u && not (Graph.has_edge g u y) ->
+      let x = List.nth nbrs (Random.State.int rng (List.length nbrs)) in
+      Some (Move.Swap { agent = u; remove = x; add = y })
+  | _ -> None
+
+let prop_swap_dirty_superset =
+  QCheck.Test.make ~count:100
+    ~name:"dirty set covers the changed rows after every swap" arb_dirty
+    (fun case ->
+      let rng, g, cache = dirty_setup case 0x5a9 in
+      let ok = ref true in
+      for _ = 1 to 30 do
+        match random_swap rng g with
+        | None -> ()
+        | Some move ->
+            let before = rows g in
+            Distcache.clear_dirty cache;
+            let on_prim = function
+              | Move.Added (a, b) -> Distcache.note_added cache g a b
+              | Move.Removed (a, b, _) -> Distcache.note_removed cache g a b
+            in
+            ignore (Move.apply_observed g move ~on_prim);
+            let dirty = dirty_sources cache in
+            if
+              not
+                (List.for_all
+                   (fun v -> List.mem v dirty)
+                   (changed_sources before g))
+            then ok := false
+      done;
+      !ok && tables_exact cache g)
+
 let suite =
   ( "incremental",
     [
@@ -259,4 +374,10 @@ let suite =
         test_lazy_tables_stay_lazy;
     ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ prop_incremental_matches_fresh_bfs; prop_tiny_threshold_matches ] )
+        [ prop_incremental_matches_fresh_bfs; prop_tiny_threshold_matches ]
+    @ [
+        Alcotest.test_case "delete: dirty set is exact" `Quick
+          test_delete_dirty_exact;
+      ]
+    @ List.map QCheck_alcotest.to_alcotest
+        [ prop_dirty_set_exact; prop_swap_dirty_superset ] )

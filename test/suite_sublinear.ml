@@ -323,6 +323,55 @@ let test_result_surfaces_residency () =
   check "unbudgeted run never evicts" true
     (free.Engine.cache.Distcache.evicted = 0)
 
+(* ------------------------------------------------------------------ *)
+(* Board audit: every key against a fresh BFS cost                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_board_audit_names_stale_key () =
+  let n = 12 in
+  let g = Gen.random_m_edges (Random.State.make [| 29 |]) n (2 * n) in
+  let model = make_model ~sum:true n in
+  let ws = Paths.Workspace.create n in
+  let board = Costboard.create n in
+  refresh_board board (Response.Fast.create ws model g) n;
+  check "fresh board passes" true
+    (Audit.check_board ~step:4 ~ws model g board = None);
+  let k = Option.get (Costboard.key board 5) in
+  Costboard.update board 5 (k + 1);
+  (match Audit.check_board ~step:4 ~ws model g board with
+  | Some v ->
+      check "stale key flagged" true (v.Audit.kind = Audit.Stale_cost_key);
+      check "names the agent" true (v.Audit.subject = Some 5);
+      check_int "stamps the step" 4 v.Audit.step
+  | None -> Alcotest.fail "corrupted key not detected");
+  Alcotest.(check string) "label" "stale-key"
+    (Audit.kind_label Audit.Stale_cost_key);
+  check "label roundtrip" true
+    (Audit.kind_of_label "stale-key" = Some Audit.Stale_cost_key)
+
+let test_board_audit_budgeted_run () =
+  (* The benchmark's game at n = 1000 under a 64-table budget, every
+     step's refreshed board checked against n fresh BFS costs: the run
+     must finish clean and on the unaudited trajectory. *)
+  let n = 1000 in
+  let g = Gen.random_m_edges (Random.State.make [| 2013 |]) n (4 * n) in
+  let model = make_model ~sum:true n in
+  let run audit =
+    let cfg =
+      Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
+        ~max_steps:30 ~record_history:false ~audit ~cache_budget:64 model
+    in
+    Engine.run ~rng:(Random.State.make [| 2013; 0xfa57 |]) cfg g
+  in
+  let audited = run Audit.Every_step in
+  (match audited.Engine.reason with
+  | Engine.Step_limit -> ()
+  | Engine.Invariant_violation v -> Alcotest.fail (Audit.violation_to_string v)
+  | _ -> Alcotest.fail "audited run stopped before the step limit");
+  let plain = run Audit.Off in
+  check "audit leaves the trajectory alone" true
+    (Graph.equal plain.Engine.final audited.Engine.final)
+
 let suite =
   ( "sublinear",
     [
@@ -341,4 +390,10 @@ let suite =
           prop_trajectories_identical;
           prop_prefilter_invisible;
           prop_budget_engine_identical;
-        ] )
+        ]
+    @ [
+        Alcotest.test_case "board audit names a stale key" `Quick
+          test_board_audit_names_stale_key;
+        Alcotest.test_case "board audit: budgeted n=1000 run" `Quick
+          test_board_audit_budgeted_run;
+      ] )
