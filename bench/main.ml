@@ -123,10 +123,12 @@ let thm211 scale =
 
 let cor32 scale =
   run_tree_experiment ~dist:Model.Sum ~game:Model.Asg ~policy:Policy.Max_cost
-    ~label:"Cor 3.2: SUM-ASG on random trees, max cost policy, exact bound"
+    ~label:
+      "Cor 3.2: SUM-ASG on random trees, max cost policy, parity bound n-3 \
+       (even n), n+ceil(n/2)-5 (odd n)"
     scale
     (fun n -> float_of_int (Theory.cor32_sum_asg_bound n))
-    "n+ceil(n/2)-5"
+    "parity bound"
 
 (* ------------------------------------------------------------------ *)
 (* Figures 7, 8, 11, 12, 13, 14                                        *)
@@ -571,6 +573,7 @@ type scaling_report = {
   sc_large_within_budget : bool;
   sc_large_peak_rss_mib : float option;
   sc_large_fills : int;
+  sc_large_audit_clean : bool;
 }
 
 let scaling_report : scaling_report option ref = ref None
@@ -601,13 +604,13 @@ let scaling_leg scale =
      convergence time.  The n=10000 run demonstrates the memory bound: a
      64-table budget caps the cache near 5 MiB where an unbounded cache
      would hold all n tables (~800 MiB of distance rows). *)
-  let run_bounded ~n ~max_steps ~sublinear ~cache_budget () =
+  let run_bounded ?audit ~n ~max_steps ~sublinear ~cache_budget () =
     let m = 4 * n in
     let alpha = Ncg_rational.Q.make n 4 in
     let model = Model.make ~alpha Model.Gbg Model.Sum n in
     let cfg =
       Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~max_steps ~record_history:false ~sublinear ?cache_budget model
+        ~max_steps ~record_history:false ~sublinear ?cache_budget ?audit model
     in
     let g = Gen.random_m_edges (Random.State.make [| scale.seed |]) n m in
     Engine.run ~rng:(Random.State.make [| scale.seed; 0xfa57 |]) cfg g
@@ -670,7 +673,7 @@ let scaling_leg scale =
   (* Single pass: the assertion is completion within the memory envelope,
      not a rate, and an n=10000 pass is the most expensive part of this
      leg — best-of-k would double it for nothing. *)
-  let large, residency, large_cache =
+  let large, residency, large_cache, large_final =
     Gc.compact ();
     let t0 = Clock.monotonic () in
     let r =
@@ -680,7 +683,8 @@ let scaling_leg scale =
     let wall = Clock.monotonic () -. t0 in
     ( { wall_s = wall; steps = r.Engine.steps },
       r.Engine.residency,
-      r.Engine.cache )
+      r.Engine.cache,
+      r.Engine.final )
   in
   (* Whole-process peak, read right after the largest run: the cache's
      residency alone misses the graphs (the initial network and the
@@ -697,18 +701,36 @@ let scaling_leg scale =
      MiB)\n"
     large_n large_budget large.steps large.wall_s residency.Distcache.peak
     (float_of_int residency.Distcache.peak_bytes /. (1024.0 *. 1024.0));
-  (* One full BFS per fill: the first step fills a table per agent for its
-     board key, and each later step refills only the non-resident rows
-     the dirty set names. *)
+  (* One full BFS per fill.  Board keys fill nothing (an agent without a
+     resident table is keyed from the cache's bit-parallel batch), so the
+     fills are the probed agents' and the movers' own rows: about two per
+     step. *)
   Printf.printf "  table fills: %d (%.2f per agent)\n"
     large_cache.Distcache.fills
     (float_of_int large_cache.Distcache.fills /. float_of_int large_n);
   Option.iter (Printf.printf "  process peak RSS after it: %.1f MiB\n")
     peak_rss;
+  (* The same run again with the board audited at steps 0 and 5: every
+     key against a fresh single-source BFS (n of them per audited step),
+     so a stale or wrong key stops the run naming its agent.  Clean means
+     the audited run took the timed run's steps to its final graph. *)
+  let audited =
+    run_bounded ~audit:(Audit.Sampled 5) ~n:large_n ~max_steps:large_steps
+      ~sublinear:true ~cache_budget:(Some large_budget) ()
+  in
+  let audit_clean =
+    audited.Engine.reason = Engine.Step_limit
+    && Graph.equal audited.Engine.final large_final
+  in
+  Printf.printf "  audited rerun (board checked at steps 0 and 5): %s\n"
+    (match audited.Engine.reason with
+    | Engine.Invariant_violation v -> Audit.violation_to_string v
+    | _ -> if audit_clean then "clean" else "diverged from the timed run");
   check "identical trajectories with and without the cost board" identical;
   check "sublinear selection at least 4x over the full scan" (speedup >= 4.0);
   check "n=10000 run stays within the cache budget (+pin slack)"
     within_budget;
+  check "n=10000 audited rerun clean, same final graph" audit_clean;
   scaling_report :=
     Some
       {
@@ -728,6 +750,7 @@ let scaling_leg scale =
         sc_large_within_budget = within_budget;
         sc_large_peak_rss_mib = peak_rss;
         sc_large_fills = large_cache.Distcache.fills;
+        sc_large_audit_clean = audit_clean;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -964,6 +987,7 @@ let write_json path ~scale ~timings =
                   ( "peak_rss_mib",
                     opt (fun f -> Json.Float f) r.sc_large_peak_rss_mib );
                   ("fills", Json.Int r.sc_large_fills);
+                  ("audit_clean", Json.Bool r.sc_large_audit_clean);
                 ] );
           ])
       !scaling_report

@@ -47,7 +47,6 @@ val kind_label : kind -> string
 
 val kind_of_label : string -> kind option
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val check_graph :

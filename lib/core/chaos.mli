@@ -22,10 +22,6 @@ val label : fault -> string
 val expected_kind : fault -> Audit.kind
 (** The violation kind the auditor must report for this fault. *)
 
-val inject : fault -> Graph.t -> unit
-(** Mutates the graph at a deterministic site.
-    @raise Invalid_argument if the graph has no edge to corrupt. *)
-
 val detected : Model.t -> fault -> Graph.t -> bool
 (** [detected model fault g] injects [fault] into a copy of [g] and checks
     that {!Audit.check_graph} (with connectivity required) reports a

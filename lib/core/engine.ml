@@ -454,8 +454,11 @@ let ref_move s u =
 
 (* Bring the cost board up to date: a full refresh on the first step
    (every agent's key), then only the agents the cache's last patch marked
-   dirty.  Key evaluations consume no RNG, so the stream stays in lockstep
-   with [select]/[select_fast]. *)
+   dirty.  Keys install no table: an agent without a resident one is keyed
+   from the cache's 63-source bit-parallel BFS, so even the full refresh
+   is about n/63 graph passes and a budgeted cache evicts nothing here.
+   Key evaluations consume no RNG, so the stream stays in lockstep with
+   [select]/[select_fast]. *)
 let refresh_board s ctx =
   match (s.board, s.cache) with
   | Some board, Some c ->

@@ -79,5 +79,4 @@ val moves_equal : Response.evaluated list -> Response.evaluated list -> bool
     recorded costs in the same order — the condition under which the
     fast path's tie-break consumes exactly the reference's RNG draw. *)
 
-val pp_incident : Format.formatter -> incident -> unit
 val incident_to_string : incident -> string

@@ -273,5 +273,4 @@ let to_float_opt = function
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List xs -> Some xs | _ -> None

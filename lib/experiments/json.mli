@@ -41,5 +41,4 @@ val to_float_opt : t -> float option
 (** [Int] or [Float]. *)
 
 val to_str : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option

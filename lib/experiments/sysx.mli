@@ -99,10 +99,6 @@ module Faulty : sig
 
   val to_string : rule list -> string
   (** Right inverse of {!parse}. *)
-
-  val op_label : op -> string
-  val op_of_label : string -> op option
-  val error_label : Unix.error -> string
 end
 
 val read : Unix.file_descr -> bytes -> int -> int -> int

@@ -67,7 +67,17 @@
    the cap evicts the least-recently-used unpinned one (logical clock, not
    wall time, so arena and fresh runs see identical eviction sequences).
    Eviction frees no information the graph does not still hold — a refill
-   is a fresh BFS, counted in [fills]. *)
+   is a fresh BFS, counted in [fills].
+
+   Table-less profiles: the cost board needs only a dirty agent's
+   (reached, sum, ecc), and under a budget a table filled for that alone
+   is evicted again within the same refresh.  [batch_profile] answers
+   from a memo instead, filled 63 sources at a time by [Paths.Multi]'s
+   bit-parallel BFS and installing nothing.  Entries are stamped with
+   [epoch], which every noted primitive and [reset] advance, so a memo
+   entry never outlives the graph it was computed on.  Resident tables
+   keep their O(1) aggregate read ([sum_profile]): routing them through
+   the batch too measured slower. *)
 
 type stats = {
   kept : int;
@@ -127,6 +137,17 @@ type t = {
   mutable dirty_every : bool;
   snap_a : Intvec.t; (* pre-deletion endpoint rows for [classify_delete] *)
   snap_b : Intvec.t;
+  (* profiles of table-less sources from the bit-parallel BFS, valid
+     while [memo_epoch.(v) = epoch]; every noted primitive and [reset]
+     advance [epoch].  Off-heap like the tables: as n-word heap arrays,
+     made with each cache (one per trial outside an arena), they grew
+     the GC heap by more than the tables this memo spares. *)
+  memo_reached : Intvec.t;
+  memo_sum : Intvec.t;
+  memo_ecc : Intvec.t;
+  memo_epoch : Intvec.t;
+  mutable epoch : int;
+  mutable multi : Paths.Multi.t option; (* its scratch, on the first miss *)
   mutable kept : int;
   mutable repaired : int;
   mutable rebuilt : int;
@@ -173,11 +194,17 @@ let create ?threshold ?budget n =
     pin_count = mk 0;
     dirty_mark = mk 0;
     dirty_list = mk 0;
-    dirty_stamp = 0;
+    dirty_stamp = 1;
     dirty_count = 0;
     dirty_every = false;
     snap_a = vec 0;
     snap_b = vec 0;
+    memo_reached = vec 0;
+    memo_sum = vec 0;
+    memo_ecc = vec 0;
+    memo_epoch = vec 0;
+    epoch = 1;
+    multi = None;
     kept = 0;
     repaired = 0;
     rebuilt = 0;
@@ -239,6 +266,8 @@ let mark_dirty t v =
   end
 
 let mark_all_dirty t = t.dirty_every <- true
+
+let is_dirty t v = t.dirty_every || t.dirty_mark.(v) = t.dirty_stamp
 
 let dirty_count t = if t.dirty_every then t.n else t.dirty_count
 
@@ -367,6 +396,7 @@ let reset t =
   Array.fill t.last_use 0 (Array.length t.last_use) 0;
   Array.fill t.pin_count 0 (Array.length t.pin_count) 0;
   t.clock <- 0;
+  t.epoch <- t.epoch + 1;
   clear_dirty t;
   t.kept <- 0;
   t.repaired <- 0;
@@ -415,6 +445,55 @@ let sum_profile t v =
   else
     let p = profile t v in
     (p.Paths.reached, p.Paths.sum)
+
+(* A miss at [v] runs one bit-parallel BFS for [v] and the next sources,
+   in index order from [v] round to [v - 1], that hold neither a table nor
+   a memo entry — only dirty ones when [v] is dirty, since a board refresh
+   then asks for dirty agents alone, and any when it is not (the first
+   refresh asks for every agent).  Nothing is installed: a budgeted cache
+   would evict the tables again within the same refresh. *)
+let batch_profile t g v =
+  if Graph.n g <> t.n then invalid_arg "Distcache.batch_profile: size mismatch";
+  if Intvec.get t.memo_epoch v <> t.epoch then begin
+    let multi =
+      match t.multi with
+      | Some m -> m
+      | None ->
+          let m = Paths.Multi.create t.n in
+          t.multi <- Some m;
+          m
+    in
+    let dirty_only = is_dirty t v in
+    let wanted x =
+      t.tables.(x) = None
+      && Intvec.get t.memo_epoch x <> t.epoch
+      && ((not dirty_only) || is_dirty t x)
+    in
+    let succ x = if x + 1 = t.n then 0 else x + 1 in
+    let lanes = Array.make Paths.Multi.width v in
+    let k = ref 1 and x = ref (succ v) in
+    while !k < Paths.Multi.width && !x <> v do
+      if wanted !x then begin
+        lanes.(!k) <- !x;
+        incr k
+      end;
+      x := succ !x
+    done;
+    let lanes = Array.sub lanes 0 !k in
+    Array.iteri
+      (fun i (p : Paths.profile) ->
+        let x = lanes.(i) in
+        Intvec.set t.memo_reached x p.reached;
+        Intvec.set t.memo_sum x p.sum;
+        Intvec.set t.memo_ecc x p.ecc;
+        Intvec.set t.memo_epoch x t.epoch)
+      (Paths.Multi.profiles multi g lanes)
+  end;
+  {
+    Paths.reached = Intvec.get t.memo_reached v;
+    sum = Intvec.get t.memo_sum v;
+    ecc = Intvec.get t.memo_ecc v;
+  }
 
 let mark_changed t v = t.profiles.(v) <- None
 
@@ -660,6 +739,7 @@ let classify_delete t (ra, rb) =
 
 let note_added t g a b =
   if Graph.n g <> t.n then invalid_arg "Distcache.note_added: size mismatch";
+  t.epoch <- t.epoch + 1;
   mark_dirty t a;
   mark_dirty t b;
   classify_insert t a b;
@@ -687,6 +767,7 @@ let note_added t g a b =
 
 let note_removed t g a b =
   if Graph.n g <> t.n then invalid_arg "Distcache.note_removed: size mismatch";
+  t.epoch <- t.epoch + 1;
   mark_dirty t a;
   mark_dirty t b;
   let rows = snapshot_delete t a b in

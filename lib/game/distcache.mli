@@ -22,7 +22,8 @@
     identically).  Every noted primitive additionally classifies all [n]
     sources as dirty (distance row changed) or clean from the two endpoint
     rows, by the symmetry argument of DESIGN.md §17 — the selection layer
-    re-evaluates only dirty agents. *)
+    re-evaluates only dirty agents.  Those without a resident table get
+    their profile from {!batch_profile}, which installs no table. *)
 
 type t
 
@@ -101,6 +102,18 @@ val sum_profile : t -> int -> int * int
     eccentricity in O(changed)).  The sum-distance cost paths and the cost
     board read this instead of rescanning O(n) per repaired row.
     @raise Invalid_argument if [v] has no table. *)
+
+val batch_profile : t -> Graph.t -> int -> Paths.profile
+(** The profile of source [v] in [g], installing no table and leaving
+    {!stats}, {!residency} and the LRU clock as they are.  Results are
+    memoized until the next {!note_added}, {!note_removed} or {!reset}; a
+    miss computes [v] and up to [Paths.Multi.width - 1] further sources in
+    one {!Paths.Multi} traversal — the next ones in index order (wrapping
+    round) that hold neither a table nor a memo entry, and only dirty ones
+    when [v] is dirty.  The cost board's keys for agents without a
+    resident table come from here.  Sound while [g] is the graph the
+    cache's patches describe.
+    @raise Invalid_argument on a graph/cache size mismatch. *)
 
 val note_added : t -> Graph.t -> int -> int -> unit
 (** [note_added t g a b]: the edge [{a, b}] was just inserted into [g];

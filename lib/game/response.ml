@@ -339,8 +339,8 @@ module Fast = struct
     ignore (table ctx u);
     match ctx.model.Model.dist_mode with
     | Model.Sum ->
-        (* the cost board refreshes every dirty agent's key each step:
-           read the incrementally maintained aggregates instead of
+        (* [cost_key] comes here for every dirty agent with a resident
+           table: read the incrementally maintained aggregates instead of
            forcing an O(n) profile rescan per repaired row *)
         let reached, sum = Distcache.sum_profile ctx.cache u in
         if reached < Graph.n ctx.g then Cost.disconnected
@@ -356,9 +356,18 @@ module Fast = struct
   (* The agent's current cost as the cross-multiplied integer key the
      selection layer buckets on: [e*p + d*q] (exactly what {!Cost.compare}
      compares), with [max_int] for Disconnected (which {!Cost.compare}
-     places above every finite cost). *)
+     places above every finite cost).  A resident table answers in O(1);
+     any other agent's profile comes from the cache's bit-parallel batch,
+     so a board refresh fills no table. *)
   let cost_key ctx u =
-    match cost ctx u with
+    let c =
+      if has_table ctx u then cost ctx u
+      else
+        Agents.of_profile ctx.model ctx.g u
+          (Distcache.batch_profile ctx.cache ctx.g u)
+          ~with_edges:true
+    in
+    match c with
     | Cost.Disconnected -> max_int
     | Cost.Connected { edge_units; dist } ->
         let { Q.num; den } = ctx.unit_price in

@@ -108,13 +108,16 @@ module Fast : sig
       baseline. *)
 
   val cost : ctx -> int -> Cost.t
-  (** Same value as [Agents.cost], served from the cached table. *)
+  (** Same value as [Agents.cost], served from [u]'s cached table, which
+      is filled if absent (the mover's scan reads that row anyway). *)
 
   val cost_key : ctx -> int -> int
   (** [cost ctx u] as the cross-multiplied integer key [e*p + d*q] that
       {!Cost.compare} orders finite costs by, with [max_int] standing in
       for [Disconnected] (above every finite key, as [Cost.compare] places
-      it).  The bucketed max-cost selection sorts on these keys. *)
+      it).  The bucketed max-cost selection sorts on these keys.  Unlike
+      {!cost} it fills no table: an agent without a resident one is
+      answered by {!Distcache.batch_profile}. *)
 
   val has_table : ctx -> int -> bool
 

@@ -22,7 +22,6 @@ let create n =
   { n; offsets = Intvec.make (n + 1) 0; targets = Intvec.make (max 8 n) 0 }
 
 let n t = t.n
-let half_edges t = Intvec.get t.offsets t.n
 let degree t u = Intvec.get t.offsets (u + 1) - Intvec.get t.offsets u
 let offsets t = t.offsets
 let targets t = t.targets

@@ -17,10 +17,6 @@ val create : int -> t
 (** Empty adjacency on [n] vertices. @raise Invalid_argument if [n < 0]. *)
 
 val n : t -> int
-val half_edges : t -> int
-(** Total stored entries, i.e. [offsets.(n)] — twice the edge count on a
-    well-formed undirected graph. *)
-
 val degree : t -> int -> int
 (** Row length — O(1). *)
 
@@ -30,7 +26,7 @@ val offsets : t -> Intvec.t
 
 val targets : t -> Intvec.t
 (** Borrowed view, valid until the next mutation.  Only the first
-    [half_edges t] entries are meaningful; the array may be replaced (not
+    [offsets.(n)] entries are meaningful; the array may be replaced (not
     just overwritten) by an [insert], so re-fetch after mutating. *)
 
 val mem : t -> int -> int -> bool

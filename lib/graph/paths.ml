@@ -284,6 +284,181 @@ module Workspace = struct
     !found
 end
 
+(* Bit-parallel BFS (Then et al., "The More the Merrier: Efficient
+   Multi-Source Graph Traversal", PVLDB 8(4), 2014).  Bit i of a vertex's
+   word stands for source i: [seen] holds the sources that reached the
+   vertex, [visit] those for which it lies on the current level, [next]
+   those for which it lies on the level being built.  A level is one pass
+   over the graph for every lane at once:
+
+   - top-down over the frontier list's edges, OR-ing each frontier word
+     into its neighbors' [next] words, minus what they have seen;
+   - bottom-up over the vertices some lane has not reached yet, OR-ing
+     their neighbors' [visit] words, stopping once no lane is missing.
+
+   Both give next(w) = (OR of visit over w's neighbors) minus seen(w), so
+   the choice is cost alone: top-down pays the frontier's degree sum,
+   bottom-up at most the degree sum of the incomplete vertices (tracked as
+   they complete), and usually far less, since it stops at a vertex once
+   every lane has reached it.  Top-down runs while the first is below a
+   quarter of the second: on random graphs with n = 2,000 that read
+   30-40% faster than an even split at m = 2n and m = 4n, and 15% slower
+   at the sparser m = n, where sources in small components leave most
+   vertices incomplete for good.
+
+   A level's new words are summed into bit-sliced counters — word j holds
+   bit j of every lane's count — so a vertex costs one ripple-carry add
+   rather than a loop over its lanes, and each lane's count is read out
+   once per level. *)
+module Multi = struct
+  let width = Sys.int_size
+
+  type t = {
+    seen : Intvec.t;
+    mutable visit : Intvec.t;  (* zero outside the frontier list *)
+    mutable next : Intvec.t;  (* zero between levels *)
+    mutable front : Intvec.t;  (* the vertices with a non-zero [visit] *)
+    mutable found : Intvec.t;  (* the vertices given a non-zero [next] *)
+    counter : int array;
+  }
+
+  let create max_n =
+    if max_n < 0 then invalid_arg "Paths.Multi.create";
+    let row x = Intvec.make (max 1 max_n) x in
+    {
+      seen = row 0;
+      visit = row 0;
+      next = row 0;
+      front = row 0;
+      found = row 0;
+      counter = Array.make (width + 1) 0;
+    }
+
+  let profiles t g sources =
+    let n = Graph.n g and k = Array.length sources in
+    if n > Intvec.dim t.seen then
+      invalid_arg "Paths.Multi: graph larger than the scratch rows";
+    if k < 1 || k > width then invalid_arg "Paths.Multi.profiles: width";
+    Array.iter
+      (fun s -> if s < 0 || s >= n then invalid_arg "Paths.Multi: source")
+      sources;
+    let csr = Graph.csr g in
+    let off = Csr.offsets csr and tg = Csr.targets csr in
+    let degree v = Intvec.unsafe_get off (v + 1) - Intvec.unsafe_get off v in
+    (* bit 62 is the sign bit: [-1] sets all [width] lanes *)
+    let full = if k = width then -1 else (1 lsl k) - 1 in
+    let seen = t.seen and counter = t.counter in
+    for v = 0 to n - 1 do
+      Intvec.unsafe_set seen v 0
+    done;
+    let reached = Array.make k 1 and sum = Array.make k 0
+    and ecc = Array.make k 0 in
+    let frontier = ref 0 and frontier_edges = ref 0 in
+    Array.iteri
+      (fun i s ->
+        let w = Intvec.get t.visit s in
+        if w = 0 then begin
+          Intvec.set t.front !frontier s;
+          incr frontier;
+          frontier_edges := !frontier_edges + degree s
+        end;
+        Intvec.set t.visit s (w lor (1 lsl i));
+        Intvec.set seen s (Intvec.get seen s lor (1 lsl i)))
+      sources;
+    (* half-edges at vertices some lane has not reached *)
+    let open_edges = ref (Intvec.get off n) in
+    for j = 0 to !frontier - 1 do
+      let s = Intvec.get t.front j in
+      if Intvec.get seen s = full then open_edges := !open_edges - degree s
+    done;
+    let level = ref 0 in
+    while !frontier > 0 do
+      incr level;
+      let visit = t.visit and next = t.next in
+      let front = t.front and found = t.found in
+      let nfound = ref 0 in
+      if !frontier_edges * 4 < !open_edges then
+        for j = 0 to !frontier - 1 do
+          let v = Intvec.unsafe_get front j in
+          let bits = Intvec.unsafe_get visit v in
+          let stop = Intvec.unsafe_get off (v + 1) - 1 in
+          for e = Intvec.unsafe_get off v to stop do
+            let w = Intvec.unsafe_get tg e in
+            let fresh = bits land lnot (Intvec.unsafe_get seen w) in
+            if fresh <> 0 then begin
+              let old = Intvec.unsafe_get next w in
+              if old = 0 then begin
+                Intvec.unsafe_set found !nfound w;
+                incr nfound
+              end;
+              Intvec.unsafe_set next w (old lor fresh)
+            end
+          done
+        done
+      else
+        for w = 0 to n - 1 do
+          let sw = Intvec.unsafe_get seen w in
+          if sw <> full then begin
+            let acc = ref sw in
+            let e = ref (Intvec.unsafe_get off w) in
+            let stop = Intvec.unsafe_get off (w + 1) in
+            while !e < stop && !acc <> full do
+              acc := !acc lor Intvec.unsafe_get visit (Intvec.unsafe_get tg !e);
+              incr e
+            done;
+            let fresh = !acc land lnot sw in
+            if fresh <> 0 then begin
+              Intvec.unsafe_set next w fresh;
+              Intvec.unsafe_set found !nfound w;
+              incr nfound
+            end
+          end
+        done;
+      (* settle the level: mark the new words seen and count them *)
+      let top = ref (-1) and lanes = ref 0 in
+      frontier_edges := 0;
+      for j = 0 to !nfound - 1 do
+        let w = Intvec.unsafe_get found j in
+        let bits = Intvec.unsafe_get next w in
+        let s = Intvec.unsafe_get seen w lor bits in
+        Intvec.unsafe_set seen w s;
+        frontier_edges := !frontier_edges + degree w;
+        if s = full then open_edges := !open_edges - degree w;
+        lanes := !lanes lor bits;
+        let carry = ref bits and b = ref 0 in
+        while !carry <> 0 do
+          let c = Array.unsafe_get counter !b in
+          Array.unsafe_set counter !b (c lxor !carry);
+          carry := c land !carry;
+          incr b
+        done;
+        if !b - 1 > !top then top := !b - 1
+      done;
+      for i = 0 to k - 1 do
+        if (!lanes lsr i) land 1 = 1 then begin
+          let c = ref 0 in
+          for b = !top downto 0 do
+            c := (!c lsl 1) lor ((Array.unsafe_get counter b lsr i) land 1)
+          done;
+          reached.(i) <- reached.(i) + !c;
+          sum.(i) <- sum.(i) + (!level * !c);
+          ecc.(i) <- !level
+        end
+      done;
+      Array.fill counter 0 (!top + 1) 0;
+      for j = 0 to !frontier - 1 do
+        Intvec.unsafe_set visit (Intvec.unsafe_get front j) 0
+      done;
+      t.visit <- next;
+      t.next <- visit;
+      t.front <- found;
+      t.found <- front;
+      frontier := !nfound
+    done;
+    Array.init k (fun i ->
+        { reached = reached.(i); sum = sum.(i); ecc = ecc.(i) })
+end
+
 let profile g source =
   let ws = Workspace.create (Graph.n g) in
   Workspace.profile ws g source
@@ -295,12 +470,6 @@ let distances g source =
 let distance g u v =
   let ws = Workspace.create (Graph.n g) in
   Workspace.distance ws g u v
-
-let all_pairs g =
-  (* One shared workspace across all sources: only the n result rows are
-     allocated, not a queue per source. *)
-  let ws = Workspace.create (Graph.n g) in
-  Array.init (Graph.n g) (fun u -> Workspace.distances ws g u)
 
 let is_connected g =
   let n = Graph.n g in

@@ -23,9 +23,6 @@ val distances : Graph.t -> int -> int array
 val distance : Graph.t -> int -> int -> int
 (** Pairwise distance, [-1] if unreachable. *)
 
-val all_pairs : Graph.t -> int array array
-(** [n] BFS passes; [-1] marks unreachable pairs. *)
-
 val is_connected : Graph.t -> bool
 
 val eccentricities : Graph.t -> int array option
@@ -110,4 +107,31 @@ module Workspace : sig
       first use and handed to every later caller of the same index:
       reusable storage for callers that hold several distance rows at
       once, such as a best-response scan's per-edge removal rows. *)
+end
+
+(** Bit-parallel BFS: the profiles of up to {!Multi.width} sources in one
+    pass over the graph per level (Then et al., "The More the Merrier:
+    Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014).  Bit [i]
+    of a vertex's word is source [i]; a level runs top-down from the
+    frontier while the frontier has under a quarter of the edges at the
+    vertices some source has not reached, and bottom-up over those
+    vertices after.  The distance cache answers cost-board queries for
+    agents without a resident table with it. *)
+module Multi : sig
+  type t
+
+  val width : int
+  (** [Sys.int_size] (63 on 64-bit hosts): one source per bit of an
+      OCaml int. *)
+
+  val create : int -> t
+  (** [create max_n] serves any graph with at most [max_n] vertices.  It
+      allocates three [max_n]-word rows and two vertex lists — create one
+      per long-lived owner, not per query. *)
+
+  val profiles : t -> Graph.t -> int array -> profile array
+  (** [profiles t g sources] is [Array.map (profile g) sources], from one
+      traversal.  Sources may repeat.
+      @raise Invalid_argument if [sources] is empty, longer than {!width},
+      or names a vertex outside [g]. *)
 end

@@ -57,14 +57,6 @@ let classify_sink model g =
     nash_stable = Response.is_stable (variant Model.Bg) g;
   }
 
-let sink_label s =
-  Printf.sprintf "%s%s%s"
-    (if s.game_stable then "game " else "")
-    (if s.greedy_stable then "GE" else "-")
-    (if s.nash_stable then "+NE" else "")
-
-let pp_sink fmt s = Format.pp_print_string fmt (sink_label s)
-
 let pp_verdict fmt = function
   | Yes -> Format.pp_print_string fmt "yes"
   | No -> Format.pp_print_string fmt "no"

@@ -53,5 +53,3 @@ val classify_sink : Model.t -> Graph.t -> sink_class
     the BG probe enumerates strategies exhaustively and inherits
     {!Response.exhaustive_limit}. *)
 
-val sink_label : sink_class -> string
-val pp_sink : Format.formatter -> sink_class -> unit

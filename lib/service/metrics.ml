@@ -32,8 +32,6 @@ let observe t dt =
   t.ema <- (if t.ema = 0.0 then dt else (0.8 *. t.ema) +. (0.2 *. dt))
 
 let ema_service_time t = t.ema
-let observations t = t.filled
-
 let percentile t q =
   if t.filled = 0 then Float.nan
   else begin

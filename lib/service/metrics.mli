@@ -34,8 +34,5 @@ val ema_service_time : t -> float
 val percentile : t -> float -> float
 (** [percentile t 0.99] over the current window; [nan] when empty. *)
 
-val observations : t -> int
-(** Latencies currently in the window (saturates at the window size). *)
-
 val to_json : t -> Json.t
 (** [{"counters": {...}, "latency": {count, p50, p99, ema}}]. *)

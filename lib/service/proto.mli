@@ -25,9 +25,6 @@
 
 type shed_reason = Queue_full | Overloaded | Draining
 
-val shed_reason_label : shed_reason -> string
-(** ["queue_full"], ["overloaded"], ["draining"] — the wire strings. *)
-
 type host = Complete of int | Edges of int * (int * int) list
     (** buildable edges: every pair, or an explicit undirected edge list
         on [n] vertices (ownership is irrelevant for hosts) *)
@@ -56,10 +53,6 @@ val job_of_json : Json.t -> (job, string) result
     alpha, out-of-range edges, bad probabilities etc. come back as
     [Error message] — admission rejects them with a typed error reply
     instead of letting a worker crash on them. *)
-
-val json_of_job : job -> (string * Json.t) list
-(** The submit body fields (no ["op"]); [Json.Obj] of these plus
-    [("op", Str "submit")] is a valid request line. *)
 
 val params_fingerprint : job -> string
 (** Every job parameter except the host graph, serialized — the

@@ -776,6 +776,55 @@ let kernel_properties =
           (Graph.vertices g));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The bit-parallel BFS behind the cost board's table-less keys        *)
+(* ------------------------------------------------------------------ *)
+
+(* [m] distinct uniformly random edges and no spanning tree first, so
+   small [m] leaves the graph disconnected. *)
+let arb_scattered =
+  QCheck.make
+    ~print:(fun (seed, n, m) -> Printf.sprintf "seed=%d n=%d m=%d" seed n m)
+    QCheck.Gen.(
+      int_bound 100_000 >>= fun seed ->
+      int_range 1 150 >>= fun n ->
+      int_bound (min (3 * n) (n * (n - 1) / 2)) >|= fun m -> (seed, n, m))
+
+let scattered_graph rng n m =
+  let g = Graph.create n in
+  while Graph.m g < m do
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    if u <> v && not (Graph.has_edge g u v) then Graph.add_edge g ~owner:u u v
+  done;
+  g
+
+let multi_properties =
+  [
+    QCheck.Test.make ~count:100
+      ~name:"bit-parallel BFS = per-source profiles at every width"
+      arb_scattered (fun (seed, n, m) ->
+        let rng = Random.State.make [| seed |] in
+        let g = scattered_graph rng n m in
+        let ws = Paths.Workspace.create n in
+        let want = Array.init n (Paths.Workspace.profile ws g) in
+        (* one scratch for every batch: each call must leave it clean *)
+        let multi = Paths.Multi.create n in
+        let order = Array.init n Fun.id in
+        List.for_all
+          (fun width ->
+            (* a fresh prefix of a Fisher-Yates shuffle: distinct sources *)
+            for i = n - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = order.(i) in
+              order.(i) <- order.(j);
+              order.(j) <- x
+            done;
+            let sources = Array.sub order 0 width in
+            Paths.Multi.profiles multi g sources
+            = Array.map (fun s -> want.(s)) sources)
+          (List.init (min n Paths.Multi.width) (fun i -> i + 1)));
+  ]
+
 let suite =
   ( "graph",
     [
@@ -813,4 +862,5 @@ let suite =
           test_mutations_through_grow;
       ]
     @ List.map QCheck_alcotest.to_alcotest mutation_properties
-    @ List.map QCheck_alcotest.to_alcotest kernel_properties )
+    @ List.map QCheck_alcotest.to_alcotest kernel_properties
+    @ List.map QCheck_alcotest.to_alcotest multi_properties )

@@ -271,6 +271,71 @@ let test_eviction_refill_exact () =
   done;
   check "evicted tables refill to fresh BFS" true !ok
 
+(* ------------------------------------------------------------------ *)
+(* Board keys without tables: the bit-parallel batch and its memo      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Agents.cost] cross-multiplied, as the board keys it. *)
+let fresh_key model g u =
+  let { Ncg_rational.Q.num; den } = Model.unit_price model in
+  match Agents.cost model g u with
+  | Cost.Disconnected -> max_int
+  | Cost.Connected { edge_units; dist } -> (edge_units * num) + (dist * den)
+
+let test_cost_key_without_tables () =
+  List.iter
+    (fun sum ->
+      let label s = (if sum then "SUM: " else "MAX: ") ^ s in
+      let n = 40 in
+      let g = Gen.random_m_edges (Random.State.make [| 17 |]) n (2 * n) in
+      let model = make_model ~sum n in
+      let ws = Paths.Workspace.create n in
+      let cache = Distcache.create ~budget:4 n in
+      let ctx = Response.Fast.of_cache ws model g cache in
+      (* agent 0 keeps the resident read; every other key is batched *)
+      ignore (Distcache.ensure cache ~ws g 0);
+      let stats = Distcache.stats cache
+      and residency = Distcache.residency cache in
+      let keys () = List.map (Response.Fast.cost_key ctx) (Graph.vertices g) in
+      let fresh () = List.map (fresh_key model g) (Graph.vertices g) in
+      let before = keys () in
+      check (label "keys = Agents.cost keys") true (before = fresh ());
+      check (label "no table filled or evicted") true
+        (Distcache.stats cache = stats);
+      check (label "residency unchanged") true
+        (Distcache.residency cache = residency);
+      (* a shortcut that moves the cost of some table-less agent other
+         than its owner, so a stale memo entry would show *)
+      let moved h v = v <> 0 && fresh_key model h v <> fresh_key model g v in
+      let a, b =
+        List.find
+          (fun (a, b) ->
+            a <> b
+            && (not (Graph.has_edge g a b))
+            &&
+            let h = Graph.copy g in
+            Graph.add_edge h ~owner:a a b;
+            List.exists (fun v -> v <> a && moved h v) (Graph.vertices g))
+          (List.concat_map
+             (fun a -> List.map (fun b -> (a, b)) (Graph.vertices g))
+             (List.tl (Graph.vertices g)))
+      in
+      Graph.add_edge g ~owner:a a b;
+      Distcache.note_added cache g a b;
+      let added = keys () in
+      check (label "after note_added: the new graph's keys") true
+        (added = fresh ());
+      check (label "the shortcut moved a memoized key") true
+        (List.exists2
+           (fun (v, k) k' -> v <> 0 && v <> a && k <> k')
+           (List.combine (Graph.vertices g) added)
+           before);
+      Graph.remove_edge g a b;
+      Distcache.note_removed cache g a b;
+      check (label "after note_removed: the new graph's keys") true
+        (keys () = before))
+    [ true; false ]
+
 let prop_budget_engine_identical =
   QCheck.Test.make ~count:30
     ~name:"cache budget changes no trajectory, keeps residency bounded"
@@ -378,6 +443,8 @@ let suite =
       Alcotest.test_case "board visit order" `Quick test_board_order;
       Alcotest.test_case "board update and reset" `Quick
         test_board_update_and_reset;
+      Alcotest.test_case "table-less board keys: exact, nothing filled"
+        `Quick test_cost_key_without_tables;
       Alcotest.test_case "eviction refills exactly" `Quick
         test_eviction_refill_exact;
       Alcotest.test_case "result surfaces residency" `Quick
