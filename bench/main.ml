@@ -127,7 +127,7 @@ let cor32 scale =
       "Cor 3.2: SUM-ASG on random trees, max cost policy, parity bound n-3 \
        (even n), n+ceil(n/2)-5 (odd n)"
     scale
-    (fun n -> float_of_int (Theory.cor32_sum_asg_bound n))
+    (fun n -> float_of_int (Theory.cor32_parity_bound n))
     "parity bound"
 
 (* ------------------------------------------------------------------ *)

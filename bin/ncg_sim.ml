@@ -454,248 +454,6 @@ let fleet_worker_cmd =
       $ shard_term $ fleet_dir_term $ heartbeat_interval_term
       $ incidents_term)
 
-(* ------------------------------------------------------------------ *)
-(* Cartography: distributed state-space exploration                    *)
-(* ------------------------------------------------------------------ *)
-
-module Carto = Ncg_search.Cartography
-
-let carto_point_term =
-  let doc =
-    Printf.sprintf
-      "Exploration point: %s, or any catalog instance name (explored under \
-       improving moves)."
-      (String.concat ", " Carto.point_names)
-  in
-  Arg.(
-    required & opt (some string) None & info [ "point" ] ~docv:"POINT" ~doc)
-
-let carto_dir_term =
-  let doc =
-    "Run directory (meta, ledger partitions, frontier files, per-wave chunk \
-     leases and arc files); survives any crash, so rerunning the same \
-     command resumes the exploration."
-  in
-  Arg.(value & opt string "ncg-carto" & info [ "dir" ] ~docv:"DIR" ~doc)
-
-let carto_states_term =
-  let doc = "Exploration state budget." in
-  Arg.(value & opt int 200_000 & info [ "max-states" ] ~doc)
-
-let carto_chunk_term =
-  let doc = "Frontier states per chunk lease." in
-  Arg.(value & opt (int_at_least 1) 64 & info [ "chunk-size" ] ~doc)
-
-let carto_iso_term =
-  let doc =
-    "Dedupe states up to isomorphism (gadget hunting) instead of exactly; \
-     the region is then a quotient and no longer comparable to \
-     single-process exploration."
-  in
-  Arg.(value & flag & info [ "iso" ] ~doc)
-
-let carto_throttle_term =
-  let doc =
-    "Sleep $(docv) milliseconds per expanded state (widens the kill window \
-     for chaos drills)."
-  in
-  Arg.(value & opt int 0 & info [ "throttle-ms" ] ~docv:"MS" ~doc)
-
-let carto_wave_term =
-  let doc = "Wave this worker expands (internal)." in
-  Arg.(required & opt (some int) None & info [ "wave" ] ~docv:"K" ~doc)
-
-let carto_chunk_idx_term =
-  let doc = "Chunk index this worker owns (internal)." in
-  Arg.(required & opt (some int) None & info [ "chunk" ] ~docv:"C" ~doc)
-
-let carto_json_term =
-  let doc = "Write the machine-readable run report to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let carto_self_check_term =
-  let doc =
-    "After the distributed run, re-explore in-process with \
-     Statespace.explore and fail unless explored count, stable set and \
-     cycle verdict are identical."
-  in
-  Arg.(value & flag & info [ "self-check" ] ~doc)
-
-let carto_chaos_kill_term =
-  let doc =
-    "Chaos drill: SIGKILL the first spawned worker immediately, forcing one \
-     death + reassignment (requires --workers >= 1)."
-  in
-  Arg.(value & flag & info [ "chaos-kill-first" ] ~doc)
-
-let carto_spec ~name ~max_states ~iso =
-  match Carto.point_spec ~max_states name with
-  | None ->
-      Printf.eprintf "ncg_sim: unknown exploration point %s (known: %s)\n"
-        name
-        (String.concat ", "
-           (Carto.point_names @ Ncg_instances.Catalog.names ()));
-      exit 2
-  | Some spec -> if iso then { spec with Carto.key_mode = Carto.Iso } else spec
-
-let carto_cmd =
-  let run name dir workers chunk_size max_states iso throttle_ms
-      max_respawns heartbeat_timeout heartbeat_interval self_check json
-      chaos_kill_first incidents =
-    let spec = carto_spec ~name ~max_states ~iso in
-    if self_check && iso then begin
-      Printf.eprintf "ncg_sim: --self-check needs exact keying, not --iso\n";
-      exit 2
-    end;
-    let first_killed = ref (not chaos_kill_first) in
-    let spawn ~wave ~chunk =
-      let args =
-        [
-          "carto-worker"; "--point"; name; "--dir"; dir; "--wave";
-          string_of_int wave; "--chunk"; string_of_int chunk; "--max-states";
-          string_of_int max_states; "--throttle-ms"; string_of_int throttle_ms;
-          "--heartbeat-interval"; Printf.sprintf "%g" heartbeat_interval;
-        ]
-        @ (if iso then [ "--iso" ] else [])
-      in
-      let pid =
-        Unix.create_process Sys.executable_name
-          (Array.of_list (Sys.executable_name :: args))
-          Unix.stdin Unix.stdout Unix.stderr
-      in
-      if not !first_killed then begin
-        (* the CI smoke's injected fault: the very first worker dies
-           before doing any work, and the run must not notice *)
-        first_killed := true;
-        Unix.kill pid Sys.sigkill
-      end;
-      pid
-    in
-    with_incidents incidents (fun log ->
-        interruptible
-          ~resume_hint:
-            (Some
-               (Printf.sprintf
-                  "exploration state is preserved in %s.\n\
-                   Resume by rerunning the same carto command." dir))
-          (fun () ->
-            let cfg =
-              {
-                (Carto.default_config ~dir) with
-                Carto.chunk_size;
-                workers;
-                heartbeat_interval;
-                heartbeat_timeout;
-                max_respawns;
-                throttle_ms;
-                spawn = (if workers > 0 then Some spawn else None);
-                incidents = log;
-              }
-            in
-            Printf.printf "carto %s: %s (%s)\n%!" name
-              (Carto.fingerprint spec)
-              (if workers > 0 then Printf.sprintf "%d workers" workers
-               else "in-process");
-            let r =
-              try Carto.run cfg spec
-              with Failure msg ->
-                Printf.eprintf "ncg_sim: %s\n" msg;
-                exit 2
-            in
-            Printf.printf
-              "explored=%d waves=%d arcs=%d stable=%d cycle=%b largest-scc=%d \
-               truncated=%b respawns=%d resumed=%b rolled-back=%d\n"
-              r.Carto.explored r.Carto.waves r.Carto.arcs
-              (List.length r.Carto.stable) r.Carto.has_cycle
-              r.Carto.largest_scc r.Carto.truncated r.Carto.respawns
-              r.Carto.resumed r.Carto.rolled_back;
-            Printf.printf "region: %s\n" r.Carto.region_fingerprint;
-            (match json with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Carto.report_json r);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "wrote %s\n" path);
-            if self_check then begin
-              if r.Carto.truncated then begin
-                Printf.eprintf
-                  "ncg_sim: self-check needs an untruncated region; raise \
-                   --max-states\n";
-                exit 1
-              end;
-              let e =
-                Ncg_search.Statespace.explore ~max_states ~rule:spec.Carto.rule
-                  spec.Carto.model spec.Carto.initial
-              in
-              let solo_stable =
-                List.sort_uniq compare e.Ncg_search.Statespace.stable
-              in
-              let carto_stable = List.map fst r.Carto.stable in
-              let solo_cycle =
-                match
-                  Ncg_search.Statespace.find_cycle ~max_states
-                    ~rule:spec.Carto.rule spec.Carto.model spec.Carto.initial
-                with
-                | `Cycle _ -> true
-                | `Acyclic | `Truncated -> false
-              in
-              let ok = ref true in
-              if e.Ncg_search.Statespace.explored <> r.Carto.explored then begin
-                ok := false;
-                Printf.eprintf
-                  "self-check: explored %d (distributed) vs %d (solo)\n"
-                  r.Carto.explored e.Ncg_search.Statespace.explored
-              end;
-              if solo_stable <> carto_stable then begin
-                ok := false;
-                Printf.eprintf "self-check: stable sets differ\n"
-              end;
-              if solo_cycle <> r.Carto.has_cycle then begin
-                ok := false;
-                Printf.eprintf "self-check: cycle verdict %b vs %b\n"
-                  r.Carto.has_cycle solo_cycle
-              end;
-              if !ok then Printf.printf "self-check: ok\n"
-              else exit 1
-            end))
-  in
-  let doc =
-    "Explore an instance's improving-move/best-response state space as a \
-     crash-tolerant distributed BFS over a durable frontier, an \
-     exactly-once dedupe ledger and chunk leases; reports sinks, SCCs \
-     (best-response cycles) and the region fingerprint."
-  in
-  Cmd.v (Cmd.info "carto" ~doc)
-    Term.(
-      const run $ carto_point_term $ carto_dir_term $ workers_term
-      $ carto_chunk_term $ carto_states_term $ carto_iso_term
-      $ carto_throttle_term $ max_respawns_term $ heartbeat_timeout_term
-      $ heartbeat_interval_term $ carto_self_check_term $ carto_json_term
-      $ carto_chaos_kill_term $ incidents_term)
-
-let carto_worker_cmd =
-  let run name dir wave chunk max_states iso throttle_ms heartbeat_interval =
-    let spec = carto_spec ~name ~max_states ~iso in
-    match
-      Carto.worker ~dir ~wave ~chunk ~heartbeat_interval ~throttle_ms spec
-    with
-    | Ok () -> ()
-    | Error msg ->
-        Printf.eprintf "ncg_sim carto-worker[wave %d chunk %d]: %s\n" wave
-          chunk msg;
-        exit 3
-  in
-  let doc =
-    "INTERNAL: expand one frontier chunk (spawned by $(b,ncg_sim carto))."
-  in
-  Cmd.v (Cmd.info "carto-worker" ~doc)
-    Term.(
-      const run $ carto_point_term $ carto_dir_term $ carto_wave_term
-      $ carto_chunk_idx_term $ carto_states_term $ carto_iso_term
-      $ carto_throttle_term $ heartbeat_interval_term)
-
 (* Empirical price of anarchy of the converged networks (Sec. 1.3's
    motivation: selfish play should end near the social optimum). *)
 let poa_cmd =
@@ -772,8 +530,6 @@ let () =
           "Figure 14 (MAX-GBG topologies): GBG starting-topology comparison";
         fleet_cmd;
         fleet_worker_cmd;
-        carto_cmd;
-        carto_worker_cmd;
         poa_cmd;
         classify_cmd;
       ]

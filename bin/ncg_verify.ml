@@ -7,6 +7,12 @@ module I = Ncg_instances.Instance
 
 let failures = ref 0
 
+(* A failed check is named on standard error too: `dune runtest` runs
+   this binary with its standard output discarded. *)
+let fail name =
+  incr failures;
+  Printf.eprintf "ncg_verify: %s FAILED\n%!" name
+
 let report inst =
   match I.Verify.run inst with
   | [] ->
@@ -14,7 +20,7 @@ let report inst =
         (List.length inst.I.steps)
         (Ncg_game.Model.game_name inst.I.model)
   | fs ->
-      incr failures;
+      fail inst.I.name;
       Printf.printf "%-24s FAILED\n" inst.I.name;
       List.iter
         (fun f ->
@@ -38,7 +44,7 @@ let statespace_check name inst expected =
     | `Found _, `Stabilises -> true
     | (`None | `Found _ | `Truncated), _ -> false
   in
-  if not ok then incr failures;
+  if not ok then fail name;
   Printf.printf "%-24s %s  [%s]\n%!" name shown (if ok then "ok" else "FAIL")
 
 let () =

@@ -21,9 +21,10 @@ let thm21_step_bound n =
   done;
   !sum
 
-let cor32_sum_asg_bound n =
-  if n mod 2 = 0 then max 0 (n - 3)
-  else max 0 (n + ((n + 1) / 2) - 5)
+let cor32_asg_envelope n = max 0 (n + ((n + 1) / 2) - 5)
+
+let cor32_parity_bound n =
+  if n mod 2 = 0 then max 0 (n - 3) else cor32_asg_envelope n
 
 let nlogn n = float_of_int n *. (log (float_of_int n) /. log 2.0)
 

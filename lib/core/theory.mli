@@ -21,9 +21,17 @@ val thm21_step_bound : int -> int
     [n + sum_{i=3}^{n-1} ((n*i - i^2) / 2 + 1)] — an upper bound on MAX-SG
     improving moves on any n-vertex tree. *)
 
-val cor32_sum_asg_bound : int -> int
-(** Corollary 3.2, SUM version, max-cost policy: [max(0, n - 3)] steps for
-    even [n], [max(0, n + ceil(n/2) - 5)] for odd [n].  Tight. *)
+val cor32_parity_bound : int -> int
+(** Corollary 3.2, SUM version, max-cost policy on trees: [max(0, n - 3)]
+    steps for even [n], [max(0, n + ceil(n/2) - 5)] for odd [n].  The
+    SUM-SG stays within it, and its observed worst case meets it at every
+    even [n].  The SUM-ASG exceeds it on some trees under every tie
+    choice (EXPERIMENTS.md, Cor 3.2). *)
+
+val cor32_asg_envelope : int -> int
+(** [max(0, n + ceil(n/2) - 5)] at every [n]: the envelope observed for
+    SUM-ASG max-cost runs on trees, the odd-[n] parity bound applied at
+    both parities.  Measured, not proved. *)
 
 val nlogn : int -> float
 (** [n * log2 n], the Theta-shape of Theorem 2.11 / Corollary 3.2 (MAX). *)

@@ -1,7 +1,6 @@
 (** The durable-file layer: the one implementation of every mechanism
-    the on-disk artifacts share — checkpoints ({!Checkpoint}), worker
-    leases ({!Lease}) and the cartography meta, ledger, frontier and
-    chunk files.  DESIGN.md §15 states the rules; callers keep only
+    the on-disk artifacts share — checkpoints ({!Checkpoint}) and worker
+    leases ({!Lease}).  DESIGN.md §15 states the rules; callers keep only
     their formats and their tolerance policies.
 
     Every open, read, write, fsync, rename and unlink goes through
@@ -9,9 +8,6 @@
     oracle see reads and writes alike. *)
 
 (** {1 Framing} *)
-
-val crc32 : string -> int
-(** IEEE CRC32 (reflected polynomial [0xedb88320]). *)
 
 val frame : string -> string
 (** [frame payload] is the line [<crc32 %08x> TAB <length> TAB <payload>]

@@ -48,8 +48,7 @@ let assign ~dir ~fingerprint ~shard ~lo ~hi =
     ~attempts:(attempts_on_disk ~dir ~fingerprint shard + 1)
     Lease.Running
 
-let reconcile ~dir ~fingerprint ?incidents ?(committed = fun _ -> true)
-    ranges =
+let reconcile ~dir ~fingerprint ?incidents ranges =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   (* takeover hygiene: SIGKILLed writers may have left temp files
      behind *)
@@ -60,7 +59,7 @@ let reconcile ~dir ~fingerprint ?incidents ?(committed = fun _ -> true)
       match Lease.load ~dir ~fingerprint ~shard:s with
       | Ok l
         when l.Lease.lo = lo && l.Lease.hi = hi && l.Lease.status = Lease.Done
-             && committed s ->
+        ->
           false
       | _ ->
           save_unowned ~dir ~fingerprint ~shard:s ~lo ~hi ~attempts:0
@@ -82,7 +81,7 @@ type config = {
 
 type report = { respawns : int; quarantined : (int * string) list }
 
-let run ?(committed = fun _ -> true) cfg =
+let run cfg =
   let dir = cfg.dir and fingerprint = cfg.fingerprint in
   let incident e =
     match cfg.incidents with
@@ -92,8 +91,7 @@ let run ?(committed = fun _ -> true) cfg =
   let pending =
     Queue.of_seq
       (List.to_seq
-         (reconcile ~dir ~fingerprint ?incidents:cfg.incidents ~committed
-            cfg.ranges))
+         (reconcile ~dir ~fingerprint ?incidents:cfg.incidents cfg.ranges))
   in
   let running : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let respawns = ref 0 and quarantined = ref [] in
@@ -168,7 +166,7 @@ let run ?(committed = fun _ -> true) cfg =
                (* exit 0 only counts with a Done lease — a fenced worker
                   exits cleanly without finishing its shard *)
                match Lease.load ~dir ~fingerprint ~shard:s with
-               | Ok l when l.Lease.status = Lease.Done && committed s ->
+               | Ok l when l.Lease.status = Lease.Done ->
                    Hashtbl.remove running s
                | _ -> fail s pid "exited 0 without completing its lease")
            | `Died (s, pid, cause) -> fail s pid cause)

@@ -1,12 +1,12 @@
 (** The one lease protocol for supervised worker processes (DESIGN.md
-    §11), shared by the trial fleet ({!Fleet}), the cartography explorer
-    and the simulation daemon.  A supervisor {!assign}s a shard's
-    {!Lease} before it spawns the shard's worker; the worker {!claim}s
-    it, {!beat}s it while the lease still names it, and marks it [Done]
-    ({!hold}).  A worker is dead when it exits (exit 0 counts only with
-    a [Done] lease) or when its heartbeat, stamped on {!Clock.monotonic},
-    is older than the timeout; a stale worker is SIGKILLed and reaped
-    before its shard is reassigned. *)
+    §11), shared by the trial fleet ({!Fleet}) and the simulation daemon.
+    A supervisor {!assign}s a shard's {!Lease} before it spawns the
+    shard's worker; the worker {!claim}s it, {!beat}s it while the lease
+    still names it, and marks it [Done] ({!hold}).  A worker is dead when
+    it exits (exit 0 counts only with a [Done] lease) or when its
+    heartbeat, stamped on {!Clock.monotonic}, is older than the timeout;
+    a stale worker is SIGKILLed and reaped before its shard is
+    reassigned. *)
 
 val kill_and_reap : int -> unit
 (** SIGKILL the process and wait for it.  A process already gone is
@@ -25,20 +25,6 @@ val assign :
     heartbeat, one attempt more than the lease on disk.  Call it before
     spawning the worker, so the worker never reads the lease of the
     incarnation it replaces. *)
-
-val reconcile :
-  dir:string ->
-  fingerprint:string ->
-  ?incidents:Incident_log.t ->
-  ?committed:(int -> bool) ->
-  (int * int) array ->
-  int list
-(** [reconcile ~dir ~fingerprint ranges] takes over [dir] (created if
-    missing) for the plan where shard [s] covers [ranges.(s)]: it sweeps
-    dead writers' temp files from [dir] ({!Durable.sweep_tmps}), keeps
-    every shard whose lease is [Done] over the same range and [committed]
-    (default: always), resets every other lease to [Pending], and returns
-    those shards in order. *)
 
 type config = {
   dir : string;
@@ -59,11 +45,14 @@ type report = {
           with the cause of the last death *)
 }
 
-val run : ?committed:(int -> bool) -> config -> report
-(** {!reconcile}, then keep up to [workers] workers running until every
-    shard is [Done] and [committed], or quarantined.  Deaths,
-    reassignments and quarantines are [worker_dead], [reassigned] and
-    [shard_quarantined] incidents.
+val run : config -> report
+(** Take over [dir] (created if missing) for the plan where shard [s]
+    covers [ranges.(s)]: sweep dead writers' temp files from it
+    ({!Durable.sweep_tmps}), keep every shard whose lease is [Done] over
+    the same range, and reset every other lease to [Pending].  Then keep
+    up to [workers] workers running until every shard is [Done] or
+    quarantined.  Deaths, reassignments and quarantines are
+    [worker_dead], [reassigned] and [shard_quarantined] incidents.
     @raise Runner.Interrupted after {!Runner.request_stop}, once every
     running worker has been sent SIGTERM and reaped.  Any other exception
     (a failing [spawn], say) propagates after every running worker has

@@ -40,7 +40,7 @@ let classify_sink model g =
      the explorer may hand us any ownership labelling of the sink; the
      buy-game stability probes below DO read ownership, so normalise to
      the smaller-endpoint labelling first — classification must depend on
-     the state, not on which representative a distributed run kept. *)
+     the state, not on which representative the explorer kept. *)
   let g =
     if Model.uses_ownership model then g
     else

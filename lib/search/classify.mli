@@ -48,8 +48,7 @@ val classify_sink : Model.t -> Graph.t -> sink_class
     variants (same [alpha], host and distance mode).  For games that
     ignore ownership (SG, bilateral) the network is first renormalised to
     the smaller-endpoint ownership labelling, so every representative of
-    the same unowned state — single-process or distributed — classifies
-    identically.  Intended for the small-[n] sinks the explorers emit;
-    the BG probe enumerates strategies exhaustively and inherits
-    {!Response.exhaustive_limit}. *)
+    the same unowned state classifies identically.  Intended for the
+    small-[n] sinks {!Statespace.explore} emits; the BG probe enumerates
+    strategies exhaustively and inherits {!Response.exhaustive_limit}. *)
 

@@ -7,6 +7,8 @@ type exploration = {
   truncated : bool;
 }
 
+(* The exact-state dedupe key: ownership is part of the state only when
+   the game uses it. *)
 let state_key model g =
   if Model.uses_ownership model then Canonical.key g
   else Canonical.unowned_key g

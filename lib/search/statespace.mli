@@ -32,16 +32,6 @@ type exploration = {
   truncated : bool;
 }
 
-val state_key : Model.t -> Graph.t -> string
-(** The exact-state dedupe key: {!Canonical.key} when the game uses
-    ownership, {!Canonical.unowned_key} otherwise.  Exposed so the
-    distributed explorer ({!Cartography}) dedupes with bit-identical keys
-    to the single-process BFS. *)
-
-val successor_moves : successor_rule -> Model.t -> Graph.t -> Move.t list
-(** The outgoing arcs of one state under the rule, in the deterministic
-    enumeration order every explorer in this library shares. *)
-
 val explore :
   ?max_states:int ->
   ?rule:successor_rule ->

@@ -6,7 +6,6 @@
 let () = Suite_faulty.maybe_run_child ()
 let () = Suite_fleet.maybe_run_child ()
 let () = Suite_service.maybe_run_child ()
-let () = Suite_carto.maybe_run_child ()
 
 let () =
   Alcotest.run "ncg-repro"
@@ -28,5 +27,4 @@ let () =
       Suite_faulty.suite;
       Suite_fleet.suite;
       Suite_service.suite;
-      Suite_carto.suite;
     ]

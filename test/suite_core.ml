@@ -252,26 +252,36 @@ let prop_engine_tree_convergence =
       && r.Engine.steps <= Theory.thm21_step_bound n
       && Response.is_stable (max_sg n) r.Engine.final)
 
-(* Uniform tie-breaking occasionally exceeds the Cor 3.2 step count by a
-   hair: a 40k-input scan found 8 overshoots, never by more than 3 steps
-   (e.g. tree seed 860 at n=10 takes 8 steps against a bound of 7).  The
-   property therefore asserts convergence strictly and the step count
-   against the bound plus an n/2 envelope, which the whole scanned space
-   satisfies with margin. *)
-let prop_sum_asg_tree_bound =
+(* Cor 3.2 on random trees under the max-cost policy.  The SUM-SG stays
+   within the paper's parity bound.  The SUM-ASG does not: tree seed 860
+   at n = 10 takes 8 steps against a bound of 7, under every tie choice.
+   It stays within the odd-n bound at both parities, the envelope
+   checked here (EXPERIMENTS.md, Cor 3.2). *)
+let max_cost_tree_within bound model seed n =
+  let g = Gen.random_tree (Random.State.make [| seed |]) n in
+  let r =
+    Engine.run
+      ~rng:(Random.State.make [| seed + 1 |])
+      (Engine.config ~policy:Policy.Max_cost model)
+      g
+  in
+  Engine.converged r && r.Engine.steps <= bound n
+
+let prop_sum_sg_tree_bound =
   QCheck.Test.make ~count:40
-    ~name:"SUM-ASG trees + max cost within Cor 3.2 bound (+n/2 envelope)"
+    ~name:"SUM-SG trees + max cost within Cor 3.2 parity bound"
     QCheck.(pair (int_bound 100_000) (int_range 4 24))
     (fun (seed, n) ->
-      let g = Gen.random_tree (Random.State.make [| seed |]) n in
-      let r =
-        Engine.run
-          ~rng:(Random.State.make [| seed + 1 |])
-          (Engine.config ~policy:Policy.Max_cost (sum_asg n))
-          g
-      in
-      Engine.converged r
-      && r.Engine.steps <= Theory.cor32_sum_asg_bound n + (n / 2))
+      max_cost_tree_within Theory.cor32_parity_bound
+        (Model.make Model.Sg Model.Sum n)
+        seed n)
+
+let prop_sum_asg_tree_bound =
+  QCheck.Test.make ~count:40
+    ~name:"SUM-ASG trees + max cost within Cor 3.2 ASG envelope"
+    QCheck.(pair (int_bound 100_000) (int_range 4 24))
+    (fun (seed, n) ->
+      max_cost_tree_within Theory.cor32_asg_envelope (sum_asg n) seed n)
 
 (* ------------------------------------------------------------------ *)
 (* Potential                                                           *)
@@ -320,9 +330,12 @@ let prop_diameter_monotone =
 (* ------------------------------------------------------------------ *)
 
 let test_bounds () =
-  check_int "cor32 even" 7 (Theory.cor32_sum_asg_bound 10);
-  check_int "cor32 odd" 12 (Theory.cor32_sum_asg_bound 11);
-  check_int "cor32 tiny" 0 (Theory.cor32_sum_asg_bound 2);
+  check_int "cor32 even" 7 (Theory.cor32_parity_bound 10);
+  check_int "cor32 odd" 12 (Theory.cor32_parity_bound 11);
+  check_int "cor32 tiny" 0 (Theory.cor32_parity_bound 2);
+  check_int "cor32 ASG envelope even" 10 (Theory.cor32_asg_envelope 10);
+  check_int "cor32 ASG envelope odd" 12 (Theory.cor32_asg_envelope 11);
+  check_int "cor32 ASG envelope tiny" 0 (Theory.cor32_asg_envelope 2);
   check "thm21 grows like n^3" true
     (Theory.thm21_step_bound 20 > 6 * Theory.thm21_step_bound 10
      && Theory.thm21_step_bound 20 < 27 * Theory.thm21_step_bound 10);
@@ -561,6 +574,7 @@ let suite =
         [
           prop_engine_tree_convergence;
           prop_sum_asg_tree_bound;
+          prop_sum_sg_tree_bound;
           prop_lemma26_potential;
           prop_sum_sg_social_potential;
           prop_diameter_monotone;

@@ -315,10 +315,9 @@ let test_crash_before_rename () =
 (* Pinned formats and sweep scope                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Byte-for-byte pins of the three framed formats, captured before they
+(* Byte-for-byte pins of the two framed formats, captured before they
    moved onto the shared durable-file layer: a checkpoint (atomic header
-   write plus an appended record), a lease, and a fresh ledger
-   partition's first batch. *)
+   write plus an appended record) and a lease. *)
 let test_golden_bytes () =
   with_temp_dir (fun dir ->
       let key = "k=2|n=9" in
@@ -360,13 +359,6 @@ let test_golden_bytes () =
         "# ncg-lease v1\tfaulty-suite fp=1\n\
          7c835572\t29\t1\t0\t4\trunning\t4242\t5.000000\t1\n"
         (read_file (Lease.path ~dir ~shard:1));
-      let module Ledger = Ncg_search.Cartography.Ledger in
-      Ledger.append ~dir ~fingerprint ~part:3 [ (0, "5;0,1"); (1, "5;1,2") ];
-      check_str "ledger bytes"
-        "# ncg-carto-ledger v1\tfaulty-suite fp=1\n\
-         106fedb6\t7\t0\t5;0,1\n\
-         2ed3dd8f\t7\t1\t5;1,2\n"
-        (read_file (Ledger.path ~dir ~part:3));
       check "no temp left behind" true
         (Array.for_all
            (fun name -> not (Filename.check_suffix name ".tmp"))

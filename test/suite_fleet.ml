@@ -72,9 +72,20 @@ let test_lease_rejects_wrong_fleet () =
       (match Lease.load ~dir ~fingerprint:"fleet B" ~shard:3 with
       | Error e -> check "header mismatch" true (Astring_like.contains e "header")
       | Ok _ -> Alcotest.fail "accepted a lease of another fleet");
-      match Lease.load ~dir ~fingerprint:"fleet A" ~shard:4 with
+      (match Lease.load ~dir ~fingerprint:"fleet A" ~shard:4 with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "shard-0004 lease should not exist")
+      | Ok _ -> Alcotest.fail "shard-0004 lease should not exist");
+      (* a worker claims only a Running lease: the supervisor owns every
+         transition into Running *)
+      check "claim refuses a missing lease" true
+        (Result.is_error (Supervisor.claim ~dir ~fingerprint:"fleet A" ~shard:4));
+      Lease.save ~dir ~fingerprint:"fleet A"
+        { lease0 with Lease.status = Lease.Done };
+      match Supervisor.claim ~dir ~fingerprint:"fleet A" ~shard:3 with
+      | Error e ->
+          check "claim refuses a Done lease" true
+            (Astring_like.contains e "not running")
+      | Ok _ -> Alcotest.fail "claimed a Done lease")
 
 let test_lease_corruption_detected () =
   with_temp_dir (fun dir ->

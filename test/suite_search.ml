@@ -128,6 +128,50 @@ let test_classify () =
   check "cor36 not BR-WAG" true (r3.Classify.br_weakly_acyclic = Classify.No);
   ignore (Format.asprintf "%a" Classify.pp r3)
 
+(* Every game on the 4-vertex path, explored exhaustively under improving
+   moves: each region is complete, every sink is stable under its own
+   game, and the early-exit search finds a sink exactly when the closure
+   has one.  The region and sink counts are pinned. *)
+let test_small_n_matrix () =
+  let n = 4 in
+  List.iter
+    (fun (game, dist, explored, sinks) ->
+      let model = Model.make game dist n in
+      let tag = Model.game_name model in
+      let e = Statespace.explore ~max_states:20_000 model (Gen.path n) in
+      check (tag ^ ": not truncated") false e.Statespace.truncated;
+      check_int (tag ^ ": explored") explored e.Statespace.explored;
+      check_int (tag ^ ": sinks") sinks (List.length e.Statespace.stable);
+      check_int (tag ^ ": one representative per sink") sinks
+        (List.length e.Statespace.stable_reps);
+      List.iter
+        (fun g ->
+          check (tag ^ ": sink is stable") true (Response.is_stable model g);
+          check (tag ^ ": sink classifies game-stable") true
+            (Classify.classify_sink model g).Classify.game_stable)
+        e.Statespace.stable_reps;
+      check (tag ^ ": early exit finds a sink iff the closure has one")
+        (e.Statespace.stable <> [])
+        (match
+           Statespace.reachable_stable_state ~max_states:20_000 model
+             (Gen.path n)
+         with
+        | `Found _ -> true
+        | `None -> false
+        | `Truncated -> Alcotest.fail (tag ^ ": early exit truncated")))
+    [
+      (Model.Sg, Model.Sum, 3, 2);
+      (Model.Sg, Model.Max, 3, 2);
+      (Model.Asg, Model.Sum, 2, 1);
+      (Model.Asg, Model.Max, 2, 1);
+      (Model.Gbg, Model.Sum, 6, 5);
+      (Model.Gbg, Model.Max, 2, 1);
+      (Model.Bg, Model.Sum, 9, 8);
+      (Model.Bg, Model.Max, 2, 1);
+      (Model.Bilateral, Model.Sum, 19, 1);
+      (Model.Bilateral, Model.Max, 21, 5);
+    ]
+
 let suite =
   ( "search",
     [
@@ -146,4 +190,6 @@ let suite =
       Alcotest.test_case "cor42 observed behavior" `Slow
         test_cor42_behavior_documented;
       Alcotest.test_case "classification" `Slow test_classify;
+      Alcotest.test_case "small-n matrix: every game on the 4-path" `Quick
+        test_small_n_matrix;
     ] )

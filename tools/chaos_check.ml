@@ -13,9 +13,8 @@
    checkpoint and print a resume hint before exiting 130, a sweep
    killed hard with SIGKILL must complete under `--resume` without
    rerunning the trials that survived on disk, and out-of-range counts
-   must be usage errors.  `--fleet-soak` and `--carto-soak` add the soak
-   (worker SIGKILL storm, SIGSTOP stall, supervisor SIGKILL + rerun)
-   against the fleet and the cartography explorer. *)
+   must be usage errors.  `--fleet-soak` adds the soak (worker SIGKILL
+   storm, SIGSTOP stall, supervisor SIGKILL + rerun) against the fleet. *)
 
 open Ncg_graph
 open Ncg_game
@@ -258,18 +257,16 @@ let out_of_range_counts_rejected sim =
       [ "fig7"; "--trials=-3" ];
       [ "fig7"; "--max-retries=-1" ];
       [ "fleet"; "--cmd"; "fig7"; "--trials=0" ];
-      [ "carto"; "--point"; "fig2-br"; "--chunk-size=0" ];
       [ "fig7"; "--trials=0" ];
       [ "fleet"; "--cmd"; "fig7"; "-n"; "1"; "--trials"; "2" ];
     ];
   List.iter remove_quietly [ out; err ]
 
 (* ------------------------------------------------------------------ *)
-(* Soak: kill storms against the supervised callers (fleet, carto)     *)
+(* Soak: kill storms against the supervised callers (the fleet)       *)
 (* ------------------------------------------------------------------ *)
 
 module E = Ncg_experiments
-module Carto = Ncg_search.Cartography
 
 let rec rm_rf_quietly path =
   match (Unix.lstat path).Unix.st_kind with
@@ -284,33 +281,30 @@ let rec rm_rf_quietly path =
 let kill_quietly ?(signal = Sys.sigkill) pid =
   try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
-(* The readable leases under [(dir, fingerprint)] pairs — the same files
-   the supervisor fences with. *)
-let scan_leases pairs =
-  List.concat_map
-    (fun (dir, fingerprint) ->
-      List.filter_map
-        (fun shard -> Result.to_option (E.Lease.load ~dir ~fingerprint ~shard))
-        (List.init 64 Fun.id))
-    pairs
+(* The readable leases in [dir] under [fingerprint] — the same files the
+   supervisor fences with. *)
+let scan_leases (dir, fingerprint) =
+  List.filter_map
+    (fun shard -> Result.to_option (E.Lease.load ~dir ~fingerprint ~shard))
+    (List.init 64 Fun.id)
 
-let worker_pids pairs =
+let worker_pids leases =
   List.filter_map
     (fun l ->
       if l.E.Lease.status = E.Lease.Running && l.E.Lease.owner > 0 then
         Some l.E.Lease.owner
       else None)
-    (scan_leases pairs)
+    (scan_leases leases)
 
 type leg = Storm | Stall | Resume
 
 (* One supervised run: its ncg_sim arguments (the soak adds --dir and
-   --incidents), the (lease dir, fingerprint) pairs under its state dir,
-   the line an undisturbed in-process run prints, and when enough is
-   durable to kill its supervisor (the resume leg). *)
+   --incidents), the (lease dir, fingerprint) of its state dir, the line
+   an undisturbed in-process run prints, and when enough is durable to
+   kill its supervisor (the resume leg). *)
 type run = {
   args : string list;
-  leases : string -> (string * string) list;
+  leases : string -> string * string;
   identity : unit -> string;
   committed : string -> bool;
 }
@@ -333,7 +327,7 @@ let fleet =
   let cmd = "fig11" and n = 40 in
   let run ~trials ~seed ~shards tuning =
     let fingerprint = E.Fleet.fingerprint ~cmd ~n ~trials ~seed in
-    let leases dir = [ (dir, fingerprint) ] in
+    let leases dir = (dir, fingerprint) in
     {
       args =
         [ "fleet"; "--cmd"; cmd; "-n"; string_of_int n; "--trials";
@@ -389,75 +383,6 @@ let fleet =
                not (contains incidents "quarantined")) ]
         | Stall -> [ ("every trial still present", present) ]
         | Resume -> [ ("rerun reports every trial present", present) ]);
-  }
-
-(* Cartography's acceptance bar is the region fingerprint of an
-   undisturbed in-process exploration of the same point: the same states
-   in the same wave order and the same stable set — no state lost,
-   duplicated or fabricated by the chaos.  Its chunk leases live in one
-   directory per wave. *)
-let carto =
-  let run point tuning =
-    let spec = Option.get (Carto.point_spec point) in
-    let fp = Carto.fingerprint spec in
-    {
-      args = [ "carto"; "--point"; point ] @ tuning;
-      leases =
-        (fun dir ->
-          List.filter_map
-            (fun wave ->
-              let wdir =
-                Filename.concat dir (Printf.sprintf "wave-%04d" wave)
-              in
-              if Sys.file_exists wdir then
-                Some (wdir, Printf.sprintf "%s wave=%d" fp wave)
-              else None)
-            (List.init 31 Fun.id));
-      identity =
-        (fun () ->
-          let dir = temp_prefix ("carto_ref_" ^ point) ^ ".d" in
-          rm_rf_quietly dir;
-          Fun.protect
-            ~finally:(fun () -> rm_rf_quietly dir)
-            (fun () ->
-              "region: "
-              ^ (Carto.run (Carto.default_config ~dir) spec)
-                  .Carto.region_fingerprint));
-      committed =
-        (fun dir -> Sys.file_exists (Filename.concat dir "frontier-0002.fr"));
-    }
-  in
-  {
-    name = "carto";
-    noun = "carto run";
-    run =
-      (function
-      | Storm ->
-          run "path7-max-sg"
-            [ "--workers"; "3"; "--chunk-size"; "16"; "--throttle-ms"; "10";
-              "--heartbeat-timeout"; "30"; "--max-respawns"; "12" ]
-      | Stall ->
-          run "path6-max-sg"
-            [ "--workers"; "2"; "--chunk-size"; "8"; "--throttle-ms"; "20";
-              "--heartbeat-timeout"; "1.5"; "--heartbeat-interval"; "0.05";
-              "--max-respawns"; "6" ]
-      | Resume ->
-          run "path7-max-sg"
-            [ "--workers"; "2"; "--chunk-size"; "16"; "--throttle-ms"; "5";
-              "--heartbeat-timeout"; "30"; "--max-respawns"; "12" ]);
-    reassigned = "murdered chunks were reassigned";
-    identical =
-      (function
-      | Storm ->
-          "explored region is fingerprint-identical to the undisturbed run"
-      | Stall -> "region survives the stall bit for bit"
-      | Resume -> "recovered region is fingerprint-identical");
-    committed_before_kill = "a wave committed before the kill";
-    extra =
-      (fun leg ~out ~incidents:_ ->
-        match leg with
-        | Resume -> [ ("resume was detected", contains out "resumed=true") ]
-        | Storm | Stall -> []);
   }
 
 (* Start [c]'s [leg] run on fresh state, let [disturb] do its worst to
@@ -572,7 +497,6 @@ let sim_path () =
   find (Array.to_list Sys.argv)
 
 let fleet_soak_requested () = Array.exists (( = ) "--fleet-soak") Sys.argv
-let carto_soak_requested () = Array.exists (( = ) "--carto-soak") Sys.argv
 
 let () =
   fault_matrix ();
@@ -592,12 +516,7 @@ let () =
       if fleet_soak_requested () then soak_legs fleet
       else
         print_endline
-          "fleet soak skipped (pass --fleet-soak to run the kill storm)";
-      if carto_soak_requested () then soak_legs carto
-      else
-        print_endline
-          "carto soak skipped (pass --carto-soak to run the cartography \
-           kill storm)"
+          "fleet soak skipped (pass --fleet-soak to run the kill storm)"
   | None ->
       print_endline
         "subprocess checks skipped (pass --sim path/to/ncg_sim.exe to run \

@@ -1,14 +1,14 @@
 (* io_torture: the crash-consistency oracle for every durable artifact.
 
    For each artifact (checkpoint rewrite, checkpoint append, lease save,
-   incident log append, cartography ledger append + chunk-lease save, and
-   the Durable layer itself) the harness first PROBES the artifact's write
-   sequence under Sysx.Faulty tracing to enumerate its faultable
-   syscalls, then re-runs the sequence once per crash/fault point in a
-   fresh subprocess: the child arms a one-rule plan (crash before the
-   k-th syscall, crash after the last, EIO at the k-th, a torn write)
-   and dies exactly there, like a power failure.  The parent then runs
-   the artifact's recovery path and asserts its typed invariants:
+   incident log append, and the Durable layer itself) the harness first
+   PROBES the artifact's write sequence under Sysx.Faulty tracing to
+   enumerate its faultable syscalls, then re-runs the sequence once per
+   crash/fault point in a fresh subprocess: the child arms a one-rule
+   plan (crash before the k-th syscall, crash after the last, EIO at the
+   k-th, a torn write) and dies exactly there, like a power failure.
+   The parent then runs the artifact's recovery path and asserts its
+   typed invariants:
 
    - checkpoint rewrite: readers see the old record set or the new one,
      never a torn file; stale temp files are swept on the next open;
@@ -19,8 +19,6 @@
      typed incident;
    - incident log: every newline-terminated line is valid JSON, complete
      records form a prefix, only the final line may be torn;
-   - cartography: ledger appends recover as a contiguous prefix and the
-     chunk lease's fencing token never regresses;
    - durable: the shared layer beneath all of them, called directly — a
      replaced file is old or new with no temp left after the sweep, and
      appended records are a contiguous prefix with at most a torn tail.
@@ -40,7 +38,6 @@ open Ncg_experiments
 module Daemon = Ncg_service.Daemon
 module Proto = Ncg_service.Proto
 module Faulty = Sysx.Faulty
-module Carto = Ncg_search.Cartography
 
 (* ------------------------------------------------------------------ *)
 (* Child / worker dispatch (before Arg parsing)                        *)
@@ -275,95 +272,6 @@ let ilog_append =
     verify = verify_ilog;
   }
 
-(* ---- cartography: seen-ledger append + chunk-lease save ---------- *)
-
-(* One worker turn of the distributed cartographer: append a batch of
-   newly discovered states to a seen-ledger partition, then claim/beat
-   the chunk lease.  The crash invariants are the ones DESIGN.md §16's
-   exactly-once argument rests on: recovered ledger records are a
-   contiguous prefix of the appends (at most one torn tail), and the
-   chunk lease never regresses its fencing token. *)
-
-let carto_fp = "io-torture carto fp"
-let carto_part = 0
-let carto_wdir dir = Filename.concat dir "wave-0000"
-
-let carto_old = [ (0, "5;0,1"); (0, "5;0,2") ]
-let carto_new = [ (1, "5;1,2"); (1, "5;2,3"); (1, "5;3,4") ]
-
-let carto_lease_old =
-  {
-    Lease.shard = 0;
-    lo = 0;
-    hi = 4;
-    status = Lease.Running;
-    owner = 111;
-    heartbeat = 5.0;
-    attempts = 2;
-  }
-
-let carto_lease_new = { carto_lease_old with Lease.owner = 222; attempts = 3 }
-
-let verify_carto dir =
-  let errs = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let expected = carto_old @ carto_new in
-  (match Carto.Ledger.load_part ~dir ~fingerprint:carto_fp ~part:carto_part with
-  | Error e -> err "ledger unreadable after crash: %s" e
-  | Ok { Carto.Ledger.entries; torn_tail = _ } ->
-      (* contiguous prefix: no record lost before a surviving one, none
-         reordered, at most the torn tail (already shed by load_part) *)
-      let k = List.length entries in
-      if k < List.length carto_old then
-        err "durable setup records lost (%d survive)" k;
-      if entries <> List.filteri (fun i _ -> i < k) expected then
-        err "recovered records are not a prefix of the appends");
-  (match Lease.load ~dir:(carto_wdir dir) ~fingerprint:carto_fp ~shard:0 with
-  | Error e -> err "chunk lease unreadable after crash: %s" e
-  | Ok l ->
-      if
-        not
-          ((l.Lease.attempts = 2 && l.Lease.owner = 111)
-          || (l.Lease.attempts = 3 && l.Lease.owner = 222))
-      then
-        err "chunk lease is neither old nor new (attempts=%d owner=%d)"
-          l.Lease.attempts l.Lease.owner;
-      if l.Lease.attempts < 2 then err "chunk ownership regressed");
-  (* recovery repairs the tear; afterwards the whole ledger must load *)
-  (match
-     Carto.Ledger.rollback ~dir ~fingerprint:carto_fp ~max_wave:max_int
-   with
-  | exception e -> err "rollback failed: %s" (Printexc.to_string e)
-  | _ -> (
-      match Carto.Ledger.load_all ~dir ~fingerprint:carto_fp with
-      | Error e -> err "ledger still unreadable after rollback: %s" e
-      | Ok _ -> ()));
-  ignore (Durable.sweep_tmps (carto_wdir dir));
-  Array.iter
-    (fun name ->
-      if Filename.check_suffix name ".tmp" then
-        err "stale chunk-lease tmp %s survived sweep" name)
-    (Sys.readdir (carto_wdir dir));
-  !errs
-
-let carto_ledger =
-  {
-    name = "carto";
-    setup =
-      (fun dir ->
-        mkdir_p dir;
-        mkdir_p (carto_wdir dir);
-        Carto.Ledger.append ~dir ~fingerprint:carto_fp ~part:carto_part
-          carto_old;
-        Lease.save ~dir:(carto_wdir dir) ~fingerprint:carto_fp carto_lease_old);
-    action =
-      (fun dir ->
-        Carto.Ledger.append ~dir ~fingerprint:carto_fp ~part:carto_part
-          carto_new;
-        Lease.save ~dir:(carto_wdir dir) ~fingerprint:carto_fp carto_lease_new);
-    verify = verify_carto;
-  }
-
 (* ---- durable: the shared layer itself ---------------------------- *)
 
 (* Durable.replace and Durable.append_framed driven directly, beneath
@@ -441,7 +349,7 @@ let durable =
   }
 
 let scenarios =
-  [ ckpt_rewrite; ckpt_append; lease_save; ilog_append; carto_ledger; durable ]
+  [ ckpt_rewrite; ckpt_append; lease_save; ilog_append; durable ]
 
 (* ------------------------------------------------------------------ *)
 (* Child dispatch                                                      *)
@@ -490,7 +398,7 @@ let spec =
   [
     ( "--artifact",
       Arg.Set_string artifact,
-      "A all|ckpt_rewrite|ckpt_append|lease|ilog|carto|durable|daemon" );
+      "A all|ckpt_rewrite|ckpt_append|lease|ilog|durable|daemon" );
     ("--dir", Arg.Set_string base_dir, "DIR scratch directory");
     ("--json", Arg.Set_string json_out, "FILE write the JSON report here");
     ( "--loadgen",
@@ -718,7 +626,6 @@ let () =
     scenarios;
   if want "ilog" then run_short_write ilog_append;
   if want "ckpt_append" then run_short_write ckpt_append;
-  if want "carto" then run_short_write carto_ledger;
   if want "durable" then run_short_write durable;
   if want "daemon" then
     if !loadgen <> "" && Sys.file_exists !loadgen then run_daemon_leg ()
