@@ -489,7 +489,7 @@ let classify_cmd =
   in
   let states_term =
     let doc = "State budget for the exhaustive exploration." in
-    Arg.(value & opt int 50_000 & info [ "max-states" ] ~doc)
+    Arg.(value & opt (int_at_least 1) 50_000 & info [ "max-states" ] ~doc)
   in
   let run name max_states =
     match Ncg_instances.Catalog.find name with

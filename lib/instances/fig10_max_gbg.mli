@@ -1,12 +1,5 @@
 (** Figure 10 / Theorem 4.1 (MAX): best-response cycle of the MAX-(G)BG
     for 1 < alpha < 2; Corollary 4.2's host-graph variant. *)
 
-val label : int -> string
-val alpha : Ncg_rational.Q.t
-val initial : unit -> Graph.t
-val model : ?host:Host.t -> unit -> Model.t
 val instance : Instance.t
-
-val host : unit -> Host.t
-val host_model : Model.t
 val host_instance : Instance.t

@@ -2,8 +2,4 @@
     weakly acyclic, for 10 < alpha < 12.  Edge set derived exactly from
     the proof's cost computations. *)
 
-val label : int -> string
-val alpha : Ncg_rational.Q.t
-val initial : unit -> Graph.t
-val model : unit -> Model.t
 val instance : Instance.t

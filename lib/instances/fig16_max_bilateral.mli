@@ -1,8 +1,4 @@
 (** Figure 16 / Theorem 5.2: best-response cycle of the MAX bilateral
     equal-split Buy Game, for 2 < alpha < 4. *)
 
-val label : int -> string
-val alpha : Ncg_rational.Q.t
-val initial : unit -> Graph.t
-val model : unit -> Model.t
 val instance : Instance.t

@@ -2,7 +2,4 @@
     unique unhappy agent in every state.  See the implementation header
     for the reconstruction method. *)
 
-val label : int -> string
-val initial : unit -> Graph.t
-val model : unit -> Model.t
 val instance : Instance.t

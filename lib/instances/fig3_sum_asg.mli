@@ -2,13 +2,5 @@
     response; Corollary 3.6's host-graph variant.  Edge set derived
     exactly from the proof's cost computations. *)
 
-val label : int -> string
-val initial : unit -> Graph.t
-val model : ?host:Host.t -> unit -> Model.t
 val instance : Instance.t
-
-val host : unit -> Host.t
-(** The complete host graph minus the edge [{a, f}]. *)
-
-val host_model : Model.t
 val host_instance : Instance.t

@@ -3,7 +3,4 @@
     moves are strict improvements, not all best responses — see
     EXPERIMENTS.md). *)
 
-val label : int -> string
-val initial : unit -> Graph.t
-val model : unit -> Model.t
 val instance : Instance.t

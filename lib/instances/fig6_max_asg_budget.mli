@@ -2,7 +2,4 @@
     where every agent owns exactly one edge — the uniform unit-budget
     case of Ehsani et al.'s open problem. *)
 
-val label : int -> string
-val initial : unit -> Graph.t
-val model : unit -> Model.t
 val instance : Instance.t

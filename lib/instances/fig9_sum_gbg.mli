@@ -1,14 +1,5 @@
 (** Figure 9 / Theorem 4.1 (SUM): best-response cycle of the SUM-(G)BG
     for 7 < alpha < 8; Corollary 4.2's host-graph variant. *)
 
-val label : int -> string
-val alpha : Ncg_rational.Q.t
-val initial : unit -> Graph.t
-val model : ?host:Host.t -> unit -> Model.t
 val instance : Instance.t
-
-val host : unit -> Host.t
-(** [G1] plus the edges [bf] and [cg]. *)
-
-val host_model : Model.t
 val host_instance : Instance.t

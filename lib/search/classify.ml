@@ -8,24 +8,22 @@ type report = {
 }
 
 let classify ?(max_states = 50_000) model initial =
-  let finite_improvement =
-    match Statespace.is_fipg_from ~max_states model initial with
-    | `Yes -> Yes
-    | `No -> No
-    | `Truncated -> Unknown
-  in
-  let reaches rule =
-    match Statespace.reachable_stable_state ~max_states ~rule model initial with
-    | `Found _ -> Yes
-    | `None -> No
-    | `Truncated -> Unknown
-  in
-  let exploration = Statespace.explore ~max_states model initial in
+  let e = Statespace.explore ~max_states model initial in
+  let unless_truncated v = if e.Statespace.truncated then Unknown else v in
   {
-    finite_improvement;
-    br_weakly_acyclic = reaches Statespace.Best_responses;
-    weakly_acyclic = reaches Statespace.All_improving;
-    states_explored = exploration.Statespace.explored;
+    finite_improvement =
+      (if Option.is_some e.Statespace.cycle then No else unless_truncated Yes);
+    br_weakly_acyclic =
+      (match
+         Statespace.reachable_stable_state ~max_states
+           ~rule:Statespace.Best_responses model initial
+       with
+      | `Found _ -> Yes
+      | `None -> No
+      | `Truncated -> Unknown);
+    weakly_acyclic =
+      (if e.Statespace.stable <> [] then Yes else unless_truncated No);
+    states_explored = e.Statespace.explored;
   }
 
 type sink_class = {

@@ -13,7 +13,8 @@
     refutes BR-WAG / WAG membership of the whole game — that is exactly
     how Theorem 3.3 and the corollaries are checked in this library. *)
 
-type verdict = Yes | No | Unknown  (** [Unknown] = exploration truncated *)
+type verdict = Yes | No | Unknown
+      (** [Unknown]: the state budget ran out before the walk settled it *)
 
 type report = {
   finite_improvement : verdict;
@@ -26,8 +27,10 @@ type report = {
 }
 
 val classify : ?max_states:int -> Model.t -> Graph.t -> report
-(** Runs the three explorations from one initial network.
-    [max_states] defaults to 50_000. *)
+(** One {!Statespace.explore} of the improving-move region answers
+    [finite_improvement], [weakly_acyclic] and [states_explored]; one
+    best-response {!Statespace.reachable_stable_state} answers
+    [br_weakly_acyclic].  [max_states] bounds each and defaults to 50_000. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -1,9 +1,11 @@
 type successor_rule = All_improving | Best_responses
 
+type cycle = { start : Graph.t; moves : Move.t list }
+
 type exploration = {
   explored : int;
-  stable : string list;
-  stable_reps : Graph.t list;
+  stable : Graph.t list;
+  cycle : cycle option;
   truncated : bool;
 }
 
@@ -24,157 +26,156 @@ let successor_moves rule model g =
     (fun u -> List.map (fun e -> e.Response.move) (moves_of u))
     (Graph.vertices g)
 
-let explore ?(max_states = 100_000) ?(rule = All_improving) model initial =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let queue = Queue.create () in
-  let stable = ref [] in
-  let stable_reps = ref [] in
-  let truncated = ref false in
-  let push g =
-    let key = state_key model g in
-    if not (Hashtbl.mem seen key) then begin
-      if Hashtbl.length seen >= max_states then truncated := true
-      else begin
-        Hashtbl.replace seen key ();
-        Queue.add (Graph.copy g) queue
-      end
-    end
-  in
-  push initial;
-  while not (Queue.is_empty queue) do
-    let g = Queue.pop queue in
-    match successor_moves rule model g with
-    | [] ->
-        stable := state_key model g :: !stable;
-        stable_reps := Graph.copy g :: !stable_reps
-    | moves ->
-        List.iter
-          (fun move ->
-            let token = Move.apply g move in
-            push g;
-            Move.undo g token)
-          moves
-  done;
-  {
-    explored = Hashtbl.length seen;
-    stable = !stable;
-    stable_reps = !stable_reps;
-    truncated = !truncated;
-  }
+(* A growable off-heap int buffer, so a region's arcs cost the GC
+   nothing. *)
+type buf = { mutable data : Intvec.t; mutable len : int }
 
-let reachable_stable_state ?(max_states = 100_000) ?(rule = All_improving)
-    model initial =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
+let buf () = { data = Intvec.create 1024; len = 0 }
+
+let push b x =
+  if b.len = Intvec.dim b.data then begin
+    let data = Intvec.create (2 * b.len) in
+    Intvec.blit ~src:b.data ~src_pos:0 ~dst:data ~dst_pos:0 ~len:b.len;
+    b.data <- data
+  end;
+  Intvec.unsafe_set b.data b.len x;
+  b.len <- b.len + 1
+
+let get b i = Intvec.get b.data i
+
+(* The walk's record of the region, by state id (0 is the initial state,
+   ids follow admission order, which is also expansion order).  State i's
+   arcs are entries [off(i)] to [off(i+1) - 1] of [arcs], one per
+   successor move in [successor_moves] order, each the target's id or -1
+   when the budget kept the target out.  [parent(i)] is the state whose
+   arc admitted i. *)
+type region = {
+  sinks : Graph.t list;  (* in admission order *)
+  over_budget : bool;
+  off : buf;
+  arcs : buf;
+  parent : buf;
+}
+
+(* The one state-space walk: breadth-first from [initial], admitting at
+   most [max_states] distinct states and stopping at the first sink when
+   [stop_at_sink]. *)
+let walk ~stop_at_sink ~max_states rule model initial =
+  let ids : (string, int) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
-  let truncated = ref false in
-  let push g =
+  let off = buf () and arcs = buf () and parent = buf () in
+  let sinks = ref [] and over_budget = ref false in
+  let admit ~from g =
     let key = state_key model g in
-    if not (Hashtbl.mem seen key) then begin
-      if Hashtbl.length seen >= max_states then truncated := true
-      else begin
-        Hashtbl.replace seen key ();
-        Queue.add (Graph.copy g) queue
-      end
-    end
+    match Hashtbl.find_opt ids key with
+    | Some id -> id
+    | None when Hashtbl.length ids >= max_states ->
+        over_budget := true;
+        -1
+    | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.replace ids key id;
+        push parent from;
+        Queue.add (Graph.copy g) queue;
+        id
   in
-  push initial;
-  let result = ref `None in
+  ignore (admit ~from:(-1) initial);
   (try
      while not (Queue.is_empty queue) do
        let g = Queue.pop queue in
+       let id = off.len in
+       push off arcs.len;
        match successor_moves rule model g with
        | [] ->
-           result := `Found g;
-           raise Exit
+           sinks := g :: !sinks;
+           if stop_at_sink then raise Exit
        | moves ->
            List.iter
              (fun move ->
                let token = Move.apply g move in
-               push g;
+               push arcs (admit ~from:id g);
                Move.undo g token)
              moves
      done
    with Exit -> ());
-  match !result with
-  | `Found _ as r -> r
-  | `None -> if !truncated then `Truncated else `None
+  push off arcs.len;
+  { sinks = List.rev !sinks; over_budget = !over_budget; off; arcs; parent }
 
-type cycle = { start : Graph.t; moves : Move.t list }
-
-(* Iterative three-color DFS for a back edge, driven by a plain while loop
-   over an explicit frame stack — no recursion anywhere, so regions whose
-   DFS tree is millions of states deep (long paths of long paths) cannot
-   overflow the call stack.  Each frame owns its graph copy, its key, the
-   moves not yet expanded (mutable, popped in place) and the move that
-   entered it. *)
-type frame = {
-  fr_graph : Graph.t;
-  fr_key : string;
-  mutable fr_moves : Move.t list;  (* successors not yet expanded *)
-  fr_via : Move.t option;  (* move that entered this state; None at the root *)
-}
-
-let find_cycle ?(max_states = 100_000) ?(rule = All_improving) model initial =
-  let color : (string, [ `Gray | `Black ]) Hashtbl.t = Hashtbl.create 1024 in
-  let truncated = ref false in
-  let stack = ref [] in
-  let push g key via =
-    Hashtbl.replace color key `Gray;
-    stack :=
-      { fr_graph = g; fr_key = key; fr_moves = successor_moves rule model g;
-        fr_via = via }
-      :: !stack
+(* A directed cycle among the recorded states, as the closed walk of its
+   state ids [first; ...; first].  Iterative three-colour DFS from the
+   initial state (every recorded state is reachable from it) over integer
+   ids only, with an explicit stack, so deep regions cannot overflow the
+   call stack.  [place.(s)] is -1 before s is entered, its stack depth
+   while it is on the stack (grey) and -2 once it is done. *)
+let cycle_ids r =
+  let n = r.parent.len in
+  let place = Array.make n (-1) in
+  let stack = Array.make n 0 and cursor = Array.make n 0 in
+  let depth = ref 0 in
+  let enter s =
+    place.(s) <- !depth;
+    stack.(!depth) <- s;
+    cursor.(!depth) <- get r.off s;
+    incr depth
   in
-  let g0 = Graph.copy initial in
-  push g0 (state_key model g0) None;
-  let result = ref None in
-  while Option.is_none !result && !stack <> [] do
-    let frame = List.hd !stack in
-    match frame.fr_moves with
-    | [] ->
-        Hashtbl.replace color frame.fr_key `Black;
-        stack := List.tl !stack
-    | move :: rest -> (
-        frame.fr_moves <- rest;
-        let g' = Graph.copy frame.fr_graph in
-        ignore (Move.apply g' move);
-        let key' = state_key model g' in
-        match Hashtbl.find_opt color key' with
-        | Some `Gray ->
-            (* Back edge: the cycle is the gray path from key' down to this
-               state, plus [move].  Every gray state sits on the stack, so
-               walk it head-first prepending the entry moves until key' is
-               reached. *)
-            let cycle_moves = ref [ move ] in
-            let start = ref None in
-            (try
-               List.iter
-                 (fun fr ->
-                   if fr.fr_key = key' then begin
-                     start := Some fr.fr_graph;
-                     raise Exit
-                   end
-                   else
-                     match fr.fr_via with
-                     | Some m -> cycle_moves := m :: !cycle_moves
-                     | None -> raise Exit)
-                 !stack
-             with Exit -> ());
-            let start =
-              match !start with Some s -> Graph.copy s | None -> g'
-            in
-            result := Some (`Cycle { start; moves = !cycle_moves })
-        | Some `Black -> ()
-        | None ->
-            if Hashtbl.length color >= max_states then truncated := true
-            else push g' key' (Some move))
+  if n > 0 then enter 0;
+  let found = ref None in
+  while Option.is_none !found && !depth > 0 do
+    let top = !depth - 1 in
+    let s = stack.(top) and a = cursor.(top) in
+    if a = get r.off (s + 1) then begin
+      place.(s) <- -2;
+      decr depth
+    end
+    else begin
+      cursor.(top) <- a + 1;
+      let t = get r.arcs a in
+      if t >= 0 && place.(t) = -1 then enter t
+      else if t >= 0 && place.(t) >= 0 then
+        (* a back arc closes the cycle of the stack from t up *)
+        let j = place.(t) in
+        found :=
+          Some (List.init (top - j + 1) (fun i -> stack.(j + i)) @ [ t ])
+    end
   done;
-  match !result with
-  | Some r -> r
-  | None -> if !truncated then `Truncated else `Acyclic
+  !found
 
-let is_fipg_from ?max_states model initial =
-  match find_cycle ?max_states ~rule:All_improving model initial with
-  | `Cycle _ -> `No
-  | `Acyclic -> `Yes
-  | `Truncated -> `Truncated
+(* Plays on [g], the network of the first state of a walk of recorded
+   state ids, the move of an arc between each two consecutive states, and
+   returns those moves.  Move enumeration depends on the state alone, so
+   an arc's index among its state's arcs names its move. *)
+let rec replay rule model r g = function
+  | s :: (t :: _ as rest) ->
+      let a = ref (get r.off s) in
+      while get r.arcs !a <> t do incr a done;
+      let move = List.nth (successor_moves rule model g) (!a - get r.off s) in
+      ignore (Move.apply g move);
+      move :: replay rule model r g rest
+  | _ -> []
+
+(* A cycle from [cycle_ids], rebuilt by replaying the BFS parent arcs from
+   the initial state to its first state, then the cycle itself. *)
+let rebuild rule model initial r cycle =
+  let rec path s acc =
+    if s = 0 then 0 :: acc else path (get r.parent s) (s :: acc)
+  in
+  let g = Graph.copy initial in
+  ignore (replay rule model r g (path (List.hd cycle) []));
+  let start = Graph.copy g in
+  { start; moves = replay rule model r g cycle }
+
+let explore ?(max_states = 100_000) ?(rule = All_improving) model initial =
+  let r = walk ~stop_at_sink:false ~max_states rule model initial in
+  {
+    explored = r.parent.len;
+    stable = r.sinks;
+    cycle = Option.map (rebuild rule model initial r) (cycle_ids r);
+    truncated = r.over_budget;
+  }
+
+let reachable_stable_state ?(max_states = 100_000) ?(rule = All_improving)
+    model initial =
+  let r = walk ~stop_at_sink:true ~max_states rule model initial in
+  match r.sinks with
+  | g :: _ -> `Found g
+  | [] -> if r.over_budget then `Truncated else `None

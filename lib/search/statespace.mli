@@ -14,22 +14,33 @@
       and its absence from every state proves the finite improvement
       property on the explored region.
 
-    States are exact labelled networks (ownership included when the game
-    uses it).  Exploration is bounded by [max_states]; hitting the bound
-    yields [`Truncated] answers rather than silent lies. *)
+    One breadth-first walk answers all three.  States are exact labelled
+    networks (ownership included when the game uses it), admitted in BFS
+    order up to [max_states]; hitting the bound yields [truncated] /
+    [`Truncated] answers rather than silent lies.  The walk records each
+    admitted state's successor ids and the state whose arc admitted it in
+    flat int buffers, and the cycle search runs on those ids alone. *)
 
 type successor_rule =
   | All_improving  (** arcs = every feasible improving move of every agent *)
   | Best_responses  (** arcs = every best response of every agent *)
 
+type cycle = { start : Graph.t; moves : Move.t list }
+(** A state together with moves that return to it exactly. *)
+
 type exploration = {
-  explored : int;  (** states visited *)
-  stable : string list;  (** canonical keys of reachable stable states *)
-  stable_reps : Graph.t list;
-      (** one representative network per stable key, aligned with [stable] —
+  explored : int;  (** states admitted *)
+  stable : Graph.t list;
+      (** the admitted stable states, one network each, in BFS order —
           what equilibrium classification ({!Classify.classify_sink}) runs
           on *)
-  truncated : bool;
+  cycle : cycle option;
+      (** a directed cycle among the admitted states, if they hold one.
+          Under [All_improving] it refutes the finite improvement property,
+          under [Best_responses] it is a best-response cycle; [None]
+          without [truncated] proves every sequence of moves from the
+          initial network terminates. *)
+  truncated : bool;  (** the budget kept some reachable state out *)
 }
 
 val explore :
@@ -38,8 +49,10 @@ val explore :
   Model.t ->
   Graph.t ->
   exploration
-(** Breadth-first closure of the reachable region.  [max_states] defaults
-    to 100_000; [rule] to [All_improving]. *)
+(** The whole walk: the breadth-first closure of the reachable region,
+    then an iterative DFS for a cycle over its recorded ids, so deep
+    regions cannot overflow the call stack.  [max_states] defaults to
+    100_000; [rule] to [All_improving]. *)
 
 val reachable_stable_state :
   ?max_states:int ->
@@ -47,27 +60,6 @@ val reachable_stable_state :
   Model.t ->
   Graph.t ->
   [ `Found of Graph.t | `None | `Truncated ]
-(** Early-exits as soon as any reachable stable network is found.  [`None]
+(** The same walk, stopped at the first stable state it expands.  [`None]
     proves the game is not weakly acyclic from this state (not BR-weakly-
     acyclic under [Best_responses]). *)
-
-type cycle = { start : Graph.t; moves : Move.t list }
-(** A state together with moves that return to it exactly. *)
-
-val find_cycle :
-  ?max_states:int ->
-  ?rule:successor_rule ->
-  Model.t ->
-  Graph.t ->
-  [ `Cycle of cycle | `Acyclic | `Truncated ]
-(** Depth-first search for a directed cycle among reachable states, run
-    entirely on an explicit heap-allocated stack (a while loop, no
-    recursion) so arbitrarily deep regions cannot overflow the call
-    stack.  [`Cycle] under [Best_responses] is a best-response cycle
-    (refutes FIPG); [`Acyclic] proves every improving-move sequence from
-    this state terminates. *)
-
-val is_fipg_from :
-  ?max_states:int -> Model.t -> Graph.t -> [ `Yes | `No | `Truncated ]
-(** Whether every sequence of improving moves from the state terminates —
-    [find_cycle] with [All_improving], repackaged. *)

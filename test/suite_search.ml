@@ -1,5 +1,5 @@
-(* Tests for the state-space explorer: FIPG probes, weak-acyclicity
-   answers, cycle extraction. *)
+(* Tests for the state-space walk: FIPG probes, weak-acyclicity answers,
+   cycle extraction. *)
 open Ncg_graph
 open Ncg_game
 open Ncg_search
@@ -10,12 +10,16 @@ let check_int = Alcotest.(check int)
 
 let max_sg n = Model.make Model.Sg Model.Max n
 
+(* A complete region with no cycle: every move sequence terminates. *)
+let check_acyclic name e =
+  check (name ^ ": no cycle") true (Option.is_none e.Statespace.cycle);
+  check (name ^ ": not truncated") false e.Statespace.truncated
+
 let test_tree_region_acyclic () =
   (* Thm 2.1 seen exhaustively: no improving-move cycle from small trees. *)
   List.iter
     (fun g ->
-      check "tree region acyclic" true
-        (Statespace.is_fipg_from (max_sg (Graph.n g)) g = `Yes))
+      check_acyclic "tree region" (Statespace.explore (max_sg (Graph.n g)) g))
     [ Gen.path 6; Gen.path 7; Gen.double_star 2 3 ]
 
 let test_tree_region_reaches_stability () =
@@ -29,46 +33,56 @@ let test_tree_region_reaches_stability () =
         (Ncg_core.Theory.stable_tree_shape_ok (max_sg 7) g)
   | `None | `Truncated -> Alcotest.fail "trees stabilise"
 
-let test_fig2_cycle_found_and_valid () =
-  let inst = Ncg_instances.Fig2_max_sg.instance in
-  match
-    Statespace.find_cycle ~rule:Statespace.Best_responses inst.I.model
-      inst.I.initial
+(* Replaying a cycle's moves from its start returns to the start's state
+   key, and each move is one the rule allows where it is played. *)
+let check_cycle name (inst : I.t) rule ~allowed =
+  match (Statespace.explore ~rule inst.I.model inst.I.initial).Statespace.cycle
   with
-  | `Cycle { start; moves } ->
-      check_int "three-move cycle" 3 (List.length moves);
-      (* replaying the moves returns to the start state exactly *)
-      let g = Graph.copy start in
-      List.iter (fun m -> ignore (Move.apply g m)) moves;
-      check "cycle closes" true
-        (Canonical.unowned_key g = Canonical.unowned_key start);
-      (* and every move is a best response where it is played *)
+  | None -> Alcotest.fail (name ^ ": no cycle found")
+  | Some { Statespace.start; moves } ->
+      let key =
+        if Model.uses_ownership inst.I.model then Canonical.key
+        else Canonical.unowned_key
+      in
       let g = Graph.copy start in
       List.iter
         (fun m ->
-          let best = Response.best_moves inst.I.model g (Move.agent m) in
-          check "cycle move is a best response" true
-            (List.exists (fun e -> Move.equal e.Ncg_game.Response.move m) best);
+          check (name ^ ": cycle move allowed where played") true
+            (List.exists
+               (fun e -> Move.equal e.Response.move m)
+               (allowed inst.I.model g (Move.agent m)));
           ignore (Move.apply g m))
-        moves
-  | `Acyclic | `Truncated -> Alcotest.fail "Fig. 2 has a cycle"
+        moves;
+      check (name ^ ": cycle closes") true (key g = key start);
+      moves
 
-let test_find_cycle_long_path_region () =
-  (* Regression for the explicit-stack rewrite of find_cycle: a MAX-SG
-     path region is deep and acyclic (Thm 2.1), so the DFS must walk the
-     whole region on its heap stack and still answer `Acyclic — and the
-     verdicts on both rules must be unchanged from the recursive
-     version. *)
-  check "path-8 improving region acyclic" true
-    (Statespace.find_cycle ~max_states:20_000 (max_sg 8) (Gen.path 8)
-    = `Acyclic);
-  check "path-7 best-response region acyclic" true
-    (Statespace.find_cycle ~rule:Statespace.Best_responses ~max_states:10_000
-       (max_sg 7) (Gen.path 7)
-    = `Acyclic);
-  (* tight budgets still surface as `Truncated, never a silent lie *)
+let test_fig2_cycle_found_and_valid () =
+  let moves =
+    check_cycle "fig2" Ncg_instances.Fig2_max_sg.instance
+      Statespace.Best_responses ~allowed:Response.best_moves
+  in
+  check_int "three-move cycle" 3 (List.length moves);
+  List.iter
+    (fun inst ->
+      ignore
+        (check_cycle inst.I.name inst Statespace.All_improving
+           ~allowed:Response.improving_moves))
+    [ Ncg_instances.Fig3_sum_asg.instance;
+      Ncg_instances.Fig3_sum_asg.host_instance ]
+
+let test_long_path_regions_acyclic () =
+  (* A MAX-SG path region is deep and acyclic (Thm 2.1), so the cycle
+     search must walk the whole region on its heap stack and answer "no
+     cycle" on both rules. *)
+  check_acyclic "path-8 improving region"
+    (Statespace.explore ~max_states:20_000 (max_sg 8) (Gen.path 8));
+  check_acyclic "path-7 best-response region"
+    (Statespace.explore ~rule:Statespace.Best_responses ~max_states:10_000
+       (max_sg 7) (Gen.path 7));
+  (* tight budgets still surface as truncation, never a silent lie *)
   check "budget surfaces" true
-    (Statespace.find_cycle ~max_states:5 (max_sg 8) (Gen.path 8) = `Truncated)
+    (Statespace.explore ~max_states:5 (max_sg 8) (Gen.path 8))
+      .Statespace.truncated
 
 let test_explore_counts () =
   (* From a stable network the region is a single state. *)
@@ -82,7 +96,13 @@ let test_truncation () =
     Statespace.explore ~max_states:3 (max_sg 8) (Gen.path 8)
   in
   check "truncation flagged" true e.Statespace.truncated;
-  check "bounded" true (e.Statespace.explored <= 3)
+  check "bounded" true (e.Statespace.explored <= 3);
+  (* a truncated region still reports a cycle among the states it
+     admitted: Fig. 2's improving cycle lies in its first four *)
+  let inst = Ncg_instances.Fig2_max_sg.instance in
+  let e = Statespace.explore ~max_states:4 inst.I.model inst.I.initial in
+  check "fig2 at 4 states truncated" true e.Statespace.truncated;
+  check "and still reports a cycle" true (Option.is_some e.Statespace.cycle)
 
 let test_cor36_not_br_weakly_acyclic () =
   (* The strongest exhaustive reproduction: from Fig. 3's G1 on the host
@@ -111,22 +131,35 @@ let test_cor42_behavior_documented () =
     | `None | `Truncated -> false)
 
 let test_classify () =
+  let open Classify in
+  (* the printed report names every field *)
+  let expect name r
+      (finite_improvement, br_weakly_acyclic, weakly_acyclic, states_explored)
+      =
+    let show = Format.asprintf "%a" pp in
+    Alcotest.(check string)
+      name
+      (show
+         {
+           finite_improvement;
+           br_weakly_acyclic;
+           weakly_acyclic;
+           states_explored;
+         })
+      (show r)
+  in
   (* trees: finite improvement + weakly acyclic *)
-  let r = Classify.classify (max_sg 7) (Gen.path 7) in
-  check "tree FIP" true (r.Classify.finite_improvement = Classify.Yes);
-  check "tree BR-WAG" true (r.Classify.br_weakly_acyclic = Classify.Yes);
-  check "tree WAG" true (r.Classify.weakly_acyclic = Classify.Yes);
-  check "region explored" true (r.Classify.states_explored > 1);
+  expect "path-7" (classify (max_sg 7) (Gen.path 7)) (Yes, Yes, Yes, 566);
   (* Fig. 2's instance: not FIP but the region may still stabilise *)
   let inst = Ncg_instances.Fig2_max_sg.instance in
-  let r2 = Classify.classify inst.I.model inst.I.initial in
-  check "fig2 not finite improvement" true
-    (r2.Classify.finite_improvement = Classify.No);
-  (* Fig. 3 host: not even weakly acyclic under best response *)
-  let f3 = Ncg_instances.Fig3_sum_asg.host_instance in
-  let r3 = Classify.classify ~max_states:100_000 f3.I.model f3.I.initial in
-  check "cor36 not BR-WAG" true (r3.Classify.br_weakly_acyclic = Classify.No);
-  ignore (Format.asprintf "%a" Classify.pp r3)
+  expect "fig2" (classify inst.I.model inst.I.initial) (No, Yes, Yes, 6);
+  (* Fig. 3 and its host: not even weakly acyclic under best response *)
+  let f3 = Ncg_instances.Fig3_sum_asg.instance in
+  expect "fig3" (classify f3.I.model f3.I.initial) (No, No, Yes, 46);
+  let f3h = Ncg_instances.Fig3_sum_asg.host_instance in
+  expect "cor36"
+    (classify ~max_states:100_000 f3h.I.model f3h.I.initial)
+    (No, No, Yes, 19)
 
 (* Every game on the 4-vertex path, explored exhaustively under improving
    moves: each region is complete, every sink is stable under its own
@@ -142,14 +175,12 @@ let test_small_n_matrix () =
       check (tag ^ ": not truncated") false e.Statespace.truncated;
       check_int (tag ^ ": explored") explored e.Statespace.explored;
       check_int (tag ^ ": sinks") sinks (List.length e.Statespace.stable);
-      check_int (tag ^ ": one representative per sink") sinks
-        (List.length e.Statespace.stable_reps);
       List.iter
         (fun g ->
           check (tag ^ ": sink is stable") true (Response.is_stable model g);
           check (tag ^ ": sink classifies game-stable") true
             (Classify.classify_sink model g).Classify.game_stable)
-        e.Statespace.stable_reps;
+        e.Statespace.stable;
       check (tag ^ ": early exit finds a sink iff the closure has one")
         (e.Statespace.stable <> [])
         (match
@@ -181,8 +212,8 @@ let suite =
         test_tree_region_reaches_stability;
       Alcotest.test_case "fig2 cycle extraction" `Quick
         test_fig2_cycle_found_and_valid;
-      Alcotest.test_case "find_cycle long-path regions" `Slow
-        test_find_cycle_long_path_region;
+      Alcotest.test_case "long-path regions acyclic" `Slow
+        test_long_path_regions_acyclic;
       Alcotest.test_case "explore stable state" `Quick test_explore_counts;
       Alcotest.test_case "truncation" `Quick test_truncation;
       Alcotest.test_case "cor36 not BR-weakly-acyclic" `Slow

@@ -259,6 +259,7 @@ let out_of_range_counts_rejected sim =
       [ "fleet"; "--cmd"; "fig7"; "--trials=0" ];
       [ "fig7"; "--trials=0" ];
       [ "fleet"; "--cmd"; "fig7"; "-n"; "1"; "--trials"; "2" ];
+      [ "classify"; "fig2-max-sg"; "--max-states=0" ];
     ];
   List.iter remove_quietly [ out; err ]
 
