@@ -141,11 +141,11 @@ let reset_totals () = Atomic.set g_totals zero_totals
 (* A resident arena of trial-scoped resources.  One arena serves any number
    of trials of the same size, strictly one at a time: the BFS workspaces
    are stamped scratch that every trial's steps reuse as is, while the
-   Distcache/Costboard/Witness/seen tables carry genuine per-trial state
-   and so sit in one pooled slot each — a starting trial takes them out
-   reset, a retiring trial puts them back.  A trial that raises never
-   returns its set; the next trial simply allocates fresh.  Arenas are
-   single-domain objects: give each domain its own. *)
+   Distcache, Costboard, Witness table and visited set carry genuine
+   per-trial state and so sit in one pooled slot each — a starting trial
+   takes them out reset, a retiring trial puts them back.  A trial that
+   raises never returns its set; the next trial simply allocates fresh.
+   Arenas are single-domain objects: give each domain its own. *)
 module Arena = struct
   type t = {
     capacity : int;
@@ -153,7 +153,7 @@ module Arena = struct
     shadow_ws : Paths.Workspace.t Lazy.t;
     mutable pooled_cache : Distcache.t option;
     mutable pooled_witness : Witness.t option;
-    mutable pooled_seen : (string, int) Hashtbl.t option;
+    mutable pooled_seen : Visited.t option;
     mutable pooled_board : Costboard.t option;
     mutable trials : int;
     mutable cache_stats : Distcache.stats;
@@ -205,13 +205,13 @@ module Arena = struct
         w
     | None -> Witness.create t.capacity
 
+  (* [Visited.start] resets the set, so it is handed out as it is. *)
   let alloc_seen t =
     match t.pooled_seen with
-    | Some h ->
+    | Some v ->
         t.pooled_seen <- None;
-        Hashtbl.reset h;
-        h
-    | None -> Hashtbl.create 64
+        v
+    | None -> Visited.create ()
 
   let retire t ~cache_stats:(s : Distcache.stats) ?board ?cache witness seen =
     t.trials <- t.trials + 1;
@@ -241,7 +241,7 @@ type stepper = {
   cache : Distcache.t option;
   board : Costboard.t option;
   mutable board_ready : bool;
-  seen : (string, int) Hashtbl.t;
+  seen : Visited.t;
   deadline : float option;
   require_connected : bool;
   srng : Random.State.t;
@@ -300,9 +300,10 @@ let stepper_start ?arena ?rng cfg initial =
     | _ -> None
   in
   let seen =
-    match arena with Some a -> Arena.alloc_seen a | None -> Hashtbl.create 64
+    match arena with Some a -> Arena.alloc_seen a | None -> Visited.create ()
   in
-  if cfg.detect_cycles then Hashtbl.replace seen (state_key cfg.model g) 0;
+  if cfg.detect_cycles then
+    Visited.start seen ~owned:(Model.uses_ownership cfg.model) g;
   (* A connected network can never disconnect under improving moves (the
      mover's own cost would become infinite), so connectivity is part of
      the audited contract exactly when the run started connected. *)
@@ -376,6 +377,8 @@ let finish_step s u (e : Response.evaluated) ~next_mode =
       Audit.check_move ~step:s.steps cfg.model ~mover:u
         ~before:e.Response.before ~after:e.Response.after
   in
+  (* The visited set follows the move primitive by primitive. *)
+  let note_seen p = if cfg.detect_cycles then Visited.note s.seen s.g p in
   match contract with
   | Some v -> s.stopped <- Some (Invariant_violation v)
   | None -> (
@@ -404,11 +407,13 @@ let finish_step s u (e : Response.evaluated) ~next_mode =
              before it — the state the keep/repair rules assume. *)
           ignore
             (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
-                 match p with
+                 (match p with
                  | Move.Added (a, b) -> Distcache.note_added c s.g a b
-                 | Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b));
+                 | Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b);
+                 note_seen p));
           List.iter (fun v -> Distcache.unpin c v) pinned
-      | None -> ignore (Move.apply s.g e.Response.move));
+      | None ->
+          ignore (Move.apply_observed s.g e.Response.move ~on_prim:note_seen));
       Witness.clear s.witness u;
       if cfg.record_history then
         s.history <-
@@ -431,18 +436,14 @@ let finish_step s u (e : Response.evaluated) ~next_mode =
             s.last <- Some u;
             s.mode <- next_mode
           in
-          if cfg.detect_cycles then begin
-            let key = state_key cfg.model s.g in
-            match Hashtbl.find_opt s.seen key with
+          if cfg.detect_cycles then
+            match Visited.visit s.seen with
             | Some first_visit ->
                 s.stopped <-
                   Some
                     (Cycle_detected
                        { first_visit; period = s.steps - first_visit })
-            | None ->
-                Hashtbl.replace s.seen key s.steps;
-                continue_ ()
-          end
+            | None -> continue_ ()
           else continue_ ())
 
 let ref_move s u =

@@ -34,8 +34,12 @@ type config = {
   tie_break : tie_break;
   max_steps : int;
   detect_cycles : bool;
-      (** remember every visited state (exact, labelled) and stop on
-          recurrence.  Costs memory proportional to steps. *)
+      (** remember every visited state (exact, labelled, with ownership
+          when the game uses it) and stop on recurrence.  States are keyed
+          by an incremental fingerprint whose hits a journal of the move
+          primitives confirms exactly ({!Visited}, DESIGN.md §18): O(1)
+          per primitive, O(p log p) to confirm a repeat p primitives
+          back, and a few words of memory per step. *)
   record_history : bool;
   audit : Audit.level;
       (** invariant auditing; whenever not [Off], the final state is always

@@ -23,8 +23,6 @@ let unowned_key g =
     g;
   Buffer.contents buf
 
-let hash g = Hashtbl.hash (key g)
-
 (* ------------------------------------------------------------------ *)
 (* Canonical form under isomorphism                                    *)
 (* ------------------------------------------------------------------ *)

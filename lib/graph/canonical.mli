@@ -1,10 +1,14 @@
-(** Exact-state encodings for cycle detection.
+(** Exact-state encodings and canonical forms under isomorphism.
 
-    The dynamics engine detects better-response cycles by remembering every
-    visited state; a state is the full labelled network including ownership
-    (two states with relabelled agents are different strategy profiles even
-    when isomorphic).  [key] is injective on states of a fixed vertex count
-    and cheap enough to compute every step. *)
+    A state is the full labelled network including ownership (two states
+    with relabelled agents are different strategy profiles even when
+    isomorphic).  [key] is injective on states of a fixed vertex count; it
+    is the state notion of the naive oracle's cycle check
+    ([Reference.run]), the state-space explorer's visited set and the
+    sentinel's incident fingerprints.  The fast engine keys visited states
+    by an incremental fingerprint instead ([Visited]), exact against these
+    keys.  {!normal_form} and {!iso_key} identify networks up to
+    relabelling, for the service's result cache. *)
 
 val key : Graph.t -> string
 (** Injective encoding of the labelled, owned graph. *)
@@ -12,9 +16,6 @@ val key : Graph.t -> string
 val unowned_key : Graph.t -> string
 (** Encoding that forgets ownership — the right state notion for Swap Games
     and bilateral games, where ownership does not affect strategies. *)
-
-val hash : Graph.t -> int
-(** [Hashtbl.hash] of {!key}. *)
 
 exception Budget_exceeded
 (** {!normal_form}'s search exceeded its node budget — the graph is too

@@ -284,6 +284,122 @@ let prop_sum_asg_tree_bound =
       max_cost_tree_within Theory.cor32_asg_envelope (sum_asg n) seed n)
 
 (* ------------------------------------------------------------------ *)
+(* Visited states                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A [Visited] set beside the table of string keys it replaces, stepped
+   together over one graph. *)
+type visited_pair = {
+  g : Graph.t;
+  owned : bool;
+  visited : Visited.t;
+  strings : (string, int) Hashtbl.t;
+  mutable steps : int;
+}
+
+let string_key owned g =
+  if owned then Canonical.key g else Canonical.unowned_key g
+
+let visited_pair ?mix ~owned g =
+  let visited = Visited.create ?mix () and strings = Hashtbl.create 64 in
+  Visited.start visited ~owned g;
+  Hashtbl.replace strings (string_key owned g) 0;
+  { g; owned; visited; strings; steps = 0 }
+
+(* Each primitive is noted right after it, as [Move.apply_observed]
+   does. *)
+let noted p prim =
+  Visited.note p.visited p.g prim;
+  prim
+
+let remove_edge p a b =
+  let o = Graph.owner p.g a b in
+  Graph.remove_edge p.g a b;
+  noted p (Move.Removed (a, b, o))
+
+let add_edge p ~owner a b =
+  Graph.add_edge p.g ~owner a b;
+  noted p (Move.Added (a, b))
+
+let toggle_edge p ~owner a b =
+  if Graph.has_edge p.g a b then remove_edge p a b else add_edge p ~owner a b
+
+(* Closes a step: the verdicts of the visited set and of the string
+   table, [Some first_visit] on a repeat. *)
+let close_step p =
+  p.steps <- p.steps + 1;
+  let key = string_key p.owned p.g in
+  let expected = Hashtbl.find_opt p.strings key in
+  if expected = None then Hashtbl.replace p.strings key p.steps;
+  (Visited.visit p.visited, expected)
+
+let collide _ = 0
+
+let test_visited_ownership_flip () =
+  (* a deletes {a,b}, then b buys it back: the same edge set with the
+     other owner, a repeat exactly when ownership is not part of the
+     state — as one two-primitive step or as two steps. *)
+  let verdict = Alcotest.(check (pair (option int) (option int))) in
+  List.iter
+    (fun (owned, mix) ->
+      let repeat = if owned then None else Some 0 in
+      let p = visited_pair ?mix ~owned (Graph.of_edges 3 [ (0, 1); (1, 2) ]) in
+      ignore (remove_edge p 0 1);
+      ignore (add_edge p ~owner:1 1 0);
+      verdict "one-step flip" (repeat, repeat) (close_step p);
+      let p = visited_pair ?mix ~owned (Graph.of_edges 3 [ (0, 1); (1, 2) ]) in
+      ignore (remove_edge p 0 1);
+      verdict "deletion" (None, None) (close_step p);
+      ignore (add_edge p ~owner:1 1 0);
+      verdict "buy-back" (repeat, repeat) (close_step p))
+    [ (true, None); (false, None); (true, Some collide); (false, Some collide) ]
+
+(* Random walks of one to three primitives per step on n <= 6 vertices,
+   returning often: a third of the steps undo the previous step, and a
+   random toggle picks among the first three vertices half the time.
+   Walks go on past a repeat, so later verdicts still name the first
+   visit. *)
+let visited_walk_agrees ?mix ~owned ~steps seed =
+  let rng = Random.State.make [| seed; 0x715 |] in
+  let n = 2 + Random.State.int rng 5 in
+  let p = visited_pair ?mix ~owned (Graph.create n) in
+  let random_toggle () =
+    let span = if Random.State.bool rng then min n 3 else n in
+    let a = Random.State.int rng span in
+    let b = (a + 1 + Random.State.int rng (span - 1)) mod span in
+    toggle_edge p ~owner:(if Random.State.bool rng then a else b) a b
+  in
+  let undo = function
+    | Move.Added (a, b) -> remove_edge p a b
+    | Move.Removed (a, b, o) -> add_edge p ~owner:o a b
+  in
+  let rec walk last k =
+    k = 0
+    ||
+    let prims =
+      if last <> [] && Random.State.int rng 3 = 0 then
+        List.map undo (List.rev last)
+      else List.init (1 + Random.State.int rng 3) (fun _ -> random_toggle ())
+    in
+    let got, expected = close_step p in
+    got = expected && walk prims (k - 1)
+  in
+  walk [] steps
+
+let prop_visited_exact =
+  QCheck.Test.make ~count:100
+    ~name:"visited set: verdicts equal a table of string keys"
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, owned) -> visited_walk_agrees ~owned ~steps:300 seed)
+
+let prop_visited_all_collide =
+  QCheck.Test.make ~count:100
+    ~name:"visited set: exact when every fingerprint collides"
+    QCheck.(pair (int_bound 100_000) bool)
+    (fun (seed, owned) ->
+      visited_walk_agrees ~mix:collide ~owned ~steps:80 seed)
+
+(* ------------------------------------------------------------------ *)
 (* Potential                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -546,6 +662,8 @@ let suite =
       Alcotest.test_case "engine step limit" `Quick test_engine_step_limit;
       Alcotest.test_case "engine cycle detection" `Quick
         test_engine_cycle_detection;
+      Alcotest.test_case "visited set: the ownership flip" `Quick
+        test_visited_ownership_flip;
       Alcotest.test_case "stable input" `Quick test_engine_already_stable;
       Alcotest.test_case "any-improving rule" `Quick
         test_engine_any_improving;
@@ -575,6 +693,8 @@ let suite =
           prop_engine_tree_convergence;
           prop_sum_asg_tree_bound;
           prop_sum_sg_tree_bound;
+          prop_visited_exact;
+          prop_visited_all_collide;
           prop_lemma26_potential;
           prop_sum_sg_social_potential;
           prop_diameter_monotone;

@@ -144,19 +144,48 @@ let test_adversarial () =
     assert_identical "adversarial" cfg g seed
   done
 
+(* Gadgets that cycle under every standard policy (with their periods),
+   keyed both ways: Fig. 2 by the unowned key, Fig. 3 and its host
+   version by the owned key, and Fig. 15 through multi-primitive
+   [Set_neighbors] moves.  The fast engine must report the reference's
+   cycle: solo, on one arena reused across the policies, and without the
+   cross-step cache (the engine's other apply branch). *)
 let test_cycle_parity () =
-  (* Fig. 3 cycles; both engines must report the identical cycle. *)
-  let inst = Ncg_instances.Fig3_sum_asg.instance in
-  let cfg =
-    Engine.config ~detect_cycles:true ~max_steps:50
-      inst.Ncg_instances.Instance.model
-  in
-  assert_identical "fig3 cycle" cfg inst.Ncg_instances.Instance.initial 1;
-  let r = Engine.run cfg inst.Ncg_instances.Instance.initial in
-  check "fast engine still finds the 4-cycle" true
-    (match r.Engine.reason with
-    | Engine.Cycle_detected { period = 4; _ } -> true
-    | _ -> false)
+  List.iter
+    (fun (name, period) ->
+      let inst = Option.get (Ncg_instances.Catalog.find name) in
+      let initial = inst.Ncg_instances.Instance.initial in
+      let arena = Engine.Arena.create (Graph.n initial) in
+      List.iter
+        (fun (pname, policy) ->
+          let cfg =
+            Engine.config ~policy ~detect_cycles:true
+              inst.Ncg_instances.Instance.model
+          in
+          let rng () = Random.State.make [| 1 |] in
+          let naive = Reference.run ~rng:(rng ()) cfg initial in
+          let label = Printf.sprintf "%s %s" name pname in
+          check (label ^ " cycles") true
+            (match naive.Engine.reason with
+            | Engine.Cycle_detected c -> c.period = period
+            | _ -> false);
+          List.iter
+            (fun (how, fast) ->
+              if not (identical fast naive) then
+                Alcotest.failf "%s %s: fast %d steps (%s), naive %d steps (%s)"
+                  label how fast.Engine.steps
+                  (reason_label fast.Engine.reason)
+                  naive.Engine.steps
+                  (reason_label naive.Engine.reason))
+            [ ("solo", Engine.run ~rng:(rng ()) cfg initial);
+              ("arena", Engine.run ~arena ~rng:(rng ()) cfg initial);
+              ( "per-step tables",
+                Engine.run ~rng:(rng ())
+                  { cfg with Engine.incremental = false }
+                  initial ) ])
+        policies)
+    [ ("fig2-max-sg", 3); ("fig3-sum-asg", 4); ("cor36-sum-asg-host", 4);
+      ("fig15-sum-bilateral", 6) ]
 
 let test_audited_parity () =
   for seed = 1 to 4 do
