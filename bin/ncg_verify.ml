@@ -28,21 +28,20 @@ let report inst =
         fs
 
 let statespace_check name inst expected =
-  let answer =
-    Statespace.reachable_stable_state ~max_states:300_000
-      ~rule:Statespace.Best_responses inst.I.model inst.I.initial
+  let e =
+    Statespace.explore ~max_states:300_000 ~rule:Statespace.Best_responses
+      inst.I.model (Seq.return inst.I.initial)
   in
+  let stabilises = e.Statespace.stable <> [] in
   let shown =
-    match answer with
-    | `None -> "no stable state reachable by best responses"
-    | `Found _ -> "a best-response path reaches a stable state"
-    | `Truncated -> "exploration truncated"
+    if stabilises then "a best-response path reaches a stable state"
+    else if e.Statespace.truncated then "exploration truncated"
+    else "no stable state reachable by best responses"
   in
   let ok =
-    match (answer, expected) with
-    | `None, `Not_weakly_acyclic -> true
-    | `Found _, `Stabilises -> true
-    | (`None | `Found _ | `Truncated), _ -> false
+    match expected with
+    | `Stabilises -> stabilises
+    | `Not_weakly_acyclic -> not (stabilises || e.Statespace.truncated)
   in
   if not ok then fail name;
   Printf.printf "%-24s %s  [%s]\n%!" name shown (if ok then "ok" else "FAIL")

@@ -46,23 +46,24 @@ let () =
   print_endline
     "Exhaustive check (Cor. 3.6): exploring every state reachable by best\n\
      responses from Fig. 3's G1 on the host graph K_24 - {a,f} ...";
-  (match
-     Statespace.reachable_stable_state ~rule:Statespace.Best_responses
-       inst.I.model inst.I.initial
-   with
-  | `None ->
-      print_endline
-        "  no stable state exists in the reachable region: the SUM-ASG on\n\
-        \  this host graph is NOT weakly acyclic under best response."
-  | `Found _ -> print_endline "  unexpectedly found a stable state!"
-  | `Truncated -> print_endline "  exploration truncated");
+  (let e =
+     Statespace.explore ~rule:Statespace.Best_responses inst.I.model
+       (Seq.return inst.I.initial)
+   in
+   if e.Statespace.stable <> [] then
+     print_endline "  unexpectedly found a stable state!"
+   else if e.Statespace.truncated then print_endline "  exploration truncated"
+   else
+     print_endline
+       "  no stable state exists in the reachable region: the SUM-ASG on\n\
+       \  this host graph is NOT weakly acyclic under best response.");
 
   (* And a positive contrast: on trees the MAX-SG cannot cycle at all. *)
   let model = Model.make Model.Sg Model.Max 8 in
   print_endline
     "\nContrast (Thm 2.1): the full improving-move state space of the\n\
      MAX-SG from the path P_8 ...";
-  let e = Statespace.explore model (Gen.path 8) in
+  let e = Statespace.explore model (Seq.return (Gen.path 8)) in
   if Option.is_some e.Statespace.cycle then
     print_endline "  contains a cycle?!"
   else if e.Statespace.truncated then print_endline "  truncated"

@@ -204,11 +204,10 @@ let improving_moves ?ws ?(multi = false) model g u =
     all
   |> List.of_seq
 
-let best_moves ?ws ?multi model g u =
-  let unit_price = Model.unit_price model in
-  match improving_moves ?ws ?multi model g u with
+let least_cost model = function
   | [] -> []
   | first :: _ as all ->
+      let unit_price = Model.unit_price model in
       let best =
         List.fold_left
           (fun acc e ->
@@ -216,6 +215,9 @@ let best_moves ?ws ?multi model g u =
           first.after all
       in
       List.filter (fun e -> Cost.equal ~unit_price e.after best) all
+
+let best_moves ?ws ?multi model g u =
+  least_cost model (improving_moves ?ws ?multi model g u)
 
 let is_unhappy ?ws model g u =
   let unit_price = Model.unit_price model in

@@ -52,10 +52,16 @@ val improving_moves :
 (** All feasible moves of the agent that strictly decrease her cost.
     [multi] additionally considers {!multi_swap_candidates}. *)
 
+val least_cost : Model.t -> evaluated list -> evaluated list
+(** The entries of least [after] cost (all ties), in order and physically
+    shared with the input: applied to one agent's {!improving_moves}, her
+    best responses. *)
+
 val best_moves :
   ?ws:Paths.Workspace.t -> ?multi:bool -> Model.t -> Graph.t -> int ->
   evaluated list
-(** The improving moves of minimum resulting cost (all ties). *)
+(** [least_cost] of {!improving_moves}: the improving moves of minimum
+    resulting cost (all ties). *)
 
 val is_unhappy : ?ws:Paths.Workspace.t -> Model.t -> Graph.t -> int -> bool
 (** Early-exits on the first improving move found. *)

@@ -25,6 +25,19 @@ let complete n =
   done;
   g
 
+(* Vertex i picks its edge's far end t_i <> i in increasing order, vertex
+   0's choice varying slowest; a pick that would close a 2-cycle
+   (t_{t_i} = i) names an edge already in the network and is skipped. *)
+let unit_budget_networks n =
+  let rec extend i chosen =
+    if i = n then Seq.return (Graph.of_edges n (List.rev chosen))
+    else
+      Seq.init n Fun.id
+      |> Seq.filter (fun t -> t <> i && not (List.mem (t, i) chosen))
+      |> Seq.flat_map (fun t -> extend (i + 1) ((i, t) :: chosen))
+  in
+  extend 0 []
+
 (* Pick the owner of a fresh edge uniformly among the endpoints still below
    [budget]; max_int means unbounded. *)
 let pick_owner rng g budget u v =

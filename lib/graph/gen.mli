@@ -24,6 +24,13 @@ val double_star : int -> int -> Graph.t
 
 val complete : int -> Graph.t
 
+val unit_budget_networks : int -> Graph.t Seq.t
+(** Every network on [n] vertices in which each vertex owns exactly one
+    edge — the unit-budget states of Thm 3.7, one per vector of far ends
+    without a 2-cycle — each built fresh when the sequence reaches it.
+    The sequence is persistent: reading it again yields the same networks
+    in the same order.  Empty for [n < 3]. *)
+
 val random_tree : Random.State.t -> ?budget:int -> int -> Graph.t
 (** The paper's spanning-tree process: start from a uniformly random pair,
     then repeatedly join a uniformly random unmarked vertex to a uniformly

@@ -18,9 +18,9 @@
    Theorem 3.7 states.  Unlike the paper we could not exhibit a cycle in
    which every move is also a BEST response (the paper's Fig. 5 gadget
    presumably achieves this); see EXPERIMENTS.md.  Complementing the
-   witness, an exhaustive sweep over all unit-budget states (scripted in
-   the search library's tooling) shows no better- or best-response cycle
-   exists at all for n <= 7. *)
+   witness, an exhaustive improving-move walk over all unit-budget states
+   (tools/exhaustive_budget.ml) shows that no improving-move cycle, and so
+   no best-response cycle, exists at all for n <= 7, SUM or MAX. *)
 
 let a1 = 0
 let a4 = 4

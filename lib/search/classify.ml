@@ -8,19 +8,24 @@ type report = {
 }
 
 let classify ?(max_states = 50_000) model initial =
-  let e = Statespace.explore ~max_states model initial in
+  let explore rule =
+    Statespace.explore ~max_states ~rule model (Seq.return initial)
+  in
+  let e = explore Statespace.All_improving in
   let unless_truncated v = if e.Statespace.truncated then Unknown else v in
   {
     finite_improvement =
       (if Option.is_some e.Statespace.cycle then No else unless_truncated Yes);
     br_weakly_acyclic =
-      (match
-         Statespace.reachable_stable_state ~max_states
-           ~rule:Statespace.Best_responses model initial
-       with
-      | `Found _ -> Yes
-      | `None -> No
-      | `Truncated -> Unknown);
+      (if e.Statespace.best_response_stable then Yes
+       else if not e.Statespace.truncated then No
+       else
+         (* the truncated improving region may miss a best-response path
+            that a walk of the best-response region alone would reach *)
+         let b = explore Statespace.Best_responses in
+         if b.Statespace.stable <> [] then Yes
+         else if b.Statespace.truncated then Unknown
+         else No);
     weakly_acyclic =
       (if e.Statespace.stable <> [] then Yes else unless_truncated No);
     states_explored = e.Statespace.explored;

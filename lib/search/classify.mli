@@ -27,10 +27,13 @@ type report = {
 }
 
 val classify : ?max_states:int -> Model.t -> Graph.t -> report
-(** One {!Statespace.explore} of the improving-move region answers
-    [finite_improvement], [weakly_acyclic] and [states_explored]; one
-    best-response {!Statespace.reachable_stable_state} answers
-    [br_weakly_acyclic].  [max_states] bounds each and defaults to 50_000. *)
+(** One {!Statespace.explore} of the improving-move region answers all
+    four: its cycle [finite_improvement], its sinks [weakly_acyclic], its
+    size [states_explored], and its best-response tags
+    [br_weakly_acyclic].  Only when the region is truncated and no tagged
+    path reached a sink does a second, [Best_responses] walk answer
+    [br_weakly_acyclic].  [max_states] bounds each walk and defaults to
+    50_000. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -1,123 +1,49 @@
-(* Exhaustive sweep over ALL unit-budget ASG states on n vertices.
+(* Exhaustive sweep over every unit-budget ASG state on n vertices: each
+   agent owns exactly one edge (Gen.unit_budget_networks; 7,360 states at
+   n = 6, 138,690 at n = 7).  One improving-move walk from all of them
+   looks for a cycle; only if it finds one does a best-response walk run,
+   since no improving cycle means no best-response cycle.  Both verdicts
+   are printed.  EXPERIMENTS.md records no cycle of either kind for
+   n <= 7, SUM and MAX: a unit-budget cycle (Thm 3.7) needs n >= 8.
 
-   A unit-budget state assigns each agent exactly one owned edge, so the
-   state space is the set of functional graphs (target_i)_{i<n} with
-   target_i <> i — (n-1)^n states.  This tool three-colors the full
-   best-response state graph and reports whether ANY best-response cycle
-   exists.  Results recorded in EXPERIMENTS.md:
+     dune exec tools/exhaustive_budget.exe -- sum 7     (or max 7)
 
-     n=6 SUM: no cycle among all 15 625 states
-     n=7 SUM: no cycle among all 279 936 states
-
-   so the smallest unit-budget cyclic instances (Thm 3.7) have n >= 8;
-   the witnesses shipped in ncg_instances have n ~ 19-20.
-
-     dune exec tools/exhaustive_budget.exe -- sum 6
-     dune exec tools/exhaustive_budget.exe -- max 6      (slower)
-     dune exec tools/exhaustive_budget.exe -- sum 7      (~1 CPU-hour) *)
+   Defaults: sum, n = 6.  An unknown distance word or an n below 3 exits
+   2 with the usage line. *)
 
 open Ncg_graph
 open Ncg_game
+open Ncg_search
 
-let n =
-  if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 6
+let usage () =
+  prerr_endline "usage: exhaustive_budget [sum|max] [N]   (N >= 3; default sum 6)";
+  exit 2
 
-let dist =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "max" then Model.Max
-  else Model.Sum
-
-let model = Model.make Model.Asg dist n
-
-let num_states =
-  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
-  pow (n - 1) n
-
-(* Mixed-radix encoding of the target vector; skipping the self-index
-   keeps each digit in 0..n-2. *)
-let decode code =
-  let t = Array.make n 0 in
-  let c = ref code in
-  for i = 0 to n - 1 do
-    let x = !c mod (n - 1) in
-    c := !c / (n - 1);
-    t.(i) <- (if x >= i then x + 1 else x)
-  done;
-  t
-
-let encode t =
-  let code = ref 0 in
-  for i = n - 1 downto 0 do
-    let x = if t.(i) > i then t.(i) - 1 else t.(i) in
-    code := (!code * (n - 1)) + x
-  done;
-  !code
-
-(* Target vectors with i -> j and j -> i describe a multigraph we cannot
-   (and need not) represent; such states are skipped. *)
-let graph_of t =
-  let g = Graph.create n in
-  let ok = ref true in
-  Array.iteri
-    (fun i j ->
-      if !ok then
-        if Graph.has_edge g i j then ok := false
-        else Graph.add_edge g ~owner:i i j)
-    t;
-  if !ok then Some g else None
-
-let successors code =
-  match graph_of (decode code) with
-  | None -> []
-  | Some g ->
-      List.concat_map
-        (fun u ->
-          List.filter_map
-            (fun e ->
-              match e.Response.move with
-              | Move.Swap { agent; remove = _; add } ->
-                  let t = decode code in
-                  t.(agent) <- add;
-                  Some (encode t)
-              | Move.Buy _ | Move.Delete _ | Move.Set_own_edges _
-              | Move.Set_neighbors _ ->
-                  None)
-            (Response.best_moves model g u))
-        (Graph.vertices g)
-
-(* colors: \000 unvisited, \001 on the DFS stack, \002 done *)
-let color = Bytes.make num_states '\000'
-
-exception Found
+let word, dist, n =
+  let dist = function "sum" -> Model.Sum | "max" -> Model.Max | _ -> usage () in
+  let size s =
+    match int_of_string_opt s with Some n when n >= 3 -> n | _ -> usage ()
+  in
+  match Array.to_list Sys.argv with
+  | [ _ ] -> ("sum", Model.Sum, 6)
+  | [ _; d ] -> (d, dist d, 6)
+  | [ _; d; k ] -> (d, dist d, size k)
+  | _ -> usage ()
 
 let () =
-  Printf.printf "n=%d states=%d dist=%s\n%!" n num_states
-    (match dist with Model.Sum -> "sum" | Model.Max -> "max");
-  let found = ref false in
-  (try
-     for s = 0 to num_states - 1 do
-       if Bytes.get color s = '\000' then begin
-         let stack = ref [ (s, successors s) ] in
-         Bytes.set color s '\001';
-         while !stack <> [] do
-           match !stack with
-           | [] -> ()
-           | (v, succ) :: rest -> (
-               match succ with
-               | [] ->
-                   Bytes.set color v '\002';
-                   stack := rest
-               | w :: more -> (
-                   stack := (v, more) :: rest;
-                   match Bytes.get color w with
-                   | '\000' ->
-                       Bytes.set color w '\001';
-                       stack := (w, successors w) :: !stack
-                   | '\001' -> raise Found
-                   | _ -> ()))
-         done
-       end
-     done
-   with Found -> found := true);
-  if !found then print_endline "BEST-RESPONSE CYCLE FOUND"
-  else
-    Printf.printf "no best-response cycle among all %d states\n" num_states
+  let model = Model.make Model.Asg dist n in
+  let sweep rule =
+    Statespace.explore ~max_states:max_int ~rule model
+      (Gen.unit_budget_networks n)
+  in
+  let verdict (e : Statespace.exploration) =
+    match e.cycle with
+    | None -> "no cycle"
+    | Some c -> Printf.sprintf "CYCLE of %d moves" (List.length c.moves)
+  in
+  let improving = sweep Statespace.All_improving in
+  Printf.printf "n=%d dist=%s states=%d\n" n word improving.explored;
+  Printf.printf "improving moves: %s\n" (verdict improving);
+  Printf.printf "best responses: %s\n"
+    (if Option.is_none improving.cycle then "no cycle (no improving cycle)"
+     else verdict (sweep Statespace.Best_responses))
