@@ -1,221 +1,24 @@
-(* Bench harness: one target per paper table/figure (see DESIGN.md's
-   per-experiment index) plus Bechamel micro-benchmarks.
+(* Bench harness: the engine's speed legs, each checking trajectory
+   identity against its baseline, plus Bechamel micro-benchmarks.
 
-     dune exec bench/main.exe                 -- everything, laptop scale
-     dune exec bench/main.exe -- --only fig7  -- a single experiment
-     dune exec bench/main.exe -- --trials 200 --nmax 100
-     dune exec bench/main.exe -- --paper      -- the paper's full grid
+     dune exec bench/main.exe                       -- every leg
+     dune exec bench/main.exe -- --only fastpath    -- one leg
+     dune exec bench/main.exe -- --json BENCH.json  -- machine-readable
 
-   Absolute step counts need not match the paper (different RNG, tie
-   breaks); the checked properties are the paper's qualitative envelopes:
-   linear convergence, policy orderings, cycle-freeness on random
-   instances, and the gadget cycles. *)
+   The paper's claims are checked by bin/ncg_verify (which `dune runtest`
+   runs) and printed under each `ncg_sim figN` table, not here. *)
 
 open Ncg_graph
 open Ncg_game
 open Ncg_core
 open Ncg_experiments
-module I = Ncg_instances.Instance
 
-type scale = { trials : int; ns : int list; seed : int }
+type scale = { trials : int; seed : int }
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
 let check name ok =
   Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name
-
-(* ------------------------------------------------------------------ *)
-(* Gadget replays                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let replay_instance (inst : I.t) =
-  Printf.printf "%s\n  %s\n" inst.I.name inst.I.description;
-  let g = Graph.copy inst.I.initial in
-  List.iteri
-    (fun i (s : I.step) ->
-      let e = Response.evaluate inst.I.model g s.I.move in
-      Printf.printf "  step %d: %-24s cost %s -> %s\n" (i + 1)
-        (Move.to_string s.I.move)
-        (Cost.to_string e.Response.before)
-        (Cost.to_string e.Response.after);
-      ignore (Move.apply g s.I.move))
-    inst.I.steps;
-  let failures = I.Verify.run inst in
-  check
-    (Printf.sprintf "%d claims verified, cycle closes"
-       (List.fold_left
-          (fun n (s : I.step) -> n + List.length s.I.claims)
-          0 inst.I.steps))
-    (failures = []);
-  List.iter
-    (fun f ->
-      Printf.printf "    %s\n" (Format.asprintf "%a" I.Verify.pp_failure f))
-    failures
-
-let gadget id name =
-  ( id,
-    "gadget replay: " ^ name,
-    fun _scale ->
-      match Ncg_instances.Catalog.find name with
-      | None -> Printf.printf "unknown instance %s\n" name
-      | Some inst -> replay_instance inst )
-
-(* ------------------------------------------------------------------ *)
-(* Tree dynamics (Thm 2.1, Thm 2.11, Cor 3.2, Fig. 1)                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_tree_experiment ~dist ~game ~policy ~label scale bound pp_bound =
-  section label;
-  Printf.printf "  %6s %10s %10s %12s\n" "n" "avg" "max" pp_bound;
-  let all_ok = ref true in
-  List.iter
-    (fun n ->
-      let model = Model.make game dist n in
-      let spec =
-        Runner.spec ~policy model (fun rng -> Gen.random_tree rng n)
-      in
-      let s = Runner.run ~seed:scale.seed ~trials:scale.trials spec in
-      let b = bound n in
-      if float_of_int s.Stats.max_steps > b then all_ok := false;
-      Printf.printf "  %6d %10.1f %10d %12.1f\n" n s.Stats.avg_steps
-        s.Stats.max_steps b)
-    scale.ns;
-  check "all runs within the theoretical bound" !all_ok
-
-let fig1 scale =
-  section "Fig. 1: MAX-SG on the path P_n under the max cost policy";
-  let model n = Model.make Model.Sg Model.Max n in
-  List.iter
-    (fun n ->
-      let cfg =
-        Engine.config ~policy:Policy.Max_cost ~detect_cycles:true (model n)
-      in
-      let r = Engine.run cfg (Gen.path n) in
-      Printf.printf "  n=%3d: %4d moves -> %s\n" n r.Engine.steps
-        (match Theory.tree_shape r.Engine.final with
-        | Theory.Star -> "star"
-        | Theory.Double_star -> "double star"
-        | Theory.Other_tree -> "tree (diameter > 3!)"
-        | Theory.Not_a_tree -> "not a tree!"))
-    (List.filter (fun n -> n >= 4) (9 :: scale.ns));
-  check "paper's n=9 example converges"
-    (let r =
-       Engine.run
-         (Engine.config ~policy:Policy.Max_cost (model 9))
-         (Gen.path 9)
-     in
-     Engine.converged r)
-
-let thm21 scale =
-  run_tree_experiment ~dist:Model.Max ~game:Model.Sg
-    ~policy:Policy.Random_unhappy
-    ~label:"Thm 2.1: MAX-SG on random trees, random policy, O(n^3) bound"
-    scale
-    (fun n -> float_of_int (Theory.thm21_step_bound n))
-    "n^3 bound"
-
-let thm211 scale =
-  run_tree_experiment ~dist:Model.Max ~game:Model.Sg ~policy:Policy.Max_cost
-    ~label:"Thm 2.11: MAX-SG on random trees, max cost policy, O(n log n)"
-    scale
-    (fun n -> (4.0 *. Theory.nlogn n) +. 16.0)
-    "~4 n log n"
-
-let cor32 scale =
-  run_tree_experiment ~dist:Model.Sum ~game:Model.Asg ~policy:Policy.Max_cost
-    ~label:
-      "Cor 3.2: SUM-ASG on random trees, max cost policy, parity bound n-3 \
-       (even n), n+ceil(n/2)-5 (odd n)"
-    scale
-    (fun n -> float_of_int (Theory.cor32_parity_bound n))
-    "parity bound"
-
-(* ------------------------------------------------------------------ *)
-(* Figures 7, 8, 11, 12, 13, 14                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* One leg per figure of the table: the avg-steps table, the cycle count
-   and the envelope [bound * n + 10] on every run. *)
-let figure name title bound scale =
-  section title;
-  let curves =
-    Figure.sweep ~seed:scale.seed ~ns:scale.ns ~trials:scale.trials
-      (Figure.find name)
-  in
-  print_string (Series.to_table ~value:`Avg curves);
-  Printf.printf "  (table shows avg steps; max over all runs: %.2f n)\n"
-    (Series.max_over curves);
-  let cycles =
-    List.fold_left
-      (fun acc (c : Series.curve) ->
-        List.fold_left
-          (fun acc (p : Series.point) ->
-            acc + p.Series.summary.Stats.cycles)
-          acc c.Series.points)
-      0 curves
-  in
-  check "no best-response cycle in any trial" (cycles = 0);
-  let env_label = Printf.sprintf "every run within ~%.0fn steps" bound in
-  let env n = (bound *. float_of_int n) +. 10. in
-  check env_label (List.for_all snd (Series.envelope env env_label curves))
-
-(* ------------------------------------------------------------------ *)
-(* Section 4.2.2 phases; Secs 3.4/4.2 cycle hunt                       *)
-(* ------------------------------------------------------------------ *)
-
-let phases scale =
-  section
-    "Sec. 4.2.2: operation phases of a typical SUM-GBG run (m=4n, a=n/4)";
-  let n = max 30 (List.fold_left max 0 scale.ns) in
-  let rng = Random.State.make [| scale.seed |] in
-  let model =
-    Model.make ~alpha:(Ncg_rational.Q.make n 4) Model.Gbg Model.Sum n
-  in
-  let g = Gen.random_m_edges rng n (4 * n) in
-  let cfg =
-    Engine.config ~policy:Policy.Random_unhappy
-      ~tie_break:Engine.Prefer_deletion model
-  in
-  let r = Engine.run ~rng cfg g in
-  Printf.printf "  n=%d, %d steps; thirds of the run:\n" n r.Engine.steps;
-  Array.iteri
-    (fun i c ->
-      Printf.printf "    phase %d: %s\n" (i + 1)
-        (Format.asprintf "%a" Trajectory.pp_op_counts c))
-    (Trajectory.phases 3 r.Engine.history);
-  let c = Trajectory.count_ops r.Engine.history in
-  check "first phase deletion-heavy"
-    (let p = (Trajectory.phases 3 r.Engine.history).(0) in
-     p.Trajectory.deletes * 2 >= Trajectory.total p);
-  check "run contains deletions and swaps"
-    (c.Trajectory.deletes > 0 && c.Trajectory.swaps > 0)
-
-let nocycle scale =
-  section
-    "Secs. 3.4/4.2: cycle hunt over random instances (paper: none found)";
-  let trials = max 50 scale.trials in
-  let count = ref 0 and cycles = ref 0 in
-  let rng = Random.State.make [| scale.seed; 77 |] in
-  for _ = 1 to trials do
-    let n = 10 + Random.State.int rng 21 in
-    let k = 1 + Random.State.int rng 3 in
-    let g = Gen.random_budget_network rng n k in
-    let dist = if Random.State.bool rng then Model.Sum else Model.Max in
-    let model = Model.make Model.Asg dist n in
-    let cfg =
-      Engine.config ~policy:Policy.Random_unhappy ~detect_cycles:true
-        ~record_history:false model
-    in
-    let r = Engine.run ~rng cfg g in
-    incr count;
-    match r.Engine.reason with
-    | Engine.Cycle_detected _ -> incr cycles
-    | Engine.Converged | Engine.Step_limit | Engine.Time_limit
-    | Engine.Invariant_violation _ -> ()
-  done;
-  Printf.printf "  %d random bounded-budget ASG runs, %d cycles detected\n"
-    !count !cycles;
-  check "no cycle on any random instance" (!cycles = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -330,8 +133,9 @@ let fastpath_report : fastpath_report option ref = ref None
 let fastpath scale =
   section
     "Fast path vs reference: SUM-GBG sweep, n=100, m=4n, a=n/4, max cost";
-  (* The acceptance configuration is pinned at n=100 regardless of --nmax:
-     the speedup claim in BENCH.json is only meaningful at a fixed size. *)
+  (* The acceptance configuration is pinned at n=100 whatever --trials
+     says: the speedup claim in BENCH.json is only meaningful at a fixed
+     size. *)
   let n = 100 in
   let m = 4 * n in
   let alpha = Ncg_rational.Q.make n 4 in
@@ -1033,7 +837,6 @@ let write_json path ~scale ~timings =
                  ("trials", Json.Int scale.trials);
                  ("seed", Json.Int scale.seed);
                  ("timing_best_of", Json.Int timing_k);
-                 ("ns", Json.List (List.map (fun n -> Json.Int n) scale.ns));
                ] );
            ("experiments", experiments);
            ("fastpath", fastpath_json);
@@ -1064,37 +867,6 @@ let experiments : (string * string * (scale -> unit)) list =
     ( "scaling",
       "sublinear vs full-scan selection (SUM-GBG n=1000, bounded n=10000)",
       scaling_leg );
-    ("fig1", "MAX-SG path convergence (Fig. 1)", fig1);
-    gadget "fig2" "fig2-max-sg";
-    ("thm21", "MAX-SG trees O(n^3) (Thm 2.1)", thm21);
-    ("thm211", "MAX-SG trees max-cost Theta(n log n) (Thm 2.11)", thm211);
-    ("cor32", "SUM-ASG trees max-cost exact bound (Cor 3.2)", cor32);
-    gadget "thm33" "fig3-sum-asg";
-    gadget "fig5" "fig5-sum-asg-budget";
-    gadget "fig6" "fig6-max-asg-budget";
-    gadget "cor36" "cor36-sum-asg-host";
-    ("fig7", "SUM-ASG budget sweep (Fig. 7)",
-     figure "fig7"
-       "Fig. 7 (SUM): bounded-budget ASG, steps until convergence" 5.0);
-    ("fig8", "MAX-ASG budget sweep (Fig. 8)",
-     figure "fig8"
-       "Fig. 8 (MAX): bounded-budget ASG, steps until convergence" 8.0);
-    gadget "fig9" "fig9-sum-gbg";
-    gadget "fig10" "fig10-max-gbg";
-    gadget "cor42s" "cor42-sum-gbg-host";
-    gadget "cor42m" "cor42-max-gbg-host";
-    ("fig11", "SUM-GBG sweep (Fig. 11)",
-     figure "fig11" "Fig. 11 (SUM): GBG, steps until convergence" 7.0);
-    ("fig12", "SUM-GBG topologies (Fig. 12)",
-     figure "fig12" "Fig. 12 (SUM): GBG starting-topology comparison" 8.0);
-    ("fig13", "MAX-GBG sweep (Fig. 13)",
-     figure "fig13" "Fig. 13 (MAX): GBG, steps until convergence" 8.0);
-    ("fig14", "MAX-GBG topologies (Fig. 14)",
-     figure "fig14" "Fig. 14 (MAX): GBG starting-topology comparison" 8.0);
-    gadget "fig15" "fig15-sum-bilateral";
-    gadget "fig16" "fig16-max-bilateral";
-    ("phases", "GBG operation phases (Sec. 4.2.2)", phases);
-    ("nocycle", "random-instance cycle hunt (Secs. 3.4/4.2)", nocycle);
     ("micro", "Bechamel micro-benchmarks", micro);
     ("fastpath", "fast engine vs reference oracle (SUM-GBG n=100)", fastpath);
     ( "incremental",
@@ -1106,19 +878,27 @@ let experiments : (string * string * (scale -> unit)) list =
 let () =
   let only = ref [] in
   let trials = ref 10 in
-  let nmax = ref 50 in
   let seed = ref 2013 in
-  let paper = ref false in
   let json = ref None in
   let ids = List.map (fun (id, _, _) -> id) experiments in
   let usage_error what =
     Printf.eprintf
       "%s\n\
-       usage: main.exe [--only ID]* [--trials T] [--nmax N] [--seed S] \
-       [--paper] [--json PATH] [--sim NCG_SIM]\n\
+       usage: main.exe [--only ID]* [--trials T] [--seed S] [--json PATH] \
+       [--sim NCG_SIM]\n\
        ids: %s\n"
       what (String.concat " " ids);
     exit 2
+  in
+  (* An integer flag's value, or a usage error naming the flag. *)
+  let int_arg flag ?(min = min_int) v =
+    match int_of_string_opt v with
+    | Some i when i >= min -> i
+    | Some _ | None ->
+        usage_error
+          (Printf.sprintf "%s expects an integer%s, got %S" flag
+             (if min = min_int then "" else Printf.sprintf " >= %d" min)
+             v)
   in
   let rec parse = function
     | [] -> ()
@@ -1133,37 +913,22 @@ let () =
         sim_binary := Some path;
         parse rest
     | "--trials" :: t :: rest ->
-        trials := int_of_string t;
-        parse rest
-    | "--nmax" :: n :: rest ->
-        nmax := int_of_string n;
+        trials := int_arg "--trials" ~min:1 t;
         parse rest
     | "--seed" :: s :: rest ->
-        seed := int_of_string s;
-        parse rest
-    | "--paper" :: rest ->
-        paper := true;
+        seed := int_arg "--seed" s;
         parse rest
     | arg :: _ -> usage_error ("unknown argument " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !paper then begin
-    trials := 10000;
-    nmax := 100
-  end;
-  let ns =
-    List.filter
-      (fun n -> n <= !nmax)
-      [ 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 ]
-  in
-  let scale = { trials = !trials; ns; seed = !seed } in
+  let scale = { trials = !trials; seed = !seed } in
   let selected =
     match !only with
     | [] -> experiments
     | ids -> List.filter (fun (id, _, _) -> List.mem id ids) experiments
   in
-  Printf.printf "Reproduction benches: %d experiments, trials=%d, n up to %d\n"
-    (List.length selected) !trials !nmax;
+  Printf.printf "Bench: %d legs, trials=%d, seed=%d\n" (List.length selected)
+    !trials !seed;
   let timings = ref [] in
   List.iter
     (fun (id, title, run) ->

@@ -219,9 +219,13 @@ let verbose_term =
   in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
-let emit ?(verbose = false) out value curves =
+let emit ?(verbose = false) fig out value curves =
   print_string (Series.to_table ~value curves);
   Printf.printf "max steps / n over all runs: %.2f\n" (Series.max_over curves);
+  List.iter
+    (fun (claim, ok) ->
+      Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") claim)
+    (Figure.verdicts fig curves);
   if verbose then begin
     let { Ncg_core.Engine.trials; arenas; cache = s; peak_tables; peak_bytes }
         =
@@ -261,7 +265,7 @@ let figure_cmd name what =
         with_checkpoint ~cmd:name ~ns ~trials ~seed ~checkpoint ~resume
           (fun cp ->
             with_incidents incidents (fun log ->
-                emit ~verbose out value
+                emit ~verbose fig out value
                   (Figure.sweep ~domains:(resolve_domains domains) ~seed
                      ?checkpoint:cp ?incidents:log
                      ~sentinel:(sentinel_of sentinel) ~max_retries ~ns ~trials

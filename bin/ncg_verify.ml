@@ -1,8 +1,13 @@
-(* ncg_verify: replay and verify every shipped gadget, then run the
-   exhaustive state-space checks behind the host-graph corollaries.
+(* ncg_verify: replay and verify every shipped gadget, run the exhaustive
+   state-space checks behind the host-graph corollaries, and check the
+   empirical study's claims (Secs. 3.4 and 4.2) at a small scale.
    Exit status is non-zero if any claim fails. *)
 
+open Ncg_graph
+open Ncg_game
+open Ncg_core
 open Ncg_search
+open Ncg_experiments
 module I = Ncg_instances.Instance
 
 let failures = ref 0
@@ -13,12 +18,18 @@ let fail name =
   incr failures;
   Printf.eprintf "ncg_verify: %s FAILED\n%!" name
 
+(* One claim's line, [text] under [column]; a failure is named
+   "[what]: [text]". *)
+let claim ?(column = "") what text ok =
+  if not ok then fail (what ^ ": " ^ text);
+  Printf.printf "%-24s %s  [%s]\n%!" column text (if ok then "ok" else "FAIL")
+
 let report inst =
   match I.Verify.run inst with
   | [] ->
       Printf.printf "%-24s OK  (%d steps, %s)\n%!" inst.I.name
         (List.length inst.I.steps)
-        (Ncg_game.Model.game_name inst.I.model)
+        (Model.game_name inst.I.model)
   | fs ->
       fail inst.I.name;
       Printf.printf "%-24s FAILED\n" inst.I.name;
@@ -38,13 +49,76 @@ let statespace_check name inst expected =
     else if e.Statespace.truncated then "exploration truncated"
     else "no stable state reachable by best responses"
   in
-  let ok =
-    match expected with
+  claim ~column:name name shown
+    (match expected with
     | `Stabilises -> stabilises
-    | `Not_weakly_acyclic -> not (stabilises || e.Statespace.truncated)
+    | `Not_weakly_acyclic -> not (stabilises || e.Statespace.truncated))
+
+(* The empirical study at a CI-sized scale: a few seconds on one core. *)
+let seed = 2013
+let figure_ns = [ 10; 20; 30 ]
+let figure_trials = 10
+
+let figure_check (fig : Figure.t) =
+  let curves = Figure.sweep ~seed ~ns:figure_ns ~trials:figure_trials fig in
+  Printf.printf "%-24s worst run %.2fn steps\n" fig.Figure.name
+    (Series.max_over curves);
+  List.iter
+    (fun (text, ok) -> claim fig.Figure.name text ok)
+    (Figure.verdicts fig curves)
+
+(* Sec. 4.2.2: a typical SUM-GBG run (m = 4n, alpha = n/4) deletes first,
+   swaps in the middle and cleans up with deletions. *)
+let phases_check () =
+  let n = 50 in
+  let rng = Random.State.make [| seed |] in
+  let model =
+    Model.make ~alpha:(Ncg_rational.Q.make n 4) Model.Gbg Model.Sum n
   in
-  if not ok then fail name;
-  Printf.printf "%-24s %s  [%s]\n%!" name shown (if ok then "ok" else "FAIL")
+  let g = Gen.random_m_edges rng n (4 * n) in
+  let cfg =
+    Engine.config ~policy:Policy.Random_unhappy
+      ~tie_break:Engine.Prefer_deletion model
+  in
+  let r = Engine.run ~rng cfg g in
+  let thirds = Trajectory.phases 3 r.Engine.history in
+  Printf.printf "%-24s %d steps, in thirds:\n"
+    (Printf.sprintf "phases (n = %d)" n)
+    r.Engine.steps;
+  Array.iter
+    (fun c -> Format.printf "%-24s %a@." "" Trajectory.pp_op_counts c)
+    thirds;
+  let c = Trajectory.count_ops r.Engine.history in
+  claim "phases" "first third deletion-heavy"
+    (thirds.(0).Trajectory.deletes * 2 >= Trajectory.total thirds.(0));
+  claim "phases" "run deletes and swaps"
+    (c.Trajectory.deletes > 0 && c.Trajectory.swaps > 0)
+
+(* Secs. 3.4/4.2: no best-response cycle on random bounded-budget ASG
+   instances (the paper found none in millions of trials). *)
+let cycle_hunt () =
+  let runs = 50 in
+  let rng = Random.State.make [| seed; 77 |] in
+  let cycles = ref 0 in
+  for _ = 1 to runs do
+    let n = 10 + Random.State.int rng 21 in
+    let k = 1 + Random.State.int rng 3 in
+    let g = Gen.random_budget_network rng n k in
+    let dist = if Random.State.bool rng then Model.Sum else Model.Max in
+    let cfg =
+      Engine.config ~policy:Policy.Random_unhappy ~detect_cycles:true
+        ~record_history:false
+        (Model.make Model.Asg dist n)
+    in
+    match (Engine.run ~rng cfg g).Engine.reason with
+    | Engine.Cycle_detected _ -> incr cycles
+    | Engine.Converged | Engine.Step_limit | Engine.Time_limit
+    | Engine.Invariant_violation _ -> ()
+  done;
+  claim ~column:"cycle hunt" "cycle hunt"
+    (Printf.sprintf "%d cycles in %d random bounded-budget ASG runs" !cycles
+       runs)
+    (!cycles = 0)
 
 let () =
   print_endline "Gadget verification:";
@@ -59,6 +133,14 @@ let () =
     `Stabilises;
   statespace_check "cor42-max (BR space)" Ncg_instances.Fig10_max_gbg.host_instance
     `Stabilises;
+  Printf.printf
+    "\nConvergence studies (n = %s, %d trials per point, seed %d):\n"
+    (String.concat ", " (List.map string_of_int figure_ns))
+    figure_trials seed;
+  List.iter figure_check Figure.all;
+  print_endline "\nSec. 4.2.2 phases and the Secs. 3.4/4.2 cycle hunt:";
+  phases_check ();
+  cycle_hunt ();
   if !failures > 0 then begin
     Printf.printf "\n%d failures\n" !failures;
     exit 1

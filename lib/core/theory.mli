@@ -1,8 +1,8 @@
 (** Closed-form bounds and structural facts from the paper, as executable
     checks.
 
-    Everything here is a statement the test-suite and benches compare
-    against measured behavior: the convergence bounds of Theorems 2.1 and
+    Everything here is a statement the test suite compares against
+    measured behavior: the convergence bounds of Theorems 2.1 and
     2.11 and Corollary 3.2, the stable-tree classification of Alon et al.
     used throughout Section 2, and the tree lemmas (2.2, 2.4, 2.8,
     Observation 2.9) behind the potential argument. *)

@@ -5,7 +5,7 @@ type curve = {
   spec : ?sentinel:Sentinel.level -> ?max_retries:int -> int -> Runner.spec;
 }
 
-type t = { name : string; curves : curve list }
+type t = { name : string; envelope : int; curves : curve list }
 
 (* One curve per policy, labelled [prefix ^ policy name]. *)
 let policy_curves ?tie_break prefix model generate =
@@ -23,6 +23,7 @@ let policy_curves ?tie_break prefix model generate =
 let asg name dist =
   {
     name;
+    envelope = 5;
     curves =
       List.concat_map
         (fun k ->
@@ -37,6 +38,7 @@ let asg name dist =
 let gbg name dist rows divisors =
   {
     name;
+    envelope = (match dist with Model.Sum -> 7 | Model.Max -> 8);
     curves =
       List.concat_map
         (fun (row, generate) ->
@@ -94,3 +96,19 @@ let sweep ?domains ?seed ?checkpoint ?incidents ?sentinel ?max_retries ~ns
             ns;
       })
     fig.curves
+
+let verdicts fig curves =
+  let within =
+    Printf.sprintf "every run converges within %dn steps" fig.envelope
+  in
+  let bound n = float_of_int (fig.envelope * n) in
+  [
+    (within, List.for_all snd (Series.envelope bound within curves));
+    ( "no best-response cycle in any trial",
+      List.for_all
+        (fun (c : Series.curve) ->
+          List.for_all
+            (fun (p : Series.point) -> p.Series.summary.Stats.cycles = 0)
+            c.Series.points)
+        curves );
+  ]

@@ -5,9 +5,10 @@
     stable network emerges and report the steps it took, for each number
     of agents [n].  A figure here is that list of curves — the paper's
     legend label plus the {!Runner.spec} the curve runs at size [n] — and
-    {!sweep} runs any figure.  [ncg_sim], the fleet's pinned points, the
-    bench and the tests all read this table, so it is the one place that
-    says what each figure runs.
+    {!sweep} runs any figure, and {!verdicts} checks a sweep against the
+    paper's claims.  [ncg_sim], [ncg_verify], the fleet's pinned points
+    and the tests all read this table, so it is the one place that says
+    what each figure runs and what it must show.
 
     Both policies appear in every figure, in this order: ["max cost"]
     ({!Policy.Max_cost}) and ["random"] ({!Policy.Random_unhappy}).
@@ -53,6 +54,10 @@ type curve = {
 
 type t = {
   name : string;  (** ["fig7"], ..., ["fig14"], the [ncg_sim] command *)
+  envelope : int;
+      (** the paper's constant: no run takes more than [envelope * n]
+          steps — 5 in the ASG (Figs. 7, 8), 7 in the SUM-GBG (Figs. 11,
+          12) and 8 in the MAX-GBG (Figs. 13, 14) *)
   curves : curve list;
 }
 
@@ -81,3 +86,12 @@ val sweep :
     under the checkpoint key ["<label>|n=<n>"].  The run settings default
     as in {!Runner.run} and {!Runner.spec}.
     @raise Invalid_argument if [max_retries < 0]. *)
+
+val verdicts : t -> Series.curve list -> (string * bool) list
+(** The paper's two claims on a sweep of this figure, as labelled
+    verdicts in this order: every run of every point converged within
+    [envelope * n] steps (["every run converges within 5n steps"] for
+    fig7; a run stopped by a limit or a fault never converged), and no
+    trial ended in a best-response cycle (["no best-response cycle in
+    any trial"]).  [ncg_verify] gates on them; [ncg_sim] prints them
+    under its table. *)

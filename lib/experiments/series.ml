@@ -13,7 +13,9 @@ let envelope f desc curves =
       let ok =
         List.for_all
           (fun p ->
-            float_of_int p.summary.Ncg_core.Stats.max_steps <= f p.n)
+            let s = p.summary in
+            s.Ncg_core.Stats.converged = s.Ncg_core.Stats.runs
+            && float_of_int s.Ncg_core.Stats.max_steps <= f p.n)
           c.points
       in
       (Printf.sprintf "%s: %s" c.label desc, ok))

@@ -3,7 +3,7 @@
     A figure in the paper is a family of curves — one per configuration —
     with the number of agents on the x axis and steps-to-convergence on the
     y axis.  This module renders those families as aligned text tables
-    (what the bench harness prints) and as gnuplot-ready data files, and
+    (what [ncg_sim] prints) and as gnuplot-ready data files, and
     carries enough metadata to compare against the paper's envelopes
     (e.g. "every run below 5n"). *)
 
@@ -18,8 +18,9 @@ type curve = {
 }
 
 val envelope : (int -> float) -> string -> curve list -> (string * bool) list
-(** [envelope f desc curves] checks [max_steps <= f n] for every point of
-    every curve; returns per-curve verdicts labelled [desc]. *)
+(** [envelope f desc curves] checks, for every point of every curve, that
+    every run converged and [max_steps <= f n]; returns per-curve
+    verdicts labelled ["<curve label>: <desc>"]. *)
 
 val max_over : curve list -> float
 (** Largest [max_steps / n] ratio across all points — the paper's "no run

@@ -1,8 +1,7 @@
 (** The shipped gadget collection.
 
     One entry per hardness construction reproduced from the paper, ready
-    for bulk verification by tests, the [ncg_verify] executable and the
-    bench harness. *)
+    for bulk verification by tests and the [ncg_verify] executable. *)
 
 val all : Instance.t list
 (** Every shipped instance, in paper order. *)

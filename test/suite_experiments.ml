@@ -442,15 +442,15 @@ let test_topology_sweep_runs () =
 (* Series                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let fake_result ?(reason = Engine.Converged) steps =
+  { Engine.reason; steps; history = [];
+    final = Ncg_graph.Gen.path 2;
+    sentinel = Sentinel.clean_report;
+    cache = Ncg_game.Distcache.zero_stats;
+    residency = Ncg_game.Distcache.zero_residency }
+
 let fake_curves () =
-  let summary steps =
-    Stats.summarize
-      [ { Engine.reason = Engine.Converged; steps; history = [];
-          final = Ncg_graph.Gen.path 2;
-          sentinel = Sentinel.clean_report;
-          cache = Ncg_game.Distcache.zero_stats;
-          residency = Ncg_game.Distcache.zero_residency } ]
-  in
+  let summary steps = Stats.summarize [ fake_result steps ] in
   [ { Series.label = "a";
       points =
         [ { Series.n = 10; summary = summary 30 };
@@ -491,6 +491,48 @@ let test_series_rendering () =
   let happy = Sys.file_exists path in
   Sys.remove path;
   check "write_gnuplot creates file" true happy
+
+(* A figure's verdicts hold its sweep to the figure's own constant: every
+   run converged within [envelope * n] steps (the bound itself passes),
+   and no run cycled. *)
+let test_figure_verdicts () =
+  let fig = Figure.find "fig7" in
+  let point n results = { Series.n; summary = Stats.summarize results } in
+  let verdicts points =
+    List.map snd
+      (Figure.verdicts fig
+         [ { Series.label = "a"; points = [ point 10 [ fake_result 30 ] ] };
+           { Series.label = "b"; points } ])
+  in
+  let check_verdicts what expected points =
+    Alcotest.(check (list bool)) what expected (verdicts points)
+  in
+  check_verdicts "runs at exactly 5n pass" [ true; true ]
+    [ point 10 [ fake_result 12; fake_result 50 ];
+      point 20 [ fake_result 100 ] ];
+  check_verdicts "a run one step above 5n fails the envelope" [ false; true ]
+    [ point 10 [ fake_result 50 ]; point 20 [ fake_result 101 ] ];
+  let cycled =
+    fake_result
+      ~reason:(Engine.Cycle_detected { first_visit = 2; period = 2 })
+      4
+  in
+  check_verdicts "a cycle fails both claims" [ false; false ]
+    [ point 10 [ fake_result 12; cycled ] ];
+  check_verdicts "a step-limited run never converged" [ false; true ]
+    [ point 10 [ fake_result 12; fake_result ~reason:Engine.Step_limit 45 ] ];
+  Alcotest.(check (list string)) "claims name the constant"
+    [ "every run converges within 7n steps";
+      "no best-response cycle in any trial" ]
+    (List.map fst (Figure.verdicts (Figure.find "fig11") []))
+
+(* The paper's constants (Secs. 3.4 and 4.2): 5n in the ASG, 7n in the
+   SUM-GBG and 8n in the MAX-GBG. *)
+let test_figure_constants () =
+  Alcotest.(check (list (pair string int))) "constants in figure order"
+    [ ("fig7", 5); ("fig8", 5); ("fig11", 7); ("fig12", 7); ("fig13", 8);
+      ("fig14", 8) ]
+    (List.map (fun f -> (f.Figure.name, f.Figure.envelope)) Figure.all)
 
 (* ------------------------------------------------------------------ *)
 (* Per-trial time budgets                                              *)
@@ -704,4 +746,6 @@ let suite =
         test_figure_checkpoints_pinned;
       Alcotest.test_case "incident log lines pinned" `Quick
         test_incident_lines_pinned;
+      Alcotest.test_case "figure verdicts" `Quick test_figure_verdicts;
+      Alcotest.test_case "figure constants" `Quick test_figure_constants;
     ] )
