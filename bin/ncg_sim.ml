@@ -181,7 +181,7 @@ let interrupt_exit_code () =
 let interruptible ~resume_hint k =
   install_signal_handlers ();
   match k () with
-  | () -> ()
+  | v -> v
   | exception Runner.Interrupted ->
       flush stdout;
       (match resume_hint with
@@ -219,13 +219,23 @@ let verbose_term =
   in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
+(* Prints the sweep and its verdicts; true when every claim holds. *)
 let emit ?(verbose = false) fig out value curves =
   print_string (Series.to_table ~value curves);
-  Printf.printf "max steps / n over all runs: %.2f\n" (Series.max_over curves);
+  (match Series.unconverged curves with
+  | 0 ->
+      Printf.printf "max steps / n over all runs: %.2f\n"
+        (Series.max_over curves)
+  | k ->
+      Printf.printf
+        "max steps / n over converged runs: %.2f (leaves out %d run(s) that \
+         did not converge)\n"
+        (Series.max_over curves) k);
+  let verdicts = Figure.verdicts fig curves in
   List.iter
     (fun (claim, ok) ->
       Printf.printf "[%s] %s\n" (if ok then "ok" else "FAIL") claim)
-    (Figure.verdicts fig curves);
+    verdicts;
   if verbose then begin
     let { Ncg_core.Engine.trials; arenas; cache = s; peak_tables; peak_bytes }
         =
@@ -250,26 +260,32 @@ let emit ?(verbose = false) fig out value curves =
         (100.0 *. float_of_int s.Distcache.kept /. float_of_int touched);
     Printf.printf "trials: %d run, %d trial arena(s) created\n" trials arenas
   end;
-  match out with
+  (match out with
   | None -> ()
   | Some path ->
       Series.write_gnuplot path ~value curves;
-      Printf.printf "wrote %s\n" path
+      Printf.printf "wrote %s\n" path);
+  List.for_all snd verdicts
 
 (* One command per figure of the table; [what] completes its doc line. *)
 let figure_cmd name what =
   let fig = Figure.find name in
   let run ns trials seed domains out value checkpoint resume sentinel
       max_retries incidents verbose =
-    interruptible ~resume_hint:(checkpoint_hint checkpoint) (fun () ->
-        with_checkpoint ~cmd:name ~ns ~trials ~seed ~checkpoint ~resume
-          (fun cp ->
-            with_incidents incidents (fun log ->
-                emit ~verbose fig out value
-                  (Figure.sweep ~domains:(resolve_domains domains) ~seed
-                     ?checkpoint:cp ?incidents:log
-                     ~sentinel:(sentinel_of sentinel) ~max_retries ~ns ~trials
-                     fig))))
+    let claims_hold =
+      interruptible ~resume_hint:(checkpoint_hint checkpoint) (fun () ->
+          with_checkpoint ~cmd:name ~ns ~trials ~seed ~checkpoint ~resume
+            (fun cp ->
+              with_incidents incidents (fun log ->
+                  emit ~verbose fig out value
+                    (Figure.sweep ~domains:(resolve_domains domains) ~seed
+                       ?checkpoint:cp ?incidents:log
+                       ~sentinel:(sentinel_of sentinel) ~max_retries ~ns
+                       ~trials fig))))
+    in
+    (* A failed claim fails the command, once the checkpoint and the
+       incident log are closed. *)
+    if not claims_hold then exit 1
   in
   Cmd.v
     (Cmd.info name ~doc:(Printf.sprintf "Reproduce %s." what))

@@ -61,8 +61,11 @@ let figure_trials = 10
 
 let figure_check (fig : Figure.t) =
   let curves = Figure.sweep ~seed ~ns:figure_ns ~trials:figure_trials fig in
-  Printf.printf "%-24s worst run %.2fn steps\n" fig.Figure.name
-    (Series.max_over curves);
+  Printf.printf "%-24s worst run %.2fn steps%s\n" fig.Figure.name
+    (Series.max_over curves)
+    (match Series.unconverged curves with
+    | 0 -> ""
+    | k -> Printf.sprintf " (leaves out %d run(s) that did not converge)" k);
   List.iter
     (fun (text, ok) -> claim fig.Figure.name text ok)
     (Figure.verdicts fig curves)

@@ -112,9 +112,6 @@ let naive_candidates cfg ~ws g u =
   | Any_improving -> Response.improving_moves ~ws cfg.model g u
   | Best_response -> Response.best_moves ~ws cfg.model g u
 
-let choose_move cfg rng ctx witness g u =
-  pick_from cfg rng g (fast_candidates cfg ctx witness u)
-
 let state_key model g =
   if Model.uses_ownership model then Canonical.key g else Canonical.unowned_key g
 
@@ -145,7 +142,9 @@ let reset_totals () = Atomic.set g_totals zero_totals
    per-trial state and so sit in one pooled slot each — a starting trial
    takes them out reset, a retiring trial puts them back.  A trial that
    raises never returns its set; the next trial simply allocates fresh.
-   Arenas are single-domain objects: give each domain its own. *)
+   Arenas are single-domain objects: give each domain its own.  A run
+   given no arena takes its resources from a private one ([make]), which
+   the process totals do not count. *)
 module Arena = struct
   type t = {
     capacity : int;
@@ -159,9 +158,7 @@ module Arena = struct
     mutable cache_stats : Distcache.stats;
   }
 
-  let create n =
-    if n < 0 then invalid_arg "Engine.Arena.create: negative size";
-    update_totals (fun t -> { t with arenas = t.arenas + 1 });
+  let make n =
     {
       capacity = n;
       ws = Paths.Workspace.create n;
@@ -173,6 +170,11 @@ module Arena = struct
       trials = 0;
       cache_stats = Distcache.zero_stats;
     }
+
+  let create n =
+    if n < 0 then invalid_arg "Engine.Arena.create: negative size";
+    update_totals (fun t -> { t with arenas = t.arenas + 1 });
+    make n
 
   let capacity t = t.capacity
   let trials t = t.trials
@@ -222,120 +224,33 @@ module Arena = struct
     Option.iter (fun b -> t.pooled_board <- Some b) board
 end
 
-(* One trial as an explicit state machine: [stepper_start] acquires the
-   trial's resources, [stepper_advance] runs exactly one step (or records
-   the stop reason), [stepper_run] advances until a stop reason is
-   recorded, and [stepper_finish] assembles the result and returns pooled
-   resources to the arena. *)
-
-type stepper_mode = Mode_fast | Mode_degraded
-
-type stepper = {
+(* One trial's state, which [run] sets up and then advances one [step] at
+   a time.  The trial has degraded to the naive machinery exactly when
+   [degraded_at] is set. *)
+type trial = {
   cfg : config;
   rng : Random.State.t;
   g : Graph.t;
-  arena : Arena.t option;
   ws : Paths.Workspace.t;
   shadow_ws : Paths.Workspace.t Lazy.t;
   witness : Witness.t;
   cache : Distcache.t option;
   board : Costboard.t option;
-  mutable board_ready : bool;
   seen : Visited.t;
-  deadline : float option;
   require_connected : bool;
   srng : Random.State.t;
   mutable history : step list; (* newest first *)
   mutable checked : int;
   mutable incidents : Sentinel.incident list; (* newest first *)
   mutable degraded_at : int option;
-  mutable mode : stepper_mode;
   mutable steps : int;
   mutable last : int option;
-  mutable stopped : stop_reason option;
 }
 
-let stepper_start ?arena ?rng cfg initial =
-  let rng =
-    match rng with
-    | Some r -> r
-    | None -> Random.State.make [| 0x5eed; Graph.n initial |]
-  in
-  let n = Graph.n initial in
-  (match arena with
-  | Some a when Arena.capacity a <> n ->
-      invalid_arg "Engine: arena capacity does not match the network size"
-  | _ -> ());
-  let g = Graph.copy initial in
-  let ws, shadow_ws =
-    match arena with
-    | Some a -> (a.Arena.ws, a.Arena.shadow_ws)
-    | None -> (Paths.Workspace.create n, lazy (Paths.Workspace.create n))
-  in
-  let witness =
-    match arena with Some a -> Arena.alloc_witness a | None -> Witness.create n
-  in
-  (* The cross-step distance cache: owned here, patched after every
-     committed move, handed to each step's context.  [None] reverts to the
-     step-scoped tables of the pre-incremental fast path. *)
-  let cache =
-    if cfg.incremental then
-      Some
-        (match arena with
-        | Some a -> Arena.alloc_cache ?budget:cfg.cache_budget a
-        | None -> Distcache.create ?budget:cfg.cache_budget n)
-    else None
-  in
-  (* The bucketed cost board exists exactly when the sublinear max-cost
-     selection can use it: it needs the cross-step cache (the dirty sets
-     come from its patch classification) and only Max_cost sorts by
-     cost. *)
-  let board =
-    match (cfg.sublinear, cache, cfg.policy) with
-    | true, Some _, Policy.Max_cost ->
-        Some
-          (match arena with
-          | Some a -> Arena.alloc_board a
-          | None -> Costboard.create n)
-    | _ -> None
-  in
-  let seen =
-    match arena with Some a -> Arena.alloc_seen a | None -> Visited.create ()
-  in
-  if cfg.detect_cycles then
-    Visited.start seen ~owned:(Model.uses_ownership cfg.model) g;
-  (* A connected network can never disconnect under improving moves (the
-     mover's own cost would become infinite), so connectivity is part of
-     the audited contract exactly when the run started connected. *)
-  let require_connected = cfg.audit <> Audit.Off && Paths.is_connected g in
-  {
-    cfg;
-    rng;
-    g;
-    arena;
-    ws;
-    shadow_ws;
-    witness;
-    cache;
-    board;
-    board_ready = false;
-    seen;
-    deadline = Option.map (fun b -> Clock.monotonic () +. b) cfg.time_budget;
-    require_connected;
-    (* Sentinel state.  The sentinel RNG and the shadow workspace are
-       private to the verification layer: the trial's own draw stream and
-       the live context's BFS scratch are never touched, so a healthy
-       checked run is bit-identical to an unchecked one. *)
-    srng = Sentinel.make_rng n;
-    history = [];
-    checked = 0;
-    incidents = [];
-    degraded_at = None;
-    mode = Mode_fast;
-    steps = 0;
-    last = None;
-    stopped = None;
-  }
+(* A step that ends the trial raises its stop reason. *)
+exception Stop of stop_reason
+
+let violation v = raise_notrace (Stop (Invariant_violation v))
 
 let audit_graph s step =
   match
@@ -345,225 +260,94 @@ let audit_graph s step =
   | [] -> None
   | v :: _ -> Some v
 
-let note_incident s phase =
+(* A checked step disagreed with the naive replay: record the incident,
+   and the trial degrades. *)
+let diverge s phase =
   s.incidents <-
     { Sentinel.step = s.steps; fingerprint = state_key s.cfg.model s.g; phase }
-    :: s.incidents
+    :: s.incidents;
+  s.degraded_at <- Some s.steps
 
-let happy_violation s u =
-  (* The policy contract promises only unhappy agents, so an improving
-     move must exist; surface the breach as a typed violation rather
-     than crashing the whole sweep. *)
-  s.stopped <-
-    Some
-      (Invariant_violation
-         {
-           Audit.kind = Audit.Happy_agent_selected;
-           step = s.steps;
-           subject = Some u;
-           detail =
-             Printf.sprintf "policy selected agent %d with no improving move" u;
-         })
-
-(* Post-choice step body shared by the fast and the degraded path: audit
-   the move contract, apply, record, audit the graph, detect cycles, then
-   continue in [next_mode]. *)
-let finish_step s u (e : Response.evaluated) ~next_mode =
+(* The tail of every step: audit the move contract, apply, record, audit
+   the graph, detect cycles. *)
+let finish_step s u (e : Response.evaluated) =
   let cfg = s.cfg in
   let effect = Move.classify_effect s.g e.Response.move in
-  let contract =
-    if cfg.audit = Audit.Off then None
-    else
-      Audit.check_move ~step:s.steps cfg.model ~mover:u
-        ~before:e.Response.before ~after:e.Response.after
+  if cfg.audit <> Audit.Off then
+    Option.iter violation
+      (Audit.check_move ~step:s.steps cfg.model ~mover:u
+         ~before:e.Response.before ~after:e.Response.after);
+  (* When a cost board is consuming dirty sets, pin the move's primitive
+     endpoints resident before the first primitive: the cache's per-source
+     dirty classifier needs their pre-primitive rows, and the pins keep a
+     memory-bounded cache from evicting them mid-move (a multi-primitive
+     move reuses them, repaired, for its later primitives). *)
+  let pinned =
+    match (s.cache, s.board) with
+    | Some c, Some _ ->
+        let touched = Move.touched s.g e.Response.move in
+        List.iter
+          (fun v ->
+            ignore (Distcache.ensure c ~ws:s.ws s.g v);
+            Distcache.pin c v)
+          touched;
+        touched
+    | _ -> []
   in
-  (* The visited set follows the move primitive by primitive. *)
-  let note_seen p = if cfg.detect_cycles then Visited.note s.seen s.g p in
-  match contract with
-  | Some v -> s.stopped <- Some (Invariant_violation v)
-  | None -> (
-      (match s.cache with
-      | Some c ->
-          (* When a cost board is consuming dirty sets, pin the move's
-             primitive endpoints resident before the first primitive: the
-             cache's per-source dirty classifier needs their pre-primitive
-             rows, and the pins keep a memory-bounded cache from evicting
-             them mid-move (a multi-primitive move reuses them, repaired,
-             for its later primitives). *)
-          let pinned =
-            match s.board with
-            | None -> []
-            | Some _ ->
-                let touched = Move.touched s.g e.Response.move in
-                List.iter
-                  (fun v ->
-                    ignore (Distcache.ensure c ~ws:s.ws s.g v);
-                    Distcache.pin c v)
-                  touched;
-                touched
-          in
-          (* Patch the cache primitive by primitive: each note_* sees the
-             graph exactly after its primitive, against the tables from
-             before it — the state the keep/repair rules assume. *)
-          ignore
-            (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
-                 (match p with
-                 | Move.Added (a, b) -> Distcache.note_added c s.g a b
-                 | Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b);
-                 note_seen p));
-          List.iter (fun v -> Distcache.unpin c v) pinned
-      | None ->
-          ignore (Move.apply_observed s.g e.Response.move ~on_prim:note_seen));
-      Witness.clear s.witness u;
-      if cfg.record_history then
-        s.history <-
-          {
-            index = s.steps;
-            move = e.Response.move;
-            effect;
-            cost_before = e.Response.before;
-            cost_after = e.Response.after;
-          }
-          :: s.history;
-      s.steps <- s.steps + 1;
-      match
-        if Audit.should_check cfg.audit s.steps then audit_graph s s.steps
-        else None
-      with
-      | Some v -> s.stopped <- Some (Invariant_violation v)
-      | None ->
-          let continue_ () =
-            s.last <- Some u;
-            s.mode <- next_mode
-          in
-          if cfg.detect_cycles then
-            match Visited.visit s.seen with
-            | Some first_visit ->
-                s.stopped <-
-                  Some
-                    (Cycle_detected
-                       { first_visit; period = s.steps - first_visit })
-            | None -> continue_ ()
-          else continue_ ())
+  (* The cache, when there is one, and the visited set follow the move
+     primitive by primitive: each note_* sees the graph exactly after its
+     primitive, against the tables from before it — the state the
+     keep/repair rules assume. *)
+  ignore
+    (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
+         (match (s.cache, p) with
+         | Some c, Move.Added (a, b) -> Distcache.note_added c s.g a b
+         | Some c, Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b
+         | None, _ -> ());
+         if cfg.detect_cycles then Visited.note s.seen s.g p));
+  Option.iter (fun c -> List.iter (Distcache.unpin c) pinned) s.cache;
+  Witness.clear s.witness u;
+  if cfg.record_history then
+    s.history <-
+      {
+        index = s.steps;
+        move = e.Response.move;
+        effect;
+        cost_before = e.Response.before;
+        cost_after = e.Response.after;
+      }
+      :: s.history;
+  s.steps <- s.steps + 1;
+  if Audit.should_check cfg.audit s.steps then
+    Option.iter violation (audit_graph s s.steps);
+  (if cfg.detect_cycles then
+     match Visited.visit s.seen with
+     | Some first_visit ->
+         let period = s.steps - first_visit in
+         raise_notrace (Stop (Cycle_detected { first_visit; period }))
+     | None -> ());
+  s.last <- Some u
 
-let ref_move s u =
-  match
-    pick_from s.cfg s.rng s.g (naive_candidates s.cfg ~ws:s.ws s.g u)
-  with
-  | None -> happy_violation s u
-  | Some e -> finish_step s u e ~next_mode:Mode_degraded
+(* One context per step.  With the incremental cache it inherits all
+   tables that survived (were kept or repaired by) the previous step's
+   patch; without, tables describe the current network only for this step
+   and are discarded wholesale.  The witness cache survives across steps
+   either way — probes revalidate.
 
-(* Bring the cost board up to date: a full refresh on the first step
-   (every agent's key), then only the agents the cache's last patch marked
-   dirty.  Keys install no table: an agent without a resident one is keyed
-   from the cache's 63-source bit-parallel BFS, so even the full refresh
-   is about n/63 graph passes and a budgeted cache evicts nothing here.
-   Key evaluations consume no RNG, so the stream stays in lockstep with
-   [select]/[select_fast]. *)
-let refresh_board s ctx =
-  match (s.board, s.cache) with
-  | Some board, Some c ->
-      if not s.board_ready then begin
-        for v = 0 to Graph.n s.g - 1 do
-          Costboard.update board v (Response.Fast.cost_key ctx v)
-        done;
-        s.board_ready <- true
-      end
-      else
-        Distcache.iter_dirty
-          (fun v -> Costboard.update board v (Response.Fast.cost_key ctx v))
-          c;
-      Distcache.clear_dirty c
-  | _ -> ()
+   The cost board is brought up to date over it: a full refresh on the
+   first step (every agent's key), then only the agents the cache's last
+   patch marked dirty.  Keys install no table: an agent without a
+   resident one is keyed from the cache's 63-source bit-parallel BFS, so
+   even the full refresh is about n/63 graph passes and a budgeted cache
+   evicts nothing here.  Key evaluations consume no RNG, so the stream
+   stays in lockstep with [select]/[select_fast].
 
-(* At an audited step, every refreshed key against a fresh BFS cost — so
-   a stale board names its agent instead of surfacing as a different
-   mover.  The shadow workspace keeps the live BFS scratch untouched. *)
-let board_violation s =
-  match s.board with
-  | Some board when Audit.should_check s.cfg.audit s.steps ->
-      Audit.check_board ~step:s.steps ~ws:(Lazy.force s.shadow_ws) s.cfg.model
-        s.g board
-  | _ -> None
-
-(* Selection, over the refreshed board when there is one, and the selected
-   agent's move. *)
-let fast_move s ctx =
+   At an audited step, every refreshed key is then checked against a
+   fresh BFS cost, so a stale board names its agent instead of surfacing
+   as a different mover.  The shadow workspace keeps the live BFS scratch
+   untouched. *)
+let fast_context s =
   let cfg = s.cfg in
-  let checking = Sentinel.due cfg.sentinel s.srng in
-  let snap =
-    if checking && Sentinel.shadows_selection cfg.policy then
-      Some (Random.State.copy s.rng)
-    else None
-  in
-  let picked =
-    match s.board with
-    | Some board ->
-        (* Output-sensitive selection.  Probes consume no RNG either. *)
-        Policy.select_sublinear cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
-          ~board cfg.model s.g ~last:s.last
-    | None ->
-        Policy.select_fast cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
-          ~domains:cfg.scan_domains cfg.model s.g ~last:s.last
-  in
-  let shadow_sel =
-    match snap with
-    | None -> `Agree
-    | Some shadow_rng ->
-        s.checked <- s.checked + 1;
-        let reference =
-          Policy.select cfg.policy ~rng:shadow_rng
-            ~ws:(Lazy.force s.shadow_ws) cfg.model s.g ~last:s.last
-        in
-        if reference = picked then `Agree else `Diverged reference
-  in
-  match shadow_sel with
-  | `Diverged reference -> (
-      note_incident s (Sentinel.Selection { fast = picked; reference });
-      s.degraded_at <- Some s.steps;
-      (* [select] and [select_fast] consume identical RNG draw counts
-         (the shuffle alone, probes draw nothing), so continuing with the
-         live [rng] follows the reference stream exactly. *)
-      match reference with
-      | None -> s.stopped <- Some Converged
-      | Some u -> ref_move s u)
-  | `Agree -> (
-      match picked with
-      | None -> s.stopped <- Some Converged
-      | Some u ->
-          if checking then begin
-            if snap = None then s.checked <- s.checked + 1;
-            let fast = fast_candidates cfg ctx s.witness u in
-            let reference =
-              naive_candidates cfg ~ws:(Lazy.force s.shadow_ws) s.g u
-            in
-            if Sentinel.moves_equal fast reference then
-              match pick_from cfg s.rng s.g fast with
-              | None -> happy_violation s u
-              | Some e -> finish_step s u e ~next_mode:Mode_fast
-            else begin
-              note_incident s (Sentinel.Move_set { agent = u; fast; reference });
-              s.degraded_at <- Some s.steps;
-              (* caught before any tie-break draw: picking from the
-                 reference list keeps the trajectory bit-identical to a
-                 pure reference run *)
-              match pick_from cfg s.rng s.g reference with
-              | None -> happy_violation s u
-              | Some e -> finish_step s u e ~next_mode:Mode_degraded
-            end
-          end
-          else
-            match choose_move cfg s.rng ctx s.witness s.g u with
-            | None -> happy_violation s u
-            | Some e -> finish_step s u e ~next_mode:Mode_fast)
-
-let fast_step s =
-  let cfg = s.cfg in
-  (* One context per step.  With the incremental cache it inherits all
-     tables that survived (were kept or repaired by) the previous step's
-     patch; without, tables describe the current network only for this
-     step and are discarded wholesale.  The witness cache survives across
-     steps either way — probes revalidate. *)
   let ctx =
     match s.cache with
     | Some c -> Response.Fast.of_cache s.ws cfg.model s.g c
@@ -574,61 +358,190 @@ let fast_step s =
      (identical moves either way — the caps only skip provably
      over-budget candidate scans). *)
   Response.Fast.set_prefilter ctx cfg.sublinear;
-  refresh_board s ctx;
-  match board_violation s with
-  | Some v -> s.stopped <- Some (Invariant_violation v)
-  | None -> fast_move s ctx
+  (match (s.board, s.cache) with
+  | Some board, Some c ->
+      let refresh v = Costboard.update board v (Response.Fast.cost_key ctx v) in
+      if Costboard.complete board then Distcache.iter_dirty refresh c
+      else
+        for v = 0 to Graph.n s.g - 1 do
+          refresh v
+        done;
+      Distcache.clear_dirty c;
+      if Audit.should_check cfg.audit s.steps then
+        Option.iter violation
+          (Audit.check_board ~step:s.steps ~ws:(Lazy.force s.shadow_ws)
+             cfg.model s.g board)
+  | _ -> ());
+  ctx
 
-(* The degraded remainder: the naive machinery verbatim (cf.
-   [Reference.run]) on the live RNG — graceful degradation, not a
-   crash. *)
-let degraded_step s =
-  match
-    Policy.select s.cfg.policy ~rng:s.rng ~ws:s.ws s.cfg.model s.g ~last:s.last
-  with
-  | None -> s.stopped <- Some Converged
-  | Some u -> ref_move s u
-
-let stepper_advance s =
-  if s.steps >= s.cfg.max_steps then s.stopped <- Some Step_limit
-  else if
-    match s.deadline with
-    | None -> false
-    | Some d -> Clock.monotonic () > d
-  then s.stopped <- Some Time_limit
-  else
-    match s.mode with
-    | Mode_fast -> fast_step s
-    | Mode_degraded -> degraded_step s
-
-let rec stepper_run s =
-  match s.stopped with
-  | Some reason -> reason
+(* One step: select the mover, take its candidates, break the tie, apply.
+   Both phases run on the fast path, replayed through the naive machinery
+   at a step the sentinel checks, until the trial degrades; from then on
+   every step runs the naive machinery verbatim (cf. [Reference.run]) on
+   the live RNG — graceful degradation, not a crash. *)
+let step s =
+  let cfg = s.cfg in
+  let ctx =
+    if Option.is_none s.degraded_at then Some (fast_context s) else None
+  in
+  let checking = Option.is_some ctx && Sentinel.due cfg.sentinel s.srng in
+  let snap =
+    if checking && Sentinel.shadows_selection cfg.policy then
+      Some (Random.State.copy s.rng)
+    else None
+  in
+  let picked =
+    match (ctx, s.board) with
+    | None, _ ->
+        Policy.select cfg.policy ~rng:s.rng ~ws:s.ws cfg.model s.g ~last:s.last
+    | Some ctx, Some board ->
+        (* Output-sensitive selection.  Probes consume no RNG either. *)
+        Policy.select_sublinear cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
+          ~board cfg.model s.g ~last:s.last
+    | Some ctx, None ->
+        Policy.select_fast cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
+          ~domains:cfg.scan_domains cfg.model s.g ~last:s.last
+  in
+  let picked =
+    match snap with
+    | None -> picked
+    | Some shadow_rng ->
+        s.checked <- s.checked + 1;
+        let reference =
+          Policy.select cfg.policy ~rng:shadow_rng ~ws:(Lazy.force s.shadow_ws)
+            cfg.model s.g ~last:s.last
+        in
+        (* [select] and [select_fast] consume identical RNG draw counts (the
+           shuffle alone, probes draw nothing), so continuing with the live
+           [rng] follows the reference stream exactly. *)
+        if reference <> picked then
+          diverge s (Sentinel.Selection { fast = picked; reference });
+        reference
+  in
+  let u =
+    match picked with Some u -> u | None -> raise_notrace (Stop Converged)
+  in
+  let moves =
+    match ctx with
+    | Some ctx when Option.is_none s.degraded_at ->
+        let fast = fast_candidates cfg ctx s.witness u in
+        if not checking then fast
+        else begin
+          if Option.is_none snap then s.checked <- s.checked + 1;
+          let reference =
+            naive_candidates cfg ~ws:(Lazy.force s.shadow_ws) s.g u
+          in
+          if Sentinel.moves_equal fast reference then fast
+          else begin
+            (* caught before any tie-break draw: picking from the reference
+               list keeps the trajectory bit-identical to a pure reference
+               run *)
+            diverge s (Sentinel.Move_set { agent = u; fast; reference });
+            reference
+          end
+        end
+    | _ -> naive_candidates cfg ~ws:s.ws s.g u
+  in
+  match pick_from cfg s.rng s.g moves with
+  | Some e -> finish_step s u e
   | None ->
-      stepper_advance s;
-      stepper_run s
+      (* The policy contract promises only unhappy agents, so an improving
+         move must exist; surface the breach as a typed violation rather
+         than crashing the whole sweep. *)
+      violation
+        {
+          Audit.kind = Audit.Happy_agent_selected;
+          step = s.steps;
+          subject = Some u;
+          detail =
+            Printf.sprintf "policy selected agent %d with no improving move" u;
+        }
 
-let stepper_finish s reason =
+let run ?arena ?rng cfg initial =
+  let n = Graph.n initial in
+  let arena =
+    match arena with
+    | None -> Arena.make n
+    | Some a when Arena.capacity a = n -> a
+    | Some _ ->
+        invalid_arg "Engine: arena capacity does not match the network size"
+  in
+  let rng =
+    match rng with Some r -> r | None -> Random.State.make [| 0x5eed; n |]
+  in
+  let g = Graph.copy initial in
+  (* The cross-step distance cache: patched after every committed move and
+     handed to each step's context.  [None] reverts to the step-scoped
+     tables of the pre-incremental fast path. *)
+  let cache =
+    if cfg.incremental then
+      Some (Arena.alloc_cache ?budget:cfg.cache_budget arena)
+    else None
+  in
+  (* The bucketed cost board exists exactly when the sublinear max-cost
+     selection can use it: it needs the cross-step cache (the dirty sets
+     come from its patch classification) and only Max_cost sorts by
+     cost. *)
+  let board =
+    match (cfg.sublinear, cache, cfg.policy) with
+    | true, Some _, Policy.Max_cost -> Some (Arena.alloc_board arena)
+    | _ -> None
+  in
+  let seen = Arena.alloc_seen arena in
+  if cfg.detect_cycles then
+    Visited.start seen ~owned:(Model.uses_ownership cfg.model) g;
+  let s =
+    {
+      cfg;
+      rng;
+      g;
+      ws = arena.Arena.ws;
+      shadow_ws = arena.Arena.shadow_ws;
+      witness = Arena.alloc_witness arena;
+      cache;
+      board;
+      seen;
+      (* A connected network can never disconnect under improving moves
+         (the mover's own cost would become infinite), so connectivity is
+         part of the audited contract exactly when the run started
+         connected. *)
+      require_connected = cfg.audit <> Audit.Off && Paths.is_connected g;
+      (* The sentinel RNG and the shadow workspace are private to the
+         verification layer: the trial's own draw stream and the live
+         context's BFS scratch are never touched, so a healthy checked run
+         is bit-identical to an unchecked one. *)
+      srng = Sentinel.make_rng n;
+      history = [];
+      checked = 0;
+      incidents = [];
+      degraded_at = None;
+      steps = 0;
+      last = None;
+    }
+  in
+  let deadline =
+    Option.map (fun b -> Clock.monotonic () +. b) cfg.time_budget
+  in
+  let rec loop () =
+    if s.steps >= cfg.max_steps then Step_limit
+    else if
+      match deadline with None -> false | Some d -> Clock.monotonic () > d
+    then Time_limit
+    else match step s with () -> loop () | exception Stop reason -> reason
+  in
   let reason =
     (* Whatever the sampling level, always audit the final state. *)
-    match reason with
-    | Invariant_violation _ -> reason
-    | Converged | Cycle_detected _ | Step_limit | Time_limit -> (
-        if s.cfg.audit = Audit.Off then reason
+    match loop () with
+    | Invariant_violation _ as reason -> reason
+    | (Converged | Cycle_detected _ | Step_limit | Time_limit) as reason -> (
+        if cfg.audit = Audit.Off then reason
         else
           match audit_graph s s.steps with
           | Some v -> Invariant_violation v
           | None -> reason)
   in
-  let sentinel =
-    {
-      Sentinel.checked = s.checked;
-      incidents = List.rev s.incidents;
-      degraded_at = s.degraded_at;
-    }
-  in
   let cache_stats, residency =
-    match s.cache with
+    match cache with
     | Some c -> (Distcache.stats c, Distcache.residency c)
     | None -> (Distcache.zero_stats, Distcache.zero_residency)
   in
@@ -640,23 +553,21 @@ let stepper_finish s reason =
         peak_tables = max t.peak_tables residency.Distcache.peak;
         peak_bytes = max t.peak_bytes residency.Distcache.peak_bytes;
       });
-  (match s.arena with
-  | Some a ->
-      Arena.retire a ~cache_stats ?board:s.board ?cache:s.cache s.witness s.seen
-  | None -> ());
+  Arena.retire arena ~cache_stats ?board ?cache s.witness seen;
   {
     reason;
     steps = s.steps;
     history = List.rev s.history;
-    final = s.g;
-    sentinel;
+    final = g;
+    sentinel =
+      {
+        Sentinel.checked = s.checked;
+        incidents = List.rev s.incidents;
+        degraded_at = s.degraded_at;
+      };
     cache = cache_stats;
     residency;
   }
-
-let run ?arena ?rng cfg initial =
-  let s = stepper_start ?arena ?rng cfg initial in
-  stepper_finish s (stepper_run s)
 
 let converged r = match r.reason with
   | Converged -> true

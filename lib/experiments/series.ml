@@ -34,6 +34,16 @@ let max_over curves =
         acc c.points)
     0.0 curves
 
+let unconverged curves =
+  List.fold_left
+    (fun acc c ->
+      List.fold_left
+        (fun acc p ->
+          acc + p.summary.Ncg_core.Stats.runs
+          - p.summary.Ncg_core.Stats.converged)
+        acc c.points)
+    0 curves
+
 let all_ns curves =
   List.sort_uniq compare
     (List.concat_map (fun c -> List.map (fun p -> p.n) c.points) curves)

@@ -24,7 +24,14 @@ val envelope : (int -> float) -> string -> curve list -> (string * bool) list
 
 val max_over : curve list -> float
 (** Largest [max_steps / n] ratio across all points — the paper's "no run
-    took longer than 5n" summary statistic. *)
+    took longer than 5n" summary statistic.  [max_steps] counts converged
+    runs only, so a run that did not converge is left out: see
+    {!unconverged}. *)
+
+val unconverged : curve list -> int
+(** Runs, over every point of every curve, that did not converge (they
+    cycled, hit the step or time limit, faulted or crashed) — the runs
+    {!max_over} leaves out. *)
 
 val to_table : ?value:[ `Avg | `Max ] -> curve list -> string
 (** Aligned text table: first column [n], one column per curve.  Every

@@ -103,6 +103,27 @@ let with_temp_checkpoint f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path contents =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc contents)
+
+(* Reopens a checkpoint for resume: what the load reported, and the
+   outcomes it recovered for [key], by trial. *)
+let reload ~fingerprint ~key path =
+  let cp = Checkpoint.open_ ~resume:true ~fingerprint path in
+  let report = Checkpoint.load_report cp in
+  let loaded = List.sort compare (Checkpoint.completed cp ~key) in
+  Checkpoint.close cp;
+  (report, loaded)
+
 let test_checkpoint_resume_parity () =
   with_temp_checkpoint (fun path ->
       let spec () = small_spec () in
@@ -155,17 +176,36 @@ let test_checkpoint_outcome_roundtrip () =
         ]
       in
       let cp = Checkpoint.open_ ~fingerprint:"rt" path in
+      check "no temp file left after the header write" false
+        (Sys.file_exists (Printf.sprintf "%s.%d.tmp" path (Unix.getpid ())));
       List.iteri
         (fun trial o -> Checkpoint.record cp ~key:"k" ~trial o)
         outcomes;
       Checkpoint.close cp;
-      let cp = Checkpoint.open_ ~resume:true ~fingerprint:"rt" path in
-      let loaded =
-        List.sort compare (Checkpoint.completed cp ~key:"k")
-      in
-      Checkpoint.close cp;
+      let report, loaded = reload ~fingerprint:"rt" ~key:"k" path in
       check "every outcome survives the disk roundtrip" true
-        (loaded = List.mapi (fun i o -> (i, o)) outcomes))
+        (loaded = List.mapi (fun i o -> (i, o)) outcomes);
+      check "a clean file reports no corruption" true
+        (report.Checkpoint.corrupted = []);
+      (* A resume that records an already-checkpointed trial again is
+         legal: the later record wins, and the duplicate is counted, not
+         reported as corruption. *)
+      let later =
+        Stats.of_verdict ~attempts:2
+          (Stats.Finished { reason = Engine.Converged; steps = 99 })
+      in
+      let cp = Checkpoint.open_ ~resume:true ~fingerprint:"rt" path in
+      Checkpoint.record cp ~key:"k" ~trial:0 later;
+      Checkpoint.close cp;
+      let report, loaded = reload ~fingerprint:"rt" ~key:"k" path in
+      check_int "one duplicate counted" 1 report.Checkpoint.duplicates;
+      check_int "every raw record seen" (List.length outcomes + 1)
+        report.Checkpoint.records;
+      check "the later record wins" true
+        (loaded
+        = (0, later) :: List.tl (List.mapi (fun i o -> (i, o)) outcomes));
+      check "duplicates are not corruption" true
+        (report.Checkpoint.corrupted = []))
 
 let test_checkpoint_fingerprint_mismatch () =
   with_temp_checkpoint (fun path ->
@@ -178,37 +218,54 @@ let test_checkpoint_fingerprint_mismatch () =
       | _ -> Alcotest.fail "mismatched fingerprint must be refused"
       | exception Failure _ -> check "refused" true true)
 
+(* Damage to a checkpoint drops only the damaged record, and the load
+   reports it on its own line: a crash mid-append tears the last record
+   (a length mismatch, flagged as the tail), while storage damage flips a
+   bit mid-file (a CRC mismatch, not the tail). *)
 let test_checkpoint_torn_line_ignored () =
-  with_temp_checkpoint (fun path ->
-      let cp = Checkpoint.open_ ~fingerprint:"torn" path in
-      Checkpoint.record cp ~key:"k" ~trial:0
-        (Stats.of_verdict
-           (Stats.Finished { reason = Engine.Converged; steps = 10 }));
-      Checkpoint.record cp ~key:"k" ~trial:1
-        (Stats.of_verdict
-           (Stats.Finished { reason = Engine.Converged; steps = 20 }));
-      Checkpoint.close cp;
-      (* simulate a crash mid-write: truncate the last record *)
-      let contents =
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
-      let oc = open_out_bin path in
-      output_string oc (String.sub contents 0 (String.length contents - 7));
-      close_out oc;
-      let cp = Checkpoint.open_ ~resume:true ~fingerprint:"torn" path in
-      let loaded = Checkpoint.completed cp ~key:"k" in
-      let report = Checkpoint.load_report cp in
-      Checkpoint.close cp;
-      check_int "torn record dropped, intact one kept" 1 (List.length loaded);
-      check_int "the torn line is reported, not silent" 1
-        (List.length report.Checkpoint.corrupted);
-      check "reported as the tail" true
-        (match report.Checkpoint.corrupted with
-        | [ c ] -> c.Checkpoint.tail
-        | _ -> false))
+  let truncate s = String.sub s 0 (String.length s - 7) in
+  (* the last byte of a record line is payload, never framing *)
+  let flip_line i s =
+    String.split_on_char '\n' s
+    |> List.mapi (fun j line ->
+           if j <> i - 1 then line
+           else
+             String.mapi
+               (fun k c ->
+                 if k = String.length line - 1 then
+                   Char.chr (Char.code c lxor 1)
+                 else c)
+               line)
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun (what, damage, line, tail, reason, kept) ->
+      with_temp_checkpoint (fun path ->
+          let cp = Checkpoint.open_ ~fingerprint:"torn" path in
+          Checkpoint.record cp ~key:"k" ~trial:0
+            (Stats.of_verdict
+               (Stats.Finished { reason = Engine.Converged; steps = 10 }));
+          Checkpoint.record cp ~key:"k" ~trial:1
+            (Stats.of_verdict
+               (Stats.Finished { reason = Engine.Converged; steps = 20 }));
+          Checkpoint.close cp;
+          write_file path (damage (read_file path));
+          let report, loaded = reload ~fingerprint:"torn" ~key:"k" path in
+          check (what ^ ": damaged record dropped, intact one kept") true
+            (List.map fst loaded = [ kept ]);
+          match report.Checkpoint.corrupted with
+          | [ c ] ->
+              check_int (what ^ ": the damaged line") line c.Checkpoint.line;
+              check (what ^ ": tail flag") tail c.Checkpoint.tail;
+              check (what ^ ": " ^ reason ^ " failure") true
+                (String.starts_with ~prefix:reason c.Checkpoint.reason)
+          | cs ->
+              Alcotest.failf "%s: %d corrupt lines reported, expected 1" what
+                (List.length cs)))
+    [
+      ("torn tail", truncate, 3, true, "length", 0);
+      ("bit flip mid-file", flip_line 2, 2, false, "CRC", 1);
+    ]
 
 (* Regression for the v1 loader's silent data loss: malformed lines were
    skipped without a trace.  The v2 loader reading a v1 file must load
@@ -227,17 +284,31 @@ let test_checkpoint_v1_malformed_lines_surfaced () =
              "";
            ]);
       close_out oc;
-      let cp = Checkpoint.open_ ~resume:true ~fingerprint:"v1-regression" path in
-      let loaded = Checkpoint.completed cp ~key:"k" in
-      let report = Checkpoint.load_report cp in
-      Checkpoint.close cp;
+      let report, loaded = reload ~fingerprint:"v1-regression" ~key:"k" path in
       check_int "both valid records loaded" 2 (List.length loaded);
+      check "v1 records load with default retry metadata" true
+        (List.for_all
+           (fun (_, o) ->
+             o.Stats.attempts = 1 && (not o.Stats.degraded)
+             && not o.Stats.quarantined)
+           loaded);
       check_int "both malformed lines counted" 2
         (List.length report.Checkpoint.corrupted);
       check "lines 3 and 4 identified" true
         (List.map (fun c -> c.Checkpoint.line) report.Checkpoint.corrupted
         = [ 3; 4 ]);
-      check "migration to v2 reported" true report.Checkpoint.migrated_from_v1)
+      check "migration to v2 reported" true report.Checkpoint.migrated_from_v1;
+      (* the resume rewrote the file as v2: it now reloads as v2, clean,
+         with the same records *)
+      check "file is v2 after the resume" true
+        (String.starts_with ~prefix:"# ncg-checkpoint v2" (read_file path));
+      let report, reloaded =
+        reload ~fingerprint:"v1-regression" ~key:"k" path
+      in
+      check "the migrated file reloads clean" true
+        (report.Checkpoint.corrupted = []
+        && (not report.Checkpoint.migrated_from_v1)
+        && reloaded = loaded))
 
 (* ------------------------------------------------------------------ *)
 (* Retry, backoff, quarantine                                          *)
@@ -464,6 +535,30 @@ let test_series_envelope () =
   check "a within 5n" true (List.assoc "a: 5n" verdicts);
   check "b above 5n" false (List.assoc "b: 5n" verdicts);
   Alcotest.(check (float 1e-9)) "max_over" 5.5 (Series.max_over curves)
+
+(* [max_over] reads converged runs only, so the worst-run line says how
+   many runs it leaves out: here one cycled run and one step-limited run,
+   each longer than every converged one. *)
+let test_series_unconverged () =
+  let curves = fake_curves () in
+  check_int "every fake run converged" 0 (Series.unconverged curves);
+  let stuck =
+    Stats.summarize
+      [ fake_result 12;
+        fake_result
+          ~reason:(Engine.Cycle_detected { first_visit = 2; period = 4 })
+          400;
+        fake_result ~reason:Engine.Step_limit 900 ]
+  in
+  let curves =
+    curves
+    @ [ { Series.label = "c";
+          points = [ { Series.n = 10; summary = stuck } ] } ]
+  in
+  Alcotest.(check (float 1e-9))
+    "the unconverged runs leave max_over as it was" 5.5
+    (Series.max_over curves);
+  check_int "both left out" 2 (Series.unconverged curves)
 
 let test_series_rendering () =
   let curves = fake_curves () in
@@ -748,4 +843,6 @@ let suite =
         test_incident_lines_pinned;
       Alcotest.test_case "figure verdicts" `Quick test_figure_verdicts;
       Alcotest.test_case "figure constants" `Quick test_figure_constants;
+      Alcotest.test_case "series worst run leaves out unconverged runs" `Quick
+        test_series_unconverged;
     ] )

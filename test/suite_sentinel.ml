@@ -175,6 +175,74 @@ let test_sweep_reports_exactly_one_degraded_trial () =
     ({ chaotic with Stats.degraded = 0 } = clean)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned reports on one SUM-GBG instance                              *)
+(* ------------------------------------------------------------------ *)
+
+(* n = 12, m = 24, alpha = 3, under each scheduler the step tells apart:
+   [Max_cost], whose selection the sentinel replays too, and a
+   first-unhappy [Adversarial] scheduler, which is never called twice, so
+   only its move sets are checked.  Every count and graph below is what
+   the engine reported before its step paths were merged into one. *)
+let pinned_instance () =
+  (gbg 12, Gen.random_m_edges (Random.State.make [| 3 |]) 12 24)
+
+let first_unhappy =
+  Policy.Adversarial (fun _ -> function u :: _ -> Some u | [] -> None)
+
+let pinned_run policy =
+  let model, g = pinned_instance () in
+  Engine.run ~rng:(rng 3) (cfg ~sentinel:Sentinel.Every_step ~policy model) g
+
+let max_cost_final =
+  "12;0,2>;1,2<;2,3>;2,4>;2,5>;2,6>;2,7>;2,8>;2,9<;2,10>;2,11>"
+
+let adversarial_final =
+  "12;0,1>;0,2>;0,3>;0,4>;0,5>;0,6>;0,7>;0,8>;0,9>;0,10<;0,11>"
+
+let test_pinned_checked_counts () =
+  List.iter
+    (fun (name, policy, steps, checked, final) ->
+      let r = pinned_run policy in
+      check (name ^ ": converged") true (Engine.converged r);
+      check_int (name ^ ": steps") steps r.Engine.steps;
+      check_int (name ^ ": checked") checked r.Engine.sentinel.Sentinel.checked;
+      check (name ^ ": clean report") true
+        (r.Engine.sentinel.Sentinel.incidents = []
+        && r.Engine.sentinel.Sentinel.degraded_at = None);
+      Alcotest.(check string)
+        (name ^ ": final graph") final (Canonical.key r.Engine.final))
+    [
+      (* every step, plus the converging step's shadowed selection *)
+      ("max cost", Policy.Max_cost, 20, 21, max_cost_final);
+      (* the move set of every step; the converging step has none *)
+      ("adversarial", first_unhappy, 28, 28, adversarial_final);
+    ]
+
+(* The fast best-move list corrupted at step 4: both schedulers catch it
+   in the move-set check, degrade there, and finish on the reference
+   path to the healthy run's final graph. *)
+let test_pinned_divergence () =
+  List.iter
+    (fun (name, policy, steps, agent, final) ->
+      let r = with_chaos ~after:4 (fun () -> pinned_run policy) in
+      let report = r.Engine.sentinel in
+      check (name ^ ": degraded at step 4") true
+        (report.Sentinel.degraded_at = Some 4);
+      check_int (name ^ ": steps 0 to 4 checked") 5 report.Sentinel.checked;
+      check (name ^ ": one move-set incident") true
+        (match report.Sentinel.incidents with
+        | [ { Sentinel.step = 4; phase = Sentinel.Move_set m; _ } ] ->
+            m.agent = agent
+        | _ -> false);
+      check_int (name ^ ": steps") steps r.Engine.steps;
+      Alcotest.(check string)
+        (name ^ ": final graph") final (Canonical.key r.Engine.final))
+    [
+      ("max cost", Policy.Max_cost, 20, 4, max_cost_final);
+      ("adversarial", first_unhappy, 28, 0, adversarial_final);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Sentinel unit behavior                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -219,4 +287,8 @@ let suite =
         test_sweep_reports_exactly_one_degraded_trial;
       Alcotest.test_case "due levels" `Quick test_due_levels;
       Alcotest.test_case "shadowed policies" `Quick test_shadowed_policies;
+      Alcotest.test_case "pinned checked counts per scheduler" `Quick
+        test_pinned_checked_counts;
+      Alcotest.test_case "pinned divergence per scheduler" `Quick
+        test_pinned_divergence;
     ] )
