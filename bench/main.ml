@@ -1,5 +1,5 @@
 (* Bench harness: the engine's speed legs, each checking trajectory
-   identity against its baseline, plus Bechamel micro-benchmarks.
+   identity against its baseline.
 
      dune exec bench/main.exe                       -- every leg
      dune exec bench/main.exe -- --only fastpath    -- one leg
@@ -19,62 +19,6 @@ let section title = Printf.printf "\n=== %s ===\n%!" title
 
 let check name ok =
   Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro _scale =
-  section "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let rng = Random.State.make [| 7 |] in
-  let g100 = Gen.random_m_edges rng 100 400 in
-  let ws = Paths.Workspace.create 100 in
-  let sum_model = Model.make Model.Asg Model.Sum 100 in
-  let gbg_model =
-    Model.make ~alpha:(Ncg_rational.Q.of_int 25) Model.Gbg Model.Sum 100
-  in
-  let q = Ncg_rational.Q.make 15 2 in
-  let c1 = Cost.connected ~edge_units:3 ~dist:241 in
-  let c2 = Cost.connected ~edge_units:4 ~dist:228 in
-  let tests =
-    Test.make_grouped ~name:"micro"
-      [
-        Test.make ~name:"bfs_profile_n100"
-          (Staged.stage (fun () -> Paths.Workspace.profile ws g100 0));
-        Test.make ~name:"cost_compare_exact"
-          (Staged.stage (fun () -> Cost.compare ~unit_price:q c1 c2));
-        Test.make ~name:"best_swap_asg_n100"
-          (Staged.stage (fun () -> Response.best_moves ~ws sum_model g100 0));
-        Test.make ~name:"best_move_gbg_n100"
-          (Staged.stage (fun () -> Response.best_moves ~ws gbg_model g100 0));
-        Test.make ~name:"is_unhappy_asg_n100"
-          (Staged.stage (fun () -> Response.is_unhappy ~ws sum_model g100 0));
-        Test.make ~name:"sorted_cost_vector_n100"
-          (Staged.stage (fun () -> Agents.sorted_cost_vector sum_model g100));
-      ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (t :: _) -> Printf.printf "  %-34s %12.0f ns/run\n" name t
-          | Some [] | None -> Printf.printf "  %-34s (no estimate)\n" name)
-        tbl)
-    merged
 
 (* ------------------------------------------------------------------ *)
 (* Fast path vs reference oracle                                       *)
@@ -867,7 +811,6 @@ let experiments : (string * string * (scale -> unit)) list =
     ( "scaling",
       "sublinear vs full-scan selection (SUM-GBG n=1000, bounded n=10000)",
       scaling_leg );
-    ("micro", "Bechamel micro-benchmarks", micro);
     ("fastpath", "fast engine vs reference oracle (SUM-GBG n=100)", fastpath);
     ( "incremental",
       "incremental cache vs per-step tables (SUM-GBG n=100/300)",

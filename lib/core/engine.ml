@@ -136,39 +136,37 @@ let totals () = Atomic.get g_totals
 let reset_totals () = Atomic.set g_totals zero_totals
 
 (* A resident arena of trial-scoped resources.  One arena serves any number
-   of trials of the same size, strictly one at a time: the BFS workspaces
-   are stamped scratch that every trial's steps reuse as is, while the
-   Distcache, Costboard, Witness table and visited set carry genuine
-   per-trial state and so sit in one pooled slot each — a starting trial
-   takes them out reset, a retiring trial puts them back.  A trial that
-   raises never returns its set; the next trial simply allocates fresh.
-   Arenas are single-domain objects: give each domain its own.  A run
-   given no arena takes its resources from a private one ([make]), which
-   the process totals do not count. *)
+   of trials of the same size, strictly one at a time.  The BFS workspaces
+   are stamped scratch that every trial's steps reuse as is.  The witness
+   table, visited set, distance cache and cost board carry per-trial
+   state, so a trial resets each one it reuses.  Every trial needs the
+   first two, which come with the arena; the cache and the board, which
+   only some configurations use, are made on first use and kept — the
+   cache only for a trial with the same memory budget, since a budget
+   mismatch would change the eviction sequence a trial observes versus
+   its solo run.  Arenas are single-domain objects: give each domain its
+   own.  A run given no arena takes its resources from a private one
+   ([make]), which the process totals do not count. *)
 module Arena = struct
   type t = {
-    capacity : int;
+    n : int;
     ws : Paths.Workspace.t;
     shadow_ws : Paths.Workspace.t Lazy.t;
-    mutable pooled_cache : Distcache.t option;
-    mutable pooled_witness : Witness.t option;
-    mutable pooled_seen : Visited.t option;
-    mutable pooled_board : Costboard.t option;
-    mutable trials : int;
-    mutable cache_stats : Distcache.stats;
+    witness : Witness.t;
+    seen : Visited.t;
+    mutable cache : Distcache.t option;
+    mutable board : Costboard.t option;
   }
 
   let make n =
     {
-      capacity = n;
+      n;
       ws = Paths.Workspace.create n;
       shadow_ws = lazy (Paths.Workspace.create n);
-      pooled_cache = None;
-      pooled_witness = None;
-      pooled_seen = None;
-      pooled_board = None;
-      trials = 0;
-      cache_stats = Distcache.zero_stats;
+      witness = Witness.create n;
+      seen = Visited.create ();
+      cache = None;
+      board = None;
     }
 
   let create n =
@@ -176,52 +174,25 @@ module Arena = struct
     update_totals (fun t -> { t with arenas = t.arenas + 1 });
     make n
 
-  let capacity t = t.capacity
-  let trials t = t.trials
-  let cache_stats t = t.cache_stats
-
-  (* The pooled cache is reused only by a trial with the same memory
-     budget — a budget mismatch would silently change the eviction
-     sequence a trial observes versus its solo run. *)
-  let alloc_cache ?budget t =
-    match t.pooled_cache with
+  let cache ?budget t =
+    match t.cache with
     | Some c when Distcache.budget c = budget ->
-        t.pooled_cache <- None;
         Distcache.reset c;
         c
-    | _ -> Distcache.create ?budget t.capacity
+    | _ ->
+        let c = Distcache.create ?budget t.n in
+        t.cache <- Some c;
+        c
 
-  let alloc_board t =
-    match t.pooled_board with
+  let board t =
+    match t.board with
     | Some b ->
-        t.pooled_board <- None;
         Costboard.reset b;
         b
-    | None -> Costboard.create t.capacity
-
-  let alloc_witness t =
-    match t.pooled_witness with
-    | Some w ->
-        t.pooled_witness <- None;
-        Witness.reset w;
-        w
-    | None -> Witness.create t.capacity
-
-  (* [Visited.start] resets the set, so it is handed out as it is. *)
-  let alloc_seen t =
-    match t.pooled_seen with
-    | Some v ->
-        t.pooled_seen <- None;
-        v
-    | None -> Visited.create ()
-
-  let retire t ~cache_stats:(s : Distcache.stats) ?board ?cache witness seen =
-    t.trials <- t.trials + 1;
-    t.cache_stats <- Distcache.add_stats t.cache_stats s;
-    t.pooled_witness <- Some witness;
-    t.pooled_seen <- Some seen;
-    Option.iter (fun c -> t.pooled_cache <- Some c) cache;
-    Option.iter (fun b -> t.pooled_board <- Some b) board
+    | None ->
+        let b = Costboard.create t.n in
+        t.board <- Some b;
+        b
 end
 
 (* One trial's state, which [run] sets up and then advances one [step] at
@@ -462,9 +433,8 @@ let run ?arena ?rng cfg initial =
   let arena =
     match arena with
     | None -> Arena.make n
-    | Some a when Arena.capacity a = n -> a
-    | Some _ ->
-        invalid_arg "Engine: arena capacity does not match the network size"
+    | Some a when a.Arena.n = n -> a
+    | Some _ -> invalid_arg "Engine: arena size does not match the network size"
   in
   let rng =
     match rng with Some r -> r | None -> Random.State.make [| 0x5eed; n |]
@@ -474,8 +444,7 @@ let run ?arena ?rng cfg initial =
      handed to each step's context.  [None] reverts to the step-scoped
      tables of the pre-incremental fast path. *)
   let cache =
-    if cfg.incremental then
-      Some (Arena.alloc_cache ?budget:cfg.cache_budget arena)
+    if cfg.incremental then Some (Arena.cache ?budget:cfg.cache_budget arena)
     else None
   in
   (* The bucketed cost board exists exactly when the sublinear max-cost
@@ -484,10 +453,11 @@ let run ?arena ?rng cfg initial =
      cost. *)
   let board =
     match (cfg.sublinear, cache, cfg.policy) with
-    | true, Some _, Policy.Max_cost -> Some (Arena.alloc_board arena)
+    | true, Some _, Policy.Max_cost -> Some (Arena.board arena)
     | _ -> None
   in
-  let seen = Arena.alloc_seen arena in
+  let witness = arena.Arena.witness and seen = arena.Arena.seen in
+  Witness.reset witness;
   if cfg.detect_cycles then
     Visited.start seen ~owned:(Model.uses_ownership cfg.model) g;
   let s =
@@ -497,7 +467,7 @@ let run ?arena ?rng cfg initial =
       g;
       ws = arena.Arena.ws;
       shadow_ws = arena.Arena.shadow_ws;
-      witness = Arena.alloc_witness arena;
+      witness;
       cache;
       board;
       seen;
@@ -553,7 +523,6 @@ let run ?arena ?rng cfg initial =
         peak_tables = max t.peak_tables residency.Distcache.peak;
         peak_bytes = max t.peak_bytes residency.Distcache.peak_bytes;
       });
-  Arena.retire arena ~cache_stats ?board ?cache s.witness seen;
   {
     reason;
     steps = s.steps;

@@ -158,13 +158,12 @@ type result = {
 (** A resident arena of trial-scoped resources, for running many trials
     of one network size one after another without re-allocating per
     trial.  The BFS workspaces (live + lazy sentinel shadow) are stamped
-    scratch reused as is; the Distcache, cost board, witness table and
-    cycle-detection set carry genuine per-trial state, so the arena pools
-    one of each — a starting trial takes the set out {e reset} to the
-    freshly-created state, and the trial hands it back when it stops (a
-    trial that raises keeps it, and the next trial allocates fresh).
+    scratch reused as is.  The witness table, cycle-detection set,
+    distance cache and cost board carry genuine per-trial state: the
+    arena keeps each from its first use and resets it when the next trial
+    reuses it (the cache only under the same [cache_budget]).
     Trajectories and per-trial stats are therefore bit-identical with or
-    without an arena.
+    without an arena; {!totals} counts the trials and arenas.
 
     An arena serves one trial at a time, and it is a single-domain
     object: never share one across concurrently running domains — give
@@ -176,14 +175,6 @@ module Arena : sig
   val create : int -> t
   (** [create n] builds an arena serving networks of exactly [n]
       vertices. *)
-
-  val capacity : t -> int
-
-  val trials : t -> int
-  (** Trials retired through this arena so far. *)
-
-  val cache_stats : t -> Distcache.stats
-  (** Sum of the per-trial {!Distcache} stats over all retired trials. *)
 end
 
 val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
@@ -196,9 +187,9 @@ val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
     ([scan_domains]).  Its trajectories are byte-identical to
     {!Reference.run} — enforced by the differential suite.
 
-    [arena] supplies pooled trial resources (and must have
-    [capacity = Graph.n initial]); the result is bit-identical with or
-    without one. *)
+    [arena] supplies resident trial resources (and must have been
+    created for [Graph.n initial] vertices); the result is bit-identical
+    with or without one. *)
 
 val totals : unit -> totals
 (** The process totals.  Every finished trial adds to them exactly once,

@@ -8,9 +8,9 @@ let create n =
   if n < 0 then invalid_arg "Witness.create";
   { moves = Array.make (max 1 n) None; hits = 0; scans = 0 }
 
-(* Return the table to its freshly-created state so an arena can hand it to
-   the next trial: every remembered move is dropped and the counters
-   zeroed, making per-trial hit/scan stats identical to a solo run's. *)
+(* Return the table to its freshly-created state so an arena's next trial
+   can reuse it: every remembered move is dropped and the counters zeroed,
+   making per-trial hit/scan stats identical to a solo run's. *)
 let reset t =
   Array.fill t.moves 0 (Array.length t.moves) None;
   t.hits <- 0;

@@ -22,9 +22,9 @@ val create : int -> t
 
 val reset : t -> unit
 (** Forget every witness and counter — the freshly-created state.  Called
-    by {!Engine.Arena} when a pooled table is handed to the next trial, so
-    no stale move can leak between trials and per-trial hit/scan stats
-    match a solo run's. *)
+    at the start of every trial, so a table an {!Engine.Arena} reuses
+    leaks no stale move between trials and per-trial hit/scan stats match
+    a solo run's. *)
 
 val probe : t -> Response.Fast.ctx -> int -> bool
 (** Same boolean as [Response.Fast.is_unhappy ctx u], usually at the price

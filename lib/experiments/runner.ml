@@ -134,124 +134,86 @@ let run_outcomes ?(domains = 1) ?(seed = 2013) ?checkpoint ?(key = "")
           if trial >= lo && trial < hi then outcomes.(trial) <- Some outcome)
         (Checkpoint.completed cp ~key));
   let pending =
-    List.filter
-      (fun trial -> outcomes.(trial) = None)
-      (List.init (hi - lo) (fun i -> lo + i))
+    Array.of_list
+      (List.filter
+         (fun trial -> outcomes.(trial) = None)
+         (List.init (hi - lo) (fun i -> lo + i)))
   in
-  (* Without a checkpoint, one fan-out over all trials (no bookkeeping on
-     the hot path).  With one, work in batches so completed trials hit disk
-     periodically and an interruption loses at most one batch. *)
-  let batches =
-    match checkpoint with
-    | None -> (match pending with [] -> [] | _ -> [ pending ])
-    | Some _ ->
-        let batch_size = 8 * max 1 domains in
-        let rec split = function
-          | [] -> []
-          | l ->
-              let rec take k = function
-                | rest when k = 0 -> ([], rest)
-                | [] -> ([], [])
-                | x :: rest ->
-                    let taken, dropped = take (k - 1) rest in
-                    (x :: taken, dropped)
-              in
-              let batch, rest = take batch_size l in
-              batch :: split rest
-        in
-        split pending
-  in
-  (* One resident arena per domain slot, reused across groups: it
+  (* One resident arena per domain slot, reused across batches: it
      amortizes workspace/cache/witness allocation over every trial that
-     slot ever runs.  Slots of one group run on distinct domains, and
-     [Pool.map_result]'s join orders each group's arena mutations before
-     the next group reads them, so reuse is race-free. *)
-  let arenas = Array.make (max 1 domains) None in
-  let arena_for slot =
-    match arenas.(slot) with
-    | Some a -> a
-    | None ->
-        let a = Engine.Arena.create (Model.n t.model) in
-        arenas.(slot) <- Some a;
-        a
+     slot ever runs.  Slots of one batch run on distinct domains, and
+     [Pool.map_result]'s join orders each batch's arena mutations before
+     the next batch reads them, so reuse is race-free. *)
+  let slots = max 1 domains in
+  let arenas =
+    Array.init slots (fun _ -> lazy (Engine.Arena.create (Model.n t.model)))
   in
-  (* Contiguous split of a group into at most [domains] chunks, tagged
-     with their arena slot. *)
-  let split_chunks group =
-    let len = List.length group in
-    let k = max 1 (min domains len) in
-    let size = (len + k - 1) / k in
-    let rec take n = function
-      | rest when n = 0 -> ([], rest)
-      | [] -> ([], [])
-      | x :: rest ->
-          let taken, dropped = take (n - 1) rest in
-          (x :: taken, dropped)
-    in
-    let rec go slot = function
-      | [] -> []
-      | l ->
-          let chunk, rest = take size l in
-          (slot, chunk) :: go (slot + 1) rest
-    in
-    go 0 group
+  let record trial (outcome, divergences) =
+    outcomes.(trial) <- Some outcome;
+    (match checkpoint with
+    | Some cp -> Checkpoint.record cp ~key ~trial outcome
+    | None -> ());
+    match incidents with
+    | None -> ()
+    | Some log ->
+        List.iter
+          (fun incident ->
+            Incident_log.record log
+              (Incident_log.Divergence { key; trial; incident }))
+          divergences;
+        if outcome.Stats.degraded then
+          Incident_log.record log
+            (Incident_log.Degraded { key; trial; outcome });
+        if outcome.Stats.quarantined then
+          Incident_log.record log
+            (Incident_log.Quarantined { key; trial; outcome })
   in
-  List.iter
-    (fun batch ->
-      if Atomic.get stop_flag then raise Interrupted;
-      let chunks = split_chunks batch in
+  (* Pending trials run in batches of [8 * domains], each split over the
+     domain slots in contiguous chunks.  A batch is recorded (to the
+     checkpoint, when there is one) before the next starts, and a stop
+     request is honored after each, so an interruption takes effect
+     within one batch and loses at most the batch in flight. *)
+  let batch_size = 8 * slots in
+  let rec go start =
+    if start < Array.length pending then begin
+      let batch =
+        Array.to_list
+          (Array.sub pending start
+             (min batch_size (Array.length pending - start)))
+      in
+      let chunks =
+        Ncg_parallel.Pool.chunk (min slots (List.length batch)) batch
+      in
       let captured =
         Ncg_parallel.Pool.map_result ~domains
           (fun (slot, chunk) ->
-            let arena = arena_for slot in
+            let arena = Lazy.force arenas.(slot) in
             List.map (fun trial -> trial_outcome ~arena t ~seed ~trial) chunk)
-          chunks
-      in
-      let per_trial =
-        List.concat
-          (List.map2
-             (fun (_, chunk) capture ->
-               match capture with
-               | Ok pairs -> pairs
-               | Error (exn, backtrace) ->
-                   (* [trial_outcome] captures trial exceptions itself;
-                      this only fires if the harness around it fails *)
-                   List.map
-                     (fun _ ->
-                       ( Stats.of_verdict
-                           (Stats.Crashed
-                              {
-                                exn = Printexc.to_string exn;
-                                backtrace =
-                                  Printexc.raw_backtrace_to_string backtrace;
-                              }),
-                         [] ))
-                     chunk)
-             chunks captured)
+          (List.mapi (fun slot chunk -> (slot, chunk)) chunks)
       in
       List.iter2
-        (fun trial (outcome, divergences) ->
-          outcomes.(trial) <- Some outcome;
-          (match checkpoint with
-          | Some cp -> Checkpoint.record cp ~key ~trial outcome
-          | None -> ());
-          match incidents with
-          | None -> ()
-          | Some log ->
-              List.iter
-                (fun incident ->
-                  Incident_log.record log
-                    (Incident_log.Divergence { key; trial; incident }))
-                divergences;
-              if outcome.Stats.degraded then
-                Incident_log.record log
-                  (Incident_log.Degraded { key; trial; outcome });
-              if outcome.Stats.quarantined then
-                Incident_log.record log
-                  (Incident_log.Quarantined { key; trial; outcome }))
-        batch per_trial;
-      match on_batch with None -> () | Some f -> f ())
-    batches;
+        (fun chunk capture ->
+          match capture with
+          | Ok pairs -> List.iter2 record chunk pairs
+          | Error (exn, backtrace) ->
+              (* [trial_outcome] captures trial exceptions itself; this
+                 only fires if the harness around it fails *)
+              let crashed =
+                Stats.of_verdict
+                  (Stats.Crashed
+                     {
+                       exn = Printexc.to_string exn;
+                       backtrace = Printexc.raw_backtrace_to_string backtrace;
+                     })
+              in
+              List.iter (fun trial -> record trial (crashed, [])) chunk)
+        chunks captured;
+      Option.iter (fun f -> f ()) on_batch;
+      if Atomic.get stop_flag then raise Interrupted;
+      go (start + batch_size)
+    end
+  in
+  go 0;
   List.init (hi - lo) (fun i ->
       match outcomes.(lo + i) with
       | Some o -> o

@@ -72,8 +72,8 @@ val run_trial :
   ?arena:Engine.Arena.t -> spec -> seed:int -> trial:int -> Engine.result
 (** First attempt of one trial — the historical RNG derivation
     [(seed, trial, n)], so published numbers reproduce bit for bit.
-    [arena] supplies pooled trial resources; the result is bit-identical
-    with or without one. *)
+    [arena] supplies resident trial resources; the result is
+    bit-identical with or without one. *)
 
 val run_attempt :
   ?arena:Engine.Arena.t ->
@@ -89,9 +89,9 @@ val backoff_budget : float option -> attempt:int -> float option
 
 val request_stop : ?signal:int -> unit -> unit
 (** Cooperative interruption (safe to call from a signal handler): sweeps
-    honor the request at the next batch boundary — after the in-flight
-    batch has been recorded to the checkpoint — by raising
-    {!Interrupted}.  [signal] (an OCaml signal number, e.g.
+    honor the request at the next batch boundary — once the in-flight
+    batch has been recorded, to the checkpoint when there is one — by
+    raising {!Interrupted}.  [signal] (an OCaml signal number, e.g.
     [Sys.sigint]) records what triggered the stop so the process can
     exit with the signal-accurate conventional code. *)
 
@@ -106,8 +106,8 @@ val reset_stop : unit -> unit
 
 exception Interrupted
 (** Raised by {!run_outcomes}/{!run} at a batch boundary after
-    {!request_stop}; everything completed so far is already in the
-    checkpoint, so a [--resume] restart loses nothing. *)
+    {!request_stop}; with a checkpoint, everything completed so far is
+    already in it, so a [--resume] restart loses nothing. *)
 
 val run_outcomes :
   ?domains:int ->
@@ -126,13 +126,17 @@ val run_outcomes :
     sentinel divergences, degraded trials and quarantined trials are
     appended to the incident log as they are observed.
 
-    Internally, every attempt of every pending trial, first and retry
-    alike, is one {!Engine.run} on its domain slot's resident
-    {!Engine.Arena}, one trial after another, so each attempt's
+    Pending trials run in batches of [8 * domains], in trial order; each
+    batch is split into contiguous chunks ({!Ncg_parallel.Pool.chunk}),
+    one per domain slot.  A batch is recorded before the next one
+    starts, and a {!request_stop} takes effect after the batch in
+    flight, with or without a checkpoint.  Every attempt of every
+    trial, first and retry alike, is one {!Engine.run} on its slot's
+    resident {!Engine.Arena}, one trial after another, so each attempt's
     [time_budget] starts when that attempt starts.  Outcomes, checkpoint
     record layout and {!Stats} aggregates are bit-for-bit those of
     {!run_attempt} called per trial without an arena — the [batch] test
-    suite asserts this.
+    suite asserts this — and the same at any [domains].
 
     [range = (lo, hi)] restricts the run to trials [lo <= t < hi] of the
     [trials]-trial batch and returns exactly those outcomes in order —

@@ -376,8 +376,8 @@ let ensure t ~ws g v =
       install t v buf;
       buf
 
-(* Return the cache to its freshly-created state so an arena can hand it to
-   the next trial: tables and profiles are dropped (buffers recycled) and
+(* Return the cache to its freshly-created state so an arena's next trial
+   can reuse it: tables and profiles are dropped (buffers recycled) and
    the stat counters zeroed, making per-trial [stats] identical to a solo
    run's.  The repair stamps stay monotone, so no stale mark survives. *)
 let reset t =

@@ -150,5 +150,5 @@ val stats : t -> stats
 val reset : t -> unit
 (** Return the cache to its freshly-created state — tables and profiles
     dropped (buffers recycled), residency and stat counters zeroed — so an
-    {!Engine.Arena} can hand it to the next trial with per-trial [stats]
+    {!Engine.Arena}'s next trial can reuse it with per-trial [stats]
     identical to a solo run's. *)

@@ -7,8 +7,10 @@
 
     [apply] checks structural well-formedness only (edges present/absent as
     required).  Game-specific legality — ownership, host-graph membership,
-    bilateral consent — is enforced by {!Legal} and by the enumeration in
-    {!Response}, which only ever produces legal moves. *)
+    bilateral consent — is enforced by {!Response}: its enumeration only
+    ever produces legal moves, {!Response.admissible} re-checks a cached
+    move against the current state and {!Response.feasible} checks
+    bilateral consent. *)
 
 type t =
   | Swap of { agent : int; remove : int; add : int }

@@ -14,6 +14,12 @@
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count], capped at 8. *)
 
+val chunk : int -> 'a list -> 'a list list
+(** [chunk k items] splits [items] into [k >= 1] contiguous chunks, in order,
+    whose lengths differ by at most one (the longer ones first); with
+    fewer than [k] items the trailing chunks are empty.  {!map_result}
+    gives each domain one such chunk. *)
+
 val map_result :
   ?domains:int -> ('a -> 'b) -> 'a list ->
   ('b, exn * Printexc.raw_backtrace) result list

@@ -2,8 +2,8 @@
    resident [Engine.Arena] against fresh solo runs.
 
    Sweeps, fleet shards and service workers run every trial as
-   [Engine.run ~arena] on a resident arena whose pooled caches, cost
-   boards, witnesses and seen-tables are reset between trials; every
+   [Engine.run ~arena] on a resident arena whose caches, cost boards,
+   witnesses and seen-tables are reset between trials; every
    trial must be bit-identical — steps, stop reason, final network,
    sentinel report, even per-trial cache stats — to the same trial run
    solo on fresh resources through [Runner.run_trial].  The matrix crosses
@@ -37,7 +37,7 @@ let same_step (a : Engine.step) (b : Engine.step) =
   && a.Engine.cost_before = b.Engine.cost_before
   && a.Engine.cost_after = b.Engine.cost_after
 
-(* Field-by-field identity, cache stats included: a pooled, reset cache
+(* Field-by-field identity, cache stats included: a reused, reset cache
    must make the same decisions a fresh one makes. *)
 let same_result (a : Engine.result) (b : Engine.result) =
   a.Engine.steps = b.Engine.steps
@@ -49,12 +49,22 @@ let same_result (a : Engine.result) (b : Engine.result) =
   && a.Engine.sentinel = b.Engine.sentinel
   && a.Engine.cache = b.Engine.cache
 
+(* The trials [Engine.totals] counts while [f] runs. *)
+let trials_counted f =
+  let before = (Engine.totals ()).Engine.trials in
+  let r = f () in
+  (r, (Engine.totals ()).Engine.trials - before)
+
 (* Trials [0 .. trials-1] one after another through one shared arena,
    each against its fresh solo run. *)
 let assert_arena_equals_solo label spec ~seed ~trials =
   let arena = Engine.Arena.create (Model.n spec.Runner.model) in
+  let retired = ref 0 in
   for i = 0 to trials - 1 do
-    let r = Runner.run_trial ~arena spec ~seed ~trial:i in
+    let r, counted =
+      trials_counted (fun () -> Runner.run_trial ~arena spec ~seed ~trial:i)
+    in
+    retired := !retired + counted;
     let solo = Runner.run_trial spec ~seed ~trial:i in
     if not (same_result r solo) then
       Alcotest.failf
@@ -64,8 +74,7 @@ let assert_arena_equals_solo label spec ~seed ~trials =
         solo.Engine.steps
         (reason_label solo.Engine.reason)
   done;
-  check_int (label ^ ": arena retired every trial") trials
-    (Engine.Arena.trials arena)
+  check_int (label ^ ": arena retired every trial") trials !retired
 
 (* ------------------------------------------------------------------ *)
 (* The matrix: 5 games x 3 policies x 3 tie-breaks                     *)
@@ -239,11 +248,17 @@ let test_violation_retires_mid_batch () =
     (rng, g)
   in
   let arena = Engine.Arena.create n in
+  let retired = ref 0 in
+  let on_arena f =
+    let r, counted = trials_counted f in
+    retired := !retired + counted;
+    r
+  in
   List.iter
     (fun i ->
       if i = corrupt then begin
         let rng, g = corrupted_graph i in
-        let r = Engine.run ~arena ~rng cfg g in
+        let r = on_arena (fun () -> Engine.run ~arena ~rng cfg g) in
         check "corrupt trial stops with a typed violation" true
           (match r.Engine.reason with
           | Engine.Invariant_violation _ -> true
@@ -258,10 +273,10 @@ let test_violation_retires_mid_batch () =
           (Printf.sprintf "trial %d unperturbed" i)
           true
           (same_result
-             (Runner.run_trial ~arena spec ~seed ~trial:i)
+             (on_arena (fun () -> Runner.run_trial ~arena spec ~seed ~trial:i))
              (Runner.run_trial spec ~seed ~trial:i)))
     [ 0; 1; 2; 3 ];
-  check_int "arena retired the violation too" 4 (Engine.Arena.trials arena)
+  check_int "arena retired the violation too" 4 !retired
 
 let test_time_limit_retires_mid_batch () =
   (* A budget strictly in the past stops a trial at step 0 with
@@ -294,11 +309,11 @@ let test_time_limit_retires_mid_batch () =
   done
 
 let test_arena_reuse_and_accounting () =
-  (* Twelve trials through one directly created arena: pooled caches,
+  (* Twelve trials through one directly created arena: its caches,
      witnesses and seen-tables are reset between trials, so every trial
-     is still bit-identical to solo — and the arena's books balance
-     against the per-trial results, while [Engine.totals] counts each
-     trial exactly once. *)
+     is still bit-identical to solo — and [Engine.totals] counts each
+     trial exactly once, its books balancing against the per-trial
+     results. *)
   Engine.reset_totals ();
   let spec = game_spec Model.Gbg in
   let arena = Engine.Arena.create (Model.n spec.Runner.model) in
@@ -319,14 +334,13 @@ let test_arena_reuse_and_accounting () =
         true
         (same_result r (Runner.run_trial spec ~seed:3 ~trial:i)))
     runs;
-  check_int "arena retired every trial" 12 (Engine.Arena.trials arena);
+  check_int "arena retired every trial" 12 t.Engine.trials;
   check "arena cache stats = sum of per-trial stats" true
-    (Engine.Arena.cache_stats arena = cache_sum);
+    (t.Engine.cache = cache_sum);
   check_int "process totals: one arena" 1 t.Engine.arenas;
   check_int "process totals: twelve trials" 12 t.Engine.trials;
-  (* the arena feeds nothing into the totals itself: were a trial's stats
-     added on retirement as well as when it finishes, this would read
-     double *)
+  (* were a trial's stats added more than once (say, by its arena as well
+     as when it finishes), this would read double *)
   check "process totals count each trial once" true
     (t.Engine.cache = cache_sum);
   check "process totals: peak residency of the largest trial" true

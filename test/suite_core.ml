@@ -490,6 +490,16 @@ let prop_tree_lemmas =
 (* Audit and Chaos                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* One sample network per kind of game: an ownership game with budgets,
+   a MAX ownership game with alpha, and an ownership-free tree. *)
+let audit_samples () =
+  [ ("SUM-ASG budget network", sum_asg 9,
+     Gen.random_budget_network (Random.State.make [| 7 |]) 9 2);
+    ("MAX-GBG random network",
+     Model.make ~alpha:(Ncg_rational.Q.make 9 4) Model.Gbg Model.Max 9,
+     Gen.random_m_edges (Random.State.make [| 8 |]) 9 12);
+    ("MAX-SG tree", max_sg 9, Gen.random_tree (Random.State.make [| 9 |]) 9) ]
+
 let test_audit_clean () =
   let owned = sum_asg 8 in
   let g = Gen.random_budget_network (Random.State.make [| 5 |]) 8 2 in
@@ -499,18 +509,44 @@ let test_audit_clean () =
     (Audit.check_graph ~require_connected:true owned (Gen.star 8) = []);
   let unowned = max_sg 6 in
   check "clean unowned graph has no violations" true
-    (Audit.check_graph unowned (Gen.path 6) = [])
+    (Audit.check_graph unowned (Gen.path 6) = []);
+  List.iter
+    (fun (desc, model, g) ->
+      check (desc ^ " audits clean") true (Audit.check_graph model g = []))
+    (audit_samples ())
 
 let test_audit_detects_all_faults () =
-  let model = sum_asg 9 in
-  let g = Gen.random_budget_network (Random.State.make [| 7 |]) 9 2 in
   List.iter
-    (fun fault ->
-      check (Printf.sprintf "fault %s detected" (Chaos.label fault)) true
-        (Chaos.detected model fault g))
-    Chaos.all;
+    (fun (desc, model, g) ->
+      List.iter
+        (fun fault ->
+          (* ownership faults are only observable in ownership games *)
+          let applicable =
+            match fault with
+            | Chaos.Orphan_ownership | Chaos.Double_ownership ->
+                Model.uses_ownership model
+            | Chaos.Drop_half_edge | Chaos.Inject_self_loop
+            | Chaos.Disconnect_vertex ->
+                true
+          in
+          if applicable then
+            check
+              (Printf.sprintf "fault %s detected on %s" (Chaos.label fault)
+                 desc)
+              true
+              (Chaos.detected model fault g))
+        Chaos.all;
+      check
+        ("non-improving move flagged on " ^ desc)
+        true
+        (match Chaos.non_improving_move_detected model g with
+        | ok -> ok
+        | exception Invalid_argument _ ->
+            (* a stable sample has no improving move to pervert *)
+            Chaos.non_improving_move_detected model (Gen.path (Model.n model))))
+    (audit_samples ());
   check "non-improving move flagged" true
-    (Chaos.non_improving_move_detected model (Gen.path 9))
+    (Chaos.non_improving_move_detected (sum_asg 9) (Gen.path 9))
 
 let test_audit_ownership_gated () =
   (* An ownerless edge is a fault only in games that use ownership. *)
@@ -545,7 +581,12 @@ let test_engine_audit_no_false_positives () =
   check_int "audit does not change the trajectory" plain.Engine.steps
     audited.Engine.steps;
   let sampled = run (Audit.Sampled 3) in
-  check "sampled audit converges too" true (Engine.converged sampled)
+  check "sampled audit converges too" true (Engine.converged sampled);
+  check "fully audited MAX-SG run from the 9-path converges" true
+    (Engine.converged
+       (Engine.run
+          (Engine.config ~audit:Audit.Every_step (max_sg 9))
+          (Gen.path 9)))
 
 let test_engine_happy_agent_violation () =
   (* On P5 under MAX-SG the middle agent 2 is happy (cf. the adversarial

@@ -793,6 +793,27 @@ let test_incident_lines_pinned () =
         (Incident_log.json_of_event event))
     cases
 
+let test_stop_without_checkpoint () =
+  (* A stop requested mid-sweep takes effect after the batch in flight
+     (8 trials at one domain) whether or not a checkpoint is open: the
+     sweep must not run on to its last trial first. *)
+  Runner.reset_stop ();
+  let generated = Atomic.make 0 in
+  let model = Model.make Model.Asg Model.Sum 10 in
+  let spec =
+    Runner.spec model (fun rng ->
+        if Atomic.fetch_and_add generated 1 = 2 then Runner.request_stop ();
+        Ncg_graph.Gen.random_budget_network rng 10 2)
+  in
+  let interrupted =
+    match Runner.run_outcomes ~trials:100 spec with
+    | _ -> false
+    | exception Runner.Interrupted -> true
+  in
+  Runner.reset_stop ();
+  check "the sweep raised Interrupted" true interrupted;
+  check "at most one batch was generated" true (Atomic.get generated <= 8)
+
 let suite =
   ( "experiments",
     [
@@ -845,4 +866,6 @@ let suite =
       Alcotest.test_case "figure constants" `Quick test_figure_constants;
       Alcotest.test_case "series worst run leaves out unconverged runs" `Quick
         test_series_unconverged;
+      Alcotest.test_case "a stop without a checkpoint ends the batch" `Quick
+        test_stop_without_checkpoint;
     ] )

@@ -1,23 +1,18 @@
-(* chaos_check: fault-injection smoke test for the invariant auditor.
+(* chaos_check: subprocess chaos test of the ncg_sim binary.
 
-   Injects every fault class of Ncg_core.Chaos into healthy networks of
-   several games and asserts the auditor flags each one, that clean
-   networks audit clean, and that a parallel sweep survives a raising
-   trial.  Exit code 0 iff every check passes — CI runs this as the
-   robustness gate.
+     dune exec tools/chaos_check.exe -- --sim _build/default/bin/ncg_sim.exe
 
-     dune exec tools/chaos_check.exe
+   A SIGINT mid-sweep must flush the checkpoint and print a resume hint
+   before exiting 130, and without a checkpoint must still stop within
+   one batch; SIGTERM must exit 143; a sweep killed hard with SIGKILL
+   must complete under `--resume` without rerunning the trials that
+   survived on disk; out-of-range counts must be usage errors.
+   `--fleet-soak` adds the soak (worker SIGKILL storm, SIGSTOP stall,
+   supervisor SIGKILL + rerun) against the fleet.  Prints a PASS/FAIL
+   line per check and exits 1 on any FAIL, 2 without `--sim`.  (The
+   auditor's fault matrix and the pool's fault containment are unit
+   tests: the [core] and [parallel] suites.) *)
 
-   With `--sim path/to/ncg_sim.exe` it additionally chaos-tests the
-   binary itself as a subprocess: a SIGINT mid-sweep must flush the
-   checkpoint and print a resume hint before exiting 130, a sweep
-   killed hard with SIGKILL must complete under `--resume` without
-   rerunning the trials that survived on disk, and out-of-range counts
-   must be usage errors.  `--fleet-soak` adds the soak (worker SIGKILL
-   storm, SIGSTOP stall, supervisor SIGKILL + rerun) against the fleet. *)
-
-open Ncg_graph
-open Ncg_game
 open Ncg_core
 
 let failures = ref 0
@@ -25,81 +20,6 @@ let failures = ref 0
 let check name ok =
   Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name;
   if not ok then incr failures
-
-let fault_matrix () =
-  print_endline "fault detection matrix:";
-  let cases =
-    [ ("SUM-ASG budget network",
-       Model.make Model.Asg Model.Sum 9,
-       Gen.random_budget_network (Random.State.make [| 7 |]) 9 2);
-      ("MAX-GBG random network",
-       Model.make ~alpha:(Ncg_rational.Q.make 9 4) Model.Gbg Model.Max 9,
-       Gen.random_m_edges (Random.State.make [| 8 |]) 9 12);
-      ("MAX-SG tree", Model.make Model.Sg Model.Max 9,
-       Gen.random_tree (Random.State.make [| 9 |]) 9) ]
-  in
-  List.iter
-    (fun (desc, model, g) ->
-      List.iter
-        (fun fault ->
-          (* ownership faults are only observable in ownership games *)
-          let applicable =
-            match fault with
-            | Chaos.Orphan_ownership | Chaos.Double_ownership ->
-                Model.uses_ownership model
-            | Chaos.Drop_half_edge | Chaos.Inject_self_loop
-            | Chaos.Disconnect_vertex ->
-                true
-          in
-          if applicable then
-            check
-              (Printf.sprintf "%-22s detected on %s" (Chaos.label fault) desc)
-              (Chaos.detected model fault g))
-        Chaos.all;
-      check
-        (Printf.sprintf "%-22s detected on %s" "non-improving-move" desc)
-        (try Chaos.non_improving_move_detected model g
-         with Invalid_argument _ ->
-           (* a stable sample has no improving move to pervert; use a path *)
-           Chaos.non_improving_move_detected model
-             (Gen.path (Model.n model)));
-      check
-        (Printf.sprintf "%-22s clean audit on %s" "no-fault" desc)
-        (Audit.check_graph model g = []))
-    cases
-
-let engine_surfaces_violations () =
-  print_endline "engine degradation:";
-  (* a scheduler that lies about who is unhappy must yield a typed stop
-     reason, not a crash *)
-  let model = Model.make Model.Sg Model.Max 5 in
-  let lying = Policy.Adversarial (fun _ _ -> Some 2) in
-  let r = Engine.run (Engine.config ~policy:lying model) (Gen.path 5) in
-  check "happy-mover becomes Invariant_violation"
-    (match r.Engine.reason with
-    | Engine.Invariant_violation v ->
-        v.Audit.kind = Audit.Happy_agent_selected
-    | _ -> false);
-  let audited =
-    Engine.run
-      (Engine.config ~audit:Audit.Every_step (Model.make Model.Sg Model.Max 9))
-      (Gen.path 9)
-  in
-  check "fully audited healthy run converges" (Engine.converged audited)
-
-let pool_survives_raising_trial () =
-  print_endline "parallel fault containment:";
-  let f x = if x = 5 then failwith "chaos trial" else x * x in
-  let results =
-    Ncg_parallel.Pool.map_result ~domains:4 f (List.init 16 Fun.id)
-  in
-  check "all 16 outcomes returned" (List.length results = 16);
-  check "15 siblings survived"
-    (List.length (List.filter Result.is_ok results) = 15);
-  check "the raising trial is captured as Error"
-    (match List.nth results 5 with
-    | Error (Failure m, _) -> m = "chaos trial"
-    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Subprocess chaos: interrupt and hard-kill the real binary           *)
@@ -141,18 +61,23 @@ let spawn sim args ~out ~err =
   Unix.close err_fd;
   pid
 
-(* Poll for [pred] every 10 ms; checkpoint records land within the first
-   batch (8 * domains trials), so the wait is normally tens of ms. *)
+(* Poll for [pred] every 10 ms until [timeout] seconds have passed on the
+   monotonic clock; checkpoint records land within the first batch
+   (8 * domains trials), so the wait is normally tens of ms. *)
 let wait_for ?(timeout = 60.0) pred =
-  let rec go elapsed =
+  let deadline = Clock.monotonic () +. timeout in
+  let rec go () =
     pred ()
-    || elapsed <= timeout
+    || Clock.monotonic () <= deadline
        && begin
             Unix.sleepf 0.01;
-            go (elapsed +. 0.01)
+            go ()
           end
   in
-  go 0.0
+  go ()
+
+let kill_quietly ?(signal = Sys.sigkill) pid =
+  try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
 let temp_prefix tag =
   Filename.concat
@@ -183,6 +108,40 @@ let sigint_flushes_checkpoint sim =
   check "stderr carries the resume hint"
     (contains hint "Resume with:" && contains hint ck);
   List.iter remove_quietly [ ck; out; err ]
+
+(* Without a checkpoint a sweep still stops within one batch (16 trials
+   at two domains) of a SIGINT: it exits 130 promptly and says the
+   completed trials are lost.  One still running at the deadline is
+   killed, and the check fails. *)
+let sigint_without_checkpoint sim =
+  print_endline "subprocess interruption without a checkpoint (SIGINT):";
+  let prefix = temp_prefix "sigint_bare" in
+  let out = prefix ^ ".out" and err = prefix ^ ".err" in
+  let pid =
+    spawn sim
+      [ "fig7"; "--ns"; "60"; "--trials"; "100000"; "--domains"; "2" ]
+      ~out ~err
+  in
+  Unix.sleepf 1.0;
+  Unix.kill pid Sys.sigint;
+  let status = ref None in
+  let exited =
+    wait_for ~timeout:10.0 (fun () ->
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> false
+        | _, s ->
+            status := Some s;
+            true)
+  in
+  if not exited then begin
+    kill_quietly pid;
+    ignore (Unix.waitpid [] pid)
+  end;
+  check "interrupted sweep exits 130 within 10 s"
+    (!status = Some (Unix.WEXITED 130));
+  check "stderr says the completed trials are lost"
+    (contains (read_file err) "no --checkpoint was given");
+  List.iter remove_quietly [ out; err ]
 
 (* A small sweep killed hard — no handler runs, a torn tail is possible —
    must complete under --resume, with the loader reporting what it
@@ -278,9 +237,6 @@ let rec rm_rf_quietly path =
       (try Unix.rmdir path with Unix.Unix_error _ -> ())
   | _ -> remove_quietly path
   | exception Unix.Unix_error _ -> ()
-
-let kill_quietly ?(signal = Sys.sigkill) pid =
-  try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
 (* The readable leases in [dir] under [fingerprint] — the same files the
    supervisor fences with. *)
@@ -500,30 +456,27 @@ let sim_path () =
 let fleet_soak_requested () = Array.exists (( = ) "--fleet-soak") Sys.argv
 
 let () =
-  fault_matrix ();
-  engine_surfaces_violations ();
-  pool_survives_raising_trial ();
-  (match sim_path () with
+  match sim_path () with
+  | None ->
+      prerr_endline
+        "usage: chaos_check.exe --sim path/to/ncg_sim.exe [--fleet-soak]";
+      exit 2
   | Some sim ->
       sigint_flushes_checkpoint sim;
+      sigint_without_checkpoint sim;
       sigterm_exits_143 sim;
       sigkill_then_resume sim;
       out_of_range_counts_rejected sim;
-      let soak_legs c =
-        kill_storm sim c;
-        stall_detection sim c;
-        supervisor_kill_resume sim c
-      in
-      if fleet_soak_requested () then soak_legs fleet
+      if fleet_soak_requested () then begin
+        kill_storm sim fleet;
+        stall_detection sim fleet;
+        supervisor_kill_resume sim fleet
+      end
       else
         print_endline
-          "fleet soak skipped (pass --fleet-soak to run the kill storm)"
-  | None ->
-      print_endline
-        "subprocess checks skipped (pass --sim path/to/ncg_sim.exe to run \
-         them)");
-  if !failures > 0 then begin
-    Printf.printf "chaos_check: %d check(s) FAILED\n" !failures;
-    exit 1
-  end
-  else print_endline "chaos_check: all checks passed"
+          "fleet soak skipped (pass --fleet-soak to run the kill storm)";
+      if !failures > 0 then begin
+        Printf.printf "chaos_check: %d check(s) FAILED\n" !failures;
+        exit 1
+      end
+      else print_endline "chaos_check: all checks passed"
