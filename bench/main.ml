@@ -304,6 +304,30 @@ let incremental_leg scale =
 (* Output-sensitive selection at scale                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A short run with the sentinel on every step beside the same run
+   unchecked. *)
+type oracle_run = {
+  or_n : int;
+  or_budget : int option;
+  or_max_steps : int;
+  or_checked_run : engine_sample;
+  or_unchecked_run : engine_sample;
+  or_checked : int;
+  or_incidents : int;
+  or_degraded : bool;
+  or_same_final : bool;
+  or_peak_tables : int;
+}
+
+(* A run to convergence, then naive unhappiness probes of its sink. *)
+type converged_run = {
+  cv_run : engine_sample;
+  cv_converged : bool;
+  cv_probes : int;
+  cv_unhappy : int;
+  cv_probe_s : float;
+}
+
 type scaling_report = {
   sc_n : int;
   sc_m : int;
@@ -322,6 +346,8 @@ type scaling_report = {
   sc_large_peak_rss_mib : float option;
   sc_large_fills : int;
   sc_large_audit_clean : bool;
+  sc_oracle : oracle_run list;
+  sc_converged : converged_run;
 }
 
 let scaling_report : scaling_report option ref = ref None
@@ -352,16 +378,18 @@ let scaling_leg scale =
      convergence time.  The n=10000 run demonstrates the memory bound: a
      64-table budget caps the cache near 5 MiB where an unbounded cache
      would hold all n tables (~800 MiB of distance rows). *)
-  let run_bounded ?audit ~n ~max_steps ~sublinear ~cache_budget () =
-    let m = 4 * n in
-    let alpha = Ncg_rational.Q.make n 4 in
-    let model = Model.make ~alpha Model.Gbg Model.Sum n in
+  let model_of n =
+    Model.make ~alpha:(Ncg_rational.Q.make n 4) Model.Gbg Model.Sum n
+  in
+  let run_bounded ?audit ?sentinel ?max_steps ?(gen_seed = [| scale.seed |])
+      ?(rng_seed = [| scale.seed; 0xfa57 |]) ~n ~sublinear ~cache_budget () =
     let cfg =
       Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~max_steps ~record_history:false ~sublinear ?cache_budget ?audit model
+        ?max_steps ~record_history:false ~sublinear ?cache_budget ?audit
+        ?sentinel (model_of n)
     in
-    let g = Gen.random_m_edges (Random.State.make [| scale.seed |]) n m in
-    Engine.run ~rng:(Random.State.make [| scale.seed; 0xfa57 |]) cfg g
+    let g = Gen.random_m_edges (Random.State.make gen_seed) n (4 * n) in
+    Engine.run ~rng:(Random.State.make rng_seed) cfg g
   in
   let n = 1000 and max_steps = 250 in
   (* This leg asserts a 4x floor on a ~5x measurement (observed 4.2-5.6x
@@ -474,11 +502,127 @@ let scaling_leg scale =
     (match audited.Engine.reason with
     | Engine.Invariant_violation v -> Audit.violation_to_string v
     | _ -> if audit_clean then "clean" else "diverged from the timed run");
+  (* The large-n oracle.  The sentinel replays every step through the
+     naive machinery (the mover through [Policy.select], its candidates
+     through [Response]), so a stale board key, a wrong cache row or a
+     wrong candidate list at this size stops agreeing at the step it
+     happens.  A checked run must agree at every step, never degrade, and
+     end on the graph the unchecked run ends on. *)
+  let oracle ~n ~max_steps ~cache_budget =
+    let timed sentinel =
+      Gc.compact ();
+      let t0 = Clock.monotonic () in
+      let r =
+        run_bounded ~sentinel ~n ~max_steps ~sublinear:true ~cache_budget ()
+      in
+      ({ wall_s = Clock.monotonic () -. t0; steps = r.Engine.steps }, r)
+    in
+    let checked_run, checked = timed Sentinel.Every_step in
+    let unchecked_run, unchecked = timed Sentinel.Off in
+    let report = checked.Engine.sentinel in
+    let o =
+      {
+        or_n = n;
+        or_budget = cache_budget;
+        or_max_steps = max_steps;
+        or_checked_run = checked_run;
+        or_unchecked_run = unchecked_run;
+        or_checked = report.Sentinel.checked;
+        or_incidents = List.length report.Sentinel.incidents;
+        or_degraded = report.Sentinel.degraded_at <> None;
+        or_same_final = Graph.equal checked.Engine.final unchecked.Engine.final;
+        or_peak_tables =
+          max checked.Engine.residency.Distcache.peak
+            unchecked.Engine.residency.Distcache.peak;
+      }
+    in
+    Printf.printf
+      "  oracle n=%d%s: %d/%d steps checked in %.1f s (unchecked %.1f s), %d \
+       incidents, %s, %s final graph, peak %d tables\n%!"
+      n
+      (match cache_budget with
+      | Some b -> Printf.sprintf " budget=%d" b
+      | None -> "")
+      o.or_checked o.or_checked_run.steps checked_run.wall_s
+      unchecked_run.wall_s o.or_incidents
+      (if o.or_degraded then "degraded" else "never degraded")
+      (if o.or_same_final then "same" else "different")
+      o.or_peak_tables;
+    o
+  in
+  let oracle_runs =
+    let unbudgeted = oracle ~n ~max_steps:20 ~cache_budget:None in
+    [ unbudgeted; oracle ~n:2000 ~max_steps:8 ~cache_budget:(Some large_budget) ]
+  in
+  (* One run of the same game to convergence (under [Engine.config]'s
+     default step bound) from an instance pinned whatever [--seed] says
+     (about 4,000 steps), then the naive [Response.is_unhappy] on 50
+     seeded agents of its sink: each must be happy. *)
+  let converged =
+    Gc.compact ();
+    let t0 = Clock.monotonic () in
+    let r =
+      run_bounded ~gen_seed:[| 1 |] ~rng_seed:[| 1; 2 |] ~n ~sublinear:true
+        ~cache_budget:None ()
+    in
+    let run = { wall_s = Clock.monotonic () -. t0; steps = r.Engine.steps } in
+    let agents = Array.init n Fun.id in
+    let rng = Random.State.make [| 3 |] in
+    let probes = 50 in
+    for i = 0 to probes - 1 do
+      let j = i + Random.State.int rng (n - i) in
+      let x = agents.(i) in
+      agents.(i) <- agents.(j);
+      agents.(j) <- x
+    done;
+    let ws = Paths.Workspace.create n in
+    let t1 = Clock.monotonic () in
+    let unhappy =
+      List.length
+        (List.filter
+           (Response.is_unhappy ~ws (model_of n) r.Engine.final)
+           (Array.to_list (Array.sub agents 0 probes)))
+    in
+    let c =
+      {
+        cv_run = run;
+        cv_converged = Engine.converged r;
+        cv_probes = probes;
+        cv_unhappy = unhappy;
+        cv_probe_s = Clock.monotonic () -. t1;
+      }
+    in
+    Printf.printf
+      "  converged run n=%d m=%d: %s after %d steps, %.1f s; %d/%d probed \
+       agents unhappy (%.1f s)\n%!"
+      n (4 * n)
+      (if c.cv_converged then "converged" else "not converged")
+      run.steps run.wall_s unhappy probes c.cv_probe_s;
+    c
+  in
   check "identical trajectories with and without the cost board" identical;
   check "sublinear selection at least 4x over the full scan" (speedup >= 4.0);
   check "n=10000 run stays within the cache budget (+pin slack)"
     within_budget;
   check "n=10000 audited rerun clean, same final graph" audit_clean;
+  List.iter
+    (fun o ->
+      check
+        (Printf.sprintf "n=%d oracle: every step checked, no incident, same \
+           final graph" o.or_n)
+        (o.or_checked = o.or_max_steps
+        && o.or_checked_run.steps = o.or_max_steps
+        && o.or_incidents = 0 && (not o.or_degraded) && o.or_same_final);
+      Option.iter
+        (fun budget ->
+          check
+            (Printf.sprintf "n=%d oracle runs stay within the cache budget \
+               (+pin slack)" o.or_n)
+            (o.or_peak_tables <= budget + pin_slack))
+        o.or_budget)
+    oracle_runs;
+  check "n=1000 run converged and every probed agent is happy"
+    (converged.cv_converged && converged.cv_unhappy = 0);
   scaling_report :=
     Some
       {
@@ -499,6 +643,8 @@ let scaling_leg scale =
         sc_large_peak_rss_mib = peak_rss;
         sc_large_fills = large_cache.Distcache.fills;
         sc_large_audit_clean = audit_clean;
+        sc_oracle = oracle_runs;
+        sc_converged = converged;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -736,6 +882,35 @@ let write_json path ~scale ~timings =
                     opt (fun f -> Json.Float f) r.sc_large_peak_rss_mib );
                   ("fills", Json.Int r.sc_large_fills);
                   ("audit_clean", Json.Bool r.sc_large_audit_clean);
+                ] );
+            ( "oracle",
+              Json.List
+                (List.map
+                   (fun o ->
+                     Json.Obj
+                       [
+                         ("n", Json.Int o.or_n);
+                         ( "cache_budget_tables",
+                           opt (fun b -> Json.Int b) o.or_budget );
+                         ("max_steps", Json.Int o.or_max_steps);
+                         ("checked_run", sample_json o.or_checked_run);
+                         ("unchecked_run", sample_json o.or_unchecked_run);
+                         ("checked", Json.Int o.or_checked);
+                         ("incidents", Json.Int o.or_incidents);
+                         ("degraded", Json.Bool o.or_degraded);
+                         ("same_final_graph", Json.Bool o.or_same_final);
+                         ("peak_tables", Json.Int o.or_peak_tables);
+                       ])
+                   r.sc_oracle) );
+            ( "converged",
+              let c = r.sc_converged in
+              Json.Obj
+                [
+                  ("run", sample_json c.cv_run);
+                  ("converged", Json.Bool c.cv_converged);
+                  ("probes", Json.Int c.cv_probes);
+                  ("unhappy", Json.Int c.cv_unhappy);
+                  ("probe_wall_s", Json.Float c.cv_probe_s);
                 ] );
           ])
       !scaling_report

@@ -112,9 +112,6 @@ let naive_candidates cfg ~ws g u =
   | Any_improving -> Response.improving_moves ~ws cfg.model g u
   | Best_response -> Response.best_moves ~ws cfg.model g u
 
-let state_key model g =
-  if Model.uses_ownership model then Canonical.key g else Canonical.unowned_key g
-
 (* The process totals: one immutable record behind one atomic, replaced
    by compare-and-set, so concurrent domains never lose an update. *)
 let zero_totals =
@@ -235,7 +232,12 @@ let audit_graph s step =
    and the trial degrades. *)
 let diverge s phase =
   s.incidents <-
-    { Sentinel.step = s.steps; fingerprint = state_key s.cfg.model s.g; phase }
+    {
+      Sentinel.step = s.steps;
+      fingerprint =
+        Canonical.state_key ~owned:(Model.uses_ownership s.cfg.model) s.g;
+      phase;
+    }
     :: s.incidents;
   s.degraded_at <- Some s.steps
 

@@ -31,9 +31,6 @@ let choose_move (cfg : Engine.config) rng g u =
           in
           pick_uniform rng (List.filter (fun e -> rank e = min_rank) best))
 
-let state_key model g =
-  if Model.uses_ownership model then Canonical.key g else Canonical.unowned_key g
-
 let run ?rng (cfg : Engine.config) initial =
   let rng =
     match rng with
@@ -43,7 +40,8 @@ let run ?rng (cfg : Engine.config) initial =
   let g = Graph.copy initial in
   let ws = Paths.Workspace.create (Graph.n g) in
   let seen : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  if cfg.detect_cycles then Hashtbl.replace seen (state_key cfg.model g) 0;
+  let state_key = Canonical.state_key ~owned:(Model.uses_ownership cfg.model) in
+  if cfg.detect_cycles then Hashtbl.replace seen (state_key g) 0;
   let history = ref [] in
   let deadline =
     Option.map (fun b -> Clock.monotonic () +. b) cfg.time_budget
@@ -114,7 +112,7 @@ let run ?rng (cfg : Engine.config) initial =
                   | Some v -> (Engine.Invariant_violation v, step)
                   | None ->
                       if cfg.detect_cycles then begin
-                        let key = state_key cfg.model g in
+                        let key = state_key g in
                         match Hashtbl.find_opt seen key with
                         | Some first_visit ->
                             ( Engine.Cycle_detected

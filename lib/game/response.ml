@@ -157,15 +157,15 @@ let multi_swap_candidates model g u =
   | Model.Gbg | Model.Bg | Model.Bilateral ->
       invalid_arg "Response.multi_swap_candidates: (A)SG only"
 
-let evaluate ?ws model g move =
+let agent_cost ?ws model g u =
+  match ws with
+  | Some ws -> Agents.cost_ws ws model g u
+  | None -> Agents.cost model g u
+
+let evaluate model g move =
   let u = Move.agent move in
-  let cost_of g u =
-    match ws with
-    | Some ws -> Agents.cost_ws ws model g u
-    | None -> Agents.cost model g u
-  in
-  let before = cost_of g u in
-  let after = Move.with_applied g move (fun g -> cost_of g u) in
+  let before = Agents.cost model g u in
+  let after = Move.with_applied g move (fun g -> Agents.cost model g u) in
   { move; before; after }
 
 let blockers model g move =
@@ -187,20 +187,26 @@ let blockers model g move =
       end
   | _, _ -> []
 
-let feasible ?ws:_ model g move = blockers model g move = []
+let feasible model g move = blockers model g move = []
 
+(* The mover's cost is computed once per scan, and consent is asked only
+   of candidates that improve it: in the bilateral game [blockers] costs
+   two BFS per added neighbour, the scan's dominant term (DESIGN.md §9). *)
 let improving_moves ?ws ?(multi = false) model g u =
   let unit_price = Model.unit_price model in
   let base = candidates model g u in
   let all =
     if multi then Seq.append base (multi_swap_candidates model g u) else base
   in
+  let before = agent_cost ?ws model g u in
   Seq.filter_map
     (fun move ->
-      if not (feasible model g move) then None
-      else
-        let e = evaluate ?ws model g move in
-        if Cost.lt ~unit_price e.after e.before then Some e else None)
+      let after =
+        Move.with_applied g move (fun g -> agent_cost ?ws model g u)
+      in
+      if Cost.lt ~unit_price after before && feasible model g move then
+        Some { move; before; after }
+      else None)
     all
   |> List.of_seq
 
@@ -221,20 +227,12 @@ let best_moves ?ws ?multi model g u =
 
 let is_unhappy ?ws model g u =
   let unit_price = Model.unit_price model in
-  let before =
-    match ws with
-    | Some ws -> Agents.cost_ws ws model g u
-    | None -> Agents.cost model g u
-  in
+  let before = agent_cost ?ws model g u in
   let improving move =
-    feasible model g move
-    &&
-    let after = Move.with_applied g move (fun g ->
-        match ws with
-        | Some ws -> Agents.cost_ws ws model g u
-        | None -> Agents.cost model g u)
-    in
-    Cost.lt ~unit_price after before
+    Cost.lt ~unit_price
+      (Move.with_applied g move (fun g -> agent_cost ?ws model g u))
+      before
+    && feasible model g move
   in
   Seq.exists improving (candidates model g u)
 
@@ -729,10 +727,11 @@ module Fast = struct
     | Move.Buy { target = y; _ } -> try_buy s ~y ~threshold
     | Move.Delete { target = x; _ } -> try_delete s ~x ~threshold
     | Move.Swap { remove = x; add = y; _ } -> try_swap s ~x ~y ~threshold
-    | Move.Set_own_edges _ | Move.Set_neighbors _ ->
-        if feasible ctx.model ctx.g move then
-          evaluate_bounded ctx move ~before:s.before ~threshold
-        else None
+    | Move.Set_own_edges _ | Move.Set_neighbors _ -> (
+        (* consent last: a blocked move must not tighten a threshold *)
+        match evaluate_bounded ctx move ~before:s.before ~threshold with
+        | Some _ as hit when feasible ctx.model ctx.g move -> hit
+        | Some _ | None -> None)
 
   (* Fused scan walk: same enumeration order as {!iter_candidates}, but
      candidates reach the split helpers as bare ints — the inner target
@@ -803,7 +802,6 @@ module Fast = struct
 
   let revalidate ctx move =
     if not (admissible ctx.model ctx.g move) then None
-    else if not (feasible ctx.model ctx.g move) then None
     else
       let s = make_scan ctx (Move.agent move) in
       try_candidate s move ~threshold:(improve_threshold ctx s.before)
@@ -844,8 +842,7 @@ module Fast = struct
        below, so no tie of the true best response can be pruned. *)
     let seed =
       match prior with
-      | Some m
-        when admissible ctx.model ctx.g m && feasible ctx.model ctx.g m -> (
+      | Some m when admissible ctx.model ctx.g m -> (
           match try_candidate s m ~threshold:improve with
           | Some e -> cross ctx e.after
           | None -> improve)

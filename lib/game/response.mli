@@ -36,9 +36,9 @@ val multi_swap_candidates : Model.t -> Graph.t -> int -> Move.t Seq.t
     all incident edges in the SG) — used to verify the paper's "even with
     multi-swaps" claims.  Same exhaustive limit. *)
 
-val evaluate : ?ws:Paths.Workspace.t -> Model.t -> Graph.t -> Move.t -> evaluated
+val evaluate : Model.t -> Graph.t -> Move.t -> evaluated
 
-val feasible : ?ws:Paths.Workspace.t -> Model.t -> Graph.t -> Move.t -> bool
+val feasible : Model.t -> Graph.t -> Move.t -> bool
 (** Bilateral consent: every {e new} neighbor's cost must not increase
     ([c_G(v) >= c_G'(v)], Sec. 5).  Always [true] for the other games. *)
 

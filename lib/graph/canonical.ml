@@ -23,6 +23,22 @@ let unowned_key g =
     g;
   Buffer.contents buf
 
+let state_key ~owned g = if owned then key g else unowned_key g
+
+let relabel g f =
+  let n = Graph.n g in
+  if Array.length f <> n then invalid_arg "Canonical.relabel: size mismatch";
+  let seen = Array.make n false in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= n || seen.(v) then
+        invalid_arg "Canonical.relabel: not a permutation";
+      seen.(v) <- true)
+    f;
+  let h = Graph.create n in
+  Graph.iter_edges (fun u v o -> Graph.add_edge h ~owner:f.(o) f.(u) f.(v)) g;
+  h
+
 (* ------------------------------------------------------------------ *)
 (* Canonical form under isomorphism                                    *)
 (* ------------------------------------------------------------------ *)
@@ -285,9 +301,24 @@ let canonical_map ?(respect_ownership = true) ?(budget = 200_000) g =
   end
 
 let normal_form ?respect_ownership ?budget g =
-  if Graph.n g = 0 then Graph.create 0
-  else Iso.apply g (canonical_map ?respect_ownership ?budget g)
+  relabel g (canonical_map ?respect_ownership ?budget g)
 
 let iso_key ?(respect_ownership = true) ?budget g =
-  let h = normal_form ~respect_ownership ?budget g in
-  if respect_ownership then key h else unowned_key h
+  state_key ~owned:respect_ownership (normal_form ~respect_ownership ?budget g)
+
+(* Both graphs relabelled onto the same normal form: [p_g] carries [g]
+   onto it and [p_h] carries [h] onto it, so [p_h^-1 . p_g] carries [g]
+   onto [h]. *)
+let isomorphism ?(respect_ownership = true) g h =
+  let n = Graph.n g in
+  if n <> Graph.n h || Graph.m g <> Graph.m h then None
+  else
+    let p_g = canonical_map ~respect_ownership g in
+    let p_h = canonical_map ~respect_ownership h in
+    let form g p = state_key ~owned:respect_ownership (relabel g p) in
+    if form g p_g <> form h p_h then None
+    else begin
+      let inv = Array.make n 0 in
+      Array.iteri (fun v pos -> inv.(pos) <- v) p_h;
+      Some (Array.map (fun pos -> inv.(pos)) p_g)
+    end

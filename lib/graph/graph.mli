@@ -88,7 +88,7 @@ val copy : t -> t
 
 val equal : t -> t -> bool
 (** Exact equality: same vertex count, edge set and ownership.  (For
-    equality up to relabeling see {!Iso}.) *)
+    equality up to relabeling see {!Canonical.isomorphism}.) *)
 
 val of_edges : int -> (int * int) list -> t
 (** [of_edges n pairs] builds a graph where each pair [(u, v)] becomes an

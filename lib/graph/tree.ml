@@ -23,14 +23,6 @@ let is_double_star g =
   | [ a; b ] -> Graph.has_edge g a b
   | _ -> false
 
-let on_cycle g u v =
-  if not (Graph.has_edge g u v) then
-    invalid_arg "Tree.on_cycle: edge absent";
-  Graph.remove_edge g u v;
-  let still_connected = Paths.distance g u v >= 0 in
-  Graph.add_edge g ~owner:u u v;
-  still_connected
-
 let longest_path_length g v =
   let p = Paths.profile g v in
   if p.Paths.reached < Graph.n g then

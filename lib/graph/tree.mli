@@ -23,12 +23,6 @@ val is_double_star : Graph.t -> bool
 val leaves : Graph.t -> int list
 (** Vertices of degree 1. *)
 
-val on_cycle : Graph.t -> int -> int -> bool
-(** [on_cycle g u v] is [true] iff edge [{u, v}] lies on a cycle, i.e. is
-    not a bridge.  Swapping or deleting a bridge owned elsewhere would
-    disconnect the network.
-    @raise Invalid_argument if the edge is absent. *)
-
 val longest_path_length : Graph.t -> int -> int
 (** [longest_path_length g v] is the eccentricity of [v] — the length of a
     {e longest path} of agent [v] in the paper's Definition 2.7 (on a

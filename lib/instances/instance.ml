@@ -159,25 +159,22 @@ module Verify = struct
                 message = "move not applicable: " ^ msg }
               :: !failures)
       t.steps;
-    let same_state a b =
-      if Model.uses_ownership t.model then Graph.equal a b
-      else Canonical.unowned_key a = Canonical.unowned_key b
+    let owned = Model.uses_ownership t.model in
+    let closure_failure message =
+      failures := { step_index = None; message } :: !failures
     in
     (match t.closure with
     | Open -> ()
     | Exact ->
-        if not (same_state g t.initial) then
-          failures :=
-            { step_index = None;
-              message = "final state differs from the initial one" }
-            :: !failures
-    | Isomorphic ->
-        let respect_ownership = Model.uses_ownership t.model in
-        if not (Iso.equal ~respect_ownership g t.initial) then
-          failures :=
-            { step_index = None;
-              message = "final state not isomorphic to the initial one" }
-            :: !failures);
+        if Canonical.state_key ~owned g <> Canonical.state_key ~owned t.initial
+        then closure_failure "final state differs from the initial one"
+    | Isomorphic -> (
+        match Canonical.isomorphism ~respect_ownership:owned g t.initial with
+        | Some _ -> ()
+        | None ->
+            closure_failure "final state not isomorphic to the initial one"
+        | exception Canonical.Budget_exceeded ->
+            closure_failure "isomorphism check exceeded its search budget"));
     List.rev !failures
 
   let check t =

@@ -10,12 +10,6 @@ type exploration = {
   truncated : bool;
 }
 
-(* The exact-state dedupe key: ownership is part of the state only when
-   the game uses it. *)
-let state_key model g =
-  if Model.uses_ownership model then Canonical.key g
-  else Canonical.unowned_key g
-
 (* The outgoing moves of a state, each tagged when it is one of its
    agent's best responses: every improving move under [All_improving],
    only the tagged ones under [Best_responses].  Each agent's improving
@@ -82,12 +76,13 @@ let tagged word = word land 1 = 1
    [max_states] distinct states. *)
 let walk ~max_states rule model roots =
   let ids : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+  let state_key = Canonical.state_key ~owned:(Model.uses_ownership model) in
   let queue = Queue.create () in
   let off = buf () and arcs = buf () and parent = buf ()
   and root_ids = buf () in
   let sinks = ref [] and over_budget = ref false in
   let admit ~from g =
-    let key = state_key model g in
+    let key = state_key g in
     match Hashtbl.find_opt ids key with
     | Some id -> id
     | None when Hashtbl.length ids >= max_states ->

@@ -420,6 +420,60 @@ let prop_evaluation_is_pure =
         (Graph.vertices g);
       Canonical.key g = key)
 
+(* Two bilateral states where a mover's cheapest candidate is one the
+   gadget names as blocked, and a feasible best response follows it in
+   enumeration order: consent is asked only of improving candidates, and
+   a blocked one must not tighten the fast scan's best-response
+   threshold, or that later best response would be pruned. *)
+let test_blocked_cheapest_candidate () =
+  let module I = Ncg_instances.Instance in
+  let pinned (inst : I.t) ~prefix u blocked =
+    let model = inst.I.model in
+    let unit_price = Model.unit_price model in
+    let g = List.nth (I.states inst) prefix in
+    let cheapest = (Response.evaluate model g blocked).Response.after in
+    let scored =
+      List.of_seq
+        (Seq.map (Response.evaluate model g) (Response.candidates model g u))
+    in
+    let improving = Response.improving_moves model g u in
+    let best = Response.best_moves model g u in
+    check "the named move is blocked" false (Response.feasible model g blocked);
+    check "and no candidate is cheaper" true
+      (List.for_all
+         (fun e -> Cost.le ~unit_price cheapest e.Response.after)
+         scored);
+    let index m =
+      let rec go i = function
+        | [] -> -1
+        | e :: rest ->
+            if Move.equal e.Response.move m then i else go (i + 1) rest
+      in
+      go 0 scored
+    in
+    check "a best response follows it" true
+      (List.exists (fun b -> index b.Response.move > index blocked) best);
+    let ctx () =
+      Response.Fast.create (Paths.Workspace.create (Graph.n g)) model g
+    in
+    check "fast improving moves = naive" true
+      (Response.Fast.improving_moves (ctx ()) u = improving);
+    check "fast best moves = naive" true
+      (Response.Fast.best_moves (ctx ()) u = best);
+    check "a blocked prior seeds nothing" true
+      (Response.Fast.best_moves ~prior:blocked (ctx ()) u = best);
+    check "a blocked witness does not revalidate" true
+      (Response.Fast.revalidate (ctx ()) blocked = None)
+  in
+  (* Fig. 15 after two steps: e's {c,j,k} (3u+22) is blocked by c, and
+     her one feasible improving move (4u+17) comes later. *)
+  pinned Ncg_instances.Fig15_sum_bilateral.instance ~prefix:2 4
+    (Move.Set_neighbors { agent = 4; targets = [ 2; 9; 10 ] });
+  (* Fig. 16 after two steps: e's {b,d,h} (3u+3) is blocked, between her
+     two feasible best responses (3u+4). *)
+  pinned Ncg_instances.Fig16_max_bilateral.instance ~prefix:2 4
+    (Move.Set_neighbors { agent = 4; targets = [ 1; 3; 7 ] })
+
 let suite =
   ( "game",
     [
@@ -446,4 +500,7 @@ let suite =
     ]
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_apply_undo; prop_response_invariants; prop_evaluation_is_pure ]
-  )
+    @ [
+        Alcotest.test_case "blocked cheapest candidate" `Quick
+          test_blocked_cheapest_candidate;
+      ] )

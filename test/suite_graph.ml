@@ -496,13 +496,6 @@ let test_tree_predicates () =
   check "cycle not forest" false (Tree.is_forest (Gen.cycle 4));
   Alcotest.(check (list int)) "path leaves" [ 0; 4 ] (Tree.leaves (Gen.path 5))
 
-let test_bridges () =
-  let g = Gen.cycle 4 in
-  Graph.add_edge g ~owner:0 0 2;
-  check "cycle edge not bridge" true (Tree.on_cycle g 0 1);
-  let t = Gen.path 4 in
-  check "tree edge is bridge" false (Tree.on_cycle t 1 2)
-
 let test_paths_between () =
   let g = Gen.path 5 in
   Alcotest.(check (option (list int)))
@@ -564,7 +557,7 @@ let test_gen_shapes () =
      Graph.m g = 12)
 
 (* ------------------------------------------------------------------ *)
-(* Iso / Canonical / Host                                              *)
+(* Canonical / Host                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let shuffle_graph seed g =
@@ -577,7 +570,7 @@ let shuffle_graph seed g =
     perm.(i) <- perm.(j);
     perm.(j) <- t
   done;
-  (perm, Iso.apply g perm)
+  (perm, Canonical.relabel g perm)
 
 let iso_properties =
   [
@@ -585,14 +578,14 @@ let iso_properties =
       (fun params ->
         let g = graph_of params in
         let _, h = shuffle_graph 17 g in
-        Iso.equal g h);
+        Canonical.isomorphism g h <> None);
     QCheck.Test.make ~count:100 ~name:"found mapping is an isomorphism"
       arb_graph (fun params ->
         let g = graph_of params in
         let _, h = shuffle_graph 23 g in
-        match Iso.find g h with
+        match Canonical.isomorphism g h with
         | None -> false
-        | Some f -> Graph.equal (Iso.apply g f) h);
+        | Some f -> Graph.equal (Canonical.relabel g f) h);
     QCheck.Test.make ~count:100 ~name:"canonical key equal iff same state"
       arb_graph (fun params ->
         let g = graph_of params in
@@ -600,25 +593,35 @@ let iso_properties =
         Canonical.key g = Canonical.key h);
   ]
 
+let isomorphic ?respect_ownership g h =
+  Canonical.isomorphism ?respect_ownership g h <> None
+
+let is_automorphism ?(respect_ownership = true) g f =
+  Canonical.state_key ~owned:respect_ownership (Canonical.relabel g f)
+  = Canonical.state_key ~owned:respect_ownership g
+
 let test_iso_basics () =
   let p4 = Gen.path 4 and s4 = Gen.star 4 in
-  check "path4 not iso star4" false (Iso.equal p4 s4);
-  check "different sizes" false (Iso.equal (Gen.path 3) (Gen.path 4));
+  check "path4 not iso star4" false (isomorphic p4 s4);
+  check "different sizes" false (isomorphic (Gen.path 3) (Gen.path 4));
   (* ownership-awareness *)
   let g1 = Graph.of_edges 2 [ (0, 1) ] in
   let g2 = Graph.of_edges 2 [ (1, 0) ] in
-  check "2 vertices: owner flip still iso (relabel)" true (Iso.equal g1 g2);
+  check "2 vertices: owner flip still iso (relabel)" true (isomorphic g1 g2);
   let h1 = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
   let h2 = Graph.of_edges 3 [ (0, 1); (2, 1) ] in
   (* h1's middle owns one edge; h2's middle owns none *)
-  check "ownership distinguishes" false (Iso.equal h1 h2);
-  check "ignored when asked" true (Iso.equal ~respect_ownership:false h1 h2);
-  check "identity automorphism" true
-    (Iso.is_automorphism h1 [| 0; 1; 2 |]);
+  check "ownership distinguishes" false (isomorphic h1 h2);
+  check "ignored when asked" true (isomorphic ~respect_ownership:false h1 h2);
+  check "identity automorphism" true (is_automorphism h1 [| 0; 1; 2 |]);
   check "path flip automorphism needs ownership flip" false
-    (Iso.is_automorphism h1 [| 2; 1; 0 |]);
+    (is_automorphism h1 [| 2; 1; 0 |]);
   check "path flip ok without ownership" true
-    (Iso.is_automorphism ~respect_ownership:false h1 [| 2; 1; 0 |])
+    (is_automorphism ~respect_ownership:false h1 [| 2; 1; 0 |]);
+  check "relabel rejects a non-permutation" true
+    (match Canonical.relabel h1 [| 0; 0; 2 |] with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let test_canonical () =
   let g = Graph.of_edges 3 [ (0, 1) ] in
@@ -644,7 +647,7 @@ let test_normal_form () =
   (* the result is isomorphic to the input, not just equal-keyed *)
   let g = Gen.random_connected rng 9 0.3 in
   check "normal form isomorphic to input" true
-    (Iso.equal g (Canonical.normal_form g));
+    (isomorphic g (Canonical.normal_form g));
   (* ownership split: these are edge-isomorphic but not owner-isomorphic *)
   let h1 = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
   let h2 = Graph.of_edges 3 [ (0, 1); (2, 1) ] in
@@ -824,6 +827,121 @@ let multi_properties =
           (List.init (min n Paths.Multi.width) (fun i -> i + 1)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Canonical.isomorphism against brute force                           *)
+(* ------------------------------------------------------------------ *)
+
+(* [maps g h f]: [f] is a bijection of the vertices carrying every edge of
+   [g] (and, when [respect_ownership], its owner) onto an edge of [h]; with
+   equal edge counts that makes it an isomorphism. *)
+let maps ~respect_ownership g h f =
+  let n = Graph.n g in
+  Array.length f = n
+  && List.sort compare (Array.to_list f) = List.init n Fun.id
+  && Graph.m g = Graph.m h
+  && List.for_all
+       (fun (u, v, o) ->
+         Graph.has_edge h f.(u) f.(v)
+         && ((not respect_ownership) || Graph.owner h f.(u) f.(v) = f.(o)))
+       (Graph.edges g)
+
+(* Every ordering of a list. *)
+let rec permutations = function
+  | [] -> [ [] ]
+  | xs ->
+      List.concat_map
+        (fun x ->
+          List.map (fun p -> x :: p)
+            (permutations (List.filter (( <> ) x) xs)))
+        xs
+
+let brute_isomorphic ~respect_ownership g h =
+  Graph.n g = Graph.n h
+  && List.exists
+       (fun p -> maps ~respect_ownership g h (Array.of_list p))
+       (permutations (Graph.vertices g))
+
+(* [h] for [g]: an independent graph with as many edges (kind 0), or a
+   relabelled copy (kind 1) with one owner flipped (kind 2) or one edge
+   moved (kind 3), so both verdicts and the near misses between them
+   come up often.  [scattered_graph] draws each edge as an ordered pair
+   and gives it to the first vertex drawn, so owners are random too. *)
+let partner rng kind g =
+  let n = Graph.n g in
+  let h =
+    if kind = 0 then scattered_graph rng n (Graph.m g) else Graph.copy g
+  in
+  let edges = Array.of_list (Graph.edges h) in
+  let pick () = edges.(Random.State.int rng (Array.length edges)) in
+  (if kind = 2 && edges <> [||] then
+     let u, v, o = pick () in
+     Graph.remove_edge h u v;
+     Graph.add_edge h ~owner:(if o = u then v else u) u v);
+  (if kind = 3 && edges <> [||] && Graph.m h < n * (n - 1) / 2 then
+     let u, v, _ = pick () in
+     Graph.remove_edge h u v;
+     let rec add () =
+       let a = Random.State.int rng n and b = Random.State.int rng n in
+       if a = b || Graph.has_edge h a b || (min a b, max a b) = (u, v) then
+         add ()
+       else Graph.add_edge h ~owner:a a b
+     in
+     add ());
+  if kind = 0 then h else snd (shuffle_graph (Random.State.bits rng) h)
+
+let arb_iso_pair =
+  QCheck.make
+    ~print:(fun (seed, n, kind, owned) ->
+      Printf.sprintf "seed=%d n=%d kind=%d respect_ownership=%b" seed n kind
+        owned)
+    QCheck.Gen.(
+      quad (int_bound 100_000) (int_range 1 6) (int_bound 3) bool)
+
+let brute_force_properties =
+  [
+    QCheck.Test.make ~count:300
+      ~name:"isomorphism = brute force over every permutation (n <= 6)"
+      arb_iso_pair (fun (seed, n, kind, respect_ownership) ->
+        let rng = Random.State.make [| seed |] in
+        let g =
+          scattered_graph rng n (Random.State.int rng ((n * (n - 1) / 2) + 1))
+        in
+        let h = partner rng kind g in
+        match Canonical.isomorphism ~respect_ownership g h with
+        | None -> not (brute_isomorphic ~respect_ownership g h)
+        | Some f -> maps ~respect_ownership g h f);
+  ]
+
+let test_isomorphism_pinned_pairs () =
+  let both g h =
+    List.iter
+      (fun respect_ownership ->
+        check "brute force tells them apart" false
+          (brute_isomorphic ~respect_ownership g h);
+        check "isomorphism tells them apart" true
+          (Canonical.isomorphism ~respect_ownership g h = None))
+      [ true; false ]
+  in
+  (* 2-regular on six vertices: colour refinement alone cannot split them *)
+  both (Gen.cycle 6)
+    (Graph.of_edges 6 [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3) ]);
+  (* 3-regular on six vertices: bipartite against two joined triangles *)
+  both
+    (Graph.of_edges 6
+       (List.concat_map (fun u -> [ (u, 3); (u, 4); (u, 5) ]) [ 0; 1; 2 ]))
+    (Graph.of_edges 6
+       [ (0, 1); (1, 2); (2, 0); (3, 4); (4, 5); (5, 3); (0, 3); (1, 4);
+         (2, 5) ]);
+  (* the same path, its middle owning one edge against none *)
+  let h1 = Graph.of_edges 3 [ (0, 1); (1, 2) ] in
+  let h2 = Graph.of_edges 3 [ (0, 1); (2, 1) ] in
+  check "owner-blind brute force maps them" true
+    (brute_isomorphic ~respect_ownership:false h1 h2);
+  check "brute force with ownership tells them apart" false
+    (brute_isomorphic ~respect_ownership:true h1 h2);
+  check "isomorphism with ownership tells them apart" true
+    (Canonical.isomorphism h1 h2 = None)
+
 let suite =
   ( "graph",
     [
@@ -842,7 +960,6 @@ let suite =
       Alcotest.test_case "workspace distances" `Quick
         test_workspace_distances;
       Alcotest.test_case "tree predicates" `Quick test_tree_predicates;
-      Alcotest.test_case "bridges" `Quick test_bridges;
       Alcotest.test_case "paths between" `Quick test_paths_between;
       Alcotest.test_case "generator shapes" `Quick test_gen_shapes;
       Alcotest.test_case "iso basics" `Quick test_iso_basics;
@@ -862,4 +979,9 @@ let suite =
       ]
     @ List.map QCheck_alcotest.to_alcotest mutation_properties
     @ List.map QCheck_alcotest.to_alcotest kernel_properties
-    @ List.map QCheck_alcotest.to_alcotest multi_properties )
+    @ List.map QCheck_alcotest.to_alcotest multi_properties
+    @ List.map QCheck_alcotest.to_alcotest brute_force_properties
+    @ [
+        Alcotest.test_case "isomorphism tells pinned pairs apart" `Quick
+          test_isomorphism_pinned_pairs;
+      ] )

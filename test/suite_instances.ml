@@ -74,7 +74,7 @@ let test_fig2_rotation () =
   let g = Graph.copy inst.I.initial in
   ignore (Move.apply g (Move.Swap { agent = 0; remove = 3; add = 6 }));
   check "G2 isomorphic to G1" true
-    (Iso.equal ~respect_ownership:false g inst.I.initial)
+    (Canonical.isomorphism ~respect_ownership:false g inst.I.initial <> None)
 
 let test_fig3_prose () =
   (* The four cost values computed in the proof of Theorem 3.3. *)
@@ -107,11 +107,12 @@ let test_fig15_prose () =
     (Agents.cost model g 4 = Cost.connected ~edge_units:4 ~dist:17);
   (* the network has an automorphism swapping d and e (the proof's
      symmetry argument) *)
+  let automorphism f =
+    Canonical.unowned_key (Canonical.relabel g f) = Canonical.unowned_key g
+  in
   check "d-e symmetry" true
-    (Iso.is_automorphism ~respect_ownership:false g
-       [| 0; 1; 2; 4; 3; 5; 6; 9; 10; 7; 8 |]
-     || Iso.is_automorphism ~respect_ownership:false g
-          [| 2; 1; 0; 4; 3; 6; 5; 9; 10; 7; 8 |])
+    (automorphism [| 0; 1; 2; 4; 3; 5; 6; 9; 10; 7; 8 |]
+    || automorphism [| 2; 1; 0; 4; 3; 6; 5; 9; 10; 7; 8 |])
 
 let test_fig16_prose () =
   let inst = Ncg_instances.Fig16_max_bilateral.instance in
