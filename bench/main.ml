@@ -64,11 +64,10 @@ type fastpath_report = {
   fp_m : int;
   fp_alpha : string;
   fp_trials : int;
-  fp_scan_domains : int;
   reference : engine_sample;
   fast : engine_sample;
   fast_sentinel : engine_sample;
-  fast_parallel : engine_sample;
+  fp_cache : Distcache.stats;
   identical : bool;
 }
 
@@ -85,11 +84,9 @@ let fastpath scale =
   let alpha = Ncg_rational.Q.make n 4 in
   let model = Model.make ~alpha Model.Gbg Model.Sum n in
   let trials = max 1 (min 3 scale.trials) in
-  (* at least 2 so the domain fan-out is really exercised, even on 1 core *)
-  let domains = max 2 (Ncg_parallel.Pool.recommended_domains ()) in
-  let cfg scan_domains =
+  let cfg =
     Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-      ~scan_domains model
+      model
   in
   let time run =
     time_best (fun () ->
@@ -100,22 +97,17 @@ let fastpath scale =
   in
   let rng seed = Random.State.make [| seed; 0xfa57 |] in
   let reference, ref_runs =
-    time (fun seed g -> Reference.run ~rng:(rng seed) (cfg 1) g)
+    time (fun seed g -> Reference.run ~rng:(rng seed) cfg g)
   in
-  let fast, fast_runs =
-    time (fun seed g -> Engine.run ~rng:(rng seed) (cfg 1) g)
-  in
+  let fast, fast_runs = time (fun seed g -> Engine.run ~rng:(rng seed) cfg g) in
   (* the self-healing deployment configuration: 1% of steps shadow-checked
      against the naive machinery.  Must keep the speedup floor. *)
   let sentinel_cfg =
     Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-      ~sentinel:(Sentinel.Sampled 0.01) ~scan_domains:1 model
+      ~sentinel:(Sentinel.Sampled 0.01) model
   in
   let fast_sentinel, sent_runs =
     time (fun seed g -> Engine.run ~rng:(rng seed) sentinel_cfg g)
-  in
-  let fast_parallel, par_runs =
-    time (fun seed g -> Engine.run ~rng:(rng seed) (cfg domains) g)
   in
   let identical =
     List.for_all2
@@ -124,11 +116,6 @@ let fastpath scale =
         && a.Engine.reason = b.Engine.reason
         && Graph.equal a.Engine.final b.Engine.final)
       ref_runs fast_runs
-    && List.for_all2
-         (fun (a : Engine.result) (b : Engine.result) ->
-           a.Engine.steps = b.Engine.steps
-           && Graph.equal a.Engine.final b.Engine.final)
-         fast_runs par_runs
     && List.for_all2
          (fun (a : Engine.result) (b : Engine.result) ->
            a.Engine.steps = b.Engine.steps
@@ -142,6 +129,12 @@ let fastpath scale =
         && r.Engine.sentinel.Sentinel.degraded_at = None)
       sent_runs
   in
+  (* the cross-step cache's decisions over the timed fast runs *)
+  let cache =
+    List.fold_left
+      (fun acc (r : Engine.result) -> Distcache.add_stats acc r.Engine.cache)
+      Distcache.zero_stats fast_runs
+  in
   let per_s { wall_s; steps } =
     if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
   in
@@ -150,9 +143,11 @@ let fastpath scale =
       s.wall_s (per_s s)
   in
   show "reference (naive)" reference;
-  show "fast (1 domain)" fast;
+  show "fast" fast;
   show "fast + sentinel 1%" fast_sentinel;
-  show (Printf.sprintf "fast (%d domains)" domains) fast_parallel;
+  Printf.printf "  cache: %d kept, %d repaired, %d rebuilt, %d fills\n"
+    cache.Distcache.kept cache.Distcache.repaired cache.Distcache.rebuilt
+    cache.Distcache.fills;
   let speedup =
     if fast.wall_s > 0.0 then reference.wall_s /. fast.wall_s else 0.0
   in
@@ -164,6 +159,7 @@ let fastpath scale =
     sentinel_speedup;
   check "identical trajectories across engines" identical;
   check "sentinel saw no divergence on the healthy path" sentinel_clean;
+  check "cache kept or repaired tables" (cache.Distcache.kept > 0);
   check "fast engine at least 3x faster" (speedup >= 3.0);
   check "1% sentinel keeps the 3x floor" (sentinel_speedup >= 3.0);
   fastpath_report :=
@@ -173,135 +169,15 @@ let fastpath scale =
         fp_m = m;
         fp_alpha = Ncg_rational.Q.to_string alpha;
         fp_trials = trials;
-        fp_scan_domains = domains;
         reference;
         fast;
         fast_sentinel;
-        fast_parallel;
+        fp_cache = cache;
         identical;
       }
 
 (* ------------------------------------------------------------------ *)
-(* Incremental distance cache vs per-step tables                       *)
-(* ------------------------------------------------------------------ *)
-
-type incremental_report = {
-  inc_n : int;
-  inc_m : int;
-  inc_alpha : string;
-  inc_trials : int;
-  inc_plain : engine_sample;
-  inc_cached : engine_sample;
-  inc_stats : Distcache.stats;
-  inc_identical : bool;
-  inc_scaling : (int * float * float) list;  (* n, plain/s, cached/s *)
-}
-
-let incremental_report : incremental_report option ref = ref None
-
-let incremental_leg scale =
-  section
-    "Incremental cache vs per-step tables: SUM-GBG, m=4n, a=n/4, max cost";
-  (* Both sides are the *fast* engine; the only difference is whether the
-     distance tables survive across steps (kept/repaired by the cache) or
-     are recomputed from scratch each step.  Pinned at n=100 like the
-     fastpath leg; an n=300 row shows how the gap scales. *)
-  let bench n trials =
-    let m = 4 * n in
-    let alpha = Ncg_rational.Q.make n 4 in
-    let model = Model.make ~alpha Model.Gbg Model.Sum n in
-    let cfg incremental =
-      Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~incremental model
-    in
-    let rng seed = Random.State.make [| seed; 0xfa57 |] in
-    let time incremental =
-      time_best (fun () ->
-          List.init trials (fun i ->
-              let seed = scale.seed + i in
-              let g = Gen.random_m_edges (Random.State.make [| seed |]) n m in
-              Engine.run ~rng:(rng seed) (cfg incremental) g))
-    in
-    let plain, plain_runs = time false in
-    let cached, cached_runs = time true in
-    let identical =
-      List.for_all2
-        (fun (a : Engine.result) (b : Engine.result) ->
-          a.Engine.steps = b.Engine.steps
-          && a.Engine.reason = b.Engine.reason
-          && Graph.equal a.Engine.final b.Engine.final)
-        plain_runs cached_runs
-    in
-    let stats =
-      List.fold_left
-        (fun acc (r : Engine.result) ->
-          Distcache.
-            {
-              kept = acc.kept + r.Engine.cache.kept;
-              repaired = acc.repaired + r.Engine.cache.repaired;
-              rebuilt = acc.rebuilt + r.Engine.cache.rebuilt;
-              fills = acc.fills + r.Engine.cache.fills;
-              evicted = acc.evicted + r.Engine.cache.evicted;
-            })
-        Distcache.zero_stats cached_runs
-    in
-    (plain, cached, stats, identical)
-  in
-  let per_s { wall_s; steps } =
-    if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-  in
-  let n = 100 in
-  let trials = max 1 (min 3 scale.trials) in
-  let plain, cached, stats, identical = bench n trials in
-  let show label s =
-    Printf.printf "  %-22s %4d steps  %7.3f s  %8.0f steps/s\n" label s.steps
-      s.wall_s (per_s s)
-  in
-  show "per-step tables" plain;
-  show "incremental cache" cached;
-  Printf.printf "  cache: %d kept, %d repaired, %d rebuilt, %d fills\n"
-    stats.Distcache.kept stats.Distcache.repaired stats.Distcache.rebuilt
-    stats.Distcache.fills;
-  let speedup = if cached.wall_s > 0.0 then plain.wall_s /. cached.wall_s
-    else 0.0
-  in
-  Printf.printf "  speedup: %.2fx\n" speedup;
-  (* scaling row: the cache's edge grows with n (each avoided refill is a
-     whole BFS), so one n=300 point anchors the trend *)
-  let scaling =
-    List.map
-      (fun n ->
-        let plain, cached, _, ok = bench n 1 in
-        let row = (n, per_s plain, per_s cached) in
-        Printf.printf "  n=%-4d %8.0f -> %8.0f steps/s (%.2fx)%s\n" n
-          (per_s plain) (per_s cached)
-          (if plain.wall_s > 0.0 && cached.wall_s > 0.0 then
-             plain.wall_s /. cached.wall_s
-           else 0.0)
-          (if ok then "" else "  DIVERGED");
-        row)
-      [ 300 ]
-  in
-  check "identical trajectories with and without the cache" identical;
-  check "cache kept or repaired tables" (stats.Distcache.kept > 0);
-  check "incremental cache at least 1.5x over per-step tables"
-    (speedup >= 1.5);
-  incremental_report :=
-    Some
-      {
-        inc_n = n;
-        inc_m = 4 * n;
-        inc_alpha = Ncg_rational.Q.to_string (Ncg_rational.Q.make n 4);
-        inc_trials = trials;
-        inc_plain = plain;
-        inc_cached = cached;
-        inc_stats = stats;
-        inc_identical = identical;
-        inc_scaling = scaling;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* Output-sensitive selection at scale                                 *)
+(* Large n: the board at n=1000, the memory bound, the large-n oracle  *)
 (* ------------------------------------------------------------------ *)
 
 (* A short run with the sentinel on every step beside the same run
@@ -333,9 +209,7 @@ type scaling_report = {
   sc_m : int;
   sc_alpha : string;
   sc_max_steps : int;
-  sc_fullscan : engine_sample;
-  sc_sublinear : engine_sample;
-  sc_identical : bool;
+  sc_run : engine_sample;
   sc_large_n : int;
   sc_large_budget : int;
   sc_large_max_steps : int;
@@ -370,79 +244,34 @@ let peak_rss_mib () =
 
 let scaling_leg scale =
   section
-    "Output-sensitive selection: SUM-GBG max cost, n=1000 sublinear vs \
-     full-scan; bounded n=10000 under a cache budget";
-  (* Pinned sizes like the other speedup legs.  The n=1000 runs are
-     step-bounded so neither side converges inside the bound and both do
-     the same number of steps — the claim is per-step selection cost, not
-     convergence time.  The n=10000 run demonstrates the memory bound: a
-     64-table budget caps the cache near 5 MiB where an unbounded cache
-     would hold all n tables (~800 MiB of distance rows). *)
+    "Large n: SUM-GBG max cost, n=1000 on the cost board; bounded n=10000 \
+     under a cache budget; the large-n oracle";
+  (* Pinned sizes like the other legs.  The n=1000 run is step-bounded, so
+     its rate is per-step cost, not convergence time.  The n=10000 run
+     demonstrates the memory bound: a 64-table budget caps the cache near
+     5 MiB where an unbounded cache would hold all n tables (~800 MiB of
+     distance rows). *)
   let model_of n =
     Model.make ~alpha:(Ncg_rational.Q.make n 4) Model.Gbg Model.Sum n
   in
   let run_bounded ?audit ?sentinel ?max_steps ?(gen_seed = [| scale.seed |])
-      ?(rng_seed = [| scale.seed; 0xfa57 |]) ~n ~sublinear ~cache_budget () =
+      ?(rng_seed = [| scale.seed; 0xfa57 |]) ~n ~cache_budget () =
     let cfg =
       Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ?max_steps ~record_history:false ~sublinear ?cache_budget ?audit
-        ?sentinel (model_of n)
+        ?max_steps ~record_history:false ?cache_budget ?audit ?sentinel
+        (model_of n)
     in
     let g = Gen.random_m_edges (Random.State.make gen_seed) n (4 * n) in
     Engine.run ~rng:(Random.State.make rng_seed) cfg g
   in
   let n = 1000 and max_steps = 250 in
-  (* This leg asserts a 4x floor on a ~5x measurement (observed 4.2-5.6x
-     across machine states: the full-scan side is BFS/memory-bandwidth
-     bound and anti-correlates with the sublinear side under load), so
-     its timing
-     must be more careful than the other legs': best-of-k alone is not
-     enough, because each variant's k samples run back-to-back, and load
-     on a shared machine drifts on a seconds-to-minutes scale — a slow
-     window can land entirely on one side of the ratio.  Interleave the
-     samples (full, sublinear, full, sublinear, ...) so both variants
-     see the same mixture of conditions, then keep each variant's
-     least-contended pass. *)
-  let scaling_k = 6 in
-  let sample ~sublinear () =
-    Gc.compact ();
-    let t0 = Clock.monotonic () in
-    let r = run_bounded ~n ~max_steps ~sublinear ~cache_budget:None () in
-    let wall = Clock.monotonic () -. t0 in
-    ({ wall_s = wall; steps = r.Engine.steps }, [ r ])
+  let run, _ =
+    time_best (fun () ->
+        [ run_bounded ~n ~max_steps ~cache_budget:None () ])
   in
-  let keep_best best candidate =
-    let rate ({ wall_s; steps }, _) =
-      if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-    in
-    if rate candidate > rate best then candidate else best
-  in
-  let full_best = ref (sample ~sublinear:false ()) in
-  let sub_best = ref (sample ~sublinear:true ()) in
-  for _ = 2 to scaling_k do
-    full_best := keep_best !full_best (sample ~sublinear:false ());
-    sub_best := keep_best !sub_best (sample ~sublinear:true ())
-  done;
-  let full, full_runs = !full_best and sub, sub_runs = !sub_best in
-  let identical =
-    List.for_all2
-      (fun (a : Engine.result) (b : Engine.result) ->
-        a.Engine.steps = b.Engine.steps
-        && a.Engine.reason = b.Engine.reason
-        && Graph.equal a.Engine.final b.Engine.final)
-      full_runs sub_runs
-  in
-  let per_s { wall_s; steps } =
-    if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-  in
-  let show label s =
-    Printf.printf "  %-22s %4d steps  %7.3f s  %8.0f steps/s\n" label s.steps
-      s.wall_s (per_s s)
-  in
-  show "full-scan select" full;
-  show "sublinear select" sub;
-  let speedup = if sub.wall_s > 0.0 then full.wall_s /. sub.wall_s else 0.0 in
-  Printf.printf "  speedup: %.2fx\n" speedup;
+  Printf.printf "  n=%d: %d steps  %7.3f s  %8.0f steps/s\n" n run.steps
+    run.wall_s
+    (if run.wall_s > 0.0 then float_of_int run.steps /. run.wall_s else 0.0);
   (* n=10000 under a hard residency cap: the point is completing at all
      within a fixed memory envelope, so a handful of steps suffices. *)
   let large_n = 10_000 and large_budget = 64 and large_steps = 10 in
@@ -453,7 +282,7 @@ let scaling_leg scale =
     Gc.compact ();
     let t0 = Clock.monotonic () in
     let r =
-      run_bounded ~n:large_n ~max_steps:large_steps ~sublinear:true
+      run_bounded ~n:large_n ~max_steps:large_steps
         ~cache_budget:(Some large_budget) ()
     in
     let wall = Clock.monotonic () -. t0 in
@@ -466,10 +295,10 @@ let scaling_leg scale =
      residency alone misses the graphs (the initial network and the
      engine's working copy), where n² words per matrix would dominate. *)
   let peak_rss = peak_rss_mib () in
-  (* [install] admits the new table before evicting, and pinned tables
-     (the applied move's endpoints) are exempt while held — so the peak
-     may transiently sit a few tables above the budget, never more than
-     the pin width. *)
+  (* [Distcache.ensure] admits the new table before evicting, and pinned
+     tables (the applied move's endpoints) are exempt while held — so the
+     peak may transiently sit a few tables above the budget, never more
+     than the pin width. *)
   let pin_slack = 8 in
   let within_budget = residency.Distcache.peak <= large_budget + pin_slack in
   Printf.printf
@@ -492,7 +321,7 @@ let scaling_leg scale =
      the audited run took the timed run's steps to its final graph. *)
   let audited =
     run_bounded ~audit:(Audit.Sampled 5) ~n:large_n ~max_steps:large_steps
-      ~sublinear:true ~cache_budget:(Some large_budget) ()
+      ~cache_budget:(Some large_budget) ()
   in
   let audit_clean =
     audited.Engine.reason = Engine.Step_limit
@@ -512,9 +341,7 @@ let scaling_leg scale =
     let timed sentinel =
       Gc.compact ();
       let t0 = Clock.monotonic () in
-      let r =
-        run_bounded ~sentinel ~n ~max_steps ~sublinear:true ~cache_budget ()
-      in
+      let r = run_bounded ~sentinel ~n ~max_steps ~cache_budget () in
       ({ wall_s = Clock.monotonic () -. t0; steps = r.Engine.steps }, r)
     in
     let checked_run, checked = timed Sentinel.Every_step in
@@ -562,8 +389,8 @@ let scaling_leg scale =
     Gc.compact ();
     let t0 = Clock.monotonic () in
     let r =
-      run_bounded ~gen_seed:[| 1 |] ~rng_seed:[| 1; 2 |] ~n ~sublinear:true
-        ~cache_budget:None ()
+      run_bounded ~gen_seed:[| 1 |] ~rng_seed:[| 1; 2 |] ~n ~cache_budget:None
+        ()
     in
     let run = { wall_s = Clock.monotonic () -. t0; steps = r.Engine.steps } in
     let agents = Array.init n Fun.id in
@@ -600,8 +427,6 @@ let scaling_leg scale =
       run.steps run.wall_s unhappy probes c.cv_probe_s;
     c
   in
-  check "identical trajectories with and without the cost board" identical;
-  check "sublinear selection at least 4x over the full scan" (speedup >= 4.0);
   check "n=10000 run stays within the cache budget (+pin slack)"
     within_budget;
   check "n=10000 audited rerun clean, same final graph" audit_clean;
@@ -630,9 +455,7 @@ let scaling_leg scale =
         sc_m = 4 * n;
         sc_alpha = Ncg_rational.Q.to_string (Ncg_rational.Q.make n 4);
         sc_max_steps = max_steps;
-        sc_fullscan = full;
-        sc_sublinear = sub;
-        sc_identical = identical;
+        sc_run = run;
         sc_large_n = large_n;
         sc_large_budget = large_budget;
         sc_large_max_steps = large_steps;
@@ -804,53 +627,21 @@ let write_json path ~scale ~timings =
             ("fast", sample_json r.fast);
             ("fast_sentinel", sample_json r.fast_sentinel);
             ("sentinel_rate", Json.Float 0.01);
-            ("fast_parallel", sample_json r.fast_parallel);
-            ("scan_domains", Json.Int r.fp_scan_domains);
             ("speedup", ratio r.reference.wall_s r.fast.wall_s);
             ( "sentinel_speedup",
               ratio r.reference.wall_s r.fast_sentinel.wall_s );
-            ("identical_trajectories", Json.Bool r.identical);
-          ])
-      !fastpath_report
-  in
-  let incremental_json =
-    opt
-      (fun r ->
-        Json.Obj
-          [
-            ("game", Json.Str "SUM-GBG");
-            ("policy", Json.Str "max-cost");
-            ("tie_break", Json.Str "prefer-deletion");
-            ("n", Json.Int r.inc_n);
-            ("m", Json.Int r.inc_m);
-            ("alpha", Json.Str r.inc_alpha);
-            ("trials", Json.Int r.inc_trials);
-            ("per_step_tables", sample_json r.inc_plain);
-            ("incremental", sample_json r.inc_cached);
-            ("speedup", ratio r.inc_plain.wall_s r.inc_cached.wall_s);
             ( "cache",
               Json.Obj
                 [
-                  ("kept", Json.Int r.inc_stats.Distcache.kept);
-                  ("repaired", Json.Int r.inc_stats.Distcache.repaired);
-                  ("rebuilt", Json.Int r.inc_stats.Distcache.rebuilt);
-                  ("fills", Json.Int r.inc_stats.Distcache.fills);
-                  ("evicted", Json.Int r.inc_stats.Distcache.evicted);
+                  ("kept", Json.Int r.fp_cache.Distcache.kept);
+                  ("repaired", Json.Int r.fp_cache.Distcache.repaired);
+                  ("rebuilt", Json.Int r.fp_cache.Distcache.rebuilt);
+                  ("fills", Json.Int r.fp_cache.Distcache.fills);
+                  ("evicted", Json.Int r.fp_cache.Distcache.evicted);
                 ] );
-            ( "scaling",
-              Json.List
-                (List.map
-                   (fun (n, plain_s, cached_s) ->
-                     Json.Obj
-                       [
-                         ("n", Json.Int n);
-                         ("per_step_steps_per_s", Json.Float plain_s);
-                         ("incremental_steps_per_s", Json.Float cached_s);
-                       ])
-                   r.inc_scaling) );
-            ("identical_trajectories", Json.Bool r.inc_identical);
+            ("identical_trajectories", Json.Bool r.identical);
           ])
-      !incremental_report
+      !fastpath_report
   in
   let scaling_json =
     opt
@@ -864,10 +655,7 @@ let write_json path ~scale ~timings =
             ("m", Json.Int r.sc_m);
             ("alpha", Json.Str r.sc_alpha);
             ("max_steps", Json.Int r.sc_max_steps);
-            ("full_scan", sample_json r.sc_fullscan);
-            ("sublinear", sample_json r.sc_sublinear);
-            ("speedup", ratio r.sc_fullscan.wall_s r.sc_sublinear.wall_s);
-            ("identical_trajectories", Json.Bool r.sc_identical);
+            ("run", sample_json r.sc_run);
             ( "large",
               Json.Obj
                 [
@@ -959,7 +747,6 @@ let write_json path ~scale ~timings =
                ] );
            ("experiments", experiments);
            ("fastpath", fastpath_json);
-           ("incremental", incremental_json);
            ("scaling", scaling_json);
            ("fleet", fleet_json);
          ])
@@ -976,20 +763,12 @@ let write_json path ~scale ~timings =
 
 let experiments : (string * string * (scale -> unit)) list =
   [
-    (* The scaling leg runs first on purpose: it asserts a 4x floor on a
-       ~5x ratio, and running it after the other legs systematically
-       costs the sublinear side ~10-15% (process-state contamination the
-       per-sample Gc.compact does not undo — most likely allocator/page
-       layout after the earlier legs' churn), which no amount of
-       best-of-k sampling recovers.  First in a fresh process it
-       measures the same ratio as a standalone `--only scaling` run. *)
+    (* First, so the peak RSS read after its n=10000 run is that run's
+       process high-water mark, not another leg's. *)
     ( "scaling",
-      "sublinear vs full-scan selection (SUM-GBG n=1000, bounded n=10000)",
+      "large n: cost board at n=1000, bounded n=10000, large-n oracle",
       scaling_leg );
     ("fastpath", "fast engine vs reference oracle (SUM-GBG n=100)", fastpath);
-    ( "incremental",
-      "incremental cache vs per-step tables (SUM-GBG n=100/300)",
-      incremental_leg );
     ("fleet", "fleet vs single process (supervision overhead)", fleet_leg);
   ]
 

@@ -22,16 +22,15 @@ type config = {
 let config ?(policy = Policy.Max_cost) ?(move_rule = Best_response)
     ?(tie_break = Uniform) ?max_steps ?(detect_cycles = false)
     ?(record_history = true) ?(audit = Audit.Off)
-    ?(sentinel = Sentinel.Off) ?time_budget ?(scan_domains = 1)
-    ?(incremental = true) ?(sublinear = true) ?cache_budget model =
+    ?(sentinel = Sentinel.Off) ?time_budget ?cache_budget model =
   let max_steps =
     match max_steps with
     | Some s -> s
     | None -> (100 * Model.n model) + 1000
   in
   { model; policy; move_rule; tie_break; max_steps; detect_cycles;
-    record_history; audit; sentinel; time_budget; scan_domains; incremental;
-    sublinear; cache_budget }
+    record_history; audit; sentinel; time_budget; scan_domains = 1;
+    incremental = true; sublinear = true; cache_budget }
 
 type step = {
   index : int;
@@ -137,8 +136,8 @@ let reset_totals () = Atomic.set g_totals zero_totals
    are stamped scratch that every trial's steps reuse as is.  The witness
    table, visited set, distance cache and cost board carry per-trial
    state, so a trial resets each one it reuses.  Every trial needs the
-   first two, which come with the arena; the cache and the board, which
-   only some configurations use, are made on first use and kept — the
+   first two, which come with the arena; the cache and the board (which
+   only max-cost selection uses) are made on first use and kept — the
    cache only for a trial with the same memory budget, since a budget
    mismatch would change the eviction sequence a trial observes versus
    its solo run.  Arenas are single-domain objects: give each domain its
@@ -202,7 +201,7 @@ type trial = {
   ws : Paths.Workspace.t;
   shadow_ws : Paths.Workspace.t Lazy.t;
   witness : Witness.t;
-  cache : Distcache.t option;
+  cache : Distcache.t;
   board : Costboard.t option;
   seen : Visited.t;
   require_connected : bool;
@@ -256,29 +255,28 @@ let finish_step s u (e : Response.evaluated) =
      memory-bounded cache from evicting them mid-move (a multi-primitive
      move reuses them, repaired, for its later primitives). *)
   let pinned =
-    match (s.cache, s.board) with
-    | Some c, Some _ ->
+    match s.board with
+    | Some _ ->
         let touched = Move.touched s.g e.Response.move in
         List.iter
           (fun v ->
-            ignore (Distcache.ensure c ~ws:s.ws s.g v);
-            Distcache.pin c v)
+            ignore (Distcache.ensure s.cache ~ws:s.ws s.g v);
+            Distcache.pin s.cache v)
           touched;
         touched
-    | _ -> []
+    | None -> []
   in
-  (* The cache, when there is one, and the visited set follow the move
-     primitive by primitive: each note_* sees the graph exactly after its
-     primitive, against the tables from before it — the state the
-     keep/repair rules assume. *)
+  (* The cache and the visited set follow the move primitive by
+     primitive: each note_* sees the graph exactly after its primitive,
+     against the tables from before it — the state the keep/repair rules
+     assume. *)
   ignore
     (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
-         (match (s.cache, p) with
-         | Some c, Move.Added (a, b) -> Distcache.note_added c s.g a b
-         | Some c, Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b
-         | None, _ -> ());
+         (match p with
+         | Move.Added (a, b) -> Distcache.note_added s.cache s.g a b
+         | Move.Removed (a, b, _) -> Distcache.note_removed s.cache s.g a b);
          if cfg.detect_cycles then Visited.note s.seen s.g p));
-  Option.iter (fun c -> List.iter (Distcache.unpin c) pinned) s.cache;
+  List.iter (Distcache.unpin s.cache) pinned;
   Witness.clear s.witness u;
   if cfg.record_history then
     s.history <-
@@ -301,11 +299,10 @@ let finish_step s u (e : Response.evaluated) =
      | None -> ());
   s.last <- Some u
 
-(* One context per step.  With the incremental cache it inherits all
+(* One context per step, over the cross-step cache: it inherits all
    tables that survived (were kept or repaired by) the previous step's
-   patch; without, tables describe the current network only for this step
-   and are discarded wholesale.  The witness cache survives across steps
-   either way — probes revalidate.
+   patch.  The witness cache survives across steps too — probes
+   revalidate.
 
    The cost board is brought up to date over it: a full refresh on the
    first step (every agent's key), then only the agents the cache's last
@@ -321,30 +318,21 @@ let finish_step s u (e : Response.evaluated) =
    untouched. *)
 let fast_context s =
   let cfg = s.cfg in
-  let ctx =
-    match s.cache with
-    | Some c -> Response.Fast.of_cache s.ws cfg.model s.g c
-    | None -> Response.Fast.create s.ws cfg.model s.g
-  in
-  (* The admission caps ride with the output-sensitive step loop: the
-     [sublinear:false] baseline keeps the historical uncapped enumeration
-     (identical moves either way — the caps only skip provably
-     over-budget candidate scans). *)
-  Response.Fast.set_prefilter ctx cfg.sublinear;
-  (match (s.board, s.cache) with
-  | Some board, Some c ->
+  let ctx = Response.Fast.of_cache s.ws cfg.model s.g s.cache in
+  (match s.board with
+  | Some board ->
       let refresh v = Costboard.update board v (Response.Fast.cost_key ctx v) in
-      if Costboard.complete board then Distcache.iter_dirty refresh c
+      if Costboard.complete board then Distcache.iter_dirty refresh s.cache
       else
         for v = 0 to Graph.n s.g - 1 do
           refresh v
         done;
-      Distcache.clear_dirty c;
+      Distcache.clear_dirty s.cache;
       if Audit.should_check cfg.audit s.steps then
         Option.iter violation
           (Audit.check_board ~step:s.steps ~ws:(Lazy.force s.shadow_ws)
              cfg.model s.g board)
-  | _ -> ());
+  | None -> ());
   ctx
 
 (* One step: select the mover, take its candidates, break the tie, apply.
@@ -373,7 +361,7 @@ let step s =
           ~board cfg.model s.g ~last:s.last
     | Some ctx, None ->
         Policy.select_fast cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
-          ~domains:cfg.scan_domains cfg.model s.g ~last:s.last
+          cfg.model s.g ~last:s.last
   in
   let picked =
     match snap with
@@ -443,20 +431,14 @@ let run ?arena ?rng cfg initial =
   in
   let g = Graph.copy initial in
   (* The cross-step distance cache: patched after every committed move and
-     handed to each step's context.  [None] reverts to the step-scoped
-     tables of the pre-incremental fast path. *)
-  let cache =
-    if cfg.incremental then Some (Arena.cache ?budget:cfg.cache_budget arena)
-    else None
-  in
-  (* The bucketed cost board exists exactly when the sublinear max-cost
-     selection can use it: it needs the cross-step cache (the dirty sets
-     come from its patch classification) and only Max_cost sorts by
-     cost. *)
+     handed to each step's context. *)
+  let cache = Arena.cache ?budget:cfg.cache_budget arena in
+  (* The bucketed cost board, fed by the cache's dirty sets, exists
+     exactly when selection sorts by cost. *)
   let board =
-    match (cfg.sublinear, cache, cfg.policy) with
-    | true, Some _, Policy.Max_cost -> Some (Arena.board arena)
-    | _ -> None
+    match cfg.policy with
+    | Policy.Max_cost -> Some (Arena.board arena)
+    | Policy.Random_unhappy | Policy.Round_robin | Policy.Adversarial _ -> None
   in
   let witness = arena.Arena.witness and seen = arena.Arena.seen in
   Witness.reset witness;
@@ -512,11 +494,8 @@ let run ?arena ?rng cfg initial =
           | Some v -> Invariant_violation v
           | None -> reason)
   in
-  let cache_stats, residency =
-    match cache with
-    | Some c -> (Distcache.stats c, Distcache.residency c)
-    | None -> (Distcache.zero_stats, Distcache.zero_residency)
-  in
+  let cache_stats = Distcache.stats cache
+  and residency = Distcache.residency cache in
   update_totals (fun t ->
       {
         t with

@@ -27,7 +27,7 @@ type tie_break =
           ties uniform *)
   | First_candidate  (** deterministic: first in enumeration order *)
 
-type config = {
+type config = private {
   model : Model.t;
   policy : Policy.t;
   move_rule : move_rule;
@@ -61,24 +61,11 @@ type config = {
           {!Clock.monotonic}; exceeding it stops the run with
           {!Time_limit}. *)
   scan_domains : int;
-      (** number of OCaml domains the max-cost policy fans its per-agent
-          cost BFS out over each step; [1] keeps everything on the calling
-          domain.  Any value produces the identical trajectory — this is a
-          throughput knob only. *)
+      (** Always [1]; for [benchmark/replica.ml] until ROADMAP item 1b. *)
   incremental : bool;
-      (** keep one {!Distcache} alive across steps, patched after every
-          committed move, instead of refilling all distance tables each
-          step.  Either value produces the identical trajectory — the cache
-          changes when distances are computed, never their values (see
-          DESIGN.md §12).  [false] reverts to the step-scoped tables. *)
+      (** Always [true]; for [benchmark/replica.ml] until ROADMAP item 1b. *)
   sublinear : bool;
-      (** serve [Max_cost] selection from a bucketed cost board maintained
-          incrementally from the distance cache's dirty sets, instead of
-          recomputing and sorting all n agent costs every step.  Requires
-          [incremental]; either value produces the identical trajectory
-          (same RNG draws, same probe order — see DESIGN.md §17), gated by
-          the sentinel and the differential/sublinear suites.  [false]
-          reverts to the full-scan [Policy.select_fast]. *)
+      (** Always [true]; for [benchmark/replica.ml] until ROADMAP item 1b. *)
   cache_budget : int option;
       (** cap on resident distance tables ({!Distcache} LRU eviction past
           it); [None] keeps every filled table resident.  A budget changes
@@ -97,16 +84,13 @@ val config :
   ?audit:Audit.level ->
   ?sentinel:Sentinel.level ->
   ?time_budget:float ->
-  ?scan_domains:int ->
-  ?incremental:bool ->
-  ?sublinear:bool ->
   ?cache_budget:int ->
   Model.t ->
   config
-(** Defaults: max-cost policy, best response, uniform ties, [100 * n + 1000]
-    steps, cycle detection off, history on, audit off, sentinel off, no time
-    budget, one scan domain, incremental cache on, sublinear selection on,
-    unbounded cache residency. *)
+(** The only way to build a {!config}.  Defaults: max-cost policy, best
+    response, uniform ties, [100 * n + 1000] steps, cycle detection off,
+    history on, audit off, sentinel off, no time budget, unbounded cache
+    residency. *)
 
 type step = {
   index : int;  (** 0-based position in the run *)
@@ -147,12 +131,10 @@ type result = {
           the sentinel is off or no checked step diverged *)
   cache : Distcache.stats;
       (** incremental distance-cache decisions over the whole run
-          (kept/repaired/rebuilt tables, fresh fills, evictions);
-          {!Distcache.zero_stats} when [incremental] is off *)
+          (kept/repaired/rebuilt tables, fresh fills, evictions) *)
   residency : Distcache.residency;
       (** the cache's memory accounting at the end of the run — resident
-          and peak table counts/bytes against the configured budget;
-          {!Distcache.zero_residency} when [incremental] is off *)
+          and peak table counts/bytes against the configured budget *)
 }
 
 (** A resident arena of trial-scoped resources, for running many trials
@@ -181,11 +163,12 @@ val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
 (** Runs the process on a private copy of the initial network.  [rng]
     defaults to a fixed seed, so runs are reproducible by default.
 
-    This is the {e fast} engine: witness-cached unhappiness probes,
-    distance-table costs and bounded-BFS best-response pruning
-    ({!Response.Fast}), optionally with parallel cost scans
-    ([scan_domains]).  Its trajectories are byte-identical to
-    {!Reference.run} — enforced by the differential suite.
+    This is the {e fast} engine, and it has one path: one {!Distcache}
+    kept across steps, max-cost selection keyed from a cost board fed by
+    the cache's dirty sets, witness-cached unhappiness probes, and a
+    prefiltered, exactly scored best-response scan ({!Response.Fast}).
+    Its trajectories are byte-identical to {!Reference.run} — enforced by
+    the differential suite.
 
     [arena] supplies resident trial resources (and must have been
     created for [Graph.n initial] vertices); the result is bit-identical

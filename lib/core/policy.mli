@@ -46,11 +46,12 @@ val select_fast :
   int option
 (** Same agent, same RNG draws as {!select}, served by the fast path:
     unhappiness probes go through the witness cache and agent costs come
-    from the context's distance tables.  Under {!Max_cost} with
-    [domains > 1] the missing distance tables are precomputed in parallel
-    (one BFS per agent, fanned out over [domains] OCaml domains) before
-    the sequential selection runs — the parallel part only reads the
-    graph. *)
+    from the context's distance tables.  The engine takes it for every
+    policy but {!Max_cost}, which {!select_sublinear} serves; under
+    {!Max_cost} it stays the full-scan reference the cost board's probe
+    order is tested against.  [domains] is for [benchmark/replica.ml]
+    until ROADMAP item 1b.
+    @raise Invalid_argument if [domains] is not [1]. *)
 
 val select_sublinear :
   t ->

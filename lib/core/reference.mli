@@ -11,4 +11,5 @@
 
 val run : ?rng:Random.State.t -> Engine.config -> Graph.t -> Engine.result
 (** Behaves exactly like {!Engine.run} (including the default RNG seed and
-    every RNG draw), just slower.  [config.scan_domains] is ignored. *)
+    every RNG draw), just slower.  [config.cache_budget] is ignored: this
+    engine keeps no distance tables. *)

@@ -51,10 +51,6 @@ let swap_sides g move =
     ->
       None
 
-let ecc_map g = Paths.distances g  (* helper alias, not exported *)
-
-let _ = ecc_map
-
 let improving_max_swap model g move =
   let e = Response.evaluate model g move in
   Cost.lt ~unit_price:(Model.unit_price model) e.Response.after

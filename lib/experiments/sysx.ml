@@ -32,7 +32,6 @@ module Faulty = struct
     rules : (rule * int ref) list;
     mutable trace_rev : (op * string) list;
     tracing : bool;
-    exit_code : int;
     mu : Mutex.t;
     fd_paths : (Unix.file_descr, string) Hashtbl.t;
   }
@@ -44,14 +43,13 @@ module Faulty = struct
 
   let armed () = !state <> None
 
-  let arm ?(exit_code = 70) ?(tracing = false) rules =
+  let arm ?(tracing = false) rules =
     state :=
       Some
         {
           rules = List.map (fun r -> (r, ref 0)) rules;
           trace_rev = [];
           tracing;
-          exit_code;
           mu = Mutex.create ();
           fd_paths = Hashtbl.create 16;
         }
@@ -270,7 +268,7 @@ module Faulty = struct
 
   (* Simulated power failure: no atexit, no buffer flushes — the process
      vanishes at the faulted syscall, exactly like SIGKILL. *)
-  let crash st : 'a = Unix._exit st.exit_code
+  let crash () : 'a = Unix._exit 70
 
   let register_fd st fd path =
     Mutex.lock st.mu;
@@ -300,8 +298,8 @@ let fault_unit op name path =
       match Faulty.decide st op path with
       | Faulty.Proceed | Faulty.Cap _ -> `Go
       | Faulty.Raise e -> raise (Unix.Unix_error (e, name, path))
-      | Faulty.Tear _ | Faulty.Crash `Before -> Faulty.crash st
-      | Faulty.Crash `After -> `Go_then_crash st)
+      | Faulty.Tear _ | Faulty.Crash `Before -> Faulty.crash ()
+      | Faulty.Crash `After -> `Go_then_crash)
 
 let rec read fd buf pos len =
   try
@@ -312,11 +310,11 @@ let rec read fd buf pos len =
         | Faulty.Proceed -> Unix.read fd buf pos len
         | Faulty.Cap n -> Unix.read fd buf pos (max 1 (min len n))
         | Faulty.Raise e -> raise (Unix.Unix_error (e, "read", ""))
-        | Faulty.Tear _ | Faulty.Crash `Before -> Faulty.crash st
+        | Faulty.Tear _ | Faulty.Crash `Before -> Faulty.crash ()
         | Faulty.Crash `After ->
             let k = Unix.read fd buf pos len in
             ignore k;
-            Faulty.crash st)
+            Faulty.crash ())
   with Unix.Unix_error (Unix.EINTR, _, _) -> read fd buf pos len
 
 let rec write fd buf pos len =
@@ -332,12 +330,12 @@ let rec write fd buf pos len =
             (* a torn write: the first [n] bytes reach the kernel, then
                the process dies — the canonical mid-record crash *)
             if min len n > 0 then ignore (Unix.write fd buf pos (min len n));
-            Faulty.crash st
-        | Faulty.Crash `Before -> Faulty.crash st
+            Faulty.crash ()
+        | Faulty.Crash `Before -> Faulty.crash ()
         | Faulty.Crash `After ->
             let k = Unix.write fd buf pos len in
             ignore k;
-            Faulty.crash st)
+            Faulty.crash ())
   with Unix.Unix_error (Unix.EINTR, _, _) -> write fd buf pos len
 
 let write_all fd buf =
@@ -354,9 +352,9 @@ let rec openfile path flags perm =
         | Some st -> Faulty.register_fd st fd path
         | None -> ());
         fd
-    | `Go_then_crash st ->
+    | `Go_then_crash ->
         ignore (Unix.openfile path flags perm);
-        Faulty.crash st
+        Faulty.crash ()
   with Unix.Unix_error (Unix.EINTR, _, _) -> openfile path flags perm
 
 let rec close fd =
@@ -372,27 +370,27 @@ let rec close fd =
         (match !Faulty.state with
         | Some st -> Faulty.forget_fd st fd
         | None -> ())
-    | `Go_then_crash st ->
+    | `Go_then_crash ->
         Unix.close fd;
-        Faulty.crash st
+        Faulty.crash ()
   with Unix.Unix_error (Unix.EINTR, _, _) -> close fd
 
 let rec rename src dst =
   try
     match fault_unit Faulty.Rename "rename" dst with
     | `Go -> Unix.rename src dst
-    | `Go_then_crash st ->
+    | `Go_then_crash ->
         Unix.rename src dst;
-        Faulty.crash st
+        Faulty.crash ()
   with Unix.Unix_error (Unix.EINTR, _, _) -> rename src dst
 
 let rec unlink path =
   try
     match fault_unit Faulty.Unlink "unlink" path with
     | `Go -> Unix.unlink path
-    | `Go_then_crash st ->
+    | `Go_then_crash ->
         Unix.unlink path;
-        Faulty.crash st
+        Faulty.crash ()
   with Unix.Unix_error (Unix.EINTR, _, _) -> unlink path
 
 let rec fsync fd =
@@ -404,9 +402,9 @@ let rec fsync fd =
         | None -> "")
     with
     | `Go -> Unix.fsync fd
-    | `Go_then_crash st ->
+    | `Go_then_crash ->
         Unix.fsync fd;
-        Faulty.crash st
+        Faulty.crash ()
   with Unix.Unix_error (Unix.EINTR, _, _) -> fsync fd
 
 (* Directory durability: after renaming a temp file into place, the new
@@ -433,9 +431,9 @@ let fsync_dir path =
     try
       match fault_unit Faulty.Fsync_dir "fsync" path with
       | `Go -> raw ()
-      | `Go_then_crash st ->
+      | `Go_then_crash ->
           raw ();
-          Faulty.crash st
+          Faulty.crash ()
     with Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
@@ -462,9 +460,9 @@ let connect fd addr =
           (match !Faulty.state with
           | Some st -> Faulty.register_fd st fd (sockaddr_string addr)
           | None -> ())
-      | `Go_then_crash st ->
+      | `Go_then_crash ->
           retry ();
-          Faulty.crash st
+          Faulty.crash ()
     with Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
@@ -498,17 +496,17 @@ let sleepf seconds =
 (* Waits in short selects rather than a bare accept(2): closing the
    listening fd from another thread does NOT wake a blocked accept on
    Linux, so a stop flag checked only on EINTR can never fire.  Bounded
-   waits make the flag effective within [poll]. *)
-let rec accept ?(stop = fun () -> false) ?(poll = 0.1) fd =
+   waits make the flag effective within one 0.1 s poll. *)
+let rec accept ?(stop = fun () -> false) fd =
   if stop () then None
   else
-    match Unix.select [ fd ] [] [] poll with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ~stop ~poll fd
-    | [], _, _ -> accept ~stop ~poll fd
+    match Unix.select [ fd ] [] [] 0.1 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept ~stop fd
+    | [], _, _ -> accept ~stop fd
     | _ -> (
         match Unix.accept fd with
         | pair -> Some pair
         | exception
             Unix.Unix_error
               ((Unix.EINTR | Unix.EAGAIN | Unix.ECONNABORTED), _, _) ->
-            accept ~stop ~poll fd)
+            accept ~stop fd)

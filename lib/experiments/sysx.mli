@@ -76,11 +76,10 @@ module Faulty : sig
 
   type rule = { op : op; where : string option; at : int; act : action }
 
-  val arm : ?exit_code:int -> ?tracing:bool -> rule list -> unit
+  val arm : ?tracing:bool -> rule list -> unit
   (** Install a fault plan process-wide, resetting all rule counters and
-      the trace.  [exit_code] (default 70) is the [Unix._exit] status
-      used by crash actions; [tracing] (default false) records every
-      faultable syscall for {!trace}. *)
+      the trace.  Crash actions exit through [Unix._exit 70]; [tracing]
+      (default false) records every faultable syscall for {!trace}. *)
 
   val disarm : unit -> unit
   (** Remove the plan; all wrappers return to the zero-cost path. *)
@@ -158,12 +157,11 @@ val sleepf : float -> unit
 (** Sleep at least the given number of seconds even when interrupted by
     signals: resumes for the remaining time, measured monotonically. *)
 
-val accept : ?stop:(unit -> bool) -> ?poll:float -> Unix.file_descr ->
+val accept : ?stop:(unit -> bool) -> Unix.file_descr ->
   (Unix.file_descr * Unix.sockaddr) option
 (** [accept fd] accepts one connection, retrying [EINTR] (and the
     transient [EAGAIN]/[ECONNABORTED]); it waits in [select]s of at most
-    [poll] seconds (default 0.1) so the [stop] predicate (default:
-    never) is re-checked at that granularity and a stopping daemon's
-    accept loop ends within one poll even though closing the listening
-    fd would not wake a blocked [accept(2)].  Returns [None] once [stop]
-    holds. *)
+    0.1 s so the [stop] predicate (default: never) is re-checked at that
+    granularity and a stopping daemon's accept loop ends within one poll
+    even though closing the listening fd would not wake a blocked
+    [accept(2)].  Returns [None] once [stop] holds. *)

@@ -14,9 +14,6 @@ let cost_ws ws model g u =
 
 let cost model g u = of_profile model g u (Paths.profile g u) ~with_edges:true
 
-let dist_cost model g u =
-  of_profile model g u (Paths.profile g u) ~with_edges:false
-
 let costs model g = Array.init (Graph.n g) (cost model g)
 
 let social_cost model g =

@@ -17,9 +17,6 @@ val cost : Model.t -> Graph.t -> int -> Cost.t
 
 val cost_ws : Paths.Workspace.t -> Model.t -> Graph.t -> int -> Cost.t
 
-val dist_cost : Model.t -> Graph.t -> int -> Cost.t
-(** Distance-cost only (edge units forced to 0); what Swap Games charge. *)
-
 val costs : Model.t -> Graph.t -> Cost.t array
 (** All agents' costs — one BFS per agent. *)
 

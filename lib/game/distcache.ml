@@ -115,7 +115,7 @@ type t = {
   budget : int option;
   tables : Intvec.t option array;
   mutable free_tabs : Intvec.t list;
-      (* evicted/reset table buffers, reused by the next install *)
+      (* evicted/reset table buffers, reused by the next fill *)
   profiles : Paths.profile option array;
       (* cached per-source profile of tables.(v); invalidated on change *)
   psum : int array;  (* incremental (reached, sum) of tables.(v), valid *)
@@ -220,7 +220,6 @@ let create ?threshold ?budget n =
   }
 
 let n t = t.n
-let threshold t = t.threshold
 let budget t = t.budget
 
 let table_bytes t = Intvec.bytes t.snap_a
@@ -343,28 +342,6 @@ let enforce_budget t keep =
       done;
       unpin t keep
 
-let install t v buf =
-  (match t.tables.(v) with
-  | Some old when old != buf -> t.free_tabs <- old :: t.free_tabs
-  | _ -> ());
-  t.tables.(v) <- Some buf;
-  t.profiles.(v) <- None;
-  t.pvalid.(v) <- false;
-  t.fills <- t.fills + 1;
-  res_add t v;
-  touch t v;
-  enforce_budget t v
-
-let set t v d =
-  if Array.length d <> t.n then invalid_arg "Distcache.set: table size";
-  let buf =
-    match t.tables.(v) with Some old -> old | None -> alloc_table t
-  in
-  for x = 0 to t.n - 1 do
-    Intvec.unsafe_set buf x (Array.unsafe_get d x)
-  done;
-  install t v buf
-
 let ensure t ~ws g v =
   match t.tables.(v) with
   | Some d ->
@@ -373,7 +350,13 @@ let ensure t ~ws g v =
   | None ->
       let buf = alloc_table t in
       Paths.Workspace.distances_into ws g v buf;
-      install t v buf;
+      t.tables.(v) <- Some buf;
+      t.profiles.(v) <- None;
+      t.pvalid.(v) <- false;
+      t.fills <- t.fills + 1;
+      res_add t v;
+      touch t v;
+      enforce_budget t v;
       buf
 
 (* Return the cache to its freshly-created state so an arena's next trial

@@ -36,7 +36,7 @@ type stats = {
 }
 (** Per-table decisions: [kept] tables proved unchanged, [repaired]
     incrementally patched, [rebuilt] refreshed by a full BFS fallback,
-    [fills] installed from scratch via {!set}/{!ensure}, [evicted] dropped
+    [fills] installed from scratch via {!ensure}, [evicted] dropped
     by the memory bound. *)
 
 val zero_stats : stats
@@ -62,7 +62,6 @@ val create : ?threshold:int -> ?budget:int -> int -> t
     @raise Invalid_argument if [budget < 2]. *)
 
 val n : t -> int
-val threshold : t -> int
 val budget : t -> int option
 
 val residency : t -> residency
@@ -73,9 +72,6 @@ val get : t -> int -> Intvec.t option
     vector is owned by the cache: callers must not mutate it, and must not
     hold it across a later install (an eviction may recycle the buffer).
     Refreshes [v]'s LRU stamp. *)
-
-val set : t -> int -> int array -> unit
-(** Install a freshly computed table (copied into a cache-owned buffer). *)
 
 val ensure : t -> ws:Paths.Workspace.t -> Graph.t -> int -> Intvec.t
 (** The table of source [v], filling it with a fresh BFS if absent

@@ -111,12 +111,6 @@ let candidates model g u =
       |> Seq.filter (fun s -> List.sort compare s <> current)
       |> Seq.map (fun s -> Move.Set_neighbors { agent = u; targets = s })
 
-(* [candidates] as a direct callback iteration, in exactly the same order.
-   The fast scan visits every candidate of an agent thousands of times per
-   run; driving the visit with plain nested [List.iter] loops instead of
-   forcing a [Seq] of thunks removes the per-candidate closure and sequence
-   node allocations, which measurably dominate once the per-candidate
-   admission work is O(1).  The exponential games keep the [Seq] path. *)
 let multi_swap_candidates model g u =
   let enumerate own make =
     let partners = swap_targets model g u in
@@ -192,12 +186,8 @@ let feasible model g move = blockers model g move = []
 (* The mover's cost is computed once per scan, and consent is asked only
    of candidates that improve it: in the bilateral game [blockers] costs
    two BFS per added neighbour, the scan's dominant term (DESIGN.md §9). *)
-let improving_moves ?ws ?(multi = false) model g u =
+let improving_moves ?ws model g u =
   let unit_price = Model.unit_price model in
-  let base = candidates model g u in
-  let all =
-    if multi then Seq.append base (multi_swap_candidates model g u) else base
-  in
   let before = agent_cost ?ws model g u in
   Seq.filter_map
     (fun move ->
@@ -207,7 +197,7 @@ let improving_moves ?ws ?(multi = false) model g u =
       if Cost.lt ~unit_price after before && feasible model g move then
         Some { move; before; after }
       else None)
-    all
+    (candidates model g u)
   |> List.of_seq
 
 let least_cost model = function
@@ -222,8 +212,7 @@ let least_cost model = function
       in
       List.filter (fun e -> Cost.equal ~unit_price e.after best) all
 
-let best_moves ?ws ?multi model g u =
-  least_cost model (improving_moves ?ws ?multi model g u)
+let best_moves ?ws model g u = least_cost model (improving_moves ?ws model g u)
 
 let is_unhappy ?ws model g u =
   let unit_price = Model.unit_price model in
@@ -287,8 +276,7 @@ let admissible model g move =
    their BFS work:
 
    - a cache of single-source distance tables [d_G(v, .)], filled lazily
-     (or in parallel by the max-cost policy) and, in the engine, kept
-     across steps;
+     and, in the engine, kept across steps;
    - one BFS per removable edge {u, x} for its row [d_{G-ux}(u, .)],
      which scores the deletion and is shared by every swap removing that
      same edge;
@@ -307,7 +295,6 @@ module Fast = struct
     ws : Paths.Workspace.t;
     unit_price : Q.t;
     cache : Distcache.t;  (* d_G(v, .), -1 = unreachable *)
-    mutable prefilter : bool;
     mutable profile_memo : int * Paths.profile option array;
         (* the last scan's agent and its per-target buy-profile memo.
            Tables never change while a ctx is alive (transient evaluations
@@ -325,14 +312,14 @@ module Fast = struct
       ws;
       unit_price = Model.unit_price model;
       cache;
-      prefilter = true;
       profile_memo = (-1, [||]);
     }
 
-  let create ws model g = of_cache ws model g (Distcache.create (Graph.n g))
-  let set_prefilter ctx on = ctx.prefilter <- on
-  let has_table ctx v = Distcache.get ctx.cache v <> None
-  let set_table ctx v d = Distcache.set ctx.cache v d
+  (* Accepts only [true], for [benchmark/replica.ml] until ROADMAP item 1b. *)
+  let set_prefilter (_ : ctx) on =
+    if not on then
+      invalid_arg "Response.Fast.set_prefilter: the caps always run"
+
   let table ctx v = Distcache.ensure ctx.cache ~ws:ctx.ws ctx.g v
 
   let cost ctx u =
@@ -361,7 +348,7 @@ module Fast = struct
      so a board refresh fills no table. *)
   let cost_key ctx u =
     let c =
-      if has_table ctx u then cost ctx u
+      if Distcache.get ctx.cache u <> None then cost ctx u
       else
         Agents.of_profile ctx.model ctx.g u
           (Distcache.batch_profile ctx.cache ctx.g u)
@@ -454,9 +441,7 @@ module Fast = struct
      level histogram, so one O(ecc²) pass per base row buys an O(1) reject
      test per candidate: when even the capped profile misses the admission
      budget, the exact profile provably does too, so the admitted set —
-     and hence every trajectory — is unchanged.  Gated by [ctx.prefilter]
-     (the engine's output-sensitive step loop); the historical full-scan
-     baseline keeps the uncapped enumeration. *)
+     and hence every trajectory — is unchanged. *)
   type row_stats = {
     rs_reached : int;
     rs_sum : int;  (* Σ d(v) over the reached vertices *)
@@ -654,11 +639,11 @@ module Fast = struct
     | (`Any | `At_most _) as budget ->
         let capped =
           match budget with
-          | `At_most b when ctx.prefilter ->
+          | `At_most b ->
               caps_reject ctx (base_stats s)
                 ~k:(Intvec.get (table ctx s.u) y)
                 ~budget:b
-          | `At_most _ | `Any -> false
+          | `Any -> false
         in
         if capped then None
         else
@@ -699,18 +684,15 @@ module Fast = struct
            O(1) caps test that guards the buy branch is sound here too,
            before the buy profile. *)
         let buy_lb_rejected =
-          ctx.prefilter
-          && (caps_reject ctx (base_stats s)
-                ~k:(Intvec.get (table ctx s.u) y)
-                ~budget
-             || misses ctx (buy_profile s y) ~budget)
+          caps_reject ctx (base_stats s)
+            ~k:(Intvec.get (table ctx s.u) y)
+            ~budget
+          || misses ctx (buy_profile s y) ~budget
         in
         if buy_lb_rejected then None
         else
           let (row, st) as m = minus s x in
           let rejected =
-            ctx.prefilter
-            &&
             if st.rs_reached = Graph.n ctx.g then
               caps_reject ctx st ~k:(Intvec.get row y) ~budget
             else
@@ -733,10 +715,13 @@ module Fast = struct
         | Some _ as hit when feasible ctx.model ctx.g move -> hit
         | Some _ | None -> None)
 
-  (* Fused scan walk: same enumeration order as {!iter_candidates}, but
-     candidates reach the split helpers as bare ints — the inner target
-     loop runs over an array with no per-candidate closure or [Move.t]
-     allocation. *)
+  (* [candidates] as a direct callback iteration, in exactly the same
+     order.  The scan visits every candidate of an agent thousands of
+     times per run, so candidates reach the split helpers as bare ints
+     from plain loops over an array: no per-candidate closure, [Seq]
+     node or [Move.t] allocation, which measurably dominate once the
+     per-candidate admission work is O(1).  The exponential games keep
+     the [Seq] path. *)
   let walk_candidates ctx u ~delete ~swap ~buy ~fallback =
     let model = ctx.model and g = ctx.g in
     match model.Model.game with

@@ -47,10 +47,8 @@ val blockers : Model.t -> Graph.t -> Move.t -> int list
     otherwise). *)
 
 val improving_moves :
-  ?ws:Paths.Workspace.t -> ?multi:bool -> Model.t -> Graph.t -> int ->
-  evaluated list
-(** All feasible moves of the agent that strictly decrease her cost.
-    [multi] additionally considers {!multi_swap_candidates}. *)
+  ?ws:Paths.Workspace.t -> Model.t -> Graph.t -> int -> evaluated list
+(** All feasible moves of the agent that strictly decrease her cost. *)
 
 val least_cost : Model.t -> evaluated list -> evaluated list
 (** The entries of least [after] cost (all ties), in order and physically
@@ -58,8 +56,7 @@ val least_cost : Model.t -> evaluated list -> evaluated list
     best responses. *)
 
 val best_moves :
-  ?ws:Paths.Workspace.t -> ?multi:bool -> Model.t -> Graph.t -> int ->
-  evaluated list
+  ?ws:Paths.Workspace.t -> Model.t -> Graph.t -> int -> evaluated list
 (** [least_cost] of {!improving_moves}: the improving moves of minimum
     resulting cost (all ties). *)
 
@@ -80,9 +77,10 @@ val admissible : Model.t -> Graph.t -> Move.t -> bool
 (** Pruned, cache-backed evaluation with results bit-identical to the
     naive functions above — [improving_moves], [best_moves] and
     [is_unhappy] return exactly the same lists and booleans, at a fraction
-    of the BFS work.  A context caches single-source distance tables of the
-    {e current} network and is only valid until the next applied move: the
-    engine creates one per step.  Buys and swaps are scored from the
+    of the BFS work.  A context reads single-source distance tables of the
+    {e current} network from a {!Distcache} and is only valid until the
+    next applied move: the engine creates one per step over the cache it
+    patches after every move.  Buys and swaps are scored from the
     mover's own rows alone, by a BFS from the new edge's far end through
     the vertices it brings closer ({!Paths.Workspace.profile_with_edge}),
     so no scan reads or fills a target's row.  See DESIGN.md §9 for the
@@ -90,28 +88,24 @@ val admissible : Model.t -> Graph.t -> Move.t -> bool
 module Fast : sig
   type ctx
 
-  val create : Paths.Workspace.t -> Model.t -> Graph.t -> ctx
-  (** The context borrows the workspace for its BFS scratch space and its
-      scratch rows (one per removable edge of the scanned agent); the
-      graph must not change (other than transiently through this module)
-      while the context is in use.  Tables live in a private, step-scoped
-      {!Distcache}. *)
-
   val of_cache : Paths.Workspace.t -> Model.t -> Graph.t -> Distcache.t -> ctx
-  (** Back the context by a persistent cache instead: tables the cache kept
-      or repaired across steps are reused instead of refilled.  Sound only
-      while the cache's tables are exact for [g] — the engine patches the
-      cache after every committed move.
+  (** A context over [g] whose tables live in the cache: tables the cache
+      kept or repaired across steps are reused instead of refilled, and
+      missing ones are filled into it.  The context borrows the workspace
+      for its BFS scratch space and its scratch rows (one per removable
+      edge of the scanned agent).  Sound only while the cache's tables are
+      exact for [g], and [g] must not change (other than transiently
+      through this module) while the context is in use — the engine
+      patches the cache after every committed move.  A fresh
+      [Distcache.create n] serves a one-off context.
       @raise Invalid_argument on a cache/graph size mismatch. *)
 
-  val set_prefilter : ctx -> bool -> unit
-  (** Enable or disable the O(1) triangle-inequality admission caps that
-      reject buy/swap candidates whose exact profile provably misses the
-      admission budget (on by default).  Either setting evaluates the same
-      admitted set — the caps only skip provably over-budget scans — so
-      results are identical; [false] scores every candidate with the
-      exact kernel, which the engine uses as the [sublinear:false]
-      baseline. *)
+  val set_prefilter: ctx -> bool -> unit
+  (** Accepts only [true], for [benchmark/replica.ml] until ROADMAP item 1b.
+      Every scan runs the O(1) admission caps, which reject only
+      candidates whose exact profile provably misses the admission
+      budget, so the admitted set is the unpruned one.
+      @raise Invalid_argument on [false]. *)
 
   val cost : ctx -> int -> Cost.t
   (** Same value as [Agents.cost], served from [u]'s cached table, which
@@ -124,12 +118,6 @@ module Fast : sig
       it).  The bucketed max-cost selection sorts on these keys.  Unlike
       {!cost} it fills no table: an agent without a resident one is
       answered by {!Distcache.batch_profile}. *)
-
-  val has_table : ctx -> int -> bool
-
-  val set_table : ctx -> int -> int array -> unit
-  (** Install a distance table computed elsewhere — the max-cost policy
-      fans the n source BFS out over domains and installs the results. *)
 
   val is_unhappy : ctx -> int -> bool
   (** Same boolean as {!val:Response.is_unhappy}. *)

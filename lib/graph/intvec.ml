@@ -47,18 +47,6 @@ let of_array (a : int array) =
 
 let to_array (v : t) = Array.init (dim v) (fun i -> Bigarray.Array1.get v i)
 
-let equal (a : t) (b : t) =
-  dim a = dim b
-  &&
-  let ok = ref true in
-  let i = ref 0 in
-  let n = dim a in
-  while !ok && !i < n do
-    if Bigarray.Array1.get a !i <> Bigarray.Array1.get b !i then ok := false;
-    incr i
-  done;
-  !ok
-
 (* Resident size in bytes: one word per element, header-free (the payload
    lives outside the OCaml heap; the proxy record is negligible). *)
 let bytes (v : t) = dim v * (Sys.word_size / 8)

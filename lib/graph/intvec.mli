@@ -41,7 +41,6 @@ val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 val copy : t -> t
 val of_array : int array -> t
 val to_array : t -> int array
-val equal : t -> t -> bool
 
 val bytes : t -> int
 (** Resident payload size in bytes (one machine word per element). *)

@@ -37,8 +37,8 @@ let initial () =
   Graph.of_edges 19
     [ (1, a1); (2, a1); (3, a1);  (* leaves a2, a3, and one more on a1 *)
       (a1, b1);                   (* a1's edge, toggles to c2 *)
-      (4, 8);                     (* a4 hangs off the end of the b-path *)
-      (d1, 4);                    (* d1's edge closes the unique cycle *)
+      (a4, 8);                    (* a4 hangs off the end of the b-path *)
+      (d1, a4);                   (* d1's edge closes the unique cycle *)
       (b1, d1);                   (* b1's edge, toggles to c2 *)
       (6, b1); (7, 6); (8, 7);    (* b-path b1-b2-b3-b4 *)
       (c1, 6);                    (* c-path hangs off b2 *)
@@ -63,6 +63,3 @@ let instance =
        see EXPERIMENTS.md)"
     ~model:(model ()) ~label ~initial:(initial ()) ~steps
     ~closure:Instance.Exact
-
-let _ = c1
-let _ = a4

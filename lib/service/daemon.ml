@@ -85,8 +85,10 @@ let run_job (job : Proto.job) ~budget =
   let model =
     Model.make ~alpha:job.Proto.alpha ~host job.Proto.game job.Proto.dist n
   in
-  (* Runner's seeding contract, so service trials match a local Runner
-     batch on the same parameters *)
+  (* Runner's seeding contract, so a trial draws the network and moves a
+     local Runner batch would on the same parameters.  The step limit is
+     not Runner's: a job without [max_steps] runs under [Engine.config]'s
+     100n + 1000 steps, where [Runner.spec] defaults to 50n + 2000. *)
   let runner =
     Runner.spec model (fun rng ->
         match host_graph with

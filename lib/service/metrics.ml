@@ -6,10 +6,9 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
 }
 
-let create ?(window = 1024) () =
-  if window < 1 then invalid_arg "Metrics.create: window must be >= 1";
+let create () =
   {
-    window = Array.make window 0.0;
+    window = Array.make 1024 0.0;
     filled = 0;
     next = 0;
     ema = 0.0;

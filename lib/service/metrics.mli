@@ -8,9 +8,8 @@
 
 type t
 
-val create : ?window:int -> unit -> t
-(** [window] (default 1024) recent latencies are retained for the
-    percentiles. *)
+val create : unit -> t
+(** The 1024 most recent latencies are retained for the percentiles. *)
 
 (** Counters. *)
 

@@ -84,7 +84,7 @@ let test_policy_only_unhappy_selected () =
             ~rng:(Random.State.make [| seed |])
             ~ws model g ~last:None
         in
-        let ctx = Response.Fast.create ws model g in
+        let ctx = Response.Fast.of_cache ws model g (Distcache.create n) in
         let fast =
           Policy.select_fast policy
             ~rng:(Random.State.make [| seed |])
@@ -114,7 +114,7 @@ let test_policy_adversarial_contract () =
   let seen_naive = ref [] and seen_fast = ref [] in
   let spy cell = Policy.Adversarial (fun _ unhappy -> cell := unhappy; None) in
   ignore (Policy.select (spy seen_naive) ~rng ~ws model g ~last:None);
-  let ctx = Response.Fast.create ws model g in
+  let ctx = Response.Fast.of_cache ws model g (Distcache.create 5) in
   let witness = Witness.create 5 in
   ignore
     (Policy.select_fast (spy seen_fast) ~rng ~ctx ~witness model g ~last:None);
@@ -122,6 +122,37 @@ let test_policy_adversarial_contract () =
     !seen_naive !seen_fast;
   check "every offered agent is genuinely unhappy" true
     (List.for_all (fun u -> Response.is_unhappy model g u) !seen_fast)
+
+(* The engine has one path.  Three config fields and two settings stay
+   only for benchmark/replica.ml, and only at the values it uses. *)
+let test_replica_settings_fixed () =
+  let model = max_sg 5 in
+  let g = Gen.path 5 in
+  let ws = Paths.Workspace.create 5 in
+  let ctx = Response.Fast.of_cache ws model g (Distcache.create 5) in
+  let witness = Witness.create 5 in
+  let select ~domains =
+    Policy.select_fast Policy.Max_cost
+      ~rng:(Random.State.make [| 1 |])
+      ~ctx ~witness ~domains model g ~last:None
+  in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check "select_fast ~domains:2 raises" true
+    (raises (fun () -> select ~domains:2));
+  check "set_prefilter false raises" true
+    (raises (fun () -> Response.Fast.set_prefilter ctx false));
+  Response.Fast.set_prefilter ctx true;
+  check "select_fast ~domains:1 = naive selection" true
+    (select ~domains:1
+    = Policy.select Policy.Max_cost
+        ~rng:(Random.State.make [| 1 |])
+        ~ws model g ~last:None);
+  let cfg = Engine.config model in
+  check "config fields hold their constants" true
+    (cfg.Engine.scan_domains = 1 && cfg.Engine.incremental
+   && cfg.Engine.sublinear)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -740,4 +771,8 @@ let suite =
           prop_sum_sg_social_potential;
           prop_diameter_monotone;
           prop_tree_lemmas;
-        ] )
+        ]
+    @ [
+        Alcotest.test_case "replica-only settings raise off their values"
+          `Quick test_replica_settings_fixed;
+      ] )

@@ -1,11 +1,11 @@
-(* Differential oracle suite: the fast engine (witness cache, distance
-   tables, bounded BFS, optional parallel scans) against the preserved
-   naive engine ([Reference.run]).  Both are run on the same seeds and
-   must produce byte-identical trajectories — same moves in the same
-   order with the same recorded costs, same stop reason, same final
-   network.  Every game type, both distance modes, the three standard
-   policies, both move rules, the paper tie-breaks, cycle detection and
-   multi-domain scans are exercised; well over 200 seeded runs total. *)
+(* Differential oracle suite: the fast engine (witness cache, cross-step
+   distance cache, cost board, bounded BFS) against the preserved naive
+   engine ([Reference.run]).  Both are run on the same seeds and must
+   produce byte-identical trajectories — same moves in the same order
+   with the same recorded costs, same stop reason, same final network.
+   Every game type, both distance modes, the three standard policies,
+   both move rules, the paper tie-breaks, cycle detection and cache
+   budgets are exercised; well over 200 seeded runs total. *)
 open Ncg_graph
 open Ncg_game
 open Ncg_core
@@ -148,8 +148,7 @@ let test_adversarial () =
    keyed both ways: Fig. 2 by the unowned key, Fig. 3 and its host
    version by the owned key, and Fig. 15 through multi-primitive
    [Set_neighbors] moves.  The fast engine must report the reference's
-   cycle: solo, on one arena reused across the policies, and without the
-   cross-step cache (the engine's other apply branch). *)
+   cycle: solo, and on one arena reused across the policies. *)
 let test_cycle_parity () =
   List.iter
     (fun (name, period) ->
@@ -178,11 +177,7 @@ let test_cycle_parity () =
                   naive.Engine.steps
                   (reason_label naive.Engine.reason))
             [ ("solo", Engine.run ~rng:(rng ()) cfg initial);
-              ("arena", Engine.run ~arena ~rng:(rng ()) cfg initial);
-              ( "per-step tables",
-                Engine.run ~rng:(rng ())
-                  { cfg with Engine.incremental = false }
-                  initial ) ])
+              ("arena", Engine.run ~arena ~rng:(rng ()) cfg initial) ])
         policies)
     [ ("fig2-max-sg", 3); ("fig3-sum-asg", 4); ("cor36-sum-asg-host", 4);
       ("fig15-sum-bilateral", 6) ]
@@ -196,29 +191,11 @@ let test_audited_parity () =
     assert_identical "audited" cfg g seed
   done
 
-let test_scan_domains () =
-  (* Parallel cost scans are a throughput knob only: any domain count
-     yields the same trajectory as the reference. *)
-  List.iter
-    (fun scan_domains ->
-      for seed = 1 to 3 do
-        let rng = Random.State.make [| seed; 0xd0 |] in
-        let g = Gen.random_m_edges rng 20 32 in
-        let model =
-          Model.make ~alpha:(Ncg_rational.Q.of_int 5) Model.Gbg Model.Sum 20
-        in
-        let cfg = Engine.config ~scan_domains ~max_steps:400 model in
-        assert_identical
-          (Printf.sprintf "scan-domains=%d" scan_domains)
-          cfg g seed
-      done)
-    [ 2; 4 ]
-
 let test_incremental_column () =
   (* The cross-step cache changes *when* distances are computed, never
-     their values: with the cache on (the default), off, and against the
-     reference, all three trajectories must be byte-identical — and the
-     incremental run must actually exercise the cache (keeps/repairs). *)
+     their values: the cached engine's trajectory must be byte-identical
+     to the reference's — and the run must actually exercise the cache
+     (keeps/repairs). *)
   let exercised = ref 0 in
   List.iter
     (fun (game, dist_mode, mk) ->
@@ -228,28 +205,14 @@ let test_incremental_column () =
         let model =
           Model.make ~alpha:(Ncg_rational.Q.of_int 3) game dist_mode n
         in
-        let run incremental =
-          Engine.run
-            ~rng:(Random.State.make [| seed; 0xd1ff |])
-            (Engine.config ~incremental ~max_steps:400 model)
-            g
-        in
-        let inc = run true and plain = run false in
-        let naive =
-          Reference.run
-            ~rng:(Random.State.make [| seed; 0xd1ff |])
-            (Engine.config ~max_steps:400 model)
-            g
-        in
-        check "incremental = plain fast" true (identical inc plain);
+        let cfg = Engine.config ~max_steps:400 model in
+        let rng () = Random.State.make [| seed; 0xd1ff |] in
+        let inc = Engine.run ~rng:(rng ()) cfg g
+        and naive = Reference.run ~rng:(rng ()) cfg g in
         check "incremental = reference" true (identical inc naive);
         exercised :=
           !exercised + inc.Engine.cache.Distcache.kept
-          + inc.Engine.cache.Distcache.repaired;
-        check_int "plain fast path reports no cache activity" 0
-          (plain.Engine.cache.Distcache.kept
-          + plain.Engine.cache.Distcache.repaired
-          + plain.Engine.cache.Distcache.rebuilt)
+          + inc.Engine.cache.Distcache.repaired
       done)
     [
       (Model.Gbg, Model.Sum, fun rng -> (12, Gen.random_m_edges rng 12 20));
@@ -287,7 +250,7 @@ let prop_fast_response_parity =
           let model =
             Model.make ~alpha:(Ncg_rational.Q.of_int 2) game dist_mode n
           in
-          let ctx = Response.Fast.create ws model g in
+          let ctx = Response.Fast.of_cache ws model g (Distcache.create n) in
           List.for_all
             (fun u ->
               Response.Fast.is_unhappy ctx u = Response.is_unhappy model g u
@@ -315,7 +278,7 @@ let prop_witness_probe_parity =
       let steps = ref 0 in
       let continue = ref true in
       while !continue && !steps < 40 do
-        let ctx = Response.Fast.create ws model g in
+        let ctx = Response.Fast.of_cache ws model g (Distcache.create n) in
         List.iter
           (fun u ->
             if Witness.probe witness ctx u <> Response.is_unhappy model g u
@@ -342,7 +305,7 @@ let test_witness_hits () =
   let ws = Paths.Workspace.create n in
   let witness = Witness.create n in
   let probe () =
-    let ctx = Response.Fast.create ws model g in
+    let ctx = Response.Fast.of_cache ws model g (Distcache.create n) in
     check "path end stays unhappy" true (Witness.probe witness ctx 0)
   in
   probe ();
@@ -491,7 +454,6 @@ let suite =
       Alcotest.test_case "adversarial scheduler" `Quick test_adversarial;
       Alcotest.test_case "cycle-detection parity" `Quick test_cycle_parity;
       Alcotest.test_case "audited-run parity" `Quick test_audited_parity;
-      Alcotest.test_case "parallel scan parity" `Quick test_scan_domains;
       Alcotest.test_case "incremental-cache parity" `Quick
         test_incremental_column;
       Alcotest.test_case "witness hit accounting" `Quick test_witness_hits;

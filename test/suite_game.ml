@@ -454,7 +454,10 @@ let test_blocked_cheapest_candidate () =
     check "a best response follows it" true
       (List.exists (fun b -> index b.Response.move > index blocked) best);
     let ctx () =
-      Response.Fast.create (Paths.Workspace.create (Graph.n g)) model g
+      Response.Fast.of_cache
+        (Paths.Workspace.create (Graph.n g))
+        model g
+        (Distcache.create (Graph.n g))
     in
     check "fast improving moves = naive" true
       (Response.Fast.improving_moves (ctx ()) u = improving);

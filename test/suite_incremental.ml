@@ -15,8 +15,9 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let fill_all cache g =
+  let ws = Paths.Workspace.create (Graph.n g) in
   for v = 0 to Graph.n g - 1 do
-    Distcache.set cache v (Paths.distances g v)
+    ignore (Distcache.ensure cache ~ws g v)
   done
 
 let tables_exact cache g =
@@ -181,7 +182,7 @@ let test_lazy_tables_stay_lazy () =
      not an excuse to materialize the rest. *)
   let g = Gen.path 5 in
   let cache = Distcache.create 5 in
-  Distcache.set cache 0 (Paths.distances g 0);
+  ignore (Distcache.ensure cache ~ws:(Paths.Workspace.create 5) g 0);
   add cache g 0 4;
   check "filled table exact" true
     (match Distcache.get cache 0 with

@@ -1,11 +1,11 @@
 (* Sublinear selection suite: the bucketed cost board, the dirty-set
    refresh discipline, the admission prefilters and the memory-bounded
-   cache must all be invisible — same selected agents, same RNG stream,
-   same move lists, same trajectories as the full-scan machinery, at a
-   fraction of the work.  Unit tests pin the board's (key desc, rank asc)
-   visit order and the eviction bookkeeping; QCheck properties drive
-   random states and random move sequences through both paths and demand
-   bit-identical answers. *)
+   cache must all be invisible — same selected agents and RNG stream as
+   the full-scan [select_fast], same move lists as the naive scan, same
+   trajectories as [Reference.run], at a fraction of the work.  Unit
+   tests pin the board's (key desc, rank asc) visit order and the
+   eviction bookkeeping; QCheck properties drive random states and random
+   move sequences through both paths and demand bit-identical answers. *)
 open Ncg_graph
 open Ncg_game
 open Ncg_core
@@ -154,8 +154,8 @@ let prop_select_equals_select_fast =
       let g = Gen.random_m_edges grng n (min m (n * (n - 1) / 2)) in
       let model = make_model ~sum n in
       let ws = Paths.Workspace.create n in
-      let ctx_fast = Response.Fast.create ws model g in
-      let ctx_board = Response.Fast.create ws model g in
+      let ctx_fast = Response.Fast.of_cache ws model g (Distcache.create n) in
+      let ctx_board = Response.Fast.of_cache ws model g (Distcache.create n) in
       let w_fast = Witness.create n and w_board = Witness.create n in
       let board = Costboard.create n in
       refresh_board board ctx_board n;
@@ -176,10 +176,9 @@ let prop_select_equals_select_fast =
       && Random.State.bits rng_fast = Random.State.bits rng_board)
 
 (* Whole trajectories under random move sequences: the engine with the
-   cost board (sublinear:true) against the full-scan fast path, across
-   both dist modes and both stochastic policies.  [Random_unhappy] takes
-   the shared probe skeleton — included to pin that the fall-through
-   draws stay in lockstep too. *)
+   cost board against [Reference.run], across both dist modes and both
+   stochastic policies.  [Random_unhappy] takes the shared probe skeleton
+   — included to pin that the fall-through draws stay in lockstep too. *)
 let prop_trajectories_identical =
   QCheck.Test.make ~count:40
     ~name:"sublinear engine trajectories = full-scan trajectories"
@@ -191,14 +190,13 @@ let prop_trajectories_identical =
       let policy =
         if random_policy then Policy.Random_unhappy else Policy.Max_cost
       in
-      let run sublinear =
-        let cfg =
-          Engine.config ~policy ~tie_break:Engine.Uniform ~max_steps:25
-            ~record_history:true ~incremental:true ~sublinear model
-        in
-        Engine.run ~rng:(Random.State.make [| seed; 0xfa57 |]) cfg g
+      let cfg =
+        Engine.config ~policy ~tie_break:Engine.Uniform ~max_steps:25
+          ~record_history:true model
       in
-      let a = run false and b = run true in
+      let rng () = Random.State.make [| seed; 0xfa57 |] in
+      let a = Reference.run ~rng:(rng ()) cfg g
+      and b = Engine.run ~rng:(rng ()) cfg g in
       a.Engine.steps = b.Engine.steps
       && a.Engine.reason = b.Engine.reason
       && Graph.equal a.Engine.final b.Engine.final
@@ -219,24 +217,13 @@ let prop_prefilter_invisible =
       let g = Gen.random_m_edges grng n (2 * n) in
       let model = make_model ~sum n in
       let ws = Paths.Workspace.create n in
-      let ctx_on = Response.Fast.create ws model g in
-      let ctx_off = Response.Fast.create ws model g in
-      Response.Fast.set_prefilter ctx_off false;
+      let ctx = Response.Fast.of_cache ws model g (Distcache.create n) in
       let ok = ref true in
       for u = 0 to n - 1 do
-        if
-          Response.Fast.best_moves ctx_on u
-          <> Response.Fast.best_moves ctx_off u
+        if Response.Fast.best_moves ctx u <> Response.best_moves model g u
         then ok := false;
         if
-          Response.Fast.improving_moves ctx_on u
-          <> Response.Fast.improving_moves ctx_off u
-        then ok := false;
-        (* and both agree with the naive oracle *)
-        if Response.Fast.best_moves ctx_on u <> Response.best_moves model g u
-        then ok := false;
-        if
-          Response.Fast.improving_moves ctx_on u
+          Response.Fast.improving_moves ctx u
           <> Response.improving_moves model g u
         then ok := false
       done;
@@ -348,8 +335,7 @@ let prop_budget_engine_identical =
         let cfg =
           Engine.config ~policy:Policy.Max_cost
             ~tie_break:Engine.Prefer_deletion ~max_steps:30
-            ~record_history:true ~incremental:true ~sublinear:true
-            ?cache_budget model
+            ~record_history:true ?cache_budget model
         in
         Engine.run ~rng:(Random.State.make [| seed; 0xfa57 |]) cfg g
       in
@@ -372,8 +358,7 @@ let test_result_surfaces_residency () =
   let run cache_budget =
     let cfg =
       Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~max_steps:40 ~record_history:false ~incremental:true ~sublinear:true
-        ?cache_budget model
+        ~max_steps:40 ~record_history:false ?cache_budget model
     in
     Engine.run ~rng:(Random.State.make [| 3; 0xfa57 |]) cfg g
   in
@@ -398,7 +383,7 @@ let test_board_audit_names_stale_key () =
   let model = make_model ~sum:true n in
   let ws = Paths.Workspace.create n in
   let board = Costboard.create n in
-  refresh_board board (Response.Fast.create ws model g) n;
+  refresh_board board (Response.Fast.of_cache ws model g (Distcache.create n)) n;
   check "fresh board passes" true
     (Audit.check_board ~step:4 ~ws model g board = None);
   let k = Option.get (Costboard.key board 5) in
