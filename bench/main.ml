@@ -15,8 +15,6 @@ open Ncg_experiments
 
 type scale = { trials : int; seed : int }
 
-let section title = Printf.printf "\n=== %s ===\n%!" title
-
 let check name ok =
   Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name
 
@@ -73,9 +71,8 @@ type fastpath_report = {
 
 let fastpath_report : fastpath_report option ref = ref None
 
+(* SUM-GBG sweep, n=100, m=4n, a=n/4, max cost. *)
 let fastpath scale =
-  section
-    "Fast path vs reference: SUM-GBG sweep, n=100, m=4n, a=n/4, max cost";
   (* The acceptance configuration is pinned at n=100 whatever --trials
      says: the speedup claim in BENCH.json is only meaningful at a fixed
      size. *)
@@ -242,10 +239,9 @@ let peak_rss_mib () =
       in
       Fun.protect ~finally:(fun () -> close_in ic) find
 
+(* SUM-GBG max cost: n=1000 on the cost board; bounded n=10000 under a
+   cache budget; the large-n oracle. *)
 let scaling_leg scale =
-  section
-    "Large n: SUM-GBG max cost, n=1000 on the cost board; bounded n=10000 \
-     under a cache budget; the large-n oracle";
   (* Pinned sizes like the other legs.  The n=1000 run is step-bounded, so
      its rate is per-step cost, not convergence time.  The n=10000 run
      demonstrates the memory bound: a 64-table budget caps the cache near
@@ -519,9 +515,9 @@ let remove_dir_quietly dir =
    checkpoints all cost wall-clock.  This leg prices it — a fleet of W
    worker subprocesses against one process running W domains on the same
    pinned sweep point — and checks the merged statistics are bit-identical
-   and the overhead stays within 1.5x. *)
+   and the overhead stays within 1.5x.  One fig11 point, equal total
+   workers. *)
 let fleet_leg scale =
-  section "Fleet vs single process: fig11 point, equal total workers";
   match !sim_binary with
   | None ->
       print_endline
@@ -829,7 +825,7 @@ let () =
   let timings = ref [] in
   List.iter
     (fun (id, title, run) ->
-      section (Printf.sprintf "[%s] %s" id title);
+      Printf.printf "\n=== [%s] %s ===\n%!" id title;
       let t0 = Clock.monotonic () in
       run scale;
       timings := (id, title, Clock.monotonic () -. t0) :: !timings)

@@ -287,15 +287,23 @@ let admissible model g move =
      target row is read or filled, and the graph is not edited;
    - O(1) triangle-inequality caps, and the memoized buy profile (a lower
      bound on every swap adding the same edge), reject hopeless
-     candidates before a swap's kernel or its minus row's BFS runs. *)
+     candidates before a swap's kernel or its minus row's BFS runs;
+   - under SUM the kernel is handed the admission budget and stops once
+     the gain still possible cannot meet it, so a rejection rarely walks
+     the whole region. *)
 module Fast = struct
+  (* What the scans of one agent know of a target's buy profile: nothing
+     yet, the exact profile, or only that its distance aggregate (the sum
+     under SUM, the eccentricity under MAX) exceeds a cutoff. *)
+  type buy = Unscored | Exact of Paths.profile | Over of int
+
   type ctx = {
     model : Model.t;
     g : Graph.t;
     ws : Paths.Workspace.t;
     unit_price : Q.t;
     cache : Distcache.t;  (* d_G(v, .), -1 = unreachable *)
-    mutable profile_memo : int * Paths.profile option array;
+    mutable profile_memo : int * buy array;
         (* the last scan's agent and its per-target buy-profile memo.
            Tables never change while a ctx is alive (transient evaluations
            restore the graph), so consecutive scans of the same agent —
@@ -516,11 +524,16 @@ module Fast = struct
         (* per removable edge: its row (workspace scratch row number
            [List.length] at fill time, so the scan allocates no row) and
            the row's stats *)
-    mutable buy_profiles : Paths.profile option array;
+    mutable buy_profiles : buy array;
         (* per target, memoized for the scan: the graph is unchanged while
            a scan runs (minus-row fills restore it), so the buy profile
            of a target is scan-constant.  Lazily sized; [[||]] until the
            first lookup. *)
+    mutable dropped : Bytes.t;
+        (* per target, non-zero once this scan's buy bound rejected one of
+           its swaps: [walk_candidates] skips it from then on.  Lazily
+           sized like [buy_profiles], but never shared with another
+           scan, whose budgets may be looser. *)
     mutable budget_memo :
       (int option * int * [ `Any | `At_most of int | `Reject ]) option;
         (* [dist_budget] of the last (threshold, edge_units) pair seen:
@@ -543,12 +556,13 @@ module Fast = struct
       base_stats = None;
       minus = [];
       buy_profiles;
+      dropped = Bytes.empty;
       budget_memo = None;
     }
 
   let ensure_profiles s =
     if Array.length s.buy_profiles = 0 then begin
-      s.buy_profiles <- Array.make (Graph.n s.ctx.g) None;
+      s.buy_profiles <- Array.make (Graph.n s.ctx.g) Unscored;
       s.ctx.profile_memo <- (s.u, s.buy_profiles)
     end
 
@@ -577,21 +591,18 @@ module Fast = struct
         m
 
   (* The exact profile after adding {u, y} to the graph [row] was measured
-     in — no target row read, nothing filled. *)
-  let with_edge s row st y =
+     in — no target row read, nothing filled — or [None] once its SUM
+     provably exceeds [budget] ([max_int]: no cutoff).  MAX scores
+     exactly. *)
+  let with_edge s row st ~budget y =
+    let bound =
+      match s.ctx.model.Model.dist_mode with
+      | Model.Sum when budget < max_int ->
+          Some (Paths.Workspace.Sum_at_most budget)
+      | Model.Sum | Model.Max -> None
+    in
     Paths.Workspace.profile_with_edge s.ctx.ws s.ctx.g row
-      ~reached:st.rs_reached ~sum:st.rs_sum ~hist:st.rs_hist y
-
-  (* The exact profile of buying {u, y}, memoized per target for the
-     scan. *)
-  let buy_profile s y =
-    ensure_profiles s;
-    match s.buy_profiles.(y) with
-    | Some p -> p
-    | None ->
-        let p = with_edge s (table s.ctx s.u) (base_stats s) y in
-        s.buy_profiles.(y) <- Some p;
-        p
+      ~reached:st.rs_reached ~sum:st.rs_sum ~hist:st.rs_hist ?bound y
 
   let dist_of ctx (p : Paths.profile) =
     match ctx.model.Model.dist_mode with
@@ -603,9 +614,46 @@ module Fast = struct
   let misses ctx p ~budget =
     p.Paths.reached < Graph.n ctx.g || dist_of ctx p > budget
 
+  (* The exact profile of buying {u, y} when it meets [budget], [None]
+     once it provably misses it: by the memo, the caps or the bounded
+     kernel.  [Over c] answers every budget at or below [c].  A looser
+     budget learns nothing from it and recomputes: a later scan of the
+     same agent may run at a looser threshold than the one that wrote
+     the entry, and a swap's budget is one edge unit looser than a
+     buy's. *)
+  let buy_within s y ~budget =
+    ensure_profiles s;
+    let ctx = s.ctx in
+    match s.buy_profiles.(y) with
+    | Over c when budget <= c -> None
+    | Exact p -> if misses ctx p ~budget then None else Some p
+    | Unscored | Over _ -> (
+        let row = table ctx s.u and st = base_stats s in
+        if caps_reject ctx st ~k:(Intvec.get row y) ~budget then begin
+          s.buy_profiles.(y) <- Over budget;
+          None
+        end
+        else
+          match with_edge s row st ~budget y with
+          | None ->
+              s.buy_profiles.(y) <- Over budget;
+              None
+          | Some p ->
+              s.buy_profiles.(y) <- Exact p;
+              if misses ctx p ~budget then None else Some p)
+
+  let cutoff = function `Any -> max_int | `At_most b -> b
+
+  let drop s y =
+    if Bytes.length s.dropped = 0 then
+      s.dropped <- Bytes.make (Graph.n s.ctx.g) '\000';
+    Bytes.set s.dropped y '\001'
+
+  let dropped s y =
+    Bytes.length s.dropped > 0 && Bytes.unsafe_get s.dropped y <> '\000'
+
   (* Admit an exactly known profile against the budget. *)
   let admit s move ~edge_units p ~budget =
-    let budget = match budget with `Any -> max_int | `At_most b -> b in
     if misses s.ctx p ~budget then None
     else
       Some
@@ -632,24 +680,16 @@ module Fast = struct
      was a measurable share of the step loop's minor-GC pressure. *)
 
   let try_buy s ~y ~threshold =
-    let ctx = s.ctx in
     let edge_units = s.base_units + 1 in
     match dist_budget_memo s ~edge_units threshold with
     | `Reject -> None
-    | (`Any | `At_most _) as budget ->
-        let capped =
-          match budget with
-          | `At_most b ->
-              caps_reject ctx (base_stats s)
-                ~k:(Intvec.get (table ctx s.u) y)
-                ~budget:b
-          | `Any -> false
-        in
-        if capped then None
-        else
-          admit s
-            (Move.Buy { agent = s.u; target = y })
-            ~edge_units (buy_profile s y) ~budget
+    | (`Any | `At_most _) as budget -> (
+        let budget = cutoff budget in
+        match buy_within s y ~budget with
+        | None -> None
+        | Some p ->
+            admit s (Move.Buy { agent = s.u; target = y }) ~edge_units p
+              ~budget)
 
   let try_delete s ~x ~threshold =
     let edge_units = s.base_units - 1 in
@@ -660,48 +700,46 @@ module Fast = struct
           (Move.Delete { agent = s.u; target = x })
           ~edge_units
           (profile_of_stats (snd (minus s x)))
-          ~budget
+          ~budget:(cutoff budget)
 
   (* A swap keeps [u]'s edge units, and its profile is exactly the minus
      row of {u, x} with the edge {u, y} added. *)
   let score_swap s ~x ~y (row, st) ~budget =
-    admit s
-      (Move.Swap { agent = s.u; remove = x; add = y })
-      ~edge_units:s.base_units (with_edge s row st y) ~budget
+    match with_edge s row st ~budget y with
+    | None -> None
+    | Some p ->
+        admit s
+          (Move.Swap { agent = s.u; remove = x; add = y })
+          ~edge_units:s.base_units p ~budget
 
   let try_swap s ~x ~y ~threshold =
     let ctx = s.ctx in
     match dist_budget_memo s ~edge_units:s.base_units threshold with
     | `Reject -> None
-    | `Any -> score_swap s ~x ~y (minus s x) ~budget:`Any
-    | `At_most budget as b ->
+    | `Any -> score_swap s ~x ~y (minus s x) ~budget:max_int
+    | `At_most budget -> (
         (* The swap's distance profile is pointwise >= the pure buy
            profile of the same target — the removal only lengthens
            paths — so a target whose buy distance already misses the
            budget is out.  Memoized per target, amortized O(1) over the
            removable edges; checked before the minus row so an edge whose
-           every target dies here never pays its O(m) removal BFS.  The
-           O(1) caps test that guards the buy branch is sound here too,
-           before the buy profile. *)
-        let buy_lb_rejected =
-          caps_reject ctx (base_stats s)
-            ~k:(Intvec.get (table ctx s.u) y)
-            ~budget
-          || misses ctx (buy_profile s y) ~budget
-        in
-        if buy_lb_rejected then None
-        else
-          let (row, st) as m = minus s x in
-          let rejected =
-            if st.rs_reached = Graph.n ctx.g then
-              caps_reject ctx st ~k:(Intvec.get row y) ~budget
-            else
-              (* removing {u, x} disconnects: a target still reachable
-                 from [u] in G - ux leaves the far side unreachable after
-                 the swap, so the candidate cannot be admitted *)
-              Intvec.get row y >= 0
-          in
-          if rejected then None else score_swap s ~x ~y m ~budget:b
+           every target dies here never pays its O(m) removal BFS. *)
+        match buy_within s y ~budget with
+        | None ->
+            drop s y;
+            None
+        | Some _ ->
+            let (row, st) as m = minus s x in
+            let rejected =
+              if st.rs_reached = Graph.n ctx.g then
+                caps_reject ctx st ~k:(Intvec.get row y) ~budget
+              else
+                (* removing {u, x} disconnects: a target still reachable
+                   from [u] in G - ux leaves the far side unreachable
+                   after the swap, so the candidate cannot be admitted *)
+                Intvec.get row y >= 0
+            in
+            if rejected then None else score_swap s ~x ~y m ~budget)
 
   let try_candidate s move ~threshold =
     let ctx = s.ctx in
@@ -716,38 +754,51 @@ module Fast = struct
         | Some _ | None -> None)
 
   (* [candidates] as a direct callback iteration, in exactly the same
-     order.  The scan visits every candidate of an agent thousands of
-     times per run, so candidates reach the split helpers as bare ints
-     from plain loops over an array: no per-candidate closure, [Seq]
-     node or [Move.t] allocation, which measurably dominate once the
-     per-candidate admission work is O(1).  The exponential games keep
-     the [Seq] path. *)
-  let walk_candidates ctx u ~delete ~swap ~buy ~fallback =
-    let model = ctx.model and g = ctx.g in
+     order, less the candidates no budget left in the scan can admit.
+     The scan visits every candidate of an agent thousands of times per
+     run, so candidates reach the split helpers as bare ints from plain
+     loops over an array: no per-candidate closure, [Seq] node or
+     [Move.t] allocation, which measurably dominate once the
+     per-candidate admission work is O(1).  After each removable edge's
+     swaps, the targets the buy bound rejected ([dropped]) leave the
+     array, order kept.  A scan's threshold only tightens, and at one
+     threshold a buy's budget is below a swap's (one more edge unit),
+     so every later swap or buy to such a target is rejected too and
+     skipping it changes no result.  The exponential games keep the
+     [Seq] path. *)
+  let walk_candidates s ~delete ~swap ~buy ~fallback =
+    let model = s.ctx.model and g = s.ctx.g and u = s.u in
+    (* the swaps, then how many targets are still live *)
+    let swaps removable targets =
+      let live = ref (Array.length targets) in
+      List.iter
+        (fun x ->
+          let kept = ref 0 in
+          for i = 0 to !live - 1 do
+            let y = targets.(i) in
+            swap x y;
+            if not (dropped s y) then begin
+              targets.(!kept) <- y;
+              incr kept
+            end
+          done;
+          live := !kept)
+        removable;
+      !live
+    in
     match model.Model.game with
     | Model.Sg | Model.Asg ->
         let removable =
           if Model.uses_ownership model then Graph.owned_neighbors g u
           else Graph.neighbors g u
         in
-        let targets = Array.of_list (swap_targets model g u) in
-        List.iter
-          (fun x ->
-            for i = 0 to Array.length targets - 1 do
-              swap x targets.(i)
-            done)
-          removable
+        ignore (swaps removable (Array.of_list (swap_targets model g u)))
     | Model.Gbg ->
         let removable = Graph.owned_neighbors g u in
         let targets = Array.of_list (swap_targets model g u) in
         List.iter delete removable;
-        List.iter
-          (fun x ->
-            for i = 0 to Array.length targets - 1 do
-              swap x targets.(i)
-            done)
-          removable;
-        for i = 0 to Array.length targets - 1 do
+        let live = swaps removable targets in
+        for i = 0 to live - 1 do
           buy targets.(i)
         done
     | Model.Bg | Model.Bilateral -> Seq.iter fallback (candidates model g u)
@@ -762,7 +813,7 @@ module Fast = struct
       | None -> ()
     in
     match
-      walk_candidates ctx u
+      walk_candidates s
         ~delete:(fun x -> hit (try_delete s ~x ~threshold))
         ~swap:(fun x y -> hit (try_swap s ~x ~y ~threshold))
         ~buy:(fun y -> hit (try_buy s ~y ~threshold))
@@ -778,7 +829,7 @@ module Fast = struct
     let threshold = improve_threshold ctx s.before in
     let acc = ref [] in
     let keep = function Some e -> acc := e :: !acc | None -> () in
-    walk_candidates ctx u
+    walk_candidates s
       ~delete:(fun x -> keep (try_delete s ~x ~threshold))
       ~swap:(fun x y -> keep (try_swap s ~x ~y ~threshold))
       ~buy:(fun y -> keep (try_buy s ~y ~threshold))
@@ -847,7 +898,7 @@ module Fast = struct
           | _ -> best := [ e ]);
           threshold := Some c
     in
-    walk_candidates ctx u
+    walk_candidates s
       ~delete:(fun x -> keep (try_delete s ~x ~threshold:!threshold))
       ~swap:(fun x y -> keep (try_swap s ~x ~y ~threshold:!threshold))
       ~buy:(fun y -> keep (try_buy s ~y ~threshold:!threshold))

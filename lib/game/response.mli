@@ -83,8 +83,9 @@ val admissible : Model.t -> Graph.t -> Move.t -> bool
     patches after every move.  Buys and swaps are scored from the
     mover's own rows alone, by a BFS from the new edge's far end through
     the vertices it brings closer ({!Paths.Workspace.profile_with_edge}),
-    so no scan reads or fills a target's row.  See DESIGN.md §9 for the
-    soundness argument. *)
+    so no scan reads or fills a target's row; under SUM that BFS is given
+    the candidate's admission budget and stops once the candidate
+    provably misses it.  See DESIGN.md §9 for the soundness argument. *)
 module Fast : sig
   type ctx
 

@@ -170,8 +170,22 @@ module Workspace = struct
        reached' = reached + |R ∩ {base < 0}|
        sum'     = sum - Σ_{R, base >= 0} (base - 1 - d) + Σ_{R, base < 0} (1 + d)
        ecc'     = max (1 + max_R d) (highest level L with
-                                      hist.(L) > |R ∩ {base = L}|) *)
-  let profile_with_edge ws g (base : Intvec.t) ~reached ~sum ~hist y =
+                                      hist.(L) > |R ∩ {base = L}|)
+
+     Under [Sum_at_most b] the BFS stops with [None] at the first level j
+     (every member of R within j of [y] found) where the sum so far, minus
+     a bound on the gain still to come, exceeds [b].  A member found later
+     lies at least j + 1 from [y], so it gains at most base - j - 2:
+       T_j = Σ_{L >= j+3} hist.(L) (L - j - 2).
+     The members at exactly j + 1 are neighbours of level j's (R is closed
+     under shortest-path prefixes), each gaining at most ecc - j - 2, and
+     the rest gain at most T_{j+1}: so the degree sum D_j of level j gives
+     D_j (ecc - j - 2) + T_{j+1}, and the smaller of the two bounds holds.
+     Both read a base row that reaches every vertex; MAX, a base row with
+     an unreachable vertex, and a budget the sum after [y]'s own gain
+     already meets (the sum only falls from there) run without the
+     checks, and every [Some] is exact. *)
+  let profile_with_edge ws g (base : Intvec.t) ~reached ~sum ~hist ?bound y =
     let n = Graph.n g in
     if n > Intvec.dim ws.dist then
       invalid_arg "Paths.Workspace: graph larger than workspace";
@@ -183,10 +197,23 @@ module Workspace = struct
     if top_level < 0 || top_level >= Intvec.dim ws.dist then
       invalid_arg "Paths.Workspace.profile_with_edge: histogram";
     let by = Intvec.get base y in
-    if by >= 0 && by <= 1 then { reached; sum; ecc = top_level }
+    if by >= 0 && by <= 1 then Some { reached; sum; ecc = top_level }
     else begin
       let csr = Graph.csr g in
       let off = Csr.offsets csr and tg = Csr.targets csr in
+      (* the cutoff the level checks test; [max_int] when none can fire *)
+      let budget =
+        match bound with
+        | Some (Sum_at_most b) when reached = n && sum - (by - 1) > b -> b
+        | Some (Sum_at_most _ | Ecc_at_most _) | None -> max_int
+      in
+      (* T_j and Σ_{L >= j+3} hist.(L), advanced one level per check *)
+      let tail_gain = ref 0 and tail_count = ref 0 in
+      if budget < max_int then
+        for l = 3 to top_level do
+          tail_gain := !tail_gain + (hist.(l) * (l - 2));
+          tail_count := !tail_count + hist.(l)
+        done;
       ws.stamp <- ws.stamp + 1;
       let stamp = ws.stamp in
       Intvec.set ws.stamps y stamp;
@@ -195,52 +222,85 @@ module Workspace = struct
       let reached = ref (if by < 0 then reached + 1 else reached) in
       let sum = ref (if by < 0 then sum + 1 else sum - (by - 1)) in
       let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let u = Intvec.unsafe_get ws.queue !head in
-        incr head;
-        let dv = Intvec.unsafe_get ws.dist u + 1 in
-        for i = Intvec.unsafe_get off u to Intvec.unsafe_get off (u + 1) - 1 do
-          let v = Intvec.unsafe_get tg i in
-          let bv = Intvec.unsafe_get base v in
-          if (bv < 0 || dv + 1 < bv) && Intvec.unsafe_get ws.stamps v <> stamp
-          then begin
-            Intvec.unsafe_set ws.stamps v stamp;
-            if bv < 0 then begin
-              incr reached;
-              sum := !sum + dv + 1
-            end
-            else sum := !sum - (bv - dv - 1);
-            Intvec.unsafe_set ws.dist v dv;
-            Intvec.unsafe_set ws.queue !tail v;
-            incr tail
+      (* The queue holds the levels in turn.  When [head] reaches
+         [level_end], level j is complete: queue[level_end .. tail).
+         [-1] never matches, so an unbounded call runs no check. *)
+      let level_end = ref (if budget < max_int then 0 else -1) and j = ref 0 in
+      let complete =
+        try
+          while !head < !tail do
+            if !head = !level_end then begin
+              let degrees = ref 0 in
+              for k = !level_end to !tail - 1 do
+                let v = Intvec.unsafe_get ws.queue k in
+                degrees :=
+                  !degrees + Intvec.unsafe_get off (v + 1)
+                  - Intvec.unsafe_get off v
+              done;
+              let t_next = !tail_gain - !tail_count in
+              let next_level = !degrees * max 0 (top_level - !j - 2) in
+              let gain = min !tail_gain (next_level + t_next) in
+              if !sum - gain > budget then raise_notrace Exit;
+              tail_gain := t_next;
+              if !j + 3 <= top_level then
+                tail_count := !tail_count - hist.(!j + 3);
+              incr j;
+              level_end := !tail
+            end;
+            let u = Intvec.unsafe_get ws.queue !head in
+            incr head;
+            let dv = Intvec.unsafe_get ws.dist u + 1 in
+            let row_end = Intvec.unsafe_get off (u + 1) - 1 in
+            for i = Intvec.unsafe_get off u to row_end do
+              let v = Intvec.unsafe_get tg i in
+              let bv = Intvec.unsafe_get base v in
+              if
+                (bv < 0 || dv + 1 < bv)
+                && Intvec.unsafe_get ws.stamps v <> stamp
+              then begin
+                Intvec.unsafe_set ws.stamps v stamp;
+                if bv < 0 then begin
+                  incr reached;
+                  sum := !sum + dv + 1
+                end
+                else sum := !sum - (bv - dv - 1);
+                Intvec.unsafe_set ws.dist v dv;
+                Intvec.unsafe_set ws.queue !tail v;
+                incr tail
+              end
+            done
+          done;
+          true
+        with Exit -> false
+      in
+      if not complete then None
+      else begin
+        (* BFS order: the last vertex enqueued is the deepest *)
+        let reach =
+          1 + Intvec.unsafe_get ws.dist (Intvec.unsafe_get ws.queue (!tail - 1))
+        in
+        let ecc =
+          if reach >= top_level then reach
+          else begin
+            (* [ws.dist] is free again: count R's members per base level *)
+            let levels = ws.dist in
+            for l = reach + 1 to top_level do
+              Intvec.unsafe_set levels l 0
+            done;
+            for k = 0 to !tail - 1 do
+              let l = Intvec.unsafe_get base (Intvec.unsafe_get ws.queue k) in
+              if l > reach && l <= top_level then
+                Intvec.unsafe_set levels l (Intvec.unsafe_get levels l + 1)
+            done;
+            let l = ref top_level in
+            while !l > reach && hist.(!l) <= Intvec.unsafe_get levels !l do
+              decr l
+            done;
+            !l
           end
-        done
-      done;
-      (* BFS order: the last vertex enqueued is the deepest *)
-      let reach =
-        1 + Intvec.unsafe_get ws.dist (Intvec.unsafe_get ws.queue (!tail - 1))
-      in
-      let ecc =
-        if reach >= top_level then reach
-        else begin
-          (* [ws.dist] is free again: count R's members per base level *)
-          let levels = ws.dist in
-          for l = reach + 1 to top_level do
-            Intvec.unsafe_set levels l 0
-          done;
-          for k = 0 to !tail - 1 do
-            let l = Intvec.unsafe_get base (Intvec.unsafe_get ws.queue k) in
-            if l > reach && l <= top_level then
-              Intvec.unsafe_set levels l (Intvec.unsafe_get levels l + 1)
-          done;
-          let l = ref top_level in
-          while !l > reach && hist.(!l) <= Intvec.unsafe_get levels !l do
-            decr l
-          done;
-          !l
-        end
-      in
-      { reached = !reached; sum = !sum; ecc }
+        in
+        Some { reached = !reached; sum = !sum; ecc }
+      end
     end
 
   let distances ws g source =

@@ -90,17 +90,25 @@ module Workspace : sig
 
   val profile_with_edge :
     t -> Graph.t -> Intvec.t -> reached:int -> sum:int -> hist:int array ->
-    int -> profile
-  (** [profile_with_edge ws g base ~reached ~sum ~hist y] is the profile of
-      [s] once the edge [{s, y}] is added, where [base.(v)] holds [s]'s
-      distances ([-1] = unreachable) in [g] or in [g] minus one edge at
-      [s], and [reached], [sum] and [hist] (indexed by level, length
-      eccentricity + 1) are [base]'s aggregates.  Exact: equal to
+    ?bound:bound -> int -> profile option
+  (** [profile_with_edge ws g base ~reached ~sum ~hist y] is [Some] the
+      profile of [s] once the edge [{s, y}] is added, where [base.(v)]
+      holds [s]'s distances ([-1] = unreachable) in [g] or in [g] minus
+      one edge at [s], and [reached], [sum] and [hist] (indexed by level,
+      length eccentricity + 1) are [base]'s aggregates.  Exact: equal to
       {!val:profile} of [s] in the edited graph.  A BFS from [y] in
       [g - s] visits only the vertices the new edge brings strictly
       closer, so the cost is proportional to that region; [g] is not
       modified and nothing is allocated.  [y] adjacent to [s] in [base]'s
-      graph, or [y = s], returns [base]'s own profile. *)
+      graph, or [y = s], returns [base]'s own profile.
+
+      With [~bound:(Sum_at_most b)] the BFS may stop early with [None],
+      which proves the exact sum exceeds [b]: at each BFS level it bounds
+      the gain still to come from [hist] and the level's degree sum.  The
+      bound is tried only when [base] reaches every vertex of [g] and the
+      sum after [y]'s own gain still exceeds [b]; [Ecc_at_most] is never
+      tried.  Every [Some p] is the exact profile, whether or not it meets
+      the bound. *)
 
   val row : t -> int -> Intvec.t
   (** [row ws i] is the [i]-th scratch row (length [max_n]), allocated on

@@ -726,7 +726,7 @@ let sparse_graph (seed, n, p) =
 
 (* [profile_with_edge] over [base] (the source's distances in [g], or in
    [g] minus one of its edges), fed the aggregates it expects. *)
-let kernel ws g base y =
+let kernel ?bound ws g base y =
   let reached = ref 0 and sum = ref 0 and ecc = ref 0 in
   Array.iter
     (fun d ->
@@ -739,12 +739,29 @@ let kernel ws g base y =
   let hist = Array.make (!ecc + 1) 0 in
   Array.iter (fun d -> if d >= 0 then hist.(d) <- hist.(d) + 1) base;
   Paths.Workspace.profile_with_edge ws g (Intvec.of_array base)
-    ~reached:!reached ~sum:!sum ~hist y
+    ~reached:!reached ~sum:!sum ~hist ?bound y
 
 let profile_plus g s y =
   let g' = Graph.copy g in
   Graph.add_edge g' ~owner:s s y;
   Paths.profile g' s
+
+(* The kernel against [exact], the profile of the edited graph, with no
+   budget and with SUM budgets around and far below the exact sum: every
+   [Some] is [exact], and [None] comes back only for a budget the exact
+   sum misses.  Far below every sum, a base row that reaches every vertex
+   must stop the BFS: the bound at [y]'s own level already proves it. *)
+let kernel_agrees ws g base y exact =
+  let bounded b = kernel ~bound:(Paths.Workspace.Sum_at_most b) ws g base y in
+  let far = -1 in
+  kernel ws g base y = Some exact
+  && List.for_all
+       (fun b ->
+         match bounded b with
+         | Some p -> p = exact
+         | None -> exact.Paths.sum > b)
+       [ exact.Paths.sum - 1; exact.Paths.sum; exact.Paths.sum + 1; far ]
+  && (Array.exists (fun d -> d < 0) base || bounded far = None)
 
 let kernel_properties =
   [
@@ -762,7 +779,7 @@ let kernel_properties =
           (fun s ->
             let base = Paths.distances g s in
             List.for_all
-              (fun y -> kernel ws g base y = profile_plus g s y)
+              (fun y -> kernel_agrees ws g base y (profile_plus g s y))
               (open_targets g s)
             && List.for_all
                  (fun x ->
@@ -772,7 +789,7 @@ let kernel_properties =
                    (* scored on [g] itself: the kernel never enters [s],
                       so the edge {s, x} is invisible to it *)
                    List.for_all
-                     (fun y -> kernel ws g base y = profile_plus gx s y)
+                     (fun y -> kernel_agrees ws g base y (profile_plus gx s y))
                      (open_targets gx s))
                  (Graph.neighbors g s))
           (Graph.vertices g));

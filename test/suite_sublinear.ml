@@ -229,6 +229,54 @@ let prop_prefilter_invisible =
       done;
       !ok)
 
+(* The regime where the bounded kernel stops BFS early: SUM-GBG with
+   m = 4n and α = n/4 at n = 100-150, where the best deletion sets a SUM
+   budget that most swap and buy regions cannot meet.  The start is a few
+   max-cost steps into a trial, as in the benchmark's trials.  Each
+   probed agent (the max-cost one among them) is scanned on fresh
+   contexts, and then on one context in turn: [is_unhappy],
+   [best_moves], [improving_moves] and [is_unhappy] again.  Those scans
+   share the buy-profile memo, and [improving_moves] after [best_moves]
+   asks it at budgets looser than the ones it recorded, which it must
+   recompute. *)
+let prop_bounded_kernel_invisible =
+  QCheck.Test.make ~count:8
+    ~name:"bounded kernel changes no move list (SUM-GBG, m = 4n, n >= 100)"
+    QCheck.(triple (int_range 100 150) small_int (int_bound 12))
+    (fun (n, seed, steps) ->
+      let grng = Random.State.make [| seed; n; 0xb0 |] in
+      let model = make_model ~sum:true n in
+      let start = Gen.random_m_edges grng n (4 * n) in
+      let cfg =
+        Engine.config ~policy:Policy.Max_cost
+          ~tie_break:Engine.Prefer_deletion ~max_steps:steps
+          ~record_history:false model
+      in
+      let rng = Random.State.make [| seed |] in
+      let g = (Engine.run ~rng cfg start).Engine.final in
+      let agents =
+        List.hd (Agents.max_cost_agents model g)
+        :: List.init 3 (fun _ -> Random.State.int grng n)
+      in
+      let fresh () =
+        Response.Fast.of_cache (Paths.Workspace.create n) model g
+          (Distcache.create n)
+      in
+      List.for_all
+        (fun u ->
+          let improving = Response.improving_moves model g u in
+          let best = Response.least_cost model improving in
+          let unhappy = improving <> [] in
+          let shared = fresh () in
+          Response.Fast.best_moves (fresh ()) u = best
+          && Response.Fast.improving_moves (fresh ()) u = improving
+          && Response.Fast.is_unhappy (fresh ()) u = unhappy
+          && Response.Fast.is_unhappy shared u = unhappy
+          && Response.Fast.best_moves shared u = best
+          && Response.Fast.improving_moves shared u = improving
+          && Response.Fast.is_unhappy shared u = unhappy)
+        agents)
+
 (* ------------------------------------------------------------------ *)
 (* Memory-bounded cache: eviction under pressure                       *)
 (* ------------------------------------------------------------------ *)
@@ -448,4 +496,5 @@ let suite =
           test_board_audit_names_stale_key;
         Alcotest.test_case "board audit: budgeted n=1000 run" `Quick
           test_board_audit_budgeted_run;
+        QCheck_alcotest.to_alcotest prop_bounded_kernel_invisible;
       ] )
