@@ -285,30 +285,27 @@ let admissible model g move =
      {!Paths.Workspace.profile_with_edge} runs the second term's BFS from
      [y] only through the vertices the new edge brings closer — no
      target row is read or filled, and the graph is not edited;
-   - O(1) triangle-inequality caps, and the memoized buy profile (a lower
-     bound on every swap adding the same edge), reject hopeless
-     candidates before a swap's kernel or its minus row's BFS runs;
-   - under SUM the kernel is handed the admission budget and stops once
-     the gain still possible cannot meet it, so a rejection rarely walks
-     the whole region. *)
+   - the kernel is handed the candidate's admission budget and proves
+     most rejections itself: under SUM it stops once the gain still
+     possible cannot meet the budget, under MAX before any BFS when no
+     distance can fall far enough;
+   - the memoized buy profile (a lower bound on every swap adding the
+     same edge) rejects hopeless swaps before their kernel or their
+     minus row's BFS runs. *)
 module Fast = struct
-  (* What the scans of one agent know of a target's buy profile: nothing
-     yet, the exact profile, or only that its distance aggregate (the sum
-     under SUM, the eccentricity under MAX) exceeds a cutoff. *)
-  type buy = Unscored | Exact of Paths.profile | Over of int
-
   type ctx = {
     model : Model.t;
     g : Graph.t;
     ws : Paths.Workspace.t;
     unit_price : Q.t;
     cache : Distcache.t;  (* d_G(v, .), -1 = unreachable *)
-    mutable profile_memo : int * buy array;
-        (* the last scan's agent and its per-target buy-profile memo.
-           Tables never change while a ctx is alive (transient evaluations
-           restore the graph), so consecutive scans of the same agent —
-           the mover's unhappiness probe followed by its best-response
-           scan — share one memo instead of recomputing every profile. *)
+    mutable profile_memo : int * Paths.profile option array;
+        (* the last scan's agent and its per-target buy profiles, each
+           exact once known.  Tables never change while a ctx is alive
+           (transient evaluations restore the graph), so consecutive scans
+           of the same agent — the mover's unhappiness probe followed by
+           its best-response scan — share one memo instead of recomputing
+           every profile. *)
   }
 
   let of_cache ws model g cache =
@@ -326,7 +323,8 @@ module Fast = struct
   (* Accepts only [true], for [benchmark/replica.ml] until ROADMAP item 1b. *)
   let set_prefilter (_ : ctx) on =
     if not on then
-      invalid_arg "Response.Fast.set_prefilter: the caps always run"
+      invalid_arg
+        "Response.Fast.set_prefilter: the admission bounds always run"
 
   let table ctx v = Distcache.ensure ctx.cache ~ws:ctx.ws ctx.g v
 
@@ -348,48 +346,44 @@ module Fast = struct
           (Distcache.profile ctx.cache u)
           ~with_edges:true
 
-  (* The agent's current cost as the cross-multiplied integer key the
-     selection layer buckets on: [e*p + d*q] (exactly what {!Cost.compare}
-     compares), with [max_int] for Disconnected (which {!Cost.compare}
-     places above every finite cost).  A resident table answers in O(1);
-     any other agent's profile comes from the cache's bit-parallel batch,
-     so a board refresh fills no table. *)
-  let cost_key ctx u =
-    let c =
-      if Distcache.get ctx.cache u <> None then cost ctx u
-      else
-        Agents.of_profile ctx.model ctx.g u
-          (Distcache.batch_profile ctx.cache ctx.g u)
-          ~with_edges:true
-    in
-    match c with
+  (* A cost as the cross-multiplied integer key [e*p + d*q] (exactly what
+     {!Cost.compare} compares), with [max_int] for Disconnected (which
+     {!Cost.compare} places above every finite cost). *)
+  let cross ctx = function
     | Cost.Disconnected -> max_int
     | Cost.Connected { edge_units; dist } ->
         let { Q.num; den } = ctx.unit_price in
         (edge_units * num) + (dist * den)
 
-  (* Admission thresholds are cross-multiplied integer costs
-     ([e * num + d * den], cf. [Cost.compare]); [None] admits any finite
-     cost (the mover is currently disconnected, so any reconnecting move
-     improves). *)
-  let cross ctx = function
-    | Cost.Disconnected -> None
-    | Cost.Connected { edge_units; dist } ->
-        let { Q.num; den } = ctx.unit_price in
-        Some ((edge_units * num) + (dist * den))
+  (* The agent's current cost as the key the selection layer buckets on.
+     A resident table answers in O(1); any other agent's profile comes
+     from the cache's bit-parallel batch, so a board refresh fills no
+     table. *)
+  let cost_key ctx u =
+    cross ctx
+      (if Distcache.get ctx.cache u <> None then cost ctx u
+       else
+         Agents.of_profile ctx.model ctx.g u
+           (Distcache.batch_profile ctx.cache ctx.g u)
+           ~with_edges:true)
 
+  (* Admission thresholds are keys: a candidate is admitted when its key
+     is at most the threshold.  [max_int] admits any finite cost (the
+     mover is currently disconnected, so any reconnecting move
+     improves). *)
   let improve_threshold ctx before =
-    match cross ctx before with None -> None | Some c -> Some (c - 1)
+    let c = cross ctx before in
+    if c = max_int then max_int else c - 1
 
   (* Largest distance a candidate paying [edge_units] may have while still
-     meeting the threshold. *)
+     meeting [threshold]: [max_int] for no cutoff, negative when no
+     distance can. *)
   let dist_budget ctx ~edge_units threshold =
-    match threshold with
-    | None -> `Any
-    | Some t ->
-        let { Q.num; den } = ctx.unit_price in
-        let b = t - (edge_units * num) in
-        if b < 0 then `Reject else `At_most (b / den)
+    if threshold = max_int then max_int
+    else
+      let { Q.num; den } = ctx.unit_price in
+      let b = threshold - (edge_units * num) in
+      if b < 0 then -1 else b / den
 
   let bound_of ctx budget =
     match ctx.model.Model.dist_mode with
@@ -403,61 +397,26 @@ module Fast = struct
     Move.with_applied ctx.g move (fun g ->
         let u = Move.agent move in
         let edge_units = Model.edge_units ctx.model g u in
-        match dist_budget ctx ~edge_units threshold with
-        | `Reject -> None
-        | `Any ->
-            let p = Paths.Workspace.profile ctx.ws g u in
-            if p.Paths.reached < Graph.n g then None
-            else
-              Some
-                {
-                  move;
-                  before;
-                  after = Agents.of_profile ctx.model g u p ~with_edges:true;
-                }
-        | `At_most budget -> (
-            match
-              Paths.Workspace.profile_bounded ctx.ws g u (bound_of ctx budget)
-            with
-            | None -> None
-            | Some p ->
-                if p.Paths.reached < Graph.n g then None
-                else
-                  Some
-                    {
-                      move;
-                      before;
-                      after =
-                        Agents.of_profile ctx.model g u p ~with_edges:true;
-                    }))
+        let bound = bound_of ctx (dist_budget ctx ~edge_units threshold) in
+        match Paths.Workspace.profile_bounded ctx.ws g u bound with
+        | Some p when p.Paths.reached = Graph.n g ->
+            Some
+              {
+                move;
+                before;
+                after = Agents.of_profile ctx.model g u p ~with_edges:true;
+              }
+        | Some _ | None -> None)
 
-  (* {2 Base rows and their triangle-inequality admission caps}
+  (* {2 Base rows}
 
      A base row is the mover's own table, or one of its minus rows.  Its
      reached count, distance sum and level histogram feed the
-     {!Paths.Workspace.profile_with_edge} kernel.
-
-     Adding an edge from the scan source to a target [y] at level
-     [k = d(y)] can shrink vertex [v]'s distance to at most
-     [min (d v) (|d v - k| + 1)]: a path through the new edge must first
-     reach its far endpoint, and [d(y, v) >= |d v - k|].  Summed over the
-     component this caps the total Sum-distance gain at
-
-       cap(k) = Σ_{v : 2 d(v) > k + 1} min (k - 1) (2 d(v) - k - 1)
-
-     and the eccentricity gain at [k - 1].  The caps depend only on the
-     level histogram, so one O(ecc²) pass per base row buys an O(1) reject
-     test per candidate: when even the capped profile misses the admission
-     budget, the exact profile provably does too, so the admitted set —
-     and hence every trajectory — is unchanged. *)
+     {!Paths.Workspace.profile_with_edge} kernel. *)
   type row_stats = {
     rs_reached : int;
     rs_sum : int;  (* Σ d(v) over the reached vertices *)
     rs_hist : int array;  (* rs_hist.(l) = #{v : d(v) = l}, l in 0..ecc *)
-    mutable rs_cap : int array option;
-        (* by target level k, valid 1..ecc; computed on first use, and
-           only for a row that reaches every vertex — the cap argument
-           reasons within one component *)
   }
 
   let row_stats ~n (row : Intvec.t) =
@@ -475,40 +434,14 @@ module Fast = struct
       let d = Intvec.unsafe_get row v in
       if d >= 0 then hist.(d) <- hist.(d) + 1
     done;
-    { rs_reached = !reached; rs_sum = !sum; rs_hist = hist; rs_cap = None }
-
-  let ecc_of st = Array.length st.rs_hist - 1
+    { rs_reached = !reached; rs_sum = !sum; rs_hist = hist }
 
   let profile_of_stats st =
-    { Paths.reached = st.rs_reached; sum = st.rs_sum; ecc = ecc_of st }
-
-  let caps st =
-    match st.rs_cap with
-    | Some cap -> cap
-    | None ->
-        let ecc = ecc_of st and hist = st.rs_hist in
-        let cap = Array.make (ecc + 1) 0 in
-        for k = 1 to ecc do
-          let acc = ref 0 in
-          for l = (k / 2) + 1 to ecc do
-            acc := !acc + (hist.(l) * min (k - 1) ((2 * l) - k - 1))
-          done;
-          cap.(k) <- !acc
-        done;
-        st.rs_cap <- Some cap;
-        cap
-
-  (* [true] when no candidate at level [k] can meet [budget] even with the
-     maximal capped gain.  Rows with an unreachable vertex and levels
-     outside [1..ecc] never reject. *)
-  let caps_reject ctx st ~k ~budget =
-    k >= 1
-    && k <= ecc_of st
-    && st.rs_reached = Graph.n ctx.g
-    &&
-    match ctx.model.Model.dist_mode with
-    | Model.Sum -> st.rs_sum - (caps st).(k) > budget
-    | Model.Max -> ecc_of st - (k - 1) > budget
+    {
+      Paths.reached = st.rs_reached;
+      sum = st.rs_sum;
+      ecc = Array.length st.rs_hist - 1;
+    }
 
   (* Per-agent scan state: the agent's current cost and edge units, the
      lazily computed stats of its base row, and the lazily filled
@@ -524,7 +457,7 @@ module Fast = struct
         (* per removable edge: its row (workspace scratch row number
            [List.length] at fill time, so the scan allocates no row) and
            the row's stats *)
-    mutable buy_profiles : buy array;
+    mutable buy_profiles : Paths.profile option array;
         (* per target, memoized for the scan: the graph is unchanged while
            a scan runs (minus-row fills restore it), so the buy profile
            of a target is scan-constant.  Lazily sized; [[||]] until the
@@ -534,14 +467,6 @@ module Fast = struct
            its swaps: [walk_candidates] skips it from then on.  Lazily
            sized like [buy_profiles], but never shared with another
            scan, whose budgets may be looser. *)
-    mutable budget_memo :
-      (int option * int * [ `Any | `At_most of int | `Reject ]) option;
-        (* [dist_budget] of the last (threshold, edge_units) pair seen:
-           every swap candidate shares one [edge_units] and the threshold
-           only moves when a better move is admitted, so this one-slot
-           memo answers almost every candidate without re-deriving (or
-           re-boxing) the budget.  Keyed on the threshold's physical
-           identity — a fresh admit always builds a fresh option block. *)
   }
 
   let make_scan ctx u =
@@ -557,12 +482,11 @@ module Fast = struct
       minus = [];
       buy_profiles;
       dropped = Bytes.empty;
-      budget_memo = None;
     }
 
   let ensure_profiles s =
     if Array.length s.buy_profiles = 0 then begin
-      s.buy_profiles <- Array.make (Graph.n s.ctx.g) Unscored;
+      s.buy_profiles <- Array.make (Graph.n s.ctx.g) None;
       s.ctx.profile_memo <- (s.u, s.buy_profiles)
     end
 
@@ -591,18 +515,13 @@ module Fast = struct
         m
 
   (* The exact profile after adding {u, y} to the graph [row] was measured
-     in — no target row read, nothing filled — or [None] once its SUM
-     provably exceeds [budget] ([max_int]: no cutoff).  MAX scores
-     exactly. *)
+     in — no target row read, nothing filled — or [None] once the kernel
+     proves its distance aggregate (the sum under SUM, the eccentricity
+     under MAX) exceeds [budget] ([max_int]: no cutoff). *)
   let with_edge s row st ~budget y =
-    let bound =
-      match s.ctx.model.Model.dist_mode with
-      | Model.Sum when budget < max_int ->
-          Some (Paths.Workspace.Sum_at_most budget)
-      | Model.Sum | Model.Max -> None
-    in
     Paths.Workspace.profile_with_edge s.ctx.ws s.ctx.g row
-      ~reached:st.rs_reached ~sum:st.rs_sum ~hist:st.rs_hist ?bound y
+      ~reached:st.rs_reached ~sum:st.rs_sum ~hist:st.rs_hist
+      ~bound:(bound_of s.ctx budget) y
 
   let dist_of ctx (p : Paths.profile) =
     match ctx.model.Model.dist_mode with
@@ -614,35 +533,19 @@ module Fast = struct
   let misses ctx p ~budget =
     p.Paths.reached < Graph.n ctx.g || dist_of ctx p > budget
 
-  (* The exact profile of buying {u, y} when it meets [budget], [None]
-     once it provably misses it: by the memo, the caps or the bounded
-     kernel.  [Over c] answers every budget at or below [c].  A looser
-     budget learns nothing from it and recomputes: a later scan of the
-     same agent may run at a looser threshold than the one that wrote
-     the entry, and a swap's budget is one edge unit looser than a
-     buy's. *)
-  let buy_within s y ~budget =
+  (* The exact profile of buying {u, y}, memoized for the agent, or [None]
+     once the kernel proves it misses [budget].  A proof answers its own
+     budget only, so it is not memoized: a later scan of the same agent
+     may run at a looser threshold, and a swap's budget is one edge unit
+     looser than a buy's. *)
+  let buy_profile s y ~budget =
     ensure_profiles s;
-    let ctx = s.ctx in
     match s.buy_profiles.(y) with
-    | Over c when budget <= c -> None
-    | Exact p -> if misses ctx p ~budget then None else Some p
-    | Unscored | Over _ -> (
-        let row = table ctx s.u and st = base_stats s in
-        if caps_reject ctx st ~k:(Intvec.get row y) ~budget then begin
-          s.buy_profiles.(y) <- Over budget;
-          None
-        end
-        else
-          match with_edge s row st ~budget y with
-          | None ->
-              s.buy_profiles.(y) <- Over budget;
-              None
-          | Some p ->
-              s.buy_profiles.(y) <- Exact p;
-              if misses ctx p ~budget then None else Some p)
-
-  let cutoff = function `Any -> max_int | `At_most b -> b
+    | Some _ as known -> known
+    | None ->
+        let p = with_edge s (table s.ctx s.u) (base_stats s) ~budget y in
+        s.buy_profiles.(y) <- p;
+        p
 
   let drop s y =
     if Bytes.length s.dropped = 0 then
@@ -663,44 +566,34 @@ module Fast = struct
           after = Cost.connected ~edge_units ~dist:(dist_of s.ctx p);
         }
 
-  (* [Some e] iff the candidate's exact cost meets [threshold]; every
-     admitted evaluation is exact, every rejection is proved. *)
-  let dist_budget_memo s ~edge_units threshold =
-    match s.budget_memo with
-    | Some (t, eu, b) when t == threshold && eu = edge_units -> b
-    | _ ->
-        let b = dist_budget s.ctx ~edge_units threshold in
-        s.budget_memo <- Some (threshold, edge_units, b);
-        b
-
-  (* The per-shape candidate tests below take the candidate as bare ints
-     and only allocate the [Move.t] record on the (rare) paths that
-     survive the O(1) rejections: the scan visits thousands of
-     candidates per step and the constructor-per-candidate allocation
-     was a measurable share of the step loop's minor-GC pressure. *)
+  (* The per-shape candidate tests below return [Some e] iff the
+     candidate's exact cost meets [threshold]; every admitted evaluation
+     is exact, every rejection is proved.  They take the candidate as
+     bare ints and only allocate the [Move.t] record on the (rare) paths
+     that survive the rejections: the scan visits thousands of candidates
+     per step and the constructor-per-candidate allocation was a
+     measurable share of the step loop's minor-GC pressure. *)
 
   let try_buy s ~y ~threshold =
     let edge_units = s.base_units + 1 in
-    match dist_budget_memo s ~edge_units threshold with
-    | `Reject -> None
-    | (`Any | `At_most _) as budget -> (
-        let budget = cutoff budget in
-        match buy_within s y ~budget with
-        | None -> None
-        | Some p ->
-            admit s (Move.Buy { agent = s.u; target = y }) ~edge_units p
-              ~budget)
+    let budget = dist_budget s.ctx ~edge_units threshold in
+    if budget < 0 then None
+    else
+      match buy_profile s y ~budget with
+      | None -> None
+      | Some p ->
+          admit s (Move.Buy { agent = s.u; target = y }) ~edge_units p ~budget
 
   let try_delete s ~x ~threshold =
     let edge_units = s.base_units - 1 in
-    match dist_budget_memo s ~edge_units threshold with
-    | `Reject -> None
-    | (`Any | `At_most _) as budget ->
-        admit s
-          (Move.Delete { agent = s.u; target = x })
-          ~edge_units
-          (profile_of_stats (snd (minus s x)))
-          ~budget:(cutoff budget)
+    let budget = dist_budget s.ctx ~edge_units threshold in
+    if budget < 0 then None
+    else
+      admit s
+        (Move.Delete { agent = s.u; target = x })
+        ~edge_units
+        (profile_of_stats (snd (minus s x)))
+        ~budget
 
   (* A swap keeps [u]'s edge units, and its profile is exactly the minus
      row of {u, x} with the edge {u, y} added. *)
@@ -714,32 +607,27 @@ module Fast = struct
 
   let try_swap s ~x ~y ~threshold =
     let ctx = s.ctx in
-    match dist_budget_memo s ~edge_units:s.base_units threshold with
-    | `Reject -> None
-    | `Any -> score_swap s ~x ~y (minus s x) ~budget:max_int
-    | `At_most budget -> (
-        (* The swap's distance profile is pointwise >= the pure buy
-           profile of the same target — the removal only lengthens
-           paths — so a target whose buy distance already misses the
-           budget is out.  Memoized per target, amortized O(1) over the
-           removable edges; checked before the minus row so an edge whose
-           every target dies here never pays its O(m) removal BFS. *)
-        match buy_within s y ~budget with
-        | None ->
-            drop s y;
+    let budget = dist_budget ctx ~edge_units:s.base_units threshold in
+    if budget < 0 then None
+    else
+      (* The swap's distance profile is pointwise >= the pure buy profile
+         of the same target — the removal only lengthens paths, and
+         reconnects nothing — so a target whose buy already misses the
+         budget is out.  Memoized per target, amortized O(1) over the
+         removable edges; checked before the minus row so an edge whose
+         every target dies here never pays its O(m) removal BFS. *)
+      match buy_profile s y ~budget with
+      | Some p when not (misses ctx p ~budget) ->
+          let (row, st) as m = minus s x in
+          if st.rs_reached < Graph.n ctx.g && Intvec.get row y >= 0 then
+            (* removing {u, x} disconnects: a target still reachable from
+               [u] in G - ux leaves the far side unreachable after the
+               swap *)
             None
-        | Some _ ->
-            let (row, st) as m = minus s x in
-            let rejected =
-              if st.rs_reached = Graph.n ctx.g then
-                caps_reject ctx st ~k:(Intvec.get row y) ~budget
-              else
-                (* removing {u, x} disconnects: a target still reachable
-                   from [u] in G - ux leaves the far side unreachable
-                   after the swap, so the candidate cannot be admitted *)
-                Intvec.get row y >= 0
-            in
-            if rejected then None else score_swap s ~x ~y m ~budget)
+          else score_swap s ~x ~y m ~budget
+      | Some _ | None ->
+          drop s y;
+          None
 
   let try_candidate s move ~threshold =
     let ctx = s.ctx in
@@ -888,15 +776,11 @@ module Fast = struct
     let keep = function
       | None -> ()
       | Some e ->
-          let c =
-            match cross ctx e.after with
-            | Some c -> c
-            | None -> assert false (* admitted costs are finite *)
-          in
+          let c = cross ctx e.after in
           (match !best with
-          | b :: _ when cross ctx b.after = Some c -> best := e :: !best
+          | b :: _ when cross ctx b.after = c -> best := e :: !best
           | _ -> best := [ e ]);
-          threshold := Some c
+          threshold := c
     in
     walk_candidates s
       ~delete:(fun x -> keep (try_delete s ~x ~threshold:!threshold))

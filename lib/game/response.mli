@@ -83,9 +83,10 @@ val admissible : Model.t -> Graph.t -> Move.t -> bool
     patches after every move.  Buys and swaps are scored from the
     mover's own rows alone, by a BFS from the new edge's far end through
     the vertices it brings closer ({!Paths.Workspace.profile_with_edge}),
-    so no scan reads or fills a target's row; under SUM that BFS is given
-    the candidate's admission budget and stops once the candidate
-    provably misses it.  See DESIGN.md §9 for the soundness argument. *)
+    so no scan reads or fills a target's row.  That BFS is given the
+    candidate's admission budget: under SUM it stops once the candidate
+    provably misses it, and under MAX it does not start when no distance
+    can fall far enough.  See DESIGN.md §9 for the soundness argument. *)
 module Fast : sig
   type ctx
 
@@ -103,9 +104,10 @@ module Fast : sig
 
   val set_prefilter: ctx -> bool -> unit
   (** Accepts only [true], for [benchmark/replica.ml] until ROADMAP item 1b.
-      Every scan runs the O(1) admission caps, which reject only
-      candidates whose exact profile provably misses the admission
-      budget, so the admitted set is the unpruned one.
+      Every scan runs its admission bounds (the kernel's budget and the
+      buy-profile bound on swaps), which reject only candidates whose
+      exact profile provably misses the admission budget, so the admitted
+      set is the unpruned one.
       @raise Invalid_argument on [false]. *)
 
   val cost : ctx -> int -> Cost.t

@@ -37,13 +37,11 @@ module Workspace = struct
      no allocation inside the visit loop.  The unsafe reads are bounded by
      the offsets invariant (off.(n) <= dim tg) and by [tail <= n]. *)
 
-  let profile_within ws g source keep =
+  let profile ws g source =
     let n = Graph.n g in
     if n > Intvec.dim ws.dist then
       invalid_arg "Paths.Workspace: graph larger than workspace";
     if source < 0 || source >= n then invalid_arg "Paths.profile: source";
-    if not (keep source) then
-      invalid_arg "Paths.profile_within: source excluded";
     let csr = Graph.csr g in
     let off = Csr.offsets csr and tg = Csr.targets csr in
     ws.stamp <- ws.stamp + 1;
@@ -59,7 +57,7 @@ module Workspace = struct
       let du = Intvec.unsafe_get ws.dist u in
       for i = Intvec.unsafe_get off u to Intvec.unsafe_get off (u + 1) - 1 do
         let v = Intvec.unsafe_get tg i in
-        if Intvec.unsafe_get ws.stamps v <> stamp && keep v then begin
+        if Intvec.unsafe_get ws.stamps v <> stamp then begin
           Intvec.unsafe_set ws.stamps v stamp;
           Intvec.unsafe_set ws.dist v (du + 1);
           sum := !sum + du + 1;
@@ -70,8 +68,6 @@ module Workspace = struct
       done
     done;
     { reached = !tail; sum = !sum; ecc = !ecc }
-
-  let profile ws g source = profile_within ws g source (fun _ -> true)
 
   type bound = Sum_at_most of int | Ecc_at_most of int
 
@@ -181,10 +177,16 @@ module Workspace = struct
      under shortest-path prefixes), each gaining at most ecc - j - 2, and
      the rest gain at most T_{j+1}: so the degree sum D_j of level j gives
      D_j (ecc - j - 2) + T_{j+1}, and the smaller of the two bounds holds.
-     Both read a base row that reaches every vertex; MAX, a base row with
-     an unreachable vertex, and a budget the sum after [y]'s own gain
-     already meets (the sum only falls from there) run without the
-     checks, and every [Some] is exact. *)
+     Both read a base row that reaches every vertex; a base row with an
+     unreachable vertex, and a budget the sum after [y]'s own gain
+     already meets (the sum only falls from there), run without the
+     checks.
+
+     Under [Ecc_at_most b] the one check comes before the BFS: the new
+     edge shortens no distance by more than base y - 1, since
+     1 + d(y, v) >= 1 + base v - base y, so a vertex at the top level
+     stays at least top - (base y - 1) away, and [None] comes back when
+     that exceeds [b].  Every [Some] is exact. *)
   let profile_with_edge ws g (base : Intvec.t) ~reached ~sum ~hist ?bound y =
     let n = Graph.n g in
     if n > Intvec.dim ws.dist then
@@ -197,7 +199,13 @@ module Workspace = struct
     if top_level < 0 || top_level >= Intvec.dim ws.dist then
       invalid_arg "Paths.Workspace.profile_with_edge: histogram";
     let by = Intvec.get base y in
+    let too_far =
+      match bound with
+      | Some (Ecc_at_most b) -> by > 1 && top_level - (by - 1) > b
+      | Some (Sum_at_most _) | None -> false
+    in
     if by >= 0 && by <= 1 then Some { reached; sum; ecc = top_level }
+    else if too_far then None
     else begin
       let csr = Graph.csr g in
       let off = Csr.offsets csr and tg = Csr.targets csr in
@@ -308,40 +316,6 @@ module Workspace = struct
     let vec = Intvec.create (max 1 n) in
     distances_into ws g source vec;
     Array.init n (fun v -> Intvec.get vec v)
-
-  (* Point query without the result-array allocation of [distances]:
-     stamped BFS with early exit once [target] is dequeued. *)
-  let distance ws g source target =
-    let n = Graph.n g in
-    if n > Intvec.dim ws.dist then
-      invalid_arg "Paths.Workspace: graph larger than workspace";
-    if source < 0 || source >= n || target < 0 || target >= n then
-      invalid_arg "Paths.Workspace.distance: vertex";
-    let csr = Graph.csr g in
-    let off = Csr.offsets csr and tg = Csr.targets csr in
-    ws.stamp <- ws.stamp + 1;
-    let stamp = ws.stamp in
-    Intvec.set ws.stamps source stamp;
-    Intvec.set ws.dist source 0;
-    Intvec.set ws.queue 0 source;
-    let head = ref 0 and tail = ref 1 in
-    let found = ref (if source = target then 0 else -1) in
-    while !found < 0 && !head < !tail do
-      let u = Intvec.unsafe_get ws.queue !head in
-      incr head;
-      let du = Intvec.unsafe_get ws.dist u in
-      for i = Intvec.unsafe_get off u to Intvec.unsafe_get off (u + 1) - 1 do
-        let v = Intvec.unsafe_get tg i in
-        if Intvec.unsafe_get ws.stamps v <> stamp then begin
-          Intvec.unsafe_set ws.stamps v stamp;
-          Intvec.unsafe_set ws.dist v (du + 1);
-          if v = target then found := du + 1;
-          Intvec.unsafe_set ws.queue !tail v;
-          incr tail
-        end
-      done
-    done;
-    !found
 end
 
 (* Bit-parallel BFS (Then et al., "The More the Merrier: Efficient
@@ -526,10 +500,6 @@ let profile g source =
 let distances g source =
   let ws = Workspace.create (Graph.n g) in
   Workspace.distances ws g source
-
-let distance g u v =
-  let ws = Workspace.create (Graph.n g) in
-  Workspace.distance ws g u v
 
 let is_connected g =
   let n = Graph.n g in

@@ -20,9 +20,6 @@ val profile : Graph.t -> int -> profile
 val distances : Graph.t -> int -> int array
 (** [distances g u].(v) is [d_G(u, v)], or [-1] if unreachable. *)
 
-val distance : Graph.t -> int -> int -> int
-(** Pairwise distance, [-1] if unreachable. *)
-
 val is_connected : Graph.t -> bool
 
 val eccentricities : Graph.t -> int array option
@@ -53,12 +50,6 @@ module Workspace : sig
   val profile : t -> Graph.t -> int -> profile
   (** Same result as {!val:Paths.profile} without allocating. *)
 
-  val profile_within : t -> Graph.t -> int -> (int -> bool) -> profile
-  (** [profile_within ws g u keep] restricts the BFS to the vertex-induced
-      subgraph on [{ v | keep v }]; [u] itself must satisfy [keep].  Used to
-      evaluate median/center queries on [G - S] without rebuilding the
-      graph. *)
-
   type bound =
     | Sum_at_most of int
         (** give up once the partial distance sum exceeds the cutoff *)
@@ -84,10 +75,6 @@ module Workspace : sig
       at least [Graph.n g] elements.  This is the kernel the distance cache
       uses to (re)fill resident tables without an intermediate array. *)
 
-  val distance : t -> Graph.t -> int -> int -> int
-  (** Same result as {!val:Paths.distance} without allocating: stamped BFS
-      with early exit once the target is reached. *)
-
   val profile_with_edge :
     t -> Graph.t -> Intvec.t -> reached:int -> sum:int -> hist:int array ->
     ?bound:bound -> int -> profile option
@@ -106,9 +93,12 @@ module Workspace : sig
       which proves the exact sum exceeds [b]: at each BFS level it bounds
       the gain still to come from [hist] and the level's degree sum.  The
       bound is tried only when [base] reaches every vertex of [g] and the
-      sum after [y]'s own gain still exceeds [b]; [Ecc_at_most] is never
-      tried.  Every [Some p] is the exact profile, whether or not it meets
-      the bound. *)
+      sum after [y]'s own gain still exceeds [b].  With
+      [~bound:(Ecc_at_most b)] it returns [None] before any BFS when
+      [base]'s eccentricity less [base.(y) - 1] exceeds [b]: the new edge
+      shortens no distance by more than that, so the exact eccentricity
+      exceeds [b] too.  Every [Some p] is the exact profile, whether or
+      not it meets the bound. *)
 
   val row : t -> int -> Intvec.t
   (** [row ws i] is the [i]-th scratch row (length [max_n]), allocated on

@@ -289,7 +289,7 @@ let test_distances_path () =
   let g = Gen.path 5 in
   let d = Paths.distances g 0 in
   Alcotest.(check (array int)) "path distances" [| 0; 1; 2; 3; 4 |] d;
-  check_int "pairwise" 3 (Paths.distance g 1 4);
+  check_int "pairwise" 3 (Paths.distances g 1).(4);
   let p = Paths.profile g 0 in
   check_int "profile sum" 10 p.Paths.sum;
   check_int "profile ecc" 4 p.Paths.ecc;
@@ -298,7 +298,7 @@ let test_distances_path () =
 let test_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1) ] in
   check "not connected" false (Paths.is_connected g);
-  check_int "unreachable is -1" (-1) (Paths.distance g 0 3);
+  check_int "unreachable is -1" (-1) (Paths.distances g 0).(3);
   check "no diameter" true (Paths.diameter g = None);
   check "no eccentricities" true (Paths.eccentricities g = None);
   check_int "two components of sizes 2,1,1" 3
@@ -331,11 +331,7 @@ let test_workspace_reuse () =
   let p2 = Paths.Workspace.profile ws g 3 in
   check_int "cycle ecc from 0" 3 p1.Paths.ecc;
   check_int "cycle ecc from 3" 3 p2.Paths.ecc;
-  check_int "cycle sum" (1 + 2 + 3 + 2 + 1) p1.Paths.sum;
-  (* restricted BFS: remove vertex 0 from a cycle -> path *)
-  let p3 = Paths.Workspace.profile_within ws g 3 (fun v -> v <> 0) in
-  check_int "restricted reach" 5 p3.Paths.reached;
-  check_int "restricted ecc" 2 p3.Paths.ecc
+  check_int "cycle sum" (1 + 2 + 3 + 2 + 1) p1.Paths.sum
 
 let test_bounded_profile () =
   let ws = Paths.Workspace.create 10 in
@@ -747,21 +743,27 @@ let profile_plus g s y =
   Paths.profile g' s
 
 (* The kernel against [exact], the profile of the edited graph, with no
-   budget and with SUM budgets around and far below the exact sum: every
+   budget, with SUM budgets around and far below the exact sum, and with
+   MAX budgets around the exact eccentricity and at no cutoff: every
    [Some] is [exact], and [None] comes back only for a budget the exact
-   sum misses.  Far below every sum, a base row that reaches every vertex
-   must stop the BFS: the bound at [y]'s own level already proves it. *)
+   value misses.  Far below every sum, a base row that reaches every
+   vertex must stop the BFS: the bound at [y]'s own level already proves
+   it. *)
 let kernel_agrees ws g base y exact =
-  let bounded b = kernel ~bound:(Paths.Workspace.Sum_at_most b) ws g base y in
+  let sum b = Paths.Workspace.Sum_at_most b
+  and ecc b = Paths.Workspace.Ecc_at_most b in
+  let agrees bound exact_value b =
+    match kernel ~bound:(bound b) ws g base y with
+    | Some p -> p = exact
+    | None -> exact_value > b
+  in
   let far = -1 in
+  let s = exact.Paths.sum and e = exact.Paths.ecc in
   kernel ws g base y = Some exact
-  && List.for_all
-       (fun b ->
-         match bounded b with
-         | Some p -> p = exact
-         | None -> exact.Paths.sum > b)
-       [ exact.Paths.sum - 1; exact.Paths.sum; exact.Paths.sum + 1; far ]
-  && (Array.exists (fun d -> d < 0) base || bounded far = None)
+  && List.for_all (agrees sum s) [ s - 1; s; s + 1; far ]
+  && List.for_all (agrees ecc e) [ e - 1; e; e + 1; max_int ]
+  && (Array.exists (fun d -> d < 0) base
+     || kernel ~bound:(sum far) ws g base y = None)
 
 let kernel_properties =
   [

@@ -204,17 +204,25 @@ let prop_trajectories_identical =
          = List.map (fun s -> s.Engine.move) b.Engine.history)
 
 (* ------------------------------------------------------------------ *)
-(* Admission prefilters: caps and buy-profile bounds reject nothing    *)
-(* that the naive scan admits                                          *)
+(* Admission bounds: the kernel's budgets and the buy-profile bound    *)
+(* reject nothing that the naive scan admits                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Random networks with m = 2n, and lines with random or directed
+   ownership: a line's rows reach its whole diameter, so MAX buys and
+   swaps at every target level meet the kernel's eccentricity check. *)
 let prop_prefilter_invisible =
-  QCheck.Test.make ~count:60
+  QCheck.Test.make ~count:90
     ~name:"admission prefilters change no move list (on = off = naive)"
-    QCheck.(triple (int_range 5 12) small_int bool)
-    (fun (n, seed, sum) ->
+    QCheck.(quad (int_range 5 12) small_int bool (int_bound 2))
+    (fun (n, seed, sum, start) ->
       let grng = Random.State.make [| seed; n; 0x9f |] in
-      let g = Gen.random_m_edges grng n (2 * n) in
+      let g =
+        match start with
+        | 0 -> Gen.random_m_edges grng n (2 * n)
+        | 1 -> Gen.random_line grng n
+        | _ -> Gen.directed_line n
+      in
       let model = make_model ~sum n in
       let ws = Paths.Workspace.create n in
       let ctx = Response.Fast.of_cache ws model g (Distcache.create n) in
@@ -236,9 +244,9 @@ let prop_prefilter_invisible =
    probed agent (the max-cost one among them) is scanned on fresh
    contexts, and then on one context in turn: [is_unhappy],
    [best_moves], [improving_moves] and [is_unhappy] again.  Those scans
-   share the buy-profile memo, and [improving_moves] after [best_moves]
-   asks it at budgets looser than the ones it recorded, which it must
-   recompute. *)
+   share the buy-profile memo, which holds exact profiles only, so each
+   later scan, whatever its budget, must read back what an earlier one
+   recorded and recompute what an earlier one only rejected. *)
 let prop_bounded_kernel_invisible =
   QCheck.Test.make ~count:8
     ~name:"bounded kernel changes no move list (SUM-GBG, m = 4n, n >= 100)"
