@@ -43,6 +43,18 @@
      disconnected them: -1).  If the affected set outgrows [threshold], the
      level structure is degenerating and a fresh BFS is cheaper.
 
+   Transient rows: the best-response scan scores the deletion of an edge
+   {u, x} of its mover, and every swap removing it, on d_{G-ux}(u, .).
+   [without_edge] builds that row with the same repair, run on a copy of
+   u's table with the edge still in the CSR.  The repair takes the removed
+   pair and never crosses it: the far endpoint x is affected without a
+   survival check (u was its only parent), and x is not seeded from u.
+   After a committed deletion the CSR no longer holds the edge, so both
+   rules change nothing there.  The fallback BFS skips the pair too.  The
+   counters, the incremental aggregates and the profile invalidation
+   belong to [note_removed], so a transient row leaves every book of the
+   cache as it was.
+
    Dirty sets (the selection layer's feed): every noted primitive also
    classifies ALL n sources — resident or not — as changed ("dirty") or
    unchanged, using distance symmetry: the distance from source v to
@@ -480,8 +492,22 @@ let batch_profile t g v =
 
 let mark_changed t v = t.profiles.(v) <- None
 
-(* Fresh BFS from [v] into the existing table [d] — the fallback path. *)
-let rebuild t csr v (d : Intvec.t) =
+(* Fold one rewritten entry of source [v]'s table, [old] to [nw] (either
+   may be -1), into its incremental (reached, sum). *)
+let note_aggregates t v old nw =
+  if old >= 0 then begin
+    t.preach.(v) <- t.preach.(v) - 1;
+    t.psum.(v) <- t.psum.(v) - old
+  end;
+  if nw >= 0 then begin
+    t.preach.(v) <- t.preach.(v) + 1;
+    t.psum.(v) <- t.psum.(v) + nw
+  end
+
+(* Fresh BFS from [v] into [d] with the edge {a, b} treated as absent —
+   the fallback path.  A committed deletion's CSR no longer holds the
+   edge, so there the skip never fires. *)
+let rebuild t csr v (d : Intvec.t) a b =
   let off = Csr.offsets csr and tg = Csr.targets csr in
   for x = 0 to t.n - 1 do
     Intvec.unsafe_set d x (-1)
@@ -495,13 +521,20 @@ let rebuild t csr v (d : Intvec.t) =
     let du = Intvec.unsafe_get d u in
     for i = Intvec.unsafe_get off u to Intvec.unsafe_get off (u + 1) - 1 do
       let w = Intvec.unsafe_get tg i in
-      if Intvec.unsafe_get d w < 0 then begin
+      if
+        Intvec.unsafe_get d w < 0
+        && not ((u = a && w = b) || (u = b && w = a))
+      then begin
         Intvec.unsafe_set d w (du + 1);
         Intvec.unsafe_set t.queue !tail w;
         incr tail
       end
     done
-  done;
+  done
+
+(* The books of a committed table that a rebuild replaced: its
+   incremental aggregates are stale until the next [profile]. *)
+let count_rebuild t v =
   t.rebuilt <- t.rebuilt + 1;
   t.pvalid.(v) <- false;
   mark_changed t v
@@ -513,14 +546,7 @@ let rebuild t csr v (d : Intvec.t) =
 let repair_insert t csr v (d : Intvec.t) seed seed_dist =
   let off = Csr.offsets csr and tg = Csr.targets csr in
   let track = t.pvalid.(v) in
-  let note old nw =
-    if old < 0 then begin
-      t.preach.(v) <- t.preach.(v) + 1;
-      t.psum.(v) <- t.psum.(v) + nw
-    end
-    else t.psum.(v) <- t.psum.(v) + nw - old
-  in
-  if track then note (Intvec.get d seed) seed_dist;
+  if track then note_aggregates t v (Intvec.get d seed) seed_dist;
   Intvec.set d seed seed_dist;
   Intvec.set t.queue 0 seed;
   let head = ref 0 and tail = ref 1 in
@@ -532,7 +558,7 @@ let repair_insert t csr v (d : Intvec.t) seed seed_dist =
       let w = Intvec.unsafe_get tg i in
       let dw = Intvec.unsafe_get d w in
       if dw < 0 || dw > du + 1 then begin
-        if track then note dw (du + 1);
+        if track then note_aggregates t v dw (du + 1);
         Intvec.unsafe_set d w (du + 1);
         Intvec.unsafe_set t.queue !tail w;
         incr tail
@@ -544,9 +570,14 @@ let repair_insert t csr v (d : Intvec.t) seed seed_dist =
 
 exception Too_many_affected
 
-(* Affected-set computation and recomputation for a deletion whose far
-   endpoint [far] (old level d.(far)) lost its last surviving parent. *)
-let repair_delete t csr v (d : Intvec.t) far =
+(* The deletion repair for the edge {near, far}, whose far endpoint
+   (d.(far) = d.(near) + 1) has no other parent: [d] is patched in place,
+   [note old nw] hears every entry rewritten, and the result is [true];
+   past [threshold] affected vertices [d] is rebuilt instead, with no
+   [note], and the result is [false].  The CSR may still hold the edge
+   (see "Transient rows" above), and the repair never crosses it.  It
+   keeps none of the cache's books. *)
+let repair_delete t csr v (d : Intvec.t) ~near ~far ~note =
   let off = Csr.offsets csr and tg = Csr.targets csr in
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
@@ -564,10 +595,11 @@ let repair_delete t csr v (d : Intvec.t) far =
        for k = 0 to !wc - 1 do
          let x = Intvec.unsafe_get w k in
          (* survivor iff some neighbor one level down kept its distance;
-            level [!level - 1] verdicts are final by the level ordering *)
+            level [!level - 1] verdicts are final by the level ordering.
+            [far] is not scanned: it has lost its only parent. *)
          let survives = ref false in
          let i = ref (Intvec.unsafe_get off x) in
-         let row_end = Intvec.unsafe_get off (x + 1) in
+         let row_end = if x = far then !i else Intvec.unsafe_get off (x + 1) in
          while (not !survives) && !i < row_end do
            let y = Intvec.unsafe_get tg !i in
            incr i;
@@ -606,40 +638,29 @@ let repair_delete t csr v (d : Intvec.t) far =
         is visited, so the scan is sized by the repair, not by n. *)
      let buckets = t.buckets in
      let maxb = t.n + 1 in
-     let track = t.pvalid.(v) in
-     let note old nw =
-       if old >= 0 && nw >= 0 then t.psum.(v) <- t.psum.(v) + nw - old
-       else if old < 0 && nw >= 0 then begin
-         t.preach.(v) <- t.preach.(v) + 1;
-         t.psum.(v) <- t.psum.(v) + nw
-       end
-       else if old >= 0 then begin
-         (* nw < 0: vertex drops out of the component *)
-         t.preach.(v) <- t.preach.(v) - 1;
-         t.psum.(v) <- t.psum.(v) - old
-       end
-     in
      let lo = ref max_int and hi = ref (-1) in
      for k = 0 to !aff_count - 1 do
        let x = Intvec.unsafe_get t.queue k in
+       let skip = if x = far then near else -1 in
        let best = ref max_int in
        for i = Intvec.unsafe_get off x to Intvec.unsafe_get off (x + 1) - 1 do
          let y = Intvec.unsafe_get tg i in
          if
            Intvec.unsafe_get aff y <> stamp
+           && y <> skip
            && Intvec.unsafe_get d y >= 0
            && Intvec.unsafe_get d y + 1 < !best
          then best := Intvec.unsafe_get d y + 1
        done;
        if !best <= maxb then begin
-         if track then note (Intvec.unsafe_get d x) !best;
+         note (Intvec.unsafe_get d x) !best;
          Intvec.unsafe_set d x !best;
          buckets.(!best) <- x :: buckets.(!best);
          if !best < !lo then lo := !best;
          if !best > !hi then hi := !best
        end
        else begin
-         if track then note (Intvec.unsafe_get d x) (-1);
+         note (Intvec.unsafe_get d x) (-1);
          Intvec.unsafe_set d x (-1)
        end
      done;
@@ -658,7 +679,7 @@ let repair_delete t csr v (d : Intvec.t) far =
                  && (dy < 0 || dy > !s + 1)
                  && !s + 1 <= maxb
                then begin
-                 if track then note dy (!s + 1);
+                 note dy (!s + 1);
                  Intvec.unsafe_set d y (!s + 1);
                  buckets.(!s + 1) <- y :: buckets.(!s + 1);
                  if !s + 1 > !hi then hi := !s + 1
@@ -667,12 +688,23 @@ let repair_delete t csr v (d : Intvec.t) far =
          bucket;
        incr s
      done;
-     t.repaired <- t.repaired + 1;
-     mark_changed t v
+     true
    with Too_many_affected ->
      (* The level wave may have left entries in no bucket (buckets are only
         filled after the wave completes), so nothing to clean here. *)
-     rebuild t csr v d)
+     rebuild t csr v d near far;
+     false)
+
+let without_edge t g u x (row : Intvec.t) ~note =
+  if Graph.n g <> t.n then invalid_arg "Distcache.without_edge: size mismatch";
+  match t.tables.(u) with
+  | None -> invalid_arg "Distcache.without_edge: no table"
+  | Some base ->
+      (* [x] is [u]'s neighbour, so [u] is its only parent *)
+      if Intvec.get base x <> 1 then
+        invalid_arg "Distcache.without_edge: not an edge";
+      Intvec.blit ~src:base ~src_pos:0 ~dst:row ~dst_pos:0 ~len:t.n;
+      repair_delete t (Graph.csr g) u row ~near:u ~far:x ~note
 
 (* Classify ALL n sources as dirty/clean from the endpoint rows (see the
    header comment).  Either classifier marks everything dirty when an
@@ -764,13 +796,15 @@ let note_removed t g a b =
         let da = Intvec.get d a and db = Intvec.get d b in
         if da < 0 && db < 0 then t.kept <- t.kept + 1
         else if da = db then t.kept <- t.kept + 1
-        else if da < 0 || db < 0 then
+        else if da < 0 || db < 0 then begin
           (* impossible for a well-formed pre-delete state (the edge made
              the endpoints' levels differ by at most one); be safe under
              fault injection *)
-          rebuild t csr v d
+          rebuild t csr v d a b;
+          count_rebuild t v
+        end
         else begin
-          let far = if da < db then b else a in
+          let near, far = if da < db then (a, b) else (b, a) in
           let fd = Intvec.get d far in
           (* fast-keep: another parent survives at the far level - 1 *)
           let has_parent = ref false in
@@ -781,7 +815,15 @@ let note_removed t g a b =
             incr i
           done;
           if !has_parent then t.kept <- t.kept + 1
-          else repair_delete t csr v d far
+          else
+            let note =
+              if t.pvalid.(v) then note_aggregates t v else fun _ _ -> ()
+            in
+            if repair_delete t csr v d ~near ~far ~note then begin
+              t.repaired <- t.repaired + 1;
+              mark_changed t v
+            end
+            else count_rebuild t v
         end
   done;
   Option.iter (classify_delete t) rows

@@ -13,8 +13,11 @@
 
     Patch calls must see the graph {e after} exactly the primitive being
     noted (and the tables from before it) — the engine drives them from
-    {!Move.apply_observed}.  Transient candidate evaluations never touch
-    the cache.
+    {!Move.apply_observed}.  Transient candidate evaluations never patch
+    the cache: the best-response scan's rows without one of the mover's
+    edges come from {!without_edge}, which runs the deletion repair on a
+    copy of the mover's table and leaves the tables, counters and
+    profiles as they are.
 
     Tables are off-heap {!Intvec} bigarrays.  Residency is bounded by an
     optional [budget]: installing past the cap evicts the least-recently
@@ -121,6 +124,22 @@ val note_removed : t -> Graph.t -> int -> int -> unit
     the same patch and fold.  The endpoint rows are classified after the
     patch has repaired them, so a source whose row did not move stays
     clean even when the edge lay on one of its shortest paths. *)
+
+val without_edge :
+  t -> Graph.t -> int -> int -> Intvec.t -> note:(int -> int -> unit) -> bool
+(** [without_edge t g u x row ~note] writes [d_{G - ux}(u, .)] into [row]
+    for an edge [{u, x}] of [g], without editing [g]: [u]'s resident
+    table is copied and patched by the deletion repair that
+    {!note_removed} runs, with the edge treated as absent, so past the
+    copy the cost is the region whose every shortest path from [u] used
+    the edge.  [note old new] hears each entry the repair rewrites
+    (either may be [-1]), and the result is [true].  Past the threshold
+    the row is instead a fresh BFS that skips the edge, [note] is never
+    called, and the result is [false].  The cache's tables, stats,
+    profiles and LRU clock are left as they are.  [row] must have at
+    least [n] elements.
+    @raise Invalid_argument if [u] has no table, if [x] is not a
+    neighbour of [u], or on a graph/cache size mismatch. *)
 
 (** {2 Dirty set}
 

@@ -277,9 +277,11 @@ let admissible model g move =
 
    - a cache of single-source distance tables [d_G(v, .)], filled lazily
      and, in the engine, kept across steps;
-   - one BFS per removable edge {u, x} for its row [d_{G-ux}(u, .)],
-     which scores the deletion and is shared by every swap removing that
-     same edge;
+   - per removable edge {u, x}, the row [d_{G-ux}(u, .)], which scores
+     the deletion and is shared by every swap removing that same edge:
+     [u]'s table patched by the cache's deletion repair with the edge
+     treated as absent, so it costs the region whose shortest paths all
+     used the edge, and the graph is not edited;
    - buys and swaps scored exactly from [u]'s base row b alone (d_G for a
      buy, d_{G-ux} for a swap): d'(v) = min (b v, 1 + d_{G-u}(y, v)), and
      {!Paths.Workspace.profile_with_edge} runs the second term's BFS from
@@ -290,8 +292,8 @@ let admissible model g move =
      possible cannot meet the budget, under MAX before any BFS when no
      distance can fall far enough;
    - the memoized buy profile (a lower bound on every swap adding the
-     same edge) rejects hopeless swaps before their kernel or their
-     minus row's BFS runs. *)
+     same edge) rejects hopeless swaps before their kernel runs or their
+     minus row is built. *)
 module Fast = struct
   type ctx = {
     model : Model.t;
@@ -459,9 +461,8 @@ module Fast = struct
            the row's stats *)
     mutable buy_profiles : Paths.profile option array;
         (* per target, memoized for the scan: the graph is unchanged while
-           a scan runs (minus-row fills restore it), so the buy profile
-           of a target is scan-constant.  Lazily sized; [[||]] until the
-           first lookup. *)
+           a scan runs, so the buy profile of a target is scan-constant.
+           Lazily sized; [[||]] until the first lookup. *)
     mutable dropped : Bytes.t;
         (* per target, non-zero once this scan's buy bound rejected one of
            its swaps: [walk_candidates] skips it from then on.  Lazily
@@ -498,21 +499,57 @@ module Fast = struct
         s.base_stats <- Some st;
         st
 
+  (* The row of {u, x} is [u]'s table patched by the cache's deletion
+     repair, and its stats are [u]'s adjusted by every entry the repair
+     rewrites, so both cost the region whose shortest paths all used the
+     edge.  A repair past the cache's threshold is a full BFS instead,
+     whose stats are rescanned. *)
   let minus s x =
     match List.assoc_opt x s.minus with
     | Some m -> m
     | None ->
         let ctx = s.ctx in
-        let g = ctx.g in
         let row = Paths.Workspace.row ctx.ws (List.length s.minus) in
-        let o = Graph.owner g s.u x in
-        Graph.remove_edge g s.u x;
-        Fun.protect
-          ~finally:(fun () -> Graph.add_edge g ~owner:o s.u x)
-          (fun () -> Paths.Workspace.distances_into ctx.ws g s.u row);
-        let m = (row, row_stats ~n:(Graph.n g) row) in
+        let base = base_stats s in
+        let reached = ref base.rs_reached and sum = ref base.rs_sum in
+        let hist = ref (Array.copy base.rs_hist) in
+        let note old nw =
+          if old >= 0 then begin
+            decr reached;
+            sum := !sum - old;
+            !hist.(old) <- !hist.(old) - 1
+          end;
+          if nw >= 0 then begin
+            incr reached;
+            sum := !sum + nw;
+            if nw >= Array.length !hist then begin
+              let h = Array.make (2 * nw) 0 in
+              Array.blit !hist 0 h 0 (Array.length !hist);
+              hist := h
+            end;
+            !hist.(nw) <- !hist.(nw) + 1
+          end
+        in
+        let st =
+          if Distcache.without_edge ctx.cache ctx.g s.u x row ~note then begin
+            (* level 0 holds [u] alone, so the loop stops *)
+            let top = ref (Array.length !hist - 1) in
+            while !hist.(!top) = 0 do
+              decr top
+            done;
+            {
+              rs_reached = !reached;
+              rs_sum = !sum;
+              rs_hist = Array.sub !hist 0 (!top + 1);
+            }
+          end
+          else row_stats ~n:(Graph.n ctx.g) row
+        in
+        let m = (row, st) in
         s.minus <- (x, m) :: s.minus;
         m
+
+  let minus_row ctx u x = minus (make_scan ctx u) x
 
   (* The exact profile after adding {u, y} to the graph [row] was measured
      in — no target row read, nothing filled — or [None] once the kernel
@@ -615,7 +652,7 @@ module Fast = struct
          reconnects nothing — so a target whose buy already misses the
          budget is out.  Memoized per target, amortized O(1) over the
          removable edges; checked before the minus row so an edge whose
-         every target dies here never pays its O(m) removal BFS. *)
+         every target dies here never has its row built. *)
       match buy_profile s y ~budget with
       | Some p when not (misses ctx p ~budget) ->
           let (row, st) as m = minus s x in

@@ -122,6 +122,21 @@ module Fast : sig
       {!cost} it fills no table: an agent without a resident one is
       answered by {!Distcache.batch_profile}. *)
 
+  type row_stats = {
+    rs_reached : int;  (** vertices the row reaches *)
+    rs_sum : int;  (** the sum of their distances *)
+    rs_hist : int array;
+        (** [rs_hist.(l)] vertices at distance [l]; length eccentricity + 1 *)
+  }
+
+  val minus_row : ctx -> int -> int -> Intvec.t * row_stats
+  (** [minus_row ctx u x] for an edge [{u, x}]: the row [d_{G-ux}(u, .)]
+      on which a scan of [u] scores the deletion of the edge and every
+      swap removing it, with the row's stats.  It is [u]'s table (filled
+      if absent) patched by {!Distcache.without_edge}; the graph and the
+      cache's other books are left as they are.  The row is workspace
+      scratch, overwritten by the next scan. *)
+
   val is_unhappy : ctx -> int -> bool
   (** Same boolean as {!val:Response.is_unhappy}. *)
 

@@ -274,6 +274,73 @@ let prop_tiny_threshold_matches =
       done;
       !ok)
 
+(* The best-response scan's minus rows: for every edge {u, x}, u's table
+   patched by the deletion repair with the edge treated as absent must be
+   a BFS of the graph without it, with its reached count, sum and level
+   histogram (whose length - 1 is the eccentricity), and must leave the
+   graph, u's table and the cache's books as they were.  Random networks
+   with m = 2n and m = 4n, random trees, and lines with random or
+   directed ownership (on a tree or a line every deletion disconnects);
+   half the cases force the full-BFS fallback ([threshold] 1). *)
+let arb_minus =
+  QCheck.make
+    ~print:(fun (seed, n, kind, tiny) ->
+      Printf.sprintf "seed=%d n=%d kind=%d threshold=%s" seed n kind
+        (if tiny then "1" else "default"))
+    QCheck.Gen.(
+      quad (int_bound 100_000) (int_range 4 30) (int_bound 4) bool)
+
+let row_stats row =
+  let reached = List.length (List.filter (fun d -> d >= 0) row) in
+  let sum = List.fold_left (fun acc d -> if d >= 0 then acc + d else acc) 0 row in
+  let ecc = List.fold_left max 0 row in
+  ( reached,
+    sum,
+    Array.init (ecc + 1) (fun l -> List.length (List.filter (( = ) l) row)) )
+
+let prop_minus_row_exact =
+  QCheck.Test.make ~count:100
+    ~name:"minus rows by deletion repair = BFS without the edge" arb_minus
+    (fun (seed, n, kind, tiny) ->
+      let rng = Random.State.make [| seed; 0x3e1 |] in
+      let g =
+        match kind with
+        | 0 -> Gen.random_m_edges rng n (min (2 * n) (n * (n - 1) / 2))
+        | 1 -> Gen.random_m_edges rng n (min (4 * n) (n * (n - 1) / 2))
+        | 2 -> Gen.random_tree rng n
+        | 3 -> Gen.random_line rng n
+        | _ -> Gen.directed_line n
+      in
+      let g0 = Graph.copy g in
+      let cache =
+        if tiny then Distcache.create ~threshold:1 n else Distcache.create n
+      in
+      let ws = Paths.Workspace.create n in
+      let model = Model.make Model.Gbg Model.Sum n in
+      let ctx = Response.Fast.of_cache ws model g cache in
+      List.for_all
+        (fun u ->
+          let table = Distcache.ensure cache ~ws g u in
+          let before =
+            (Intvec.to_array table, Distcache.stats cache,
+             Distcache.sum_profile cache u)
+          in
+          List.for_all
+            (fun x ->
+              let row, st = Response.Fast.minus_row ctx u x in
+              let without = Graph.copy g in
+              Graph.remove_edge without u x;
+              let expect = Paths.distances without u in
+              let reached, sum, hist = row_stats (Array.to_list expect) in
+              Array.init n (Intvec.get row) = expect
+              && st.Response.Fast.rs_reached = reached
+              && st.rs_sum = sum && st.rs_hist = hist && Graph.equal g g0
+              && (Intvec.to_array table, Distcache.stats cache,
+                  Distcache.sum_profile cache u)
+                 = before)
+            (Graph.neighbors g u))
+        (Graph.vertices g))
+
 (* Sparse random networks, where toggles often disconnect the graph; half
    the cases run with the rebuild fallback forced ([threshold] 1). *)
 let arb_dirty =
@@ -375,7 +442,11 @@ let suite =
         test_lazy_tables_stay_lazy;
     ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ prop_incremental_matches_fresh_bfs; prop_tiny_threshold_matches ]
+        [
+          prop_incremental_matches_fresh_bfs;
+          prop_tiny_threshold_matches;
+          prop_minus_row_exact;
+        ]
     @ [
         Alcotest.test_case "delete: dirty set is exact" `Quick
           test_delete_dirty_exact;
